@@ -24,9 +24,8 @@ from .graphs import (Edge, GraphMatrices, MarkedSignedGraph, Marking,
 from .io import (GraphFormatError, load_graph, parse_graph, save_graph,
                  serialize_graph)
 from .product import ProductGraph, block_adjacency, corona, product
-from .spectra import (EnergyValue, IntegralityResult, Spectrum,
-                      available_backends, cospectral, default_backend, energy,
-                      is_integral, symmetric_eigenvalues)
+from .spectra import (EnergyValue, IntegralityResult, Spectrum, cospectral,
+                      energy, is_integral, symmetric_eigenvalues)
 from .theorems import (CospectralFamilyReport, FactoredCharPoly,
                        adjacency_factored, cospectral_family_check,
                        factored_charpoly, laplacian_factored,
@@ -51,8 +50,7 @@ __all__ = [
     "signless_factored", "factored_charpoly", "CospectralFamilyReport",
     "cospectral_family_check",
     "Spectrum", "EnergyValue", "IntegralityResult", "symmetric_eigenvalues",
-    "energy", "cospectral", "is_integral", "available_backends",
-    "default_backend",
+    "energy", "cospectral", "is_integral",
     "IntegralityReport", "StarProductReport", "EquienergeticCertificate",
     "integral_product_check", "star_product_integral_check",
     "star_bracket_cubic", "star_bracket_cubic_expanded",

@@ -20,13 +20,13 @@ from . import __version__
 from .applications import (equienergetic_demo, integral_product_check,
                            star_product_integral_check)
 from .coronal import signed_coronal
-from .exact import Poly, charpoly
+from .exact import Poly, charpoly, integer_roots
 from .graphs import (MarkedSignedGraph, Marking, SignedGraph, complete,
                      complete_bipartite, cycle, line_graph, matrices,
                      mu_signed_graph, path, prism, star)
 from .io import GraphFormatError, load_graph, serialize_graph
 from .product import product
-from .spectra import energy, is_integral, symmetric_eigenvalues
+from .spectra import EnergyValue, symmetric_eigenvalues
 from .theorems import cospectral_family_check
 from .verify import run_theorem_verification
 
@@ -128,21 +128,20 @@ def _cmd_coronal(args) -> int:
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
-    spec = symmetric_eigenvalues(_matrix_of(mg, args.matrix), tol=args.tol)
+    m = _matrix_of(mg, args.matrix)
+    f = charpoly(m)
     payload = {
         "command": "spectrum",
         "input": args.input,
         "sha256": _sha256_file(args.input),
         "matrix": args.matrix,
-        "backend": spec.backend,
-        "sweeps": spec.sweeps,
-        "eigenvalues": list(spec.values),
-        "charpoly": _poly_payload(charpoly(_matrix_of(mg, args.matrix))),
+        "eigenvalues": list(symmetric_eigenvalues(m).values),
+        "charpoly": _poly_payload(f),
     }
     if args.matrix == "A":
-        verdict = is_integral(mg)
-        payload["integral"] = verdict.integral
-        payload["integer_roots"] = list(verdict.roots)
+        roots, quotient = integer_roots(f)
+        payload["integral"] = quotient.degree == 0
+        payload["integer_roots"] = list(roots)
     _emit(args, payload, started)
     return 0
 
@@ -150,8 +149,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_energy(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
-    e = energy(mg, tol=args.tol)
     spec = symmetric_eigenvalues(_matrix_of(mg, "A"))
+    e = EnergyValue.of(spec, args.tol)
     _emit(args, {
         "command": "energy",
         "input": args.input,
@@ -281,6 +280,10 @@ def _cmd_integral_search(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # argparse strips a lone "--" out of an option's value, so the all-negative
+    # marking of a two-vertex graph, --marking=--, arrives as an empty list
+    if args.marking == []:
+        args.marking = "--"
     marking = None if args.marking in (None, "canonical") else Marking(
         [1 if ch == "+" else -1 for ch in args.marking])
     if args.family == "line-graph":
@@ -332,10 +335,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mu-graph", action="store_true",
                    help="use the mu-signed graph instead of the raw signature")
 
-    p = add("spectrum", _cmd_spectrum, "eigenvalues by cyclic Jacobi")
+    p = add("spectrum", _cmd_spectrum, "float eigenvalues, exact charpoly and integrality")
     p.add_argument("input")
     p.add_argument("--matrix", choices=("A", "L", "Q"), default="A")
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = add("energy", _cmd_energy, "sum of absolute adjacency eigenvalues")
     p.add_argument("input")

@@ -52,6 +52,7 @@ def parse_graph(text: str) -> MarkedSignedGraph:
         raise GraphFormatError(lineno, "need n >= 1 vertices and m >= 0 edges")
 
     edges = []
+    seen = set()
     body = lines[1:]
     if len(body) < m:
         raise GraphFormatError(lines[-1][0], f"expected {m} edge lines, found {len(body)}")
@@ -67,9 +68,11 @@ def parse_graph(text: str) -> MarkedSignedGraph:
             raise GraphFormatError(lineno, f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
             raise GraphFormatError(lineno, f"vertex out of range in edge ({i}, {j})")
-        if any((min(i, j), max(i, j)) == (a, b) for a, b, _ in edges):
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
             raise GraphFormatError(lineno, f"duplicate edge ({i}, {j})")
-        edges.append((min(i, j), max(i, j), s))
+        seen.add(pair)
+        edges.append((*pair, s))
 
     marking = None
     rest = body[m:]

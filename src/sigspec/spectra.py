@@ -1,15 +1,10 @@
-"""Floating-point spectra via a self-contained cyclic Jacobi eigensolver.
+"""Floating-point spectra via LAPACK's symmetric eigensolver.
 
-Two interchangeable kernels compute the same sweep: a scalar-loop kernel
-compiled with numba when available, and a vectorized pure-numpy fallback.
-Selection order: explicit ``backend=`` argument, then the environment flag
-``SIGSPEC_PURE_NUMPY=1``, then numba if importable. Exact decisions
+Eigenvalues come from ``np.linalg.eigvalsh`` (``dsyevd``). Exact decisions
 (cospectrality, integrality) never go through floats.
 """
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,114 +12,14 @@ import numpy as np
 from .exact import Matrix, Poly, charpoly, integer_roots
 from .graphs import MarkedSignedGraph, SignedGraph, adjacency_matrix, matrices
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-_MAX_SWEEPS = 60
-
-
-def _jacobi_loops(a: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps, scalar loops; returns sweep count or -1."""
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > off:
-                    off = abs(a[p, q])
-        if off <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = c * aip - s * aiq
-                        a[p, i] = a[i, p]
-                        a[i, q] = s * aip + c * aiq
-                        a[q, i] = a[i, q]
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return -1
-
-
-if HAVE_NUMBA:
-    _jacobi_loops_jit = njit(cache=True)(_jacobi_loops)
-
-
-def _jacobi_numpy(a: np.ndarray, tol: float, max_sweeps: int) -> int:
-    """Same sweep order as the loop kernel, rows/columns updated vectorized."""
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0 if n < 2 else float(np.max(np.abs(a[np.triu_indices(n, 1)])))
-        if off <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return -1
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def default_backend() -> str:
-    if os.environ.get("SIGSPEC_PURE_NUMPY", "") == "1":
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _resolve_backend(backend: str | None) -> str:
-    chosen = backend if backend is not None else default_backend()
-    if chosen == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    if chosen not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {chosen!r}")
-    return chosen
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with solver provenance."""
+    """Eigenvalues sorted descending."""
 
     values: tuple[float, ...]
-    backend: str
-    sweeps: int
+    # not a field: always 0, kept because perfbench/tracer.py reads it for spectra.sweeps
+    sweeps = 0
 
 
 def _as_float_array(m) -> np.ndarray:
@@ -136,23 +31,15 @@ def _as_float_array(m) -> np.ndarray:
     return arr
 
 
-def symmetric_eigenvalues(m, tol: float = 1e-12, backend: str | None = None) -> Spectrum:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+def symmetric_eigenvalues(m) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, sorted descending."""
     a = _as_float_array(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    # eigvalsh reads only the lower triangle, so asymmetry must be caught here
     if a.size and float(np.max(np.abs(a - a.T))) > 1e-12:
         raise ValueError("matrix must be symmetric within 1e-12")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    chosen = _resolve_backend(backend)
-    work = np.ascontiguousarray(a, dtype=np.float64).copy()
-    kernel = _jacobi_loops_jit if chosen == "numba" else _jacobi_numpy
-    sweeps = int(kernel(work, float(tol), _MAX_SWEEPS))
-    if sweeps < 0:
-        raise RuntimeError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps")
-    values = tuple(sorted((float(x) for x in np.diag(work)), reverse=True))
-    return Spectrum(values=values, backend=chosen, sweeps=sweeps)
+    return Spectrum(values=tuple(float(x) for x in np.linalg.eigvalsh(a)[::-1]))
 
 
 @dataclass(frozen=True)
@@ -161,6 +48,12 @@ class EnergyValue:
 
     value: float
     tolerance: float
+
+    @classmethod
+    def of(cls, spec: Spectrum, tol: float) -> EnergyValue:
+        """Energy of an adjacency spectrum, allowing tol per eigenvalue."""
+        return cls(value=float(sum(abs(v) for v in spec.values)),
+                   tolerance=tol * len(spec.values))
 
 
 def _adjacency_of(mg) -> Matrix:
@@ -171,12 +64,9 @@ def _adjacency_of(mg) -> Matrix:
     raise TypeError("energy expects a signed graph or marked signed graph")
 
 
-def energy(mg, tol: float = 1e-9, backend: str | None = None) -> EnergyValue:
+def energy(mg, tol: float = 1e-9) -> EnergyValue:
     """Graph energy: sum of |eigenvalue| over the adjacency spectrum."""
-    a = _adjacency_of(mg)
-    spec = symmetric_eigenvalues(a, backend=backend)
-    return EnergyValue(value=float(sum(abs(v) for v in spec.values)),
-                       tolerance=tol * a.nrows)
+    return EnergyValue.of(symmetric_eigenvalues(_adjacency_of(mg)), tol)
 
 
 def _graph_of(mg) -> SignedGraph:

@@ -94,6 +94,12 @@ def test_gen_line_graph_iterations(tmp_path):
     assert mg.graph.degrees() == (6,) * 18
 
 
+def test_gen_all_negative_two_vertex_marking(capsys):
+    rc = main(["gen", "--family", "complete", "--n", "2", "--marking=--"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "marking - -"
+
+
 def test_charpoly_cli_json(tmp_path, capsys):
     f = tmp_path / "k2.txt"
     f.write_text("2 1\n0 1 +\n")
@@ -137,8 +143,7 @@ def test_cli_byte_reproducible():
         first.stderr + second.stderr
     assert first.stdout == second.stdout, first.stderr + second.stderr
     env_run = run_cli(["verify-theorem", "--which", "A", "--trials", "5"],
-                      extra_env={"SIGSPEC_SEED": "42",
-                                 "SIGSPEC_PURE_NUMPY": "1"})
+                      extra_env={"SIGSPEC_SEED": "42"})
     assert env_run.returncode == 0, env_run.stderr
     assert env_run.stdout == first.stdout, env_run.stderr
 
