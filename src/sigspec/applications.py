@@ -13,7 +13,7 @@ from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree)
 from .product import product
-from .spectra import energy
+from .spectra import energy, symmetric_eigenvalues
 from .theorems import FactoredCharPoly, adjacency_factored, coronal_of_mu_graph
 
 
@@ -261,17 +261,25 @@ def equienergetic_demo(tol: float = 1e-9,
 def factored_energy_estimate(fc: FactoredCharPoly) -> float:
     """Energy read off a factored charpoly: sum of |root| over all factors.
 
-    Roots of the shared factor and bracket are extracted numerically
-    (np.roots); the repeated linear factor contributes |root| * exponent.
+    The bracket's roots are found per eigenvalue lam_i of its matrix, as the
+    roots of the small polynomial u - lam_i * v (np.roots), never from the
+    whole high-degree bracket, whose roots are ill-conditioned. The shared
+    factor counts shared_exponent times and the repeated linear factor
+    contributes |root| * exponent.
     """
     total = fc.linear_exponent * abs(float(-fc.linear_factor.coeff(0)))
 
-    def root_sum(p: Poly) -> float:
-        if p.degree < 1:
-            return 0.0
-        coeffs = [float(c) for c in reversed(p.coeffs)]
-        return float(sum(abs(r) for r in np.roots(coeffs)))
+    def floats(p: Poly, k: int) -> np.ndarray:
+        # k coefficients, highest degree first, as np.roots takes them
+        return np.array([float(p.coeff(i)) for i in range(k - 1, -1, -1)])
 
-    total += fc.shared_exponent * root_sum(fc.shared_factor)
-    total += root_sum(fc.bracket)
+    def root_sum(coeffs: np.ndarray) -> float:
+        return float(np.abs(np.roots(coeffs)).sum())
+
+    shared = fc.shared_factor
+    total += fc.shared_exponent * root_sum(floats(shared, len(shared.coeffs)))
+    k = max(len(fc.bracket_u.coeffs), len(fc.bracket_v.coeffs))
+    u, v = floats(fc.bracket_u, k), floats(fc.bracket_v, k)
+    for lam in symmetric_eigenvalues(fc.bracket_matrix).values:
+        total += root_sum(u - lam * v)
     return total

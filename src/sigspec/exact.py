@@ -116,12 +116,13 @@ class Poly:
         a, b = self._c, other._c
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Poly(out)
+        ia = _integers(a)
+        ib = None if ia is None else _integers(b)
+        if ib is None:
+            return Poly(_schoolbook(a, b, Fraction(0)))
+        if min(len(ia), len(ib)) <= _SCHOOLBOOK_MAX:
+            return Poly(_schoolbook(ia, ib, 0))
+        return Poly(_kronecker_mul(ia, ib))
 
     __rmul__ = __mul__
 
@@ -133,8 +134,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -217,6 +219,60 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
+
+
+# integer products where the shorter operand has at most this many coefficients
+# run the schoolbook loop: packing costs more than it saves at that size
+_SCHOOLBOOK_MAX = 8
+
+
+def _integers(c: tuple[Fraction, ...]) -> list[int] | None:
+    """The coefficients as ints, or None if any of them is not integral."""
+    out = []
+    for x in c:
+        if x.denominator != 1:
+            return None
+        out.append(x.numerator)
+    return out
+
+
+def _schoolbook(a: Sequence, b: Sequence, zero):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _offset(n: int, width: int) -> int:
+    # half of every width-byte chunk: sum of 2^(8*width*i + 8*width - 1) over i < n
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+    """Integer polynomial product by Kronecker substitution into one int.
+
+    Each operand is evaluated at x = 2^(8*width) by laying its coefficients
+    out as width-byte chunks, the two ints are multiplied once, and the
+    product's coefficients are read back chunk by chunk. Chunks hold a
+    coefficient plus half their range, so every chunk is non-negative and no
+    borrow runs between neighbours; subtracting the offset corrects for it.
+    """
+    # |product coefficient| <= min(len) * max|a| * max|b|, plus one sign bit
+    bits = (max(abs(x) for x in a).bit_length() + max(abs(x) for x in b).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+
+    def pack(c: list[int]) -> int:
+        raw = b"".join((x + half).to_bytes(width, "little") for x in c)
+        return int.from_bytes(raw, "little") - _offset(len(c), width)
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + _offset(n, width)).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
 
 
 class RationalFn:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .coronal import CoronalTriple, signed_coronal
-from .exact import Poly, charpoly, compose_with_rational
+from .exact import Matrix, Poly, charpoly, compose_with_rational
 from .graphs import (MarkedSignedGraph, adjacency_matrix, mu_signed_graph,
                      require_regular)
 
@@ -23,7 +23,12 @@ MatrixKind = Literal["A", "L", "Q"]
 
 @dataclass(frozen=True)
 class FactoredCharPoly:
-    """Characteristic polynomial in factored form, plus its expansion."""
+    """Characteristic polynomial in factored form, plus its expansion.
+
+    The bracket is prod_i (bracket_u - lam_i * bracket_v) over the
+    eigenvalues lam_i of the integer matrix bracket_matrix, so its roots can
+    be found one small polynomial per eigenvalue.
+    """
 
     matrix_kind: MatrixKind
     linear_factor: Poly
@@ -32,6 +37,9 @@ class FactoredCharPoly:
     shared_exponent: int
     bracket: Poly
     assembled: Poly
+    bracket_u: Poly
+    bracket_v: Poly
+    bracket_matrix: Matrix
 
     def __post_init__(self):
         total = (self.linear_exponent
@@ -44,16 +52,25 @@ class FactoredCharPoly:
 
 
 def _assemble(kind: MatrixKind, linear: Poly, exponent: int, shared: Poly,
-              n1: int, bracket: Poly) -> FactoredCharPoly:
-    assembled = ((linear ** exponent) * (shared ** n1) * bracket).monic()
+              n1: int, u: Poly, v: Poly, m: Matrix) -> FactoredCharPoly:
+    # v^k * chi_m(u/v) = prod_i (u - lam_i*v) for m of order k: one composition,
+    # no eigenvalues
+    bracket = compose_with_rational(charpoly(m), u, v)
+    rest = (shared ** n1) * bracket
+    if linear == Poly.x():
+        # x^e shifts the coefficients; no product needed
+        expanded = Poly([0] * exponent + list(rest.coeffs))
+    else:
+        expanded = (linear ** exponent) * rest
     return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
                             linear_exponent=exponent, shared_factor=shared,
                             shared_exponent=n1, bracket=bracket,
-                            assembled=assembled)
+                            assembled=expanded.monic(), bracket_u=u,
+                            bracket_v=v, bracket_matrix=m)
 
 
-def _first_factor_charpoly(mg1: MarkedSignedGraph) -> Poly:
-    return charpoly(adjacency_matrix(mu_signed_graph(mg1)))
+def _first_factor_matrix(mg1: MarkedSignedGraph) -> Matrix:
+    return adjacency_matrix(mu_signed_graph(mg1))
 
 
 def coronal_of_mu_graph(mg: MarkedSignedGraph) -> CoronalTriple:
@@ -70,11 +87,10 @@ def adjacency_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> Factor
     """
     n1, n2 = mg1.graph.n, mg2.graph.n
     coro = coronal_of_mu_graph(mg2)
-    g = _first_factor_charpoly(mg1)
     u = Poly.x() * coro.den - n2 * coro.num
     v = n2 * coro.den
-    bracket = compose_with_rational(g, u, v)
-    return _assemble("A", Poly.x(), n1 * (n2 - 1), coro.shared, n1, bracket)
+    return _assemble("A", Poly.x(), n1 * (n2 - 1), coro.shared, n1, u, v,
+                     _first_factor_matrix(mg1))
 
 
 def _a_degree(r1: int, n2: int, degree_mode: DegreeMode) -> int:
@@ -100,18 +116,16 @@ def laplacian_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     r2 = require_regular(mg2.graph, "second factor")
     n1, n2 = mg1.graph.n, mg2.graph.n
     coro = coronal_of_mu_graph(mg2)
-    g = _first_factor_charpoly(mg1)
     d_a = _a_degree(r1, n2, degree_mode)
     s = Poly.linear(r2 + n2, -1)
     den_s = coro.den.compose(s)
     num_s = coro.num.compose(s)
     u = Poly.linear(-d_a) * den_s + n2 * num_s
     v = n2 * den_s
-    # roots of g_neg are the negated eigenvalues, turning u + lam*v into a composition
-    g_neg = g.compose(Poly.linear(0, -1)).monic()
-    bracket = compose_with_rational(g_neg, u, v)
+    # the negated mu-adjacency has the negated eigenvalues, turning u + lam*v
+    # into u - (-lam)*v
     return _assemble("L", Poly.linear(-d_a), n1 * (n2 - 1),
-                     coro.shared.compose(s), n1, bracket)
+                     coro.shared.compose(s), n1, u, v, -_first_factor_matrix(mg1))
 
 
 def signless_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
@@ -121,16 +135,14 @@ def signless_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     r2 = require_regular(mg2.graph, "second factor")
     n1, n2 = mg1.graph.n, mg2.graph.n
     coro = coronal_of_mu_graph(mg2)
-    g = _first_factor_charpoly(mg1)
     d_a = _a_degree(r1, n2, degree_mode)
     s = Poly.linear(-(r2 + n2), 1)
     den_s = coro.den.compose(s)
     num_s = coro.num.compose(s)
     u = Poly.linear(-d_a) * den_s - n2 * num_s
     v = n2 * den_s
-    bracket = compose_with_rational(g, u, v)
     return _assemble("Q", Poly.linear(-d_a), n1 * (n2 - 1),
-                     coro.shared.compose(s), n1, bracket)
+                     coro.shared.compose(s), n1, u, v, _first_factor_matrix(mg1))
 
 
 def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,

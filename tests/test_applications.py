@@ -159,6 +159,16 @@ def test_factored_energy_estimate_matches_exact_route():
     assert abs(est - direct.value) < 1e-7
 
 
+def test_factored_energy_estimate_order_200():
+    # the roots of the whole order-200 bracket are ill-conditioned; per
+    # eigenvalue they are not
+    from sigspec.spectra import energy
+    mg1, mg2 = mk(cycle(10)), mk(path(10))
+    est = factored_energy_estimate(factored_charpoly(mg1, mg2, "A"))
+    direct = energy(product(mg1, mg2).graph).value
+    assert abs(est - direct) <= 1e-9 * direct
+
+
 def test_factored_assembles_to_direct_charpoly_for_demo_base():
     from sigspec.applications import demo_equienergetic_pair
     g1, _ = demo_equienergetic_pair()

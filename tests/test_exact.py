@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,67 @@ def test_compose_with_rational_matches_point_evaluation(gc, nc, dc, x0):
     rhs = Fraction(den.eval(x0)) ** max(g.degree, 0) * g.eval(
         Fraction(num.eval(x0), den.eval(x0)))
     assert lhs == rhs
+
+
+def _chunk_boundaries():
+    # coefficients at and next to +-2^(8w-1), where a w-byte chunk changes sign
+    edges = [s * ((1 << (8 * w - 1)) + d) for w in range(1, 6)
+             for d in (-1, 0, 1) for s in (1, -1)]
+    return st.sampled_from(edges)
+
+
+int_coeffs = st.lists(st.one_of(st.integers(min_value=-3, max_value=3),
+                                st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                                _chunk_boundaries()),
+                      min_size=1, max_size=24)
+
+
+@given(a=int_coeffs, b=int_coeffs)
+@settings(max_examples=300, deadline=None)
+def test_integral_product_matches_sympy(a, b):
+    # lengths straddle the schoolbook cutoff; zeros can fall anywhere, including
+    # the top coefficients that Poly strips
+    x = sympy.Symbol("x")
+    want = (sympy.Poly(list(reversed(a)), x, domain="ZZ")
+            * sympy.Poly(list(reversed(b)), x, domain="ZZ")).all_coeffs()
+    want = [int(c) for c in reversed(want)]
+    while want and want[-1] == 0:
+        want.pop()
+    got = Poly(a) * Poly(b)
+    assert all(c.denominator == 1 for c in got.coeffs)
+    assert [c.numerator for c in got.coeffs] == want
+
+
+@pytest.mark.parametrize("la, lb", [(9, 9), (15, 20), (16, 16), (31, 40)])
+def test_integral_product_at_the_coefficient_bound(la, lb):
+    # all coefficients at +-(2^k - 1) put the middle product coefficients at
+    # the size the chunk width is chosen for; every bit length pair is tried
+    # so that some of them land exactly on a byte boundary
+    x = sympy.Symbol("x")
+    for ka in range(1, 25):
+        for kb in range(1, 25):
+            a = [(1 << ka) - 1] * la
+            b = [-((1 << kb) - 1)] * lb
+            want = (sympy.Poly(a, x, domain="ZZ") * sympy.Poly(b, x, domain="ZZ")).all_coeffs()
+            got = Poly(a) * Poly(b)
+            assert [c.numerator for c in got.coeffs] == [int(c) for c in reversed(want)]
+
+
+def test_pow_does_not_square_past_top_bit(monkeypatch):
+    products = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        out = mul(self, other)
+        products.append(out.degree)
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    p = Poly([1, 1]) ** 8
+    assert p == Poly([1, 8, 28, 56, 70, 56, 28, 8, 1])
+    # three squarings reach (x+1)^8; a fourth would build (x+1)^16 and drop it
+    assert max(products) == 8
+    assert len(products) == 4
 
 
 def test_integer_roots_known():

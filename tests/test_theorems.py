@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from sigspec.coronal import signed_coronal
 from sigspec.exact import Poly, charpoly
-from sigspec.graphs import (MarkedSignedGraph, SignedGraph, adjacency_matrix,
+from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             complete, complete_bipartite, cycle, matrices,
                             mu_signed_graph, path, star)
 from sigspec.product import product
@@ -185,3 +186,19 @@ def test_non_cospectral_inputs_report_hypothesis_failure():
     # products genuinely differ here, and that does not contradict anything
     assert report.a_match is False
     assert report.consistent
+
+
+@pytest.mark.parametrize("kind, g1, marks1, g2, marks2, digest", [
+    ("A", cycle(16), [1] * 16, path(16), [1] * 16,
+     "894351a869ecaac50a2abb2fac7bfdba8ef92b04e9479682108134c9abfc9427"),
+    ("L", cycle(8), [1, -1] * 4, cycle(8), [1] * 7 + [-1],
+     "a35b288ac384bb01aaf3eb2176ad555f8db96f6da73ede099e73675705d5b0d1"),
+    ("Q", cycle(8), [1, -1] * 4, cycle(8), [1] * 7 + [-1],
+     "83dcb5f82b3e859127274906cabc98ab333ba9ffec31c91c56f0597e3072371a"),
+])
+def test_assembled_coefficients_golden(kind, g1, marks1, g2, marks2, digest):
+    # digests of the Fraction-only expansion; the integer kernel must reproduce them
+    fc = factored_charpoly(MarkedSignedGraph(g1, Marking(marks1)),
+                           MarkedSignedGraph(g2, Marking(marks2)), kind)
+    text = " ".join(fc.assembled.coeff_strings())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
