@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coronal import star_coronal_closed_form
-from .exact import (Poly, Scalar, as_scalar, charpoly, compose_with_rational,
-                    integer_roots)
+from .exact import (Poly, Scalar, charpoly, compose_with_rational, integer_roots,
+                    poly_gcd)
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree)
@@ -79,7 +79,6 @@ def integral_product_check(mg1: MarkedSignedGraph,
 def star_bracket_cubic(n: int, lam: Scalar, center_mark: int) -> Poly:
     """x(x^2-n) - n2*lam*(x^2-n) - n2*((n+1)x + 2n*center_mark), with n2 = n+1."""
     n2 = n + 1
-    lam = as_scalar(lam)
     star_den = Poly([-n, 0, 1])
     star_num = Poly([2 * n * center_mark, n + 1])
     return Poly.x() * star_den - n2 * lam * star_den - n2 * star_num
@@ -88,7 +87,6 @@ def star_bracket_cubic(n: int, lam: Scalar, center_mark: int) -> Poly:
 def star_bracket_cubic_expanded(n: int, lam: Scalar, center_mark: int) -> Poly:
     """The same cubic written out: x^3 - n2*lam*x^2 - (n2^2+n2-1)x + n2(n2-1)(lam-2m)."""
     n2 = n + 1
-    lam = as_scalar(lam)
     return Poly([n2 * (n2 - 1) * (lam - 2 * center_mark),
                  -(n2 * n2 + n2 - 1),
                  -n2 * lam,
@@ -265,7 +263,10 @@ def factored_energy_estimate(fc: FactoredCharPoly) -> float:
     roots of the small polynomial u - lam_i * v (np.roots), never from the
     whole high-degree bracket, whose roots are ill-conditioned. The shared
     factor counts shared_exponent times and the repeated linear factor
-    contributes |root| * exponent.
+    contributes |root| * exponent. np.roots would split a repeated root of
+    the shared factor into a complex cluster, so that factor is peeled into
+    square-free layers first: p / gcd(p, p') has every root of p once, and
+    gcd(p, p') keeps the rest.
     """
     total = fc.linear_exponent * abs(float(-fc.linear_factor.coeff(0)))
 
@@ -276,8 +277,12 @@ def factored_energy_estimate(fc: FactoredCharPoly) -> float:
     def root_sum(coeffs: np.ndarray) -> float:
         return float(np.abs(np.roots(coeffs)).sum())
 
-    shared = fc.shared_factor
-    total += fc.shared_exponent * root_sum(floats(shared, len(shared.coeffs)))
+    p = fc.shared_factor
+    while p.degree > 0:
+        g = poly_gcd(p, Poly([k * c for k, c in enumerate(p.coeffs)][1:]))
+        distinct = p.divexact(g)
+        total += fc.shared_exponent * root_sum(floats(distinct, len(distinct.coeffs)))
+        p = g
     k = max(len(fc.bracket_u.coeffs), len(fc.bracket_v.coeffs))
     u, v = floats(fc.bracket_u, k), floats(fc.bracket_v, k)
     for lam in symmetric_eigenvalues(fc.bracket_matrix).values:

@@ -1,9 +1,13 @@
-"""Exact rational algebra: polynomials, rational functions and dense matrices.
+"""Exact algebra: polynomials, rational functions and integer matrices.
 
-Scalars are stdlib ``fractions.Fraction`` (ints are accepted and coerced);
-floats are rejected so that nothing silently leaves exact arithmetic.
-Polynomial coefficient vectors are stored lowest degree first with no
-trailing zeros.
+The exact scalar is ``int``. A ``fractions.Fraction`` appears only where a
+value really is non-integral, and one with denominator 1 is stored as its
+numerator, so every polynomial built from an integer matrix has int
+coefficients. bools, floats and anything else are rejected so that nothing
+silently leaves exact arithmetic; every exact division goes through
+``Fraction``, never ``/`` between ints. Polynomial coefficient vectors are
+stored lowest degree first with no trailing zeros. ``Matrix`` holds ints
+only.
 """
 from __future__ import annotations
 
@@ -16,13 +20,20 @@ import numpy as np
 Scalar = int | Fraction
 
 
-def as_scalar(x: Scalar) -> Fraction:
-    """Coerce an int or Fraction to Fraction; anything else is an error."""
-    if isinstance(x, Fraction):
+def _exact(x: Scalar) -> Scalar:
+    """The canonical exact scalar: an int, or a Fraction that is not integral."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a/b; '/' between two ints would give a float."""
+    return a if b == 1 else _exact(Fraction(a, b))
 
 
 class Poly:
@@ -31,7 +42,7 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [as_scalar(x) for x in coeffs]
+        c = [_exact(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -50,7 +61,7 @@ class Poly:
         return cls([const, slope])
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Scalar, ...]:
         """Coefficients, lowest degree first, no trailing zeros."""
         return self._c
 
@@ -64,7 +75,7 @@ class Poly:
         return not self._c
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._c[-1]
@@ -73,8 +84,8 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self._c) and self._c[-1] == 1
 
-    def coeff(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
+    def coeff(self, k: int) -> Scalar:
+        return self._c[k] if 0 <= k < len(self._c) else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -111,18 +122,15 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if not isinstance(other, Poly):
-            s = as_scalar(other)
+            s = _exact(other)
             return Poly([s * x for x in self._c])
         a, b = self._c, other._c
         if not a or not b:
             return Poly()
-        ia = _integers(a)
-        ib = None if ia is None else _integers(b)
-        if ib is None:
-            return Poly(_schoolbook(a, b, Fraction(0)))
-        if min(len(ia), len(ib)) <= _SCHOOLBOOK_MAX:
-            return Poly(_schoolbook(ia, ib, 0))
-        return Poly(_kronecker_mul(ia, ib))
+        if (min(len(a), len(b)) > _SCHOOLBOOK_MAX and all(type(x) is int for x in a)
+                and all(type(x) is int for x in b)):
+            return Poly(_kronecker_mul(a, b))
+        return Poly(_schoolbook(a, b))
 
     __rmul__ = __mul__
 
@@ -146,11 +154,11 @@ class Poly:
         dq = len(self._c) - len(other._c)
         if dq < 0:
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         d = other._c
         lead = d[-1]
         for k in range(dq, -1, -1):
-            c = rem[k + len(d) - 1] / lead
+            c = _div(rem[k + len(d) - 1], lead)
             quot[k] = c
             if c:
                 for j, y in enumerate(d):
@@ -176,15 +184,15 @@ class Poly:
         lead = self._c[-1]
         if lead == 1:
             return self
-        return Poly([x / lead for x in self._c])
+        return Poly([Fraction(x, lead) for x in self._c])
 
-    def eval(self, x: Scalar) -> Fraction:
+    def eval(self, x: Scalar) -> Scalar:
         """Exact Horner evaluation."""
-        x = as_scalar(x)
-        acc = Fraction(0)
+        x = _exact(x)
+        acc = 0
         for c in reversed(self._c):
             acc = acc * x + c
-        return acc
+        return _exact(acc)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)) by Horner."""
@@ -226,18 +234,8 @@ class Poly:
 _SCHOOLBOOK_MAX = 8
 
 
-def _integers(c: tuple[Fraction, ...]) -> list[int] | None:
-    """The coefficients as ints, or None if any of them is not integral."""
-    out = []
-    for x in c:
-        if x.denominator != 1:
-            return None
-        out.append(x.numerator)
-    return out
-
-
-def _schoolbook(a: Sequence, b: Sequence, zero):
-    out = [zero] * (len(a) + len(b) - 1)
+def _schoolbook(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -250,7 +248,7 @@ def _offset(n: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
-def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Integer polynomial product by Kronecker substitution into one int.
 
     Each operand is evaluated at x = 2^(8*width) by laying its coefficients
@@ -265,7 +263,7 @@ def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
     width = (bits + 7) // 8
     half = 1 << (8 * width - 1)
 
-    def pack(c: list[int]) -> int:
+    def pack(c: Sequence[int]) -> int:
         raw = b"".join((x + half).to_bytes(width, "little") for x in c)
         return int.from_bytes(raw, "little") - _offset(len(c), width)
 
@@ -290,16 +288,16 @@ class RationalFn:
                 den = den.divexact(g)
         lead = den.leading
         if lead != 1:
-            num = num * (1 / lead)
+            num = num * Fraction(1, lead)
             den = den.monic()
         self.num = num
         self.den = den
 
-    def eval(self, x: Scalar) -> Fraction:
+    def eval(self, x: Scalar) -> Scalar:
         d = self.den.eval(x)
         if d == 0:
             raise ZeroDivisionError(f"pole of rational function at {x}")
-        return self.num.eval(x) / d
+        return _div(self.num.eval(x), d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFn):
@@ -412,8 +410,15 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
     return tuple(sorted(roots)), quotient
 
 
+def _integer(x: Scalar) -> int:
+    x = _exact(x)
+    if type(x) is not int:
+        raise TypeError(f"integer matrix entry expected, got {x}")
+    return x
+
+
 class Matrix:
-    """Dense matrix over exact rationals."""
+    """Dense integer matrix."""
 
     __slots__ = ("_rows", "nrows", "ncols")
 
@@ -425,7 +430,7 @@ class Matrix:
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged matrix rows")
-            packed.append(tuple(as_scalar(x) for x in r))
+            packed.append(tuple(_integer(x) for x in r))
         self._rows = tuple(packed)
         self.nrows = len(packed)
         self.ncols = width
@@ -435,37 +440,32 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int | None = None) -> "Matrix":
-        ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def ones(cls, nrows: int, ncols: int | None = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
         return cls([[1] * ncols for _ in range(nrows)])
 
     @classmethod
-    def diagonal(cls, entries: Sequence[Scalar]) -> "Matrix":
+    def diagonal(cls, entries: Sequence[int]) -> "Matrix":
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def column(cls, entries: Sequence[Scalar]) -> "Matrix":
+    def column(cls, entries: Sequence[int]) -> "Matrix":
         return cls([[x] for x in entries])
 
     @classmethod
-    def row_vector(cls, entries: Sequence[Scalar]) -> "Matrix":
+    def row_vector(cls, entries: Sequence[int]) -> "Matrix":
         return cls([list(entries)])
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         for band in grid:
             height = band[0].nrows
             if any(m.nrows != height for m in band):
                 raise ValueError("block row heights differ")
             for i in range(height):
-                row: list[Fraction] = []
+                row: list[int] = []
                 for m in band:
                     row.extend(m._rows[i])
                 rows.append(row)
@@ -479,10 +479,10 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self._rows[i][j]
 
@@ -513,12 +513,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix([[-x for x in r] for r in self._rows])
 
-    def __mul__(self, scalar: Scalar) -> "Matrix":
-        s = as_scalar(scalar)
-        return Matrix([[s * x for x in r] for r in self._rows])
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
@@ -528,83 +522,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self._rows)))
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self._rows[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.nrows) for j in range(i + 1, self.ncols))
-
-    def matvec(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length differs from column count")
-        vv = [as_scalar(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._rows)
-
-    def quadratic_form(self, u: Sequence[Scalar]) -> Fraction:
-        """u^T M u."""
-        uu = [as_scalar(x) for x in u]
-        return sum(a * b for a, b in zip(uu, self.matvec(uu)))
-
-    def to_int_rows(self) -> list[list[int]] | None:
-        """Integer entries as plain ints, or None if any entry is non-integral."""
-        out = []
-        for r in self._rows:
-            row = []
-            for x in r:
-                if x.denominator != 1:
-                    return None
-                row.append(x.numerator)
-            out.append(row)
-        return out
-
-    def solve(self, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        """Exact solution of M y = b by Gaussian elimination."""
-        if not self.is_square:
-            raise ValueError("solve requires a square matrix")
-        n = self.nrows
-        if len(b) != n:
-            raise ValueError("right-hand side length differs")
-        aug = [list(r) + [as_scalar(b[i])] for i, r in enumerate(self._rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix in exact solve")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(aug[i][n] for i in range(n))
-
-    def det(self) -> Fraction:
-        """Exact determinant by fraction Gaussian elimination."""
-        if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        work = [list(r) for r in self._rows]
-        sign = 1
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                sign = -sign
-            pv = work[col][col]
-            det *= pv
-            for r in range(col + 1, n):
-                if work[r][col]:
-                    f = work[r][col] / pv
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return sign * det
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -616,86 +533,39 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows)
 
 
-def _object_identity(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
-
-
-def _faddeev_leverrier_int(rows: list[list[int]], u: Sequence[int] | None):
-    # numpy object matmul keeps Python big ints and is the fastest exact route here
-    n = len(rows)
-    a = np.array(rows, dtype=object)
-    m = _object_identity(n)
-    coeffs = [1]
-    forms = []
-    uv = np.array([int(x) for x in u], dtype=object) if u is not None else None
-    for k in range(1, n + 1):
-        if uv is not None:
-            forms.append(int(uv @ (m @ uv)))
-        am = a @ m
-        tr = 0
-        for i in range(n):
-            tr += am[i, i]
-        c, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("trace not divisible in integer Faddeev-LeVerrier")
-        coeffs.append(c)
-        m = am
-        for i in range(n):
-            m[i, i] += c
-    if any(m[i, j] != 0 for i in range(n) for j in range(n)):
-        raise ArithmeticError("Faddeev-LeVerrier recursion did not terminate at zero")
-    return coeffs, forms
-
-
-def _faddeev_leverrier_frac(rows, u):
-    n = len(rows)
-    a = [[as_scalar(x) for x in r] for r in rows]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    coeffs: list[Fraction] = [Fraction(1)]
-    forms: list[Fraction] = []
-    uv = [as_scalar(x) for x in u] if u is not None else None
-    for k in range(1, n + 1):
-        if uv is not None:
-            mv = [sum(x * y for x, y in zip(row, uv)) for row in m]
-            forms.append(sum(x * y for x, y in zip(uv, mv)))
-        cols = list(zip(*m))
-        am = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        m = am
-        for i in range(n):
-            m[i][i] += c
-    if any(m[i][j] != 0 for i in range(n) for j in range(n)):
-        raise ArithmeticError("Faddeev-LeVerrier recursion did not terminate at zero")
-    return coeffs, forms
-
-
-def charpoly_with_adjugate_form(a: Matrix, u: Sequence[Scalar] | None):
+def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
     """Characteristic polynomial of a, and u^T adj(xI - a) u if u is given.
 
     Both come out of one Faddeev-LeVerrier matrix recursion: the auxiliary
-    matrices M_k satisfy adj(xI - a) = sum_k M_k x^(n-1-k).
+    matrices M_k satisfy adj(xI - a) = sum_k M_k x^(n-1-k). Every M_k of an
+    integer matrix is an integer matrix, so the recursion runs on ints.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     if u is not None and len(u) != a.nrows:
         raise ValueError("vector length differs from matrix size")
-    int_rows = a.to_int_rows()
-    if int_rows is not None:
-        int_u = None
-        if u is not None:
-            coerced = [as_scalar(x) for x in u]
-            if all(x.denominator == 1 for x in coerced):
-                int_u = [x.numerator for x in coerced]
-        if u is None or int_u is not None:
-            coeffs, forms = _faddeev_leverrier_int(int_rows, int_u)
-        else:
-            coeffs, forms = _faddeev_leverrier_frac(a.rows(), u)
-    else:
-        coeffs, forms = _faddeev_leverrier_frac(a.rows(), u)
+    # numpy object matmul keeps Python big ints and is the fastest exact route here
+    n = a.nrows
+    mat = np.array(a.rows(), dtype=object)
+    m = np.identity(n, dtype=object)
+    uv = None if u is None else np.array([_integer(x) for x in u], dtype=object)
+    coeffs = [1]
+    forms = []
+    for k in range(1, n + 1):
+        if uv is not None:
+            forms.append(int(uv @ (m @ uv)))
+        m = mat @ m
+        tr = 0
+        for i in range(n):
+            tr += m[i, i]
+        c, rem = divmod(-tr, k)
+        if rem:
+            raise ArithmeticError("trace not divisible in integer Faddeev-LeVerrier")
+        coeffs.append(c)
+        for i in range(n):
+            m[i, i] += c
+    if any(m[i, j] != 0 for i in range(n) for j in range(n)):
+        raise ArithmeticError("Faddeev-LeVerrier recursion did not terminate at zero")
     f = Poly(list(reversed(coeffs)))
     if u is None:
         return f, None
@@ -708,7 +578,7 @@ def charpoly(a: Matrix) -> Poly:
     return f
 
 
-def adjugate_quadratic_form(a: Matrix, u: Sequence[Scalar]) -> Poly:
+def adjugate_quadratic_form(a: Matrix, u: Sequence[int]) -> Poly:
     """u^T adj(xI - a) u as a polynomial of degree n-1."""
     _, p = charpoly_with_adjugate_form(a, u)
     return p

@@ -15,22 +15,30 @@ from .exact import Matrix
 Edge = tuple[int, int, int]  # (i, j, sign) with i < j
 
 
+class EdgeError(ValueError):
+    """Invalid edge; carries its 0-based position in the edge list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def _normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     seen: dict[tuple[int, int], int] = {}
-    for e in edges:
+    for k, e in enumerate(edges):
         if len(e) != 3:
-            raise ValueError(f"edge must be (i, j, sign), got {e!r}")
+            raise EdgeError(k, f"edge must be (i, j, sign), got {e!r}")
         i, j, s = int(e[0]), int(e[1]), int(e[2])
         if s not in (1, -1):
-            raise ValueError(f"edge sign must be +1 or -1, got {s}")
+            raise EdgeError(k, f"edge sign must be +1 or -1, got {s}")
         if i == j:
-            raise ValueError(f"self-loop at vertex {i} is not allowed")
+            raise EdgeError(k, f"self-loop at vertex {i} is not allowed")
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n} vertices")
+            raise EdgeError(k, f"edge ({i}, {j}) out of range for {n} vertices")
         if i > j:
             i, j = j, i
         if (i, j) in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
+            raise EdgeError(k, f"duplicate edge ({i}, {j})")
         seen[(i, j)] = s
     return tuple((i, j, s) for (i, j), s in sorted(seen.items()))
 

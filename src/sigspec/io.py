@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .graphs import MarkedSignedGraph, Marking, SignedGraph, canonical_marking
+from .graphs import EdgeError, MarkedSignedGraph, Marking, SignedGraph, canonical_marking
 
 
 class GraphFormatError(ValueError):
@@ -52,7 +52,6 @@ def parse_graph(text: str) -> MarkedSignedGraph:
         raise GraphFormatError(lineno, "need n >= 1 vertices and m >= 0 edges")
 
     edges = []
-    seen = set()
     body = lines[1:]
     if len(body) < m:
         raise GraphFormatError(lines[-1][0], f"expected {m} edge lines, found {len(body)}")
@@ -63,16 +62,12 @@ def parse_graph(text: str) -> MarkedSignedGraph:
             i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphFormatError(lineno, "edge endpoints must be integers") from None
-        s = _parse_sign(tokens[2], lineno)
-        if i == j:
-            raise GraphFormatError(lineno, f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError(lineno, f"vertex out of range in edge ({i}, {j})")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise GraphFormatError(lineno, f"duplicate edge ({i}, {j})")
-        seen.add(pair)
-        edges.append((*pair, s))
+        edges.append((i, j, _parse_sign(tokens[2], lineno)))
+    # SignedGraph makes the graph checks; its error names the edge's line here
+    try:
+        graph = SignedGraph(n, edges)
+    except EdgeError as exc:
+        raise GraphFormatError(body[exc.index][0], str(exc)) from None
 
     marking = None
     rest = body[m:]
@@ -86,7 +81,6 @@ def parse_graph(text: str) -> MarkedSignedGraph:
         if len(rest) > 1:
             raise GraphFormatError(rest[1][0], "trailing content after marking line")
 
-    graph = SignedGraph(n, edges)
     if marking is None:
         marking = canonical_marking(graph)
     return MarkedSignedGraph(graph, marking)

@@ -24,7 +24,7 @@ class Spectrum:
 
 def _as_float_array(m) -> np.ndarray:
     if isinstance(m, Matrix):
-        return np.array([[float(x) for x in row] for row in m.rows()], dtype=np.float64)
+        return np.array(m.rows(), dtype=np.float64)
     arr = np.array(m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")

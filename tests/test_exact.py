@@ -10,7 +10,7 @@ from sigspec.exact import (Matrix, Poly, RationalFn, adjugate_quadratic_form,
                            compose_with_rational, integer_roots, kron,
                            poly_gcd)
 
-# small exact entries keep Gaussian elimination affordable inside properties
+# small exact entries keep the sympy oracles affordable inside properties
 entries = st.integers(min_value=-4, max_value=4)
 
 
@@ -64,6 +64,30 @@ def test_poly_rejects_floats():
         Poly([0.5, 1])
     with pytest.raises(TypeError):
         Poly.constant(True)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = Poly([Fraction(4, 2), Fraction(1, 3), 5])
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    assert p.coeff(7) == 0 and type(p.coeff(7)) is int
+    assert type((p * Fraction(3)).coeff(1)) is int
+
+
+def test_exact_division_never_makes_floats():
+    assert Poly([1, 2]).monic().coeffs == (Fraction(1, 2), 1)
+    x = Poly.x()
+    q, r = divmod((x + 1) * Poly([1, 2]), Poly([1, 2]))
+    assert q == x + 1 and r.is_zero
+    assert all(type(c) is int for c in q.coeffs)
+    # x^2 = (2x + 1)(x/2 - 1/4) + 1/4
+    q, r = divmod(x ** 2, Poly([1, 2]))
+    assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2))
+    assert r.coeffs == (Fraction(1, 4),)
+    f = RationalFn(Poly([1]), Poly([-1, 1]))
+    assert f.eval(3) == Fraction(1, 2) and type(f.eval(3)) is Fraction
+    g = RationalFn(Poly([4]), Poly([0, 1]))
+    assert g.eval(2) == 2 and type(g.eval(2)) is int
+    assert type(g.eval(Fraction(1, 2))) is int
 
 
 def test_rational_fn_reduces():
@@ -181,13 +205,15 @@ def test_integer_roots_reconstructs_products_of_linear_factors(rs):
     assert rest == Poly.constant(1)
 
 
-def test_matrix_solve_and_det():
-    m = Matrix([[2, 1], [1, 3]])
-    sol = m.solve([1, 0])
-    assert sol == (Fraction(3, 5), Fraction(-1, 5))
-    assert m.det() == 5
-    with pytest.raises(ZeroDivisionError):
-        Matrix([[1, 1], [1, 1]]).solve([1, 0])
+def test_matrix_holds_ints_only():
+    assert Matrix([[Fraction(4, 2)]])[0, 0] == 2
+    assert type(Matrix([[Fraction(4, 2)]])[0, 0]) is int
+    with pytest.raises(TypeError):
+        Matrix([[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        Matrix([[0.5]])
+    with pytest.raises(TypeError):
+        Matrix([[True]])
 
 
 def test_charpoly_known_small():
@@ -197,24 +223,15 @@ def test_charpoly_known_small():
     c3 = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert charpoly(c3) == Poly([-2, -3, 0, 1])
     assert charpoly(Matrix([[5]])) == Poly.linear(-5)
+    assert all(type(c) is int for c in charpoly(c3).coeffs)
 
 
 @given(m=square_matrices(4), x0=st.integers(min_value=-5, max_value=5))
 @settings(max_examples=60)
 def test_charpoly_matches_determinant_oracle(m, x0):
     n = m.shape[0]
-    shifted = Matrix.identity(n) * Fraction(x0) - m
+    shifted = sympy.eye(n) * x0 - sympy.Matrix(m.rows())
     assert charpoly(m).eval(x0) == shifted.det()
-
-
-@given(m=square_matrices(4))
-@settings(max_examples=40)
-def test_charpoly_fraction_path_agrees_with_int_path(m):
-    scaled = m * Fraction(1, 2)
-    n = m.shape[0]
-    # det(xI - M/2) = (1/2)^n det(2x I - M)
-    rhs = charpoly(m).compose(Poly([0, 2])) * Fraction(1, 2 ** n)
-    assert charpoly(scaled) == rhs
 
 
 @given(m=symmetric_int_matrices(4),
@@ -226,11 +243,11 @@ def test_adjugate_form_matches_solve_oracle(m, u, x0):
     if len(u) != n:
         return
     f, form = charpoly_with_adjugate_form(m, u)
-    shifted = Matrix.identity(n) * Fraction(x0) - m
+    shifted = sympy.eye(n) * x0 - sympy.Matrix(m.rows())
     if f.eval(x0) == 0:
         return
-    sol = shifted.solve(u)
-    direct = sum(Fraction(ui) * si for ui, si in zip(u, sol))
+    sol = shifted.LUsolve(sympy.Matrix(u))
+    direct = sum(ui * si for ui, si in zip(u, sol))
     # u^T adj(xI-M) u / det(xI-M) is the resolvent quadratic form
     assert Fraction(form.eval(x0), f.eval(x0)) == direct
 
@@ -263,13 +280,16 @@ def test_kron_mixed_product_rule(p, q, r, s):
 @settings(max_examples=30)
 def test_kron_determinant_rule(p, q):
     n, m = p.shape[0], q.shape[0]
-    assert kron(p, q).det() == p.det() ** m * q.det() ** n
+
+    def det(a):
+        return sympy.Matrix(a.rows()).det()
+    assert det(kron(p, q)) == det(p) ** m * det(q) ** n
 
 
 def test_block_matrix_assembly():
     a = Matrix([[1, 2], [3, 4]])
-    b = Matrix.zeros(2, 1)
-    c = Matrix.zeros(1, 2)
+    b = Matrix([[0], [0]])
+    c = Matrix([[0, 0]])
     d = Matrix([[7]])
     m = Matrix.block([[a, b], [c, d]])
     assert m.shape == (3, 3)

@@ -61,7 +61,13 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
     assert fragment in str(err.value)
-    assert str(err.value).startswith("line ")
+    # self-loop, range and duplicate errors come from SignedGraph and are
+    # mapped back to the offending edge's line
+    line = {"empty graph file": 1, "header": 1, "expected 1 edge": 1,
+            "self-loop": 2, "out of range": 2, "sign": 2, "duplicate": 3,
+            "trailing content": 4, "marking": 3}[fragment]
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
 
 
 @given(rng=rngs())

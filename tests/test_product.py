@@ -1,6 +1,5 @@
-from fractions import Fraction
-
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,25 +79,23 @@ def test_product_marks_copy_factor_marks(rng):
 @settings(max_examples=25, deadline=None)
 def test_schur_correction_term_is_coronal_times_all_ones_blocks(rng, x0):
     # eliminating the copies block from xI - A leaves the first factor
-    # shifted by chi(x) * (I kron J); checked pointwise by exact solves
+    # shifted by chi(x) * (I kron J); checked pointwise by sympy's exact solves
     mg1 = random_marked_graph(rng, max_n=3)
     mg2 = random_marked_graph(rng, max_n=3)
     n1, n2 = mg1.graph.n, mg2.graph.n
     a2 = adjacency_matrix(mu_signed_graph(mg2))
     chi = signed_coronal(a2, list(mg2.marking)).eval(x0)
 
-    small = Matrix.identity(n2) * Fraction(x0) - a2
-    resolvent = Matrix([[small.solve([Fraction(1) if r == j else Fraction(0)
-                                      for r in range(n2)])[i]
-                         for j in range(n2)] for i in range(n2)])
+    small = sympy.eye(n2) * x0 - sympy.Matrix(a2.rows())
+    resolvent = small.LUsolve(sympy.eye(n2))
 
     ones_col = Matrix.ones(n2, 1)
-    mu2_col = Matrix([[Fraction(s)] for s in mg2.marking])
-    d1 = Matrix.diagonal([Fraction(s) for s in mg1.marking])
-    cross = kron(d1, ones_col @ mu2_col.transpose())
-    correction = cross @ kron(Matrix.identity(n1), resolvent) @ cross.transpose()
+    mu2_col = Matrix.column(list(mg2.marking))
+    d1 = Matrix.diagonal(list(mg1.marking))
+    cross = sympy.Matrix(kron(d1, ones_col @ mu2_col.transpose()).rows())
+    correction = cross * sympy.diag(*[resolvent] * n1) * cross.T
 
-    expected = kron(Matrix.identity(n1), Matrix.ones(n2, n2)) * chi
+    expected = sympy.Matrix(kron(Matrix.identity(n1), Matrix.ones(n2, n2)).rows()) * chi
     assert correction == expected
 
 

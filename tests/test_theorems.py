@@ -13,9 +13,9 @@ from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_m
 from sigspec.product import product
 from sigspec.sampling import (random_marked_graph,
                               random_regular_marked_graph)
-from sigspec.theorems import (adjacency_factored, cospectral_family_check,
-                              factored_charpoly, laplacian_factored,
-                              signless_factored)
+from sigspec.theorems import (adjacency_factored, coronal_of_mu_graph,
+                              cospectral_family_check, factored_charpoly,
+                              laplacian_factored, signless_factored)
 
 
 def rngs():
@@ -198,7 +198,45 @@ def test_non_cospectral_inputs_report_hypothesis_failure():
 ])
 def test_assembled_coefficients_golden(kind, g1, marks1, g2, marks2, digest):
     # digests of the Fraction-only expansion; the integer kernel must reproduce them
-    fc = factored_charpoly(MarkedSignedGraph(g1, Marking(marks1)),
-                           MarkedSignedGraph(g2, Marking(marks2)), kind)
+    mg1 = MarkedSignedGraph(g1, Marking(marks1))
+    mg2 = MarkedSignedGraph(g2, Marking(marks2))
+    fc = factored_charpoly(mg1, mg2, kind)
     text = " ".join(fc.assembled.coeff_strings())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # integral values are stored as ints, never as Fractions
+    c = coronal_of_mu_graph(mg2)
+    for p in (fc.assembled, fc.bracket, fc.shared_factor, c.num, c.den, c.shared,
+              charpoly(adjacency_matrix(mu_signed_graph(mg1)))):
+        assert all(type(x) is int for x in p.coeffs)
+
+
+def _golden_product_matrices():
+    return matrices(product(MarkedSignedGraph(cycle(6), Marking([1, -1] * 3)),
+                            MarkedSignedGraph(complete(4), Marking([1, 1, -1, 1]))).graph)
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("A", "5fcf2375763955b3a1e26dafb2065cc3404a6b1be66e0a5398fef87d136aa98f"),
+    ("L", "4c930cfa119bcb6b794f2accf12eb6880c2178b5603edcb2d2de7067aa582444"),
+    ("Q", "50dbff1c9c32c0127a38cb1f4c7c1cfd2a1215ba3167764b7f75f34938b46239"),
+])
+def test_direct_charpoly_golden(kind, digest):
+    # Faddeev-LeVerrier on the built order-48 product, digests from the Fraction core
+    f = charpoly(getattr(_golden_product_matrices(), kind))
+    assert hashlib.sha256(" ".join(f.coeff_strings()).encode()).hexdigest() == digest
+    assert all(type(x) is int for x in f.coeffs)
+
+
+@pytest.mark.parametrize("graph, marks, digest", [
+    (path(9), [1, -1, 1, 1, -1, 1, 1, 1, -1],
+     "e8bfe35744ff31e478354dea5eaf008518cf6535a71b18f8360bb0f3c6f6b901"),
+    (SignedGraph(7, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, 1), (4, 5, -1),
+                     (5, 6, 1), (0, 3, -1), (2, 5, 1), (1, 6, 1)]),
+     [1, 1, -1, 1, -1, -1, 1],
+     "1dceaa468efec53fa7be4b1a4b357256cf0f82b426f0aacfa73083f14c0f5a94"),
+])
+def test_coronal_gcd_golden(graph, marks, digest):
+    # num | den | shared after the exact gcd, digests from the Fraction core
+    c = coronal_of_mu_graph(MarkedSignedGraph(graph, Marking(marks)))
+    text = " | ".join(" ".join(p.coeff_strings()) for p in (c.num, c.den, c.shared))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
