@@ -42,8 +42,8 @@ class CoronalTriple:
 def signed_coronal(n_matrix: Matrix, mu: Sequence[int]) -> CoronalTriple:
     """Coronal of the matrix with respect to a +-1 vector.
 
-    Computes p = mu^T adj(xI - N) mu and f = charpoly(N) in one
-    Faddeev-LeVerrier pass, splits off g = gcd(p, f) and returns
+    Computes p = mu^T adj(xI - N) mu and f = charpoly(N) with
+    charpoly_with_adjugate_form, splits off g = gcd(p, f) and returns
     (num, den, shared) = (p/g, f/g, g).
     """
     if not n_matrix.is_square:

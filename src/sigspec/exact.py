@@ -8,10 +8,16 @@ silently leaves exact arithmetic; every exact division goes through
 ``Fraction``, never ``/`` between ints. Polynomial coefficient vectors are
 stored lowest degree first with no trailing zeros. ``Matrix`` holds ints
 only.
+
+Characteristic polynomials take one of two exact kernels by matrix order: a
+Faddeev-LeVerrier recursion on Python ints up to a small order, and above it
+Hessenberg reduction modulo word-size primes, batched over the primes in one
+int64 numpy array, lifted back to integers by CRT.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, isqrt, prod
 from math import gcd as _int_gcd
 from typing import Iterable, Sequence
 
@@ -533,22 +539,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows)
 
 
-def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
-    """Characteristic polynomial of a, and u^T adj(xI - a) u if u is given.
-
-    Both come out of one Faddeev-LeVerrier matrix recursion: the auxiliary
-    matrices M_k satisfy adj(xI - a) = sum_k M_k x^(n-1-k). Every M_k of an
-    integer matrix is an integer matrix, so the recursion runs on ints.
-    """
-    if not a.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    if u is not None and len(u) != a.nrows:
-        raise ValueError("vector length differs from matrix size")
-    # numpy object matmul keeps Python big ints and is the fastest exact route here
+def _faddeev_leverrier(a: Matrix, u: Sequence[int] | None) -> tuple[Poly, Poly | None]:
+    # The auxiliary matrices M_k satisfy adj(xI - a) = sum_k M_k x^(n-1-k), so
+    # one recursion gives the charpoly and u^T adj(xI - a) u. Every M_k of an
+    # integer matrix is an integer matrix, so the recursion runs on ints; numpy
+    # object matmul keeps Python big ints and is the fastest exact route here.
     n = a.nrows
     mat = np.array(a.rows(), dtype=object)
     m = np.identity(n, dtype=object)
-    uv = None if u is None else np.array([_integer(x) for x in u], dtype=object)
+    uv = None if u is None else np.array(u, dtype=object)
     coeffs = [1]
     forms = []
     for k in range(1, n + 1):
@@ -572,8 +571,146 @@ def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
     return f, Poly(list(reversed(forms)))
 
 
+# Faddeev-LeVerrier runs at or below this order. Its O(n^4) big-int work beats
+# the multimodular kernel's fixed cost of a few numpy calls per row up to here.
+_FL_MAX = 11
+
+# The multimodular kernel works modulo primes below this bound. Every sum it
+# accumulates in int64 has at most n terms, each a product of two residues, so
+# it cannot wrap while n * (p - 1)^2 < 2^63: up to order 2^15 here.
+_PRIME_BOUND = 1 << 24
+# primes below _PRIME_BOUND, largest first; only ever extended, so every caller
+# sees the same list
+_PRIMES: list[int] = []
+
+
+def _primes_past(bound: int) -> list[int]:
+    """The fewest of the largest primes below _PRIME_BOUND whose product exceeds bound."""
+    out, product = [], 1
+    while product <= bound:
+        if len(out) == len(_PRIMES):
+            q = (_PRIMES[-1] if _PRIMES else _PRIME_BOUND) - 1
+            while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+                q -= 1
+            _PRIMES.append(q)
+        out.append(_PRIMES[len(out)])
+        product *= out[-1]
+    return out
+
+
+def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Charpoly coefficients, lowest first, of each h[i] modulo p[i].
+
+    h is a (P, n, n) int64 batch of residues in [0, p). Each prime reduces its
+    matrix to upper Hessenberg form by similarity transforms over F_p, with its
+    own pivot row, which leave the charpoly unchanged; then the recurrence
+    chi_m = (x - h_mm) chi_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) chi_{i-1}
+    over the leading blocks gives the charpoly (Cohen, Alg. 2.2.9). h is
+    overwritten.
+    """
+    count, n, _ = h.shape
+    batch = np.arange(count)
+    p2, p3 = p[:, None], p[:, None, None]
+    for m in range(n - 2):
+        # pivot: the first row below the diagonal with a nonzero in column m;
+        # a prime with none has nothing to eliminate in this column
+        r = m + 1 + np.argmax(h[:, m + 1:, m] != 0, axis=1)
+        moved = r != m + 1
+        if moved.any():
+            b, rb = batch[moved], r[moved]
+            rows = h[b, rb, :]
+            h[b, rb, :] = h[b, m + 1, :]
+            h[b, m + 1, :] = rows
+            cols = h[b, :, rb]
+            h[b, :, rb] = h[b, :, m + 1]
+            h[b, :, m + 1] = cols
+        inv = np.array([pow(int(x), -1, int(q)) if x else 0
+                        for x, q in zip(h[:, m + 1, m], p)], dtype=np.int64)
+        u = h[:, m + 2:, m] * inv[:, None] % p2
+        # h <- L^-1 h L with L = I + sum_i u_i e_i e_(m+1)^T: one rank-1 row
+        # update, then one column update, both in place
+        below = h[:, m + 2:, m:]
+        below -= u[:, :, None] * h[:, m + 1, None, m:]
+        np.remainder(below, p3, out=below)
+        col = h[:, :, m + 1]
+        col += np.einsum("bij,bj->bi", h[:, :, m + 2:], u)
+        np.remainder(col, p2, out=col)
+    chi = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    chi[:, 0, 0] = 1
+    # tail[:, i] = h_{i,i-1} h_{i+1,i} ... h_{m-1,m-2} for the current m
+    tail = np.ones((count, n), dtype=np.int64)
+    for m in range(1, n + 1):
+        prev = chi[:, m - 1, :m]
+        acc = -(h[:, m - 1, m - 1, None] * prev % p2)
+        if m > 1:
+            tail[:, 1:m] = tail[:, 1:m] * h[:, m - 1, m - 2, None] % p2
+            w = h[:, :m - 1, m - 1] * tail[:, 1:m] % p2
+            acc[:, :m - 1] -= np.einsum("bi,bik->bk", w, chi[:, :m - 1, :m - 1]) % p2
+        chi[:, m, 1:m + 1] = prev
+        chi[:, m, :m] = (chi[:, m, :m] + acc) % p2
+    return chi[:, n, :]
+
+
+# batch at most this many int64 entries per array, so memory stays bounded
+_BATCH_ENTRIES = 1 << 21
+
+
+def _multimodular_charpoly(rows: Sequence[Sequence[int]]) -> Poly:
+    """det(xI - a) of a square integer matrix, by Hessenberg reduction mod primes.
+
+    |c_k| <= C(n, k) * rho^k, where rho is the largest absolute row sum,
+    because c_k is a signed sum of C(n, k) principal minors of order k, each
+    at most rho^k. Primes are taken until their product exceeds twice that
+    bound, and the residues are lifted by CRT into the symmetric range. Every
+    prime works: a similarity over F_p keeps the charpoly, so there is no
+    unlucky prime to detect or retry.
+    """
+    n = len(rows)
+    rho = max(sum(abs(x) for x in r) for r in rows)
+    primes = _primes_past(2 * max(comb(n, k) * rho ** k for k in range(n + 1)))
+    if n * (primes[0] - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"order {n} with primes near {primes[0]} would overflow int64")
+    # entries past int64 are reduced as Python ints
+    entries = np.array(rows, dtype=np.int64 if rho < 1 << 63 else object)
+    step = max(1, _BATCH_ENTRIES // (n + 1) ** 2)
+    parts = []
+    for lo in range(0, len(primes), step):
+        ps = np.array(primes[lo:lo + step], dtype=entries.dtype)
+        h = (entries[None] % ps[:, None, None]).astype(np.int64, copy=False)
+        parts.append(_hessenberg_charpoly_mod(h, ps.astype(np.int64)))
+    # CRT: c = sum_i r_i * (M/p_i) * ((M/p_i)^-1 mod p_i) mod M
+    modulus = prod(primes)
+    weights = np.array([(modulus // q) * pow(modulus // q, -1, q) for q in primes],
+                       dtype=object)
+    lifted = np.concatenate(parts).T.astype(object) @ weights
+    half = modulus // 2
+    return Poly([c if c <= half else c - modulus for c in (int(x) % modulus for x in lifted)])
+
+
+def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
+    """Characteristic polynomial of a, and u^T adj(xI - a) u if u is given.
+
+    At or below order _FL_MAX both come out of one Faddeev-LeVerrier
+    recursion. Above it the charpoly comes from the multimodular Hessenberg
+    kernel, and the form from the matrix determinant lemma:
+    det(xI - a - u u^T) = chi_a(x) - u^T adj(xI - a) u.
+    """
+    if not a.is_square:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    if u is not None and len(u) != a.nrows:
+        raise ValueError("vector length differs from matrix size")
+    uv = None if u is None else [_integer(x) for x in u]
+    if a.nrows <= _FL_MAX:
+        return _faddeev_leverrier(a, uv)
+    f = _multimodular_charpoly(a.rows())
+    if uv is None:
+        return f, None
+    shifted = [[x + ui * uj for x, uj in zip(r, uv)] for r, ui in zip(a.rows(), uv)]
+    return f, f - _multimodular_charpoly(shifted)
+
+
 def charpoly(a: Matrix) -> Poly:
-    """det(xI - a), monic, by Faddeev-LeVerrier."""
+    """det(xI - a), monic, with integer coefficients."""
     f, _ = charpoly_with_adjugate_form(a, None)
     return f
 

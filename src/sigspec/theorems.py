@@ -10,6 +10,7 @@ characteristic polynomial with one rational function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from .coronal import CoronalTriple, signed_coronal
@@ -23,11 +24,13 @@ MatrixKind = Literal["A", "L", "Q"]
 
 @dataclass(frozen=True)
 class FactoredCharPoly:
-    """Characteristic polynomial in factored form, plus its expansion.
+    """Characteristic polynomial in factored form; `assembled` expands it.
 
     The bracket is prod_i (bracket_u - lam_i * bracket_v) over the
     eigenvalues lam_i of the integer matrix bracket_matrix, so its roots can
-    be found one small polynomial per eigenvalue.
+    be found one small polynomial per eigenvalue. The expansion
+    linear^linear_exponent * shared^shared_exponent * bracket is built on
+    first access only, because integrality and energy need the factors alone.
     """
 
     matrix_kind: MatrixKind
@@ -36,19 +39,27 @@ class FactoredCharPoly:
     shared_factor: Poly
     shared_exponent: int
     bracket: Poly
-    assembled: Poly
     bracket_u: Poly
     bracket_v: Poly
     bracket_matrix: Matrix
 
-    def __post_init__(self):
+    @cached_property
+    def assembled(self) -> Poly:
+        rest = (self.shared_factor ** self.shared_exponent) * self.bracket
+        if self.linear_factor == Poly.x():
+            # x^e shifts the coefficients; no product needed
+            expanded = Poly([0] * self.linear_exponent + list(rest.coeffs))
+        else:
+            expanded = (self.linear_factor ** self.linear_exponent) * rest
+        expanded = expanded.monic()
         total = (self.linear_exponent
                  + self.shared_exponent * self.shared_factor.degree
                  + self.bracket.degree)
-        if total != self.assembled.degree:
+        if total != expanded.degree:
             raise AssertionError("factored degrees do not add up")
-        if not self.assembled.is_monic:
+        if not expanded.is_monic:
             raise AssertionError("assembled polynomial must be monic")
+        return expanded
 
 
 def _assemble(kind: MatrixKind, linear: Poly, exponent: int, shared: Poly,
@@ -56,16 +67,9 @@ def _assemble(kind: MatrixKind, linear: Poly, exponent: int, shared: Poly,
     # v^k * chi_m(u/v) = prod_i (u - lam_i*v) for m of order k: one composition,
     # no eigenvalues
     bracket = compose_with_rational(charpoly(m), u, v)
-    rest = (shared ** n1) * bracket
-    if linear == Poly.x():
-        # x^e shifts the coefficients; no product needed
-        expanded = Poly([0] * exponent + list(rest.coeffs))
-    else:
-        expanded = (linear ** exponent) * rest
     return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
                             linear_exponent=exponent, shared_factor=shared,
-                            shared_exponent=n1, bracket=bracket,
-                            assembled=expanded.monic(), bracket_u=u,
+                            shared_exponent=n1, bracket=bracket, bracket_u=u,
                             bracket_v=v, bracket_matrix=m)
 
 

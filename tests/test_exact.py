@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from sigspec.exact import (Matrix, Poly, RationalFn, adjugate_quadratic_form,
-                           charpoly, charpoly_with_adjugate_form,
-                           compose_with_rational, integer_roots, kron,
-                           poly_gcd)
+from sigspec import exact
+from sigspec.exact import (_FL_MAX, Matrix, Poly, RationalFn, _faddeev_leverrier,
+                           _multimodular_charpoly, _primes_past,
+                           adjugate_quadratic_form, charpoly,
+                           charpoly_with_adjugate_form, compose_with_rational,
+                           integer_roots, kron, poly_gcd)
 
 # small exact entries keep the sympy oracles affordable inside properties
 entries = st.integers(min_value=-4, max_value=4)
@@ -20,13 +23,62 @@ def square_matrices(max_n=4):
                            min_size=n, max_size=n).map(Matrix))
 
 
-def symmetric_int_matrices(max_n=5):
-    def build(rows):
-        n = len(rows)
-        sym = [[rows[i][j] if i <= j else rows[j][i] for j in range(n)]
-               for i in range(n)]
-        return Matrix(sym)
-    return square_matrices(max_n).map(lambda m: build([list(r) for r in m.rows()]))
+# the multimodular kernel's first prime: an entry that is a multiple of it
+# vanishes modulo that prime only, so that prime pivots on other rows
+FIRST_PRIME = _primes_past(1)[0]
+STRATA = ("small", "symmetric", "no_pivot", "block", "laplacian",
+          "prime_multiples", "wide", "scalar")
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Integer matrices of orders on both sides of the Faddeev-LeVerrier cutoff.
+
+    Each stratum aims at a way the multimodular kernel could go wrong: a
+    column with no pivot below the diagonal, or none on the subdiagonal;
+    block-diagonal structure; L/Q-style diagonals; entries that vanish modulo
+    one prime only; entries up to 2^40, which need many primes; and the
+    scalar matrix d*I, whose charpoly (x - d)^n attains the coefficient bound
+    the prime count is chosen from.
+    """
+    n = draw(st.one_of(st.integers(min_value=1, max_value=_FL_MAX),
+                       st.integers(min_value=_FL_MAX + 1, max_value=_FL_MAX + 5)))
+    stratum = draw(st.sampled_from(STRATA))
+
+    def square(values):
+        flat = draw(st.lists(values, min_size=n * n, max_size=n * n))
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+    def symmetrize(rows):
+        return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+    if stratum == "scalar":
+        d = draw(st.integers(min_value=-(1 << 40), max_value=1 << 40))
+        rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    elif stratum == "wide":
+        rows = square(st.integers(min_value=-(1 << 40), max_value=1 << 40))
+    elif stratum == "prime_multiples":
+        rows = square(st.sampled_from([0, 1, -1, FIRST_PRIME, -FIRST_PRIME, 2 * FIRST_PRIME]))
+    elif stratum == "laplacian":
+        adj = symmetrize(square(st.sampled_from([0, 0, 1, -1])))
+        sign = draw(st.sampled_from([1, -1]))
+        rows = [[sum(abs(adj[i][k]) for k in range(n) if k != i) if i == j
+                 else sign * adj[i][j] for j in range(n)] for i in range(n)]
+    else:
+        rows = square(entries)
+        if stratum == "symmetric":
+            rows = symmetrize(rows)
+        elif stratum == "block":
+            k = draw(st.integers(min_value=0, max_value=n))
+            rows = [[x if (i < k) == (j < k) else 0 for j, x in enumerate(r)]
+                    for i, r in enumerate(rows)]
+        elif stratum == "no_pivot":
+            # per column, zero nothing, the subdiagonal entry, or all below the diagonal
+            for j in range(n - 1):
+                cut = draw(st.sampled_from([0, 1, n]))
+                for i in range(j + 1, min(n, j + 1 + cut)):
+                    rows[i][j] = 0
+    return stratum, Matrix(rows)
 
 
 def test_poly_basics():
@@ -226,30 +278,91 @@ def test_charpoly_known_small():
     assert all(type(c) is int for c in charpoly(c3).coeffs)
 
 
-@given(m=square_matrices(4), x0=st.integers(min_value=-5, max_value=5))
-@settings(max_examples=60)
-def test_charpoly_matches_determinant_oracle(m, x0):
-    n = m.shape[0]
-    shifted = sympy.eye(n) * x0 - sympy.Matrix(m.rows())
-    assert charpoly(m).eval(x0) == shifted.det()
+def _shift(n: int, k: int) -> Matrix:
+    # permutation matrix of i -> i + k mod n: for k >= 2 no pivot lies on the
+    # subdiagonal, so every elimination step has to swap rows
+    return Matrix([[1 if i == (j + k) % n else 0 for j in range(n)] for i in range(n)])
 
 
-@given(m=symmetric_int_matrices(4),
-       u=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=4),
+# fixed examples above the cutoff: the bound-attaining scalar matrix, a matrix
+# that needs a pivot swap in every column, and entries past int64
+ABOVE_CUTOFF = [("scalar", Matrix.diagonal([-(1 << 40)] * (_FL_MAX + 1))),
+                ("no_pivot", _shift(_FL_MAX + 2, 3)),
+                ("wide", Matrix([[(-1) ** (i * j) * ((1 << 64) + i - 2 * j)
+                                  for j in range(_FL_MAX + 1)] for i in range(_FL_MAX + 1)]))]
+
+
+@given(sm=kernel_matrices())
+@example(sm=ABOVE_CUTOFF[0])
+@example(sm=ABOVE_CUTOFF[1])
+@example(sm=ABOVE_CUTOFF[2])
+@settings(max_examples=120, deadline=None)
+def test_charpoly_matches_determinant_oracle(sm):
+    _, m = sm
+    want = sympy.Matrix(m.rows()).charpoly(sympy.Symbol("x")).all_coeffs()
+    assert list(charpoly(m).coeffs) == [int(c) for c in reversed(want)]
+
+
+@given(sm=kernel_matrices(),
+       signs=st.lists(st.sampled_from([-1, 1]), min_size=_FL_MAX + 5, max_size=_FL_MAX + 5),
        x0=st.integers(min_value=-8, max_value=8))
-@settings(max_examples=60)
-def test_adjugate_form_matches_solve_oracle(m, u, x0):
+@example(sm=ABOVE_CUTOFF[0], signs=[1, -1] * _FL_MAX, x0=3)
+@example(sm=ABOVE_CUTOFF[1], signs=[1, -1] * _FL_MAX, x0=2)
+@example(sm=ABOVE_CUTOFF[2], signs=[1, -1] * _FL_MAX, x0=-1)
+@settings(max_examples=120, deadline=None)
+def test_adjugate_form_matches_solve_oracle(sm, signs, x0):
+    _, m = sm
     n = m.shape[0]
-    if len(u) != n:
-        return
+    u = signs[:n]
     f, form = charpoly_with_adjugate_form(m, u)
-    shifted = sympy.eye(n) * x0 - sympy.Matrix(m.rows())
     if f.eval(x0) == 0:
         return
-    sol = shifted.LUsolve(sympy.Matrix(u))
+    shifted = sympy.eye(n) * x0 - sympy.Matrix(m.rows())
+    sol = (DomainMatrix.from_Matrix(shifted).to_field()
+           .lu_solve(DomainMatrix.from_Matrix(sympy.Matrix(u)).to_field()).to_Matrix())
     direct = sum(ui * si for ui, si in zip(u, sol))
     # u^T adj(xI-M) u / det(xI-M) is the resolvent quadratic form
     assert Fraction(form.eval(x0), f.eval(x0)) == direct
+    assert form.degree == n - 1 and form.leading == n
+
+
+@given(sm=kernel_matrices())
+@example(sm=ABOVE_CUTOFF[0])
+@example(sm=ABOVE_CUTOFF[1])
+@example(sm=ABOVE_CUTOFF[2])
+@settings(max_examples=60, deadline=None)
+def test_multimodular_kernel_matches_faddeev_leverrier(sm):
+    # every order, including those below the cutoff that charpoly never sends
+    # to the kernel
+    _, m = sm
+    assert _multimodular_charpoly(m.rows()) == _faddeev_leverrier(m, None)[0]
+
+
+def test_kernel_primes_are_prime_and_cover_the_bound():
+    bound = 1 << 3000
+    primes = _primes_past(bound)
+    assert primes == sorted(set(primes), reverse=True)
+    assert all(sympy.isprime(p) for p in primes)
+    product = 1
+    for p in primes:
+        product *= p
+    assert product > bound >= product // primes[-1]
+
+
+def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
+    # the kernel's int64 sums have at most n terms, each below (p - 1)^2, so
+    # n * (p - 1)^2 < 2^63 must hold; the prime 2^31 - 1 breaks it from order
+    # 3 on, and the kernel must raise before it allocates a batch
+    assert (1 << 15) * (exact._PRIME_BOUND - 2) ** 2 < 1 << 63
+    monkeypatch.setattr(exact, "_PRIME_BOUND", 1 << 31)
+    monkeypatch.setattr(exact, "_PRIMES", [])
+
+    def batch(*args):
+        raise AssertionError("the kernel allocated a batch past the guard")
+
+    monkeypatch.setattr(exact, "_hessenberg_charpoly_mod", batch)
+    with pytest.raises(OverflowError):
+        charpoly(Matrix.identity(_FL_MAX + 1))
 
 
 def test_adjugate_form_k2_all_ones():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sigspec.coronal import signed_coronal
 from sigspec.exact import Poly, charpoly
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
-                            complete, complete_bipartite, cycle, matrices,
+                            complete, complete_bipartite, cycle, line_graph, matrices,
                             mu_signed_graph, path, star)
 from sigspec.product import product
 from sigspec.sampling import (random_marked_graph,
@@ -227,6 +227,21 @@ def test_direct_charpoly_golden(kind, digest):
     assert all(type(x) is int for x in f.coeffs)
 
 
+@pytest.mark.parametrize("kind, digest", [
+    ("A", "6af4987b525d3afe68bcb21c3804da13d30cac982f7d33a7954eb06bb186ad37"),
+    ("L", "a747ba231aee32ae559d15556cbb300c8853898361fa1e89ed2ea241b8336a8a"),
+    ("Q", "49a2c8fa470bfd9570b2163d75a13174972fd4afbba56e4dda9d1c3079147358"),
+])
+def test_demo_product_charpoly_golden(kind, digest):
+    # K2 x L^2(K3,3), the order-72 product equienergetic-demo certifies;
+    # digests from Faddeev-LeVerrier
+    mats = matrices(product(mk(complete(2)),
+                            mk(line_graph(line_graph(complete_bipartite(3, 3))))).graph)
+    f = charpoly(getattr(mats, kind))
+    assert f.degree == 72
+    assert hashlib.sha256(" ".join(f.coeff_strings()).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("graph, marks, digest", [
     (path(9), [1, -1, 1, 1, -1, 1, 1, 1, -1],
      "e8bfe35744ff31e478354dea5eaf008518cf6535a71b18f8360bb0f3c6f6b901"),
@@ -234,6 +249,12 @@ def test_direct_charpoly_golden(kind, digest):
                      (5, 6, 1), (0, 3, -1), (2, 5, 1), (1, 6, 1)]),
      [1, 1, -1, 1, -1, -1, 1],
      "1dceaa468efec53fa7be4b1a4b357256cf0f82b426f0aacfa73083f14c0f5a94"),
+    # orders above the Faddeev-LeVerrier cutoff, digests from Faddeev-LeVerrier
+    (path(14), [1, -1, 1, 1, -1, -1, 1, -1, 1, 1, 1, -1, 1, -1],
+     "67a6f148ebbb536927c396c40ef967c498143f65dc5765c5e5e1710508f9a958"),
+    (line_graph(line_graph(complete_bipartite(3, 3))),
+     [1, -1, 1, 1, -1, 1, -1, -1, 1, -1, 1, 1, 1, -1, -1, 1, -1, 1],
+     "9dbeb62b904ca48f431f36473d4f43d0145e3ece890acc687073108333cb6f57"),
 ])
 def test_coronal_gcd_golden(graph, marks, digest):
     # num | den | shared after the exact gcd, digests from the Fraction core
