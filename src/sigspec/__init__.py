@@ -15,7 +15,7 @@ from .coronal import (CoronalTriple, regular_balanced_coronal, signed_coronal,
                       star_coronal_closed_form)
 from .exact import (Matrix, Poly, RationalFn, adjugate_quadratic_form,
                     charpoly, charpoly_with_adjugate_form,
-                    compose_with_rational, integer_roots, kron, poly_gcd)
+                    compose_with_rational, integer_roots, poly_gcd)
 from .graphs import (Edge, GraphMatrices, MarkedSignedGraph, Marking,
                      SignedGraph, adjacency_matrix, balance_marking,
                      canonical_marking, complete, complete_bipartite, cycle,
@@ -23,13 +23,11 @@ from .graphs import (Edge, GraphMatrices, MarkedSignedGraph, Marking,
                      prism, regular_degree, star)
 from .io import (GraphFormatError, load_graph, parse_graph, save_graph,
                  serialize_graph)
-from .product import ProductGraph, block_adjacency, corona, product
+from .product import ProductGraph, corona, product
 from .spectra import (EnergyValue, IntegralityResult, Spectrum, cospectral,
                       energy, is_integral, symmetric_eigenvalues)
 from .theorems import (CospectralFamilyReport, FactoredCharPoly,
-                       adjacency_factored, cospectral_family_check,
-                       factored_charpoly, laplacian_factored,
-                       signless_factored)
+                       cospectral_family_check, factored_charpoly)
 from .verify import run_corona_verification, run_theorem_verification
 
 __version__ = "0.1.0"
@@ -40,14 +38,13 @@ __all__ = [
     "regular_degree", "adjacency_matrix", "matrices",
     "star", "path", "cycle", "complete", "complete_bipartite", "prism",
     "line_graph",
-    "Poly", "RationalFn", "Matrix", "kron", "poly_gcd",
+    "Poly", "RationalFn", "Matrix", "poly_gcd",
     "compose_with_rational", "integer_roots", "charpoly",
     "charpoly_with_adjugate_form", "adjugate_quadratic_form",
     "CoronalTriple", "signed_coronal", "star_coronal_closed_form",
     "regular_balanced_coronal",
-    "ProductGraph", "product", "block_adjacency", "corona",
-    "FactoredCharPoly", "adjacency_factored", "laplacian_factored",
-    "signless_factored", "factored_charpoly", "CospectralFamilyReport",
+    "ProductGraph", "product", "corona",
+    "FactoredCharPoly", "factored_charpoly", "CospectralFamilyReport",
     "cospectral_family_check",
     "Spectrum", "EnergyValue", "IntegralityResult", "symmetric_eigenvalues",
     "energy", "cospectral", "is_integral",

@@ -14,7 +14,7 @@ from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      regular_degree)
 from .product import product
 from .spectra import energy, symmetric_eigenvalues
-from .theorems import FactoredCharPoly, adjacency_factored, coronal_of_mu_graph
+from .theorems import FactoredCharPoly, coronal_of_mu_graph, factored_charpoly
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ def integral_product_check(mg1: MarkedSignedGraph,
     """Integrality of the product spectrum without building the product.
 
     The factored adjacency charpoly has an x^(n1(n2-1)) factor (root 0), the
-    substituted shared factor and the bracket product; the product is integral
-    exactly when the latter two have only integer roots.
+    shared factor and the bracket product; the product is integral exactly
+    when the latter two have only integer roots.
     """
-    fc = adjacency_factored(mg1, mg2)
+    fc = factored_charpoly(mg1, mg2, "A")
     return IntegralityReport(n1=mg1.graph.n, n2=mg2.graph.n,
                              linear_root=0, linear_exponent=fc.linear_exponent,
                              shared=FactorIntegrality.of(fc.shared_factor),

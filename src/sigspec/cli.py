@@ -71,11 +71,6 @@ def _emit_text(args, text: str) -> None:
     sys.stdout.write(text)
 
 
-def _matrix_of(mg: MarkedSignedGraph, kind: str):
-    mats = matrices(mg)
-    return {"A": mats.A, "L": mats.L, "Q": mats.Q}[kind]
-
-
 def _cmd_product(args) -> int:
     mg1, mg2 = load_graph(args.first), load_graph(args.second)
     pg = product(mg1, mg2)
@@ -94,7 +89,7 @@ def _cmd_product(args) -> int:
 def _cmd_charpoly(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
-    f = charpoly(_matrix_of(mg, args.matrix))
+    f = charpoly(getattr(matrices(mg), args.matrix))
     _emit(args, {
         "command": "charpoly",
         "input": args.input,
@@ -110,7 +105,7 @@ def _cmd_coronal(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
     target = MarkedSignedGraph(mu_signed_graph(mg), mg.marking) if args.mu_graph else mg
-    triple = signed_coronal(_matrix_of(target, args.matrix), list(mg.marking))
+    triple = signed_coronal(getattr(matrices(target), args.matrix), list(mg.marking))
     _emit(args, {
         "command": "coronal",
         "input": args.input,
@@ -128,7 +123,7 @@ def _cmd_coronal(args) -> int:
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
-    m = _matrix_of(mg, args.matrix)
+    m = getattr(matrices(mg), args.matrix)
     f = charpoly(m)
     payload = {
         "command": "spectrum",
@@ -149,7 +144,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_energy(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
-    spec = symmetric_eigenvalues(_matrix_of(mg, "A"))
+    spec = symmetric_eigenvalues(matrices(mg).A)
     e = EnergyValue.of(spec, args.tol)
     _emit(args, {
         "command": "energy",
@@ -284,8 +279,11 @@ def _cmd_gen(args) -> int:
     # marking of a two-vertex graph, --marking=--, arrives as an empty list
     if args.marking == []:
         args.marking = "--"
-    marking = None if args.marking in (None, "canonical") else Marking(
-        [1 if ch == "+" else -1 for ch in args.marking])
+    marking = None
+    if args.marking not in (None, "canonical"):
+        if set(args.marking) - {"+", "-"}:
+            raise ValueError(f"--marking takes '+' or '-' per vertex, got {args.marking!r}")
+        marking = Marking([1 if ch == "+" else -1 for ch in args.marking])
     if args.family == "line-graph":
         if not args.of:
             raise ValueError("line-graph needs --of FILE")

@@ -200,13 +200,6 @@ class Poly:
             acc = acc * x + c
         return _exact(acc)
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner."""
-        acc = Poly()
-        for c in reversed(self._c):
-            acc = acc * inner + Poly.constant(c)
-        return acc
-
     def coeff_strings(self) -> list[str]:
         """Coefficients as exact "p/q" strings, lowest degree first."""
         return [str(c) for c in self._c]
@@ -442,40 +435,9 @@ class Matrix:
         self.ncols = width
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def ones(cls, nrows: int, ncols: int | None = None) -> "Matrix":
-        ncols = nrows if ncols is None else ncols
-        return cls([[1] * ncols for _ in range(nrows)])
-
-    @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "Matrix":
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def column(cls, entries: Sequence[int]) -> "Matrix":
-        return cls([[x] for x in entries])
-
-    @classmethod
-    def row_vector(cls, entries: Sequence[int]) -> "Matrix":
-        return cls([list(entries)])
-
-    @classmethod
-    def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        rows: list[list[int]] = []
-        for band in grid:
-            height = band[0].nrows
-            if any(m.nrows != height for m in band):
-                raise ValueError("block row heights differ")
-            for i in range(height):
-                row: list[int] = []
-                for m in band:
-                    row.extend(m._rows[i])
-                rows.append(row)
-        return cls(rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -518,25 +480,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-x for x in r] for r in self._rows])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions differ")
-        cols = list(zip(*other._rows))
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                       for row in self._rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._rows)))
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product a (x) b."""
-    rows = []
-    for ra in a.rows():
-        for rb in b.rows():
-            rows.append([x * y for x in ra for y in rb])
-    return Matrix(rows)
 
 
 def _faddeev_leverrier(a: Matrix, u: Sequence[int] | None) -> tuple[Poly, Poly | None]:

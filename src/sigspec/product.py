@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import Matrix, kron
 from .graphs import MarkedSignedGraph, Marking, SignedGraph
 
 
@@ -87,27 +86,6 @@ def product(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> ProductGraph:
         raise AssertionError("product edge count diverged from the closed form")
     return ProductGraph(graph=MarkedSignedGraph(graph, Marking(marks)),
                         n1=n1, n2=n2)
-
-
-def block_adjacency(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> Matrix:
-    """Adjacency of the product assembled from Kronecker blocks.
-
-    [[ A(S1mu) (x) J_n2,  diag(mu1) (x) 1 mu2^T ],
-     [ diag(mu1) (x) mu2 1^T,  I_n1 (x) A(S2mu) ]]
-    """
-    from .graphs import adjacency_matrix, mu_signed_graph
-
-    n1, n2 = mg1.graph.n, mg2.graph.n
-    a1mu = adjacency_matrix(mu_signed_graph(mg1))
-    a2mu = adjacency_matrix(mu_signed_graph(mg2))
-    phi = Matrix.diagonal(list(mg1.marking))
-    ones_col = Matrix.column([1] * n2)
-    mu2_row = Matrix.row_vector(list(mg2.marking))
-    top_left = kron(a1mu, Matrix.ones(n2))
-    top_right = kron(phi, ones_col @ mu2_row)
-    bottom_left = kron(phi, (ones_col @ mu2_row).transpose())
-    bottom_right = kron(Matrix.identity(n1), a2mu)
-    return Matrix.block([[top_left, top_right], [bottom_left, bottom_right]])
 
 
 def degrees(pg: ProductGraph) -> tuple[int, ...]:

@@ -76,12 +76,10 @@ def _graph_of(mg) -> SignedGraph:
 def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:
     """Exact cospectrality: charpoly equality over the rationals, never floats."""
     g1, g2 = _graph_of(mg1), _graph_of(mg2)
-    which = {"A": 0, "L": 2, "Q": 3}
-    if matrix_kind not in which:
+    if matrix_kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {matrix_kind!r}")
-    m1 = matrices(g1)[which[matrix_kind]]
-    m2 = matrices(g2)[which[matrix_kind]]
-    return charpoly(m1) == charpoly(m2)
+    return (charpoly(getattr(matrices(g1), matrix_kind))
+            == charpoly(getattr(matrices(g2), matrix_kind)))
 
 
 @dataclass(frozen=True)

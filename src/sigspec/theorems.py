@@ -1,11 +1,29 @@
 """Factored characteristic polynomials of the marked product.
 
-For the product of (Sigma1, mu1) with (Sigma2, mu2), the characteristic
-polynomial of each of A, L, Q splits into a repeated linear factor, the
-substituted shared factor of the second factor's coronal, and a "bracket"
-product over the first factor's mu-graph eigenvalues. The bracket is
-assembled without computing eigenvalues by composing the first factor's
-characteristic polynomial with one rational function.
+The product of (Sigma1, mu1) on n1 vertices with (Sigma2, mu2) on n2
+vertices has two blocks. Each matrix M of A, L and Q has, on the clone
+block, a scalar diagonal d plus s*A(Sigma1^mu) (x) J_n2, and on the copy
+block one copy N of a matrix of Sigma2 per first-factor vertex; the
+coupling between them is +-diag(mu1) (x) 1 mu2^T:
+
+    A:  d = 0,             s = +1,  N = A(Sigma2^mu)
+    L:  d = n2*(r1 + 1),   s = -1,  N = L(Sigma2^mu) + n2*I
+    Q:  d = n2*(r1 + 1),   s = +1,  N = Q(Sigma2^mu) + n2*I
+
+where d is the clone degree of an r1-regular first factor;
+degree_mode="paper" puts the published constant r1 + 2*n2 there instead.
+
+Eliminating the copy blocks (a Schur complement) leaves
+(x - d)I - (s*A(Sigma1^mu) + c(x) I) (x) J_n2, where c = num/den =
+mu2^T (xI - N)^-1 mu2 is the reduced coronal of N and shared = charpoly(N)
+/ den. J_n2 has eigenvalue n2 once and 0 otherwise, so
+
+    det(xI - M) = (x - d)^(n1(n2-1)) * shared^n1 * prod_i (u - lam_i*v)
+
+with u = (x - d)*den - n2*num, v = n2*den and lam_i the eigenvalues of
+s*A(Sigma1^mu). The bracket prod_i (u - lam_i*v) is assembled without
+computing eigenvalues by composing the charpoly of s*A(Sigma1^mu) with u/v.
+Every factor is monic: den is, and deg num < deg den.
 """
 from __future__ import annotations
 
@@ -15,8 +33,8 @@ from typing import Literal
 
 from .coronal import CoronalTriple, signed_coronal
 from .exact import Matrix, Poly, charpoly, compose_with_rational
-from .graphs import (MarkedSignedGraph, adjacency_matrix, mu_signed_graph,
-                     require_regular)
+from .graphs import (MarkedSignedGraph, adjacency_matrix, matrices,
+                     mu_signed_graph, regular_degree, require_regular)
 
 DegreeMode = Literal["constructed", "paper"]
 MatrixKind = Literal["A", "L", "Q"]
@@ -24,13 +42,15 @@ MatrixKind = Literal["A", "L", "Q"]
 
 @dataclass(frozen=True)
 class FactoredCharPoly:
-    """Characteristic polynomial in factored form; `assembled` expands it.
+    """det(xI - M) = linear^linear_exponent * shared^shared_exponent * bracket.
 
-    The bracket is prod_i (bracket_u - lam_i * bracket_v) over the
-    eigenvalues lam_i of the integer matrix bracket_matrix, so its roots can
-    be found one small polynomial per eigenvalue. The expansion
-    linear^linear_exponent * shared^shared_exponent * bracket is built on
-    first access only, because integrality and energy need the factors alone.
+    linear is x - d for the clone-block diagonal d, shared the cofactor of
+    the copy block's reduced coronal den in its charpoly, and the bracket is
+    prod_i (bracket_u - lam_i * bracket_v) over the eigenvalues lam_i of the
+    integer matrix bracket_matrix, so its roots can be found one small
+    polynomial per eigenvalue. All three factors are monic. The expansion is
+    built on first access only, because integrality and energy need the
+    factors alone.
     """
 
     matrix_kind: MatrixKind
@@ -51,7 +71,6 @@ class FactoredCharPoly:
             expanded = Poly([0] * self.linear_exponent + list(rest.coeffs))
         else:
             expanded = (self.linear_factor ** self.linear_exponent) * rest
-        expanded = expanded.monic()
         total = (self.linear_exponent
                  + self.shared_exponent * self.shared_factor.degree
                  + self.bracket.degree)
@@ -62,39 +81,9 @@ class FactoredCharPoly:
         return expanded
 
 
-def _assemble(kind: MatrixKind, linear: Poly, exponent: int, shared: Poly,
-              n1: int, u: Poly, v: Poly, m: Matrix) -> FactoredCharPoly:
-    # v^k * chi_m(u/v) = prod_i (u - lam_i*v) for m of order k: one composition,
-    # no eigenvalues
-    bracket = compose_with_rational(charpoly(m), u, v)
-    return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
-                            linear_exponent=exponent, shared_factor=shared,
-                            shared_exponent=n1, bracket=bracket, bracket_u=u,
-                            bracket_v=v, bracket_matrix=m)
-
-
-def _first_factor_matrix(mg1: MarkedSignedGraph) -> Matrix:
-    return adjacency_matrix(mu_signed_graph(mg1))
-
-
 def coronal_of_mu_graph(mg: MarkedSignedGraph) -> CoronalTriple:
     """Reduced coronal of the mu-signed version of mg, with mg's marking."""
     return signed_coronal(adjacency_matrix(mu_signed_graph(mg)), list(mg.marking))
-
-
-def adjacency_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> FactoredCharPoly:
-    """x^(n1(n2-1)) * shared(x)^n1 * prod_i [x*den(x) - n2*(lam_i*den(x) + num(x))].
-
-    num/den is the reduced coronal of the second factor's mu-graph, shared its
-    cofactor in that charpoly, and the lam_i run over the first factor's
-    mu-graph eigenvalues (eliminated via one rational composition).
-    """
-    n1, n2 = mg1.graph.n, mg2.graph.n
-    coro = coronal_of_mu_graph(mg2)
-    u = Poly.x() * coro.den - n2 * coro.num
-    v = n2 * coro.den
-    return _assemble("A", Poly.x(), n1 * (n2 - 1), coro.shared, n1, u, v,
-                     _first_factor_matrix(mg1))
 
 
 def _a_degree(r1: int, n2: int, degree_mode: DegreeMode) -> int:
@@ -107,58 +96,38 @@ def _a_degree(r1: int, n2: int, degree_mode: DegreeMode) -> int:
     raise ValueError(f"degree_mode must be 'constructed' or 'paper', got {degree_mode!r}")
 
 
-def laplacian_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
-                       degree_mode: DegreeMode = "constructed") -> FactoredCharPoly:
-    """Factored charpoly of L for regular factors.
-
-    The coronal argument flips to r2 + n2 - x and the bracket adds the
-    eigenvalue term: prod_i [(x - d_a)*den(s) + n2*(lam_i*den(s) + num(s))]
-    with s = r2 + n2 - x. (A Schur-complement derivation forces the plus
-    sign; the K2 pendant case distinguishes it from the minus variant.)
-    """
-    r1 = require_regular(mg1.graph, "first factor")
-    r2 = require_regular(mg2.graph, "second factor")
-    n1, n2 = mg1.graph.n, mg2.graph.n
-    coro = coronal_of_mu_graph(mg2)
-    d_a = _a_degree(r1, n2, degree_mode)
-    s = Poly.linear(r2 + n2, -1)
-    den_s = coro.den.compose(s)
-    num_s = coro.num.compose(s)
-    u = Poly.linear(-d_a) * den_s + n2 * num_s
-    v = n2 * den_s
-    # the negated mu-adjacency has the negated eigenvalues, turning u + lam*v
-    # into u - (-lam)*v
-    return _assemble("L", Poly.linear(-d_a), n1 * (n2 - 1),
-                     coro.shared.compose(s), n1, u, v, -_first_factor_matrix(mg1))
-
-
-def signless_factored(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
-                      degree_mode: DegreeMode = "constructed") -> FactoredCharPoly:
-    """Factored charpoly of Q for regular factors; argument shifts to x - r2 - n2."""
-    r1 = require_regular(mg1.graph, "first factor")
-    r2 = require_regular(mg2.graph, "second factor")
-    n1, n2 = mg1.graph.n, mg2.graph.n
-    coro = coronal_of_mu_graph(mg2)
-    d_a = _a_degree(r1, n2, degree_mode)
-    s = Poly.linear(-(r2 + n2), 1)
-    den_s = coro.den.compose(s)
-    num_s = coro.num.compose(s)
-    u = Poly.linear(-d_a) * den_s - n2 * num_s
-    v = n2 * den_s
-    return _assemble("Q", Poly.linear(-d_a), n1 * (n2 - 1),
-                     coro.shared.compose(s), n1, u, v, _first_factor_matrix(mg1))
-
-
 def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
                       kind: MatrixKind,
                       degree_mode: DegreeMode = "constructed") -> FactoredCharPoly:
+    """Factored charpoly of the product's A, L or Q (see the module docstring).
+
+    L and Q need both factors regular; degree_mode picks the clone-block
+    diagonal d for them and is ignored for A.
+    """
+    n1, n2 = mg1.graph.n, mg2.graph.n
+    mu_graph2 = mu_signed_graph(mg2)
     if kind == "A":
-        return adjacency_factored(mg1, mg2)
-    if kind == "L":
-        return laplacian_factored(mg1, mg2, degree_mode)
-    if kind == "Q":
-        return signless_factored(mg1, mg2, degree_mode)
-    raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
+        d, copy_block = 0, adjacency_matrix(mu_graph2)
+    elif kind in ("L", "Q"):
+        r1 = require_regular(mg1.graph, "first factor")
+        require_regular(mg2.graph, "second factor")
+        d = _a_degree(r1, n2, degree_mode)
+        copy_block = getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2)
+    else:
+        raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
+    coro = signed_coronal(copy_block, list(mg2.marking))
+    linear = Poly.linear(-d)
+    u = linear * coro.den - n2 * coro.num
+    v = n2 * coro.den
+    # the clone block of L carries -A(Sigma1^mu) (x) J
+    a1 = adjacency_matrix(mu_signed_graph(mg1))
+    m = -a1 if kind == "L" else a1
+    # v^n1 * chi_m(u/v) = prod_i (u - lam_i*v): one composition, no eigenvalues
+    return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
+                            linear_exponent=n1 * (n2 - 1), shared_factor=coro.shared,
+                            shared_exponent=n1,
+                            bracket=compose_with_rational(charpoly(m), u, v),
+                            bracket_u=u, bracket_v=v, bracket_matrix=m)
 
 
 @dataclass(frozen=True)
@@ -197,7 +166,6 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
     coronals are hypothesised as well).
     """
     from .product import product
-    from .graphs import matrices, regular_degree
 
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -100,8 +100,9 @@ def run_corona_verification(trials: int = 20, seed: int = 0,
         pend = corona(mg1, mg2)
         same_graph = pg.graph == pend
         mats_p, mats_c = matrices(pg.graph), matrices(pend)
-        charpolys_ok = all(charpoly(mats_p[i]) == charpoly(mats_c[i])
-                           for i in (0, 2, 3))  # A, L, Q
+        charpolys_ok = all(
+            charpoly(getattr(mats_p, kind)) == charpoly(getattr(mats_c, kind))
+            for kind in "ALQ")
         counts_ok = _count_checks(pg, mg1, mg2)
         ok = same_graph and charpolys_ok and counts_ok
         if not ok:

@@ -106,6 +106,14 @@ def test_gen_all_negative_two_vertex_marking(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "marking - -"
 
 
+def test_gen_rejects_marking_characters_other_than_signs(capsys):
+    rc = main(["gen", "--family", "cycle", "--n", "3", "--marking", "+a+"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--marking" in captured.err
+
+
 def test_charpoly_cli_json(tmp_path, capsys):
     f = tmp_path / "k2.txt"
     f.write_text("2 1\n0 1 +\n")

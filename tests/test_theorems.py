@@ -13,9 +13,8 @@ from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_m
 from sigspec.product import product
 from sigspec.sampling import (random_marked_graph,
                               random_regular_marked_graph)
-from sigspec.theorems import (adjacency_factored, coronal_of_mu_graph,
-                              cospectral_family_check, factored_charpoly,
-                              laplacian_factored, signless_factored)
+from sigspec.theorems import (coronal_of_mu_graph, cospectral_family_check,
+                              factored_charpoly)
 
 
 def rngs():
@@ -32,7 +31,7 @@ def single():
 
 
 def test_k2_with_single_vertex_is_p4():
-    fc = adjacency_factored(mk(complete(2)), single())
+    fc = factored_charpoly(mk(complete(2)), single(), "A")
     assert fc.assembled == Poly([1, 0, -3, 0, 1])
     assert fc.linear_exponent == 0
     assert fc.assembled == charpoly(
@@ -40,7 +39,7 @@ def test_k2_with_single_vertex_is_p4():
 
 
 def test_factored_shape_bookkeeping():
-    fc = adjacency_factored(mk(path(3)), mk(complete(2)))
+    fc = factored_charpoly(mk(path(3)), mk(complete(2)), "A")
     # 2 * n1 * n2 = 12
     assert fc.assembled.degree == 12
     assert fc.linear_factor == Poly.x()
@@ -54,7 +53,7 @@ def test_factored_shape_bookkeeping():
 def test_adjacency_factorization_matches_direct(rng):
     mg1 = random_marked_graph(rng, max_n=4)
     mg2 = random_marked_graph(rng, max_n=3)
-    fc = adjacency_factored(mg1, mg2)
+    fc = factored_charpoly(mg1, mg2, "A")
     direct = charpoly(matrices(product(mg1, mg2).graph).A)
     assert fc.assembled == direct
 
@@ -64,7 +63,7 @@ def test_adjacency_factorization_matches_direct(rng):
 def test_laplacian_factorization_matches_direct_for_regular(rng):
     mg1 = random_regular_marked_graph(rng, max_n=4)
     mg2 = random_regular_marked_graph(rng, max_n=4)
-    fc = laplacian_factored(mg1, mg2)
+    fc = factored_charpoly(mg1, mg2, "L")
     direct = charpoly(matrices(product(mg1, mg2).graph).L)
     assert fc.assembled == direct
 
@@ -74,22 +73,22 @@ def test_laplacian_factorization_matches_direct_for_regular(rng):
 def test_signless_factorization_matches_direct_for_regular(rng):
     mg1 = random_regular_marked_graph(rng, max_n=4)
     mg2 = random_regular_marked_graph(rng, max_n=4)
-    fc = signless_factored(mg1, mg2)
+    fc = factored_charpoly(mg1, mg2, "Q")
     direct = charpoly(matrices(product(mg1, mg2).graph).Q)
     assert fc.assembled == direct
 
 
 def test_laplacian_needs_regular_inputs():
     with pytest.raises(ValueError):
-        laplacian_factored(mk(star(3)), mk(complete(2)))
+        factored_charpoly(mk(star(3)), mk(complete(2)), "L")
     with pytest.raises(ValueError):
-        signless_factored(mk(complete(2)), mk(star(3)))
+        factored_charpoly(mk(complete(2)), mk(star(3)), "Q")
 
 
 def test_degree_mode_changes_laplacian_result():
     mg1, mg2 = mk(complete(2)), mk(complete(2))
-    constructed = laplacian_factored(mg1, mg2, degree_mode="constructed")
-    stated = laplacian_factored(mg1, mg2, degree_mode="paper")
+    constructed = factored_charpoly(mg1, mg2, "L", degree_mode="constructed")
+    stated = factored_charpoly(mg1, mg2, "L", degree_mode="paper")
     # constructed a-side degree n2(r1+1)=4, stated r1+2n2=5
     assert constructed.assembled != stated.assembled
     direct = charpoly(matrices(product(mg1, mg2).graph).L)
@@ -100,8 +99,8 @@ def test_degree_mode_changes_laplacian_result():
 def test_degree_modes_coincide_when_formula_says_so():
     # r1 (n2 - 1) = n2 holds for r1 = 2, n2 = 2
     mg1, mg2 = mk(cycle(3)), mk(complete(2))
-    constructed = laplacian_factored(mg1, mg2, degree_mode="constructed")
-    stated = laplacian_factored(mg1, mg2, degree_mode="paper")
+    constructed = factored_charpoly(mg1, mg2, "L", degree_mode="constructed")
+    stated = factored_charpoly(mg1, mg2, "L", degree_mode="paper")
     assert constructed.assembled == stated.assembled
 
 
@@ -110,8 +109,33 @@ def test_factored_charpoly_dispatch():
     for kind in ("A", "L", "Q"):
         fc = factored_charpoly(mg1, mg2, kind)
         assert fc.matrix_kind == kind
-        idx = {"A": 0, "L": 2, "Q": 3}[kind]
-        assert fc.assembled == charpoly(matrices(product(mg1, mg2).graph)[idx])
+        assert fc.assembled == charpoly(getattr(matrices(product(mg1, mg2).graph), kind))
+
+
+def _check_stated_factorization(fc):
+    for factor in (fc.linear_factor, fc.shared_factor, fc.bracket):
+        assert factor.is_monic
+    product_of_factors = (fc.linear_factor ** fc.linear_exponent
+                          * fc.shared_factor ** fc.shared_exponent * fc.bracket)
+    assert product_of_factors == fc.assembled
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+@pytest.mark.parametrize("degree_mode", ["constructed", "paper"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_stated_factorization_on_cycles(kind, degree_mode, n):
+    # L of C3 x C3 and C5 x C5 once came out as -assembled
+    fc = factored_charpoly(mk(cycle(n)), mk(cycle(n)), kind, degree_mode)
+    _check_stated_factorization(fc)
+
+
+@given(rng=rngs(), kind=st.sampled_from("ALQ"),
+       degree_mode=st.sampled_from(["constructed", "paper"]))
+@settings(max_examples=40, deadline=None)
+def test_stated_factorization_on_random_regular_pairs(rng, kind, degree_mode):
+    mg1 = random_regular_marked_graph(rng, max_n=4)
+    mg2 = random_regular_marked_graph(rng, max_n=4)
+    _check_stated_factorization(factored_charpoly(mg1, mg2, kind, degree_mode))
 
 
 @given(rng=rngs(), x0=st.integers(min_value=11, max_value=17))
@@ -123,7 +147,7 @@ def test_assembled_value_matches_textbook_evaluation(rng, x0):
     mg1 = random_marked_graph(rng, max_n=3)
     mg2 = random_marked_graph(rng, max_n=3)
     n1, n2 = mg1.graph.n, mg2.graph.n
-    fc = adjacency_factored(mg1, mg2)
+    fc = factored_charpoly(mg1, mg2, "A")
     coro = signed_coronal(adjacency_matrix(mu_signed_graph(mg2)),
                           list(mg2.marking))
     if coro.den.eval(x0) == 0:
