@@ -142,7 +142,7 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
             compose_with_rational(g, u, v))
 
     shared, bracket = composed_for(1)
-    _, as_stated = composed_for(center_mark)
+    as_stated = bracket if center_mark == 1 else composed_for(center_mark)[1]
     return StarProductReport(n=n, center_mark=center_mark,
                              star_integral=math.isqrt(n) ** 2 == n,
                              shared=shared, bracket=bracket,

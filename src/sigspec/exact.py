@@ -325,19 +325,36 @@ def compose_with_rational(g: Poly, num: Poly, den: Poly) -> Poly:
     This is how eigenvalue products like prod_i (num - lam_i * den) are
     assembled without computing any eigenvalue: take g with the lam_i as
     roots and clear denominators.
+
+    With u = num, v = den and k = deg g this is H(0, k), where
+    H(lo, hi) = sum_{j=lo..hi} g_j u^(j-lo) v^(hi-j) = H(lo, mid) v^(hi-mid)
+    + u^(mid+1-lo) H(mid+1, hi): about log k levels of balanced products, with
+    the powers memoised per call by square-and-multiply, where Horner makes k
+    lopsided ones (Brent & Kung, JACM 1978).
     """
     if den.is_zero:
         raise ZeroDivisionError("composition denominator is zero")
-    if g.is_zero:
-        return Poly()
-    k = g.degree
-    den_pow = [Poly.constant(1)]
-    for _ in range(k):
-        den_pow.append(den_pow[-1] * den)
-    acc = Poly.constant(g.coeff(k))
-    for j in range(k - 1, -1, -1):
-        acc = acc * num + g.coeff(j) * den_pow[k - j]
-    return acc
+    if g.degree <= 0:
+        return g  # den^0 * g, and the zero polynomial
+    return _homogenised(g.coeffs, 0, g.degree, {1: num}, {1: den})
+
+
+def _power(memo: dict[int, Poly], e: int) -> Poly:
+    # base^e for e >= 1, memo[1] the base, by square-and-multiply through e // 2
+    if e not in memo:
+        half = _power(memo, e // 2)
+        memo[e] = half * half * memo[1] if e & 1 else half * half
+    return memo[e]
+
+
+def _homogenised(g: Sequence[Scalar], lo: int, hi: int,
+                 u_pow: dict[int, Poly], v_pow: dict[int, Poly]) -> Poly | Scalar:
+    # H(lo, hi); a single term stays a scalar, so its products are scalar multiples
+    if lo == hi:
+        return g[lo]
+    mid = (lo + hi) // 2
+    return (_homogenised(g, lo, mid, u_pow, v_pow) * _power(v_pow, hi - mid)
+            + _power(u_pow, mid + 1 - lo) * _homogenised(g, mid + 1, hi, u_pow, v_pow))
 
 
 def _strip_low_zeros(c: list[int]) -> tuple[int, list[int]]:

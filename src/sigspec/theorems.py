@@ -101,8 +101,9 @@ def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
                       degree_mode: DegreeMode = "constructed") -> FactoredCharPoly:
     """Factored charpoly of the product's A, L or Q (see the module docstring).
 
-    L and Q need both factors regular; degree_mode picks the clone-block
-    diagonal d for them and is ignored for A.
+    L and Q need the first factor regular, for the clone-block diagonal d;
+    the second factor may be any graph. degree_mode picks d for L and Q and
+    is ignored for A.
     """
     n1, n2 = mg1.graph.n, mg2.graph.n
     mu_graph2 = mu_signed_graph(mg2)
@@ -110,7 +111,6 @@ def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
         d, copy_block = 0, adjacency_matrix(mu_graph2)
     elif kind in ("L", "Q"):
         r1 = require_regular(mg1.graph, "first factor")
-        require_regular(mg2.graph, "second factor")
         d = _a_degree(r1, n2, degree_mode)
         copy_block = getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2)
     else:

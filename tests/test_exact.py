@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,51 @@ def _chunk_boundaries():
     edges = [s * ((1 << (8 * w - 1)) + d) for w in range(1, 6)
              for d in (-1, 0, 1) for s in (1, -1)]
     return st.sampled_from(edges)
+
+
+def _horner_compose(g, num, den):
+    # den^deg(g) * g(num/den) by Horner over a table of den's powers: the
+    # reference the balanced split in compose_with_rational is checked against
+    if g.is_zero:
+        return Poly()
+    k = g.degree
+    den_pow = [Poly.constant(1)]
+    for _ in range(k):
+        den_pow.append(den_pow[-1] * den)
+    acc = Poly.constant(g.coeff(k))
+    for j in range(k - 1, -1, -1):
+        acc = acc * num + g.coeff(j) * den_pow[k - j]
+    return acc
+
+
+# zeros, small values and chunk-boundary values, so that g can hold zero
+# coefficients anywhere and the products straddle a Kronecker byte width
+composition_coeffs = st.one_of(st.just(0), entries, _chunk_boundaries())
+
+
+@given(gc=st.lists(composition_coeffs, min_size=1, max_size=41),
+       nc=st.one_of(st.just([]), st.lists(composition_coeffs, min_size=1, max_size=4)),
+       dc=st.lists(composition_coeffs, min_size=1, max_size=4).filter(any))
+@example(gc=[0] * 40 + [1], nc=[], dc=[3])
+@example(gc=[1, 0, -2, 0, 0, 5], nc=[0, 1], dc=[7])
+@example(gc=[(1 << 31) + 1] * 40, nc=[-(1 << 15), 1 << 15], dc=[1 << 23, 0, -1])
+@settings(max_examples=150, deadline=None)
+def test_compose_with_rational_matches_horner(gc, nc, dc):
+    # g of degree 0..40 reaches every split depth on both odd and even lengths;
+    # num may be zero and den a constant
+    g, num, den = Poly(gc), Poly(nc), Poly(dc)
+    assert compose_with_rational(g, num, den) == _horner_compose(g, num, den)
+
+
+@pytest.mark.parametrize("k", range(41))
+def test_compose_with_rational_matches_horner_at_every_degree(k):
+    rng = random.Random(k)
+    g = Poly([rng.choice([0, 0, 1, -3, (1 << 39) - 1, -(1 << 23)]) for _ in range(k)] + [1])
+    u, v = Poly([rng.randint(-9, 9) for _ in range(4)] + [1]), Poly([5, -2, 0, 1])
+    assert compose_with_rational(g, u, v) == _horner_compose(g, u, v)
+    assert compose_with_rational(g, Poly(), v) == g.coeff(0) * v ** k
+    assert compose_with_rational(g, u, Poly.constant(-2)) == _horner_compose(
+        g, u, Poly.constant(-2))
 
 
 int_coeffs = st.lists(st.one_of(st.integers(min_value=-3, max_value=3),

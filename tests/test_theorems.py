@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigspec.coronal import signed_coronal
-from sigspec.exact import Poly, charpoly
+from sigspec.exact import Matrix, Poly, charpoly
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             complete, complete_bipartite, cycle, line_graph, matrices,
                             mu_signed_graph, path, star)
@@ -79,10 +79,39 @@ def test_signless_factorization_matches_direct_for_regular(rng):
 
 
 def test_laplacian_needs_regular_inputs():
+    # only the first factor: its regular degree fixes the clone-block diagonal
     with pytest.raises(ValueError):
         factored_charpoly(mk(star(3)), mk(complete(2)), "L")
     with pytest.raises(ValueError):
-        factored_charpoly(mk(complete(2)), mk(star(3)), "Q")
+        factored_charpoly(mk(star(3)), mk(complete(2)), "Q")
+
+
+def _paper_diagonal(m, n1, n2, r1):
+    # the built matrix with every clone vertex's diagonal entry (vertices
+    # 0 .. n1*n2 - 1) moved from the constructed degree to the paper's r1 + 2*n2
+    rows = [list(r) for r in m.rows()]
+    for i in range(n1 * n2):
+        assert rows[i][i] == n2 * (r1 + 1)
+        rows[i][i] = r1 + 2 * n2
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("kind", ["L", "Q"])
+@pytest.mark.parametrize("g1, r1", [(cycle(4), 2), (complete(3), 2)], ids=["C4", "K3"])
+@pytest.mark.parametrize("g2, marks2", [
+    (path(4), [1, -1, 1, 1]),
+    (star(3), [-1, 1, 1]),
+    (star(5, signs=[1, -1, -1, 1]), [1, 1, -1, 1, -1]),
+], ids=["P4", "K1,2", "signed K1,4"])
+def test_laplacian_and_signless_take_a_non_regular_second_factor(kind, g1, r1, g2, marks2):
+    # the copy block L/Q(Sigma2^mu) + n2*I is exact for any second factor
+    mg1 = MarkedSignedGraph(g1, Marking([1, -1] + [1] * (g1.n - 2)))
+    mg2 = MarkedSignedGraph(g2, Marking(marks2))
+    n1, n2 = g1.n, g2.n
+    direct = getattr(matrices(product(mg1, mg2).graph), kind)
+    assert factored_charpoly(mg1, mg2, kind).assembled == charpoly(direct)
+    paper = factored_charpoly(mg1, mg2, kind, degree_mode="paper")
+    assert paper.assembled == charpoly(_paper_diagonal(direct, n1, n2, r1))
 
 
 def test_degree_mode_changes_laplacian_result():
@@ -232,6 +261,18 @@ def test_assembled_coefficients_golden(kind, g1, marks1, g2, marks2, digest):
     for p in (fc.assembled, fc.bracket, fc.shared_factor, c.num, c.den, c.shared,
               charpoly(adjacency_matrix(mu_signed_graph(mg1)))):
         assert all(type(x) is int for x in p.coeffs)
+
+
+def test_headline_bracket_golden():
+    # the bracket of the factored A of C32 x P32 (order 2048), the benchmark's
+    # headline instance; digest from the Horner composition
+    mg1 = MarkedSignedGraph(cycle(32), Marking([1, -1, -1, 1] * 8))
+    mg2 = MarkedSignedGraph(path(32), Marking([1, 1, -1] * 10 + [-1, 1]))
+    fc = factored_charpoly(mg1, mg2, "A")
+    assert fc.bracket.degree == 544
+    text = " ".join(fc.bracket.coeff_strings())
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "9c1af113a113679634a29075e236606f9a595193fb95374aaad15fd5bb71f06b")
 
 
 def _golden_product_matrices():
