@@ -14,7 +14,8 @@ from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      regular_degree)
 from .product import product
 from .spectra import energy, symmetric_eigenvalues
-from .theorems import FactoredCharPoly, coronal_of_mu_graph, factored_charpoly
+from .theorems import (FactoredCharPoly, _factored_from_coronal,
+                       coronal_of_mu_graph, factored_charpoly)
 
 
 @dataclass(frozen=True)
@@ -133,16 +134,17 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     g = charpoly(adjacency_matrix(mu_signed_graph(mg1)))
     star_charpoly = Poly([0] * (n - 1) + [-n, 0, 1])
 
-    def composed_for(mark: int) -> tuple[FactorIntegrality, FactorIntegrality]:
+    def bracket_for(mark: int) -> FactorIntegrality:
         fn = star_coronal_closed_form(n, mark)
         u = Poly.x() * fn.den - n2 * fn.num
         v = n2 * fn.den
-        shared = star_charpoly.divexact(fn.den)
-        return FactorIntegrality.of(shared), FactorIntegrality.of(
-            compose_with_rational(g, u, v))
+        return FactorIntegrality.of(compose_with_rational(g, u, v))
 
-    shared, bracket = composed_for(1)
-    as_stated = bracket if center_mark == 1 else composed_for(center_mark)[1]
+    # the shared factor comes from the effective (mark +1) coronal only
+    shared = FactorIntegrality.of(
+        star_charpoly.divexact(star_coronal_closed_form(n, 1).den))
+    bracket = bracket_for(1)
+    as_stated = bracket if center_mark == 1 else bracket_for(center_mark)
     return StarProductReport(n=n, center_mark=center_mark,
                              star_integral=math.isqrt(n) ** 2 == n,
                              shared=shared, bracket=bracket,
@@ -187,13 +189,19 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     Hypotheses on the mu-graphs of mg1 and mg2: not cospectral (exact),
     equienergetic within tol, equal reduced coronals. On failure the products
     are not built and the certificate names the failed clauses.
+
+    The input charpolys and the product charpolys come from the factors
+    alone: each input's charpoly is den * shared of its reduced coronal, and
+    each product's charpoly is the assembled factored A form of mg * mg_k,
+    built from that same coronal. No exact charpoly of a product matrix is
+    computed; the products are built only for their order and for the float
+    eigenvalues behind the product energies.
     """
     m1, m2 = mu_signed_graph(mg1), mu_signed_graph(mg2)
-    f1, f2 = charpoly(adjacency_matrix(m1)), charpoly(adjacency_matrix(m2))
-    non_cospectral = f1 != f2
+    c1, c2 = coronal_of_mu_graph(mg1), coronal_of_mu_graph(mg2)
+    non_cospectral = c1.charpoly != c2.charpoly
     e1, e2 = energy(m1, tol=tol), energy(m2, tol=tol)
     equienergetic = abs(e1.value - e2.value) <= tol
-    c1, c2 = coronal_of_mu_graph(mg1), coronal_of_mu_graph(mg2)
     coronal_equal = (c1.num, c1.den) == (c2.num, c2.den)
     r1, r2 = regular_degree(mg1.graph), regular_degree(mg2.graph)
     shortcut = (r1 is not None and r1 == r2 and mg1.graph.n == mg2.graph.n)
@@ -213,9 +221,12 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
             regular_shortcut=shortcut,
             input_energy_1=e1.value, input_energy_2=e2.value)
 
+    # c1 and c2 are the coronals of the products' copy blocks A(mg_k^mu), so
+    # the factored A form needs no further coronal and no product matrix
+    pf1 = _factored_from_coronal(mg, mg1.graph.n, "A", 0, c1).assembled
+    pf2 = _factored_from_coronal(mg, mg2.graph.n, "A", 0, c2).assembled
+    # the products are built for their order and float energies only
     p1, p2 = product(mg, mg1), product(mg, mg2)
-    pf1 = charpoly(adjacency_matrix(p1.graph.graph))
-    pf2 = charpoly(adjacency_matrix(p2.graph.graph))
     pe1, pe2 = energy(p1.graph, tol=tol), energy(p2.graph, tol=tol)
     products_non_cospectral = pf1 != pf2
     energy_close = abs(pe1.value - pe2.value) <= tol

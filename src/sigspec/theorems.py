@@ -105,7 +105,7 @@ def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     the second factor may be any graph. degree_mode picks d for L and Q and
     is ignored for A.
     """
-    n1, n2 = mg1.graph.n, mg2.graph.n
+    n2 = mg2.graph.n
     mu_graph2 = mu_signed_graph(mg2)
     if kind == "A":
         d, copy_block = 0, adjacency_matrix(mu_graph2)
@@ -115,7 +115,16 @@ def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
         copy_block = getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2)
     else:
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    coro = signed_coronal(copy_block, list(mg2.marking))
+    return _factored_from_coronal(mg1, n2, kind, d,
+                                  signed_coronal(copy_block, list(mg2.marking)))
+
+
+def _factored_from_coronal(mg1: MarkedSignedGraph, n2: int, kind: MatrixKind,
+                           d: int, coro: CoronalTriple) -> FactoredCharPoly:
+    # the formula once the copy block's reduced coronal is known; callers
+    # that already hold it (the A form's coronal is coronal_of_mu_graph of
+    # the second factor) skip recomputing it
+    n1 = mg1.graph.n
     linear = Poly.linear(-d)
     u = linear * coro.den - n2 * coro.num
     v = n2 * coro.den
@@ -181,13 +190,17 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
         pa, pb = product(mg_a, mg), product(mg_b, mg)
     else:
         pa, pb = product(mg, mg_a), product(mg, mg_b)
-    ma, mb = matrices(pa.graph), matrices(pb.graph)
-    a_match = charpoly(ma.A) == charpoly(mb.A)
     regular = all(regular_degree(x.graph) is not None for x in (mg_a, mg_b, mg))
     l_match = q_match = None
     if regular:
+        ma, mb = matrices(pa.graph), matrices(pb.graph)
+        a_match = charpoly(ma.A) == charpoly(mb.A)
         l_match = charpoly(ma.L) == charpoly(mb.L)
         q_match = charpoly(ma.Q) == charpoly(mb.Q)
+    else:
+        # only A is compared, so only A is built
+        a_match = (charpoly(adjacency_matrix(pa.graph.graph))
+                   == charpoly(adjacency_matrix(pb.graph.graph)))
     return CospectralFamilyReport(side=side,
                                   hypothesis_cospectral=hypothesis_cospectral,
                                   hypothesis_coronal_equal=hypothesis_coronal,

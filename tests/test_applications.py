@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from sigspec.applications import (equienergetic_demo, equienergetic_family,
                                   integral_product_check, star_bracket_cubic,
                                   star_bracket_cubic_expanded,
                                   star_product_integral_check)
-from sigspec.graphs import (MarkedSignedGraph, SignedGraph, complete, cycle,
-                            path, star)
+from sigspec import applications, exact
+from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph,
+                            adjacency_matrix, complete, cycle, path, star)
 from sigspec.sampling import random_marked_graph
 from sigspec.spectra import is_integral
 from sigspec.theorems import factored_charpoly
@@ -123,6 +125,65 @@ def test_equienergetic_demo_certificate():
     assert cert.input_energy_gap < 1e-9
     assert cert.product_energy_gap < 1e-7
     assert cert.product_charpoly_1 != cert.product_charpoly_2
+    # the digest of test_demo_product_charpoly_golden[A], the direct charpoly
+    # of K2 x L^2(K3,3)
+    text = " ".join(cert.product_charpoly_1.coeff_strings())
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "6af4987b525d3afe68bcb21c3804da13d30cac982f7d33a7954eb06bb186ad37")
+
+
+@pytest.mark.parametrize("base", [
+    mk(complete(2)),
+    single(),
+    MarkedSignedGraph(complete(2), Marking([1, -1])),
+    mk(path(3, "+-")),
+    mk(complete(3)),
+], ids=["K2", "K1", "K2+-", "P3+-", "K3"])
+def test_equienergetic_product_charpolys_match_direct(base):
+    # the certificate's factored product charpolys against the direct
+    # charpoly of each built product
+    from sigspec.applications import demo_equienergetic_pair
+    g1, g2 = demo_equienergetic_pair()
+    cert = equienergetic_family(g1, g2, base)
+    assert cert.valid
+    for mgk, pf in ((g1, cert.product_charpoly_1), (g2, cert.product_charpoly_2)):
+        assert pf == charpoly(adjacency_matrix(product(base, mgk).graph.graph))
+
+
+def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
+    # every exact charpoly goes through one of the two kernels; the demo's
+    # largest should be the order-18 inputs, never the order-72 products
+    orders = []
+    multimodular, leverrier = exact._multimodular_charpoly, exact._faddeev_leverrier
+
+    def recorded_multimodular(rows):
+        orders.append(len(rows))
+        return multimodular(rows)
+
+    def recorded_leverrier(a, u):
+        orders.append(a.nrows)
+        return leverrier(a, u)
+
+    monkeypatch.setattr(exact, "_multimodular_charpoly", recorded_multimodular)
+    monkeypatch.setattr(exact, "_faddeev_leverrier", recorded_leverrier)
+    assert equienergetic_demo().valid
+    assert orders and max(orders) <= 18
+
+
+@pytest.mark.parametrize("center_mark, calls", [(1, 2), (-1, 3)])
+def test_star_check_scans_each_factor_once(monkeypatch, center_mark, calls):
+    # shared and bracket from the effective coronal, plus the as-stated
+    # bracket when the center mark is -1
+    counted = []
+    roots = applications.integer_roots
+
+    def recorded(p):
+        counted.append(p)
+        return roots(p)
+
+    monkeypatch.setattr(applications, "integer_roots", recorded)
+    star_product_integral_check(mk(cycle(4)), 3, center_mark)
+    assert len(counted) == calls
 
 
 def test_equienergetic_family_with_single_vertex_base():
