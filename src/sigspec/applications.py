@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coronal import star_coronal_closed_form
-from .exact import (Poly, Scalar, charpoly, compose_with_rational, integer_roots,
-                    poly_gcd)
+from .exact import Poly, charpoly, compose_with_rational, integer_roots, poly_gcd
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree)
@@ -77,7 +76,7 @@ def integral_product_check(mg1: MarkedSignedGraph,
                              bracket=FactorIntegrality.of(fc.bracket))
 
 
-def star_bracket_cubic(n: int, lam: Scalar, center_mark: int) -> Poly:
+def star_bracket_cubic(n: int, lam: int, center_mark: int) -> Poly:
     """x(x^2-n) - n2*lam*(x^2-n) - n2*((n+1)x + 2n*center_mark), with n2 = n+1."""
     n2 = n + 1
     star_den = Poly([-n, 0, 1])
@@ -85,7 +84,7 @@ def star_bracket_cubic(n: int, lam: Scalar, center_mark: int) -> Poly:
     return Poly.x() * star_den - n2 * lam * star_den - n2 * star_num
 
 
-def star_bracket_cubic_expanded(n: int, lam: Scalar, center_mark: int) -> Poly:
+def star_bracket_cubic_expanded(n: int, lam: int, center_mark: int) -> Poly:
     """The same cubic written out: x^3 - n2*lam*x^2 - (n2^2+n2-1)x + n2(n2-1)(lam-2m)."""
     n2 = n + 1
     return Poly([n2 * (n2 - 1) * (lam - 2 * center_mark),

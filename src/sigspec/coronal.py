@@ -4,8 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import (Matrix, Poly, RationalFn, Scalar, charpoly_with_adjugate_form,
-                    poly_gcd)
+from .exact import Matrix, Poly, RationalFn, charpoly_with_adjugate_form, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class CoronalTriple:
     def rational_fn(self) -> RationalFn:
         return RationalFn(self.num, self.den)
 
-    def eval(self, x: Scalar):
+    def eval(self, x: int):
         return self.rational_fn.eval(x)
 
 

@@ -1,13 +1,13 @@
 """Exact algebra: polynomials, rational functions and integer matrices.
 
-The exact scalar is ``int``. A ``fractions.Fraction`` appears only where a
-value really is non-integral, and one with denominator 1 is stored as its
-numerator, so every polynomial built from an integer matrix has int
-coefficients. bools, floats and anything else are rejected so that nothing
-silently leaves exact arithmetic; every exact division goes through
-``Fraction``, never ``/`` between ints. Polynomial coefficient vectors are
-stored lowest degree first with no trailing zeros. ``Matrix`` holds ints
-only.
+The one exact scalar is ``int``: matrices are integer matrices, charpolys
+are monic over Z, and the reduced coronal num/den are integer polynomials by
+Gauss's lemma, because den is monic. ``Poly`` and ``Matrix`` hold ints only,
+and bools, floats, rationals and anything else are rejected, so nothing
+silently leaves exact arithmetic; polynomial division fails where a quotient
+coefficient is not an integer. The one rational value is what
+``RationalFn.eval`` returns where it is not integral. Coefficient vectors are
+stored lowest degree first with no trailing zeros.
 
 Characteristic polynomials take one of two exact kernels by matrix order: a
 Faddeev-LeVerrier recursion on Python ints up to a small order, and above it
@@ -19,42 +19,32 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt, prod
 from math import gcd as _int_gcd
+from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
 
-Scalar = int | Fraction
 
-
-def _exact(x: Scalar) -> Scalar:
-    """The canonical exact scalar: an int, or a Fraction that is not integral."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return int(x)
-    raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
-
-
-def _div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact quotient a/b; '/' between two ints would give a float."""
-    return a if b == 1 else _exact(Fraction(a, b))
+def _exact(x: int) -> int:
+    """x itself if it is an int; a bool, float, Fraction or anything else raises TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"int expected, got {type(x).__name__} {x!r}")
+    return x
 
 
 class Poly:
-    """Univariate polynomial with exact rational coefficients."""
+    """Univariate polynomial with integer coefficients."""
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         c = [_exact(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
 
     @classmethod
-    def constant(cls, value: Scalar) -> "Poly":
+    def constant(cls, value: int) -> "Poly":
         return cls([value])
 
     @classmethod
@@ -62,12 +52,12 @@ class Poly:
         return cls([0, 1])
 
     @classmethod
-    def linear(cls, const: Scalar, slope: Scalar = 1) -> "Poly":
+    def linear(cls, const: int, slope: int = 1) -> "Poly":
         """slope*x + const."""
         return cls([const, slope])
 
     @property
-    def coeffs(self) -> tuple[Scalar, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         """Coefficients, lowest degree first, no trailing zeros."""
         return self._c
 
@@ -81,7 +71,7 @@ class Poly:
         return not self._c
 
     @property
-    def leading(self) -> Scalar:
+    def leading(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._c[-1]
@@ -90,7 +80,7 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self._c) and self._c[-1] == 1
 
-    def coeff(self, k: int) -> Scalar:
+    def coeff(self, k: int) -> int:
         return self._c[k] if 0 <= k < len(self._c) else 0
 
     def __eq__(self, other: object) -> bool:
@@ -104,7 +94,7 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def __add__(self, other: "Poly | Scalar") -> "Poly":
+    def __add__(self, other: "Poly | int") -> "Poly":
         o = other if isinstance(other, Poly) else Poly.constant(other)
         a, b = self._c, o._c
         if len(a) < len(b):
@@ -119,22 +109,21 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly([-x for x in self._c])
 
-    def __sub__(self, other: "Poly | Scalar") -> "Poly":
+    def __sub__(self, other: "Poly | int") -> "Poly":
         o = other if isinstance(other, Poly) else Poly.constant(other)
         return self + (-o)
 
-    def __rsub__(self, other: Scalar) -> "Poly":
+    def __rsub__(self, other: int) -> "Poly":
         return Poly.constant(other) - self
 
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
+    def __mul__(self, other: "Poly | int") -> "Poly":
         if not isinstance(other, Poly):
             s = _exact(other)
             return Poly([s * x for x in self._c])
         a, b = self._c, other._c
         if not a or not b:
             return Poly()
-        if (min(len(a), len(b)) > _SCHOOLBOOK_MAX and all(type(x) is int for x in a)
-                and all(type(x) is int for x in b)):
+        if min(len(a), len(b)) > _SCHOOLBOOK_MAX:
             return Poly(_kronecker_mul(a, b))
         return Poly(_schoolbook(a, b))
 
@@ -154,6 +143,7 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Division over Z: ArithmeticError where a quotient coefficient is not an integer."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self._c)
@@ -164,18 +154,14 @@ class Poly:
         d = other._c
         lead = d[-1]
         for k in range(dq, -1, -1):
-            c = _div(rem[k + len(d) - 1], lead)
+            c, r = divmod(rem[k + len(d) - 1], lead)
+            if r:
+                raise ArithmeticError("polynomial quotient is not integral")
             quot[k] = c
             if c:
                 for j, y in enumerate(d):
                     rem[k + j] -= c * y
         return Poly(quot), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
 
     def divexact(self, other: "Poly") -> "Poly":
         """Division that must leave no remainder."""
@@ -184,24 +170,17 @@ class Poly:
             raise ArithmeticError("polynomial division left a remainder")
         return q
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self._c[-1]
-        if lead == 1:
-            return self
-        return Poly([Fraction(x, lead) for x in self._c])
-
-    def eval(self, x: Scalar) -> Scalar:
-        """Exact Horner evaluation."""
-        x = _exact(x)
+    def eval(self, x: Rational) -> Rational:
+        """Exact Horner evaluation at an int or a rational point."""
+        if isinstance(x, bool) or not isinstance(x, Rational):
+            raise TypeError(f"exact point expected, got {type(x).__name__} {x!r}")
         acc = 0
         for c in reversed(self._c):
             acc = acc * x + c
-        return _exact(acc)
+        return acc
 
     def coeff_strings(self) -> list[str]:
-        """Coefficients as exact "p/q" strings, lowest degree first."""
+        """Coefficients as decimal integer strings, lowest degree first."""
         return [str(c) for c in self._c]
 
     def pretty(self, var: str = "x") -> str:
@@ -273,7 +252,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 class RationalFn:
-    """Reduced ratio of two polynomials with a monic denominator."""
+    """Reduced ratio of two integer polynomials; the reduced denominator must be monic."""
 
     __slots__ = ("num", "den")
 
@@ -282,21 +261,19 @@ class RationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num.is_zero:
             g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-        lead = den.leading
-        if lead != 1:
-            num = num * Fraction(1, lead)
-            den = den.monic()
+            num, den = num.divexact(g), den.divexact(g)
+        if not den.is_monic:
+            raise ValueError(f"reduced denominator {den.pretty()} is not monic")
         self.num = num
         self.den = den
 
-    def eval(self, x: Scalar) -> Scalar:
+    def eval(self, x: Rational) -> Rational:
+        """The value at x: an int where it is integral, else a Fraction."""
         d = self.den.eval(x)
         if d == 0:
             raise ZeroDivisionError(f"pole of rational function at {x}")
-        return _div(self.num.eval(x), d)
+        q = Fraction(self.num.eval(x), d)
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFn):
@@ -310,13 +287,51 @@ class RationalFn:
         return f"RationalFn(({self.num.pretty()}) / ({self.den.pretty()}))"
 
 
+def _primitive(p: Poly) -> tuple[int, Poly]:
+    # content and primitive part of a nonzero p, the part with a positive leading coefficient
+    c = _int_gcd(*p.coeffs)
+    return c, Poly([x // (c if p.leading > 0 else -c) for x in p.coeffs])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Greatest common divisor in Z[x], content included, leading coefficient positive.
+
+    When one input is monic, so is the gcd. Heuristic integer gcd (GCDHEU;
+    Char, Geddes & Gonnet, JSC 1989) of the primitive parts A, B: evaluate
+    both at one xi >= 2m + 2, m the smaller of |A|_inf and |B|_inf, read
+    h = gcd(A(xi), B(xi)) back as symmetric xi-adic digits, each at most xi/2
+    in size, and keep the primitive part g of that polynomial.
+
+    g is accepted only if it divides A and B, and is then the gcd G: with
+    G = g*K and c the content of the digits, G(xi) | h = c*g(xi) gives
+    K(xi) | c, so |K(xi)| <= xi/2; but K divides the input of norm m, whose
+    roots are below 1 + m <= xi/2 in size (Cauchy), so a nonconstant K would
+    have |K(xi)| > xi - 1 - m >= xi/2. Otherwise xi grows, and the loop ends:
+    with A = G*A1 and B = G*B1, h = G(xi)*s for s = gcd(A1(xi), B1(xi)), and
+    this spurious factor s divides the resultant of the coprime cofactors A1
+    and B1. Once xi/2 exceeds that resultant times |G|_inf, the digits of h
+    are those of s*G.
+    """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if a.is_zero or b.is_zero:
+        p = a or b
+        return p if p.leading > 0 else -p
+    (ca, pa), (cb, pb) = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, pa.coeffs)), max(map(abs, pb.coeffs))) + 2
+    while True:
+        h = _int_gcd(pa.eval(xi), pb.eval(xi))
+        digits = []
+        while h:
+            digits.append((h + xi // 2) % xi - xi // 2)
+            h = (h - digits[-1]) // xi
+        g = _primitive(Poly(digits))[1]
+        try:
+            pa.divexact(g)
+            pb.divexact(g)
+            return _int_gcd(ca, cb) * g
+        except ArithmeticError:
+            xi = xi * 73794 // 27011  # the growth factor of Char, Geddes & Gonnet
 
 
 def compose_with_rational(g: Poly, num: Poly, den: Poly) -> Poly:
@@ -347,8 +362,8 @@ def _power(memo: dict[int, Poly], e: int) -> Poly:
     return memo[e]
 
 
-def _homogenised(g: Sequence[Scalar], lo: int, hi: int,
-                 u_pow: dict[int, Poly], v_pow: dict[int, Poly]) -> Poly | Scalar:
+def _homogenised(g: Sequence[int], lo: int, hi: int,
+                 u_pow: dict[int, Poly], v_pow: dict[int, Poly]) -> Poly | int:
     # H(lo, hi); a single term stays a scalar, so its products are scalar multiples
     if lo == hi:
         return g[lo]
@@ -401,11 +416,7 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in p.coeffs]
-    zero_mult, ints = _strip_low_zeros(ints)
+    zero_mult, ints = _strip_low_zeros(list(p.coeffs))
     roots = [0] * zero_mult
     if len(ints) > 1:
         bound = _int_root_bound(ints)
@@ -420,17 +431,7 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
                     break
                 ints = _synthetic_div(ints, k)
                 roots.append(k)
-                if ints[0] == 0:
-                    raise ArithmeticError("unexpected zero constant term after division")
-    quotient = Poly([Fraction(c, scale) for c in ints])
-    return tuple(sorted(roots)), quotient
-
-
-def _integer(x: Scalar) -> int:
-    x = _exact(x)
-    if type(x) is not int:
-        raise TypeError(f"integer matrix entry expected, got {x}")
-    return x
+    return tuple(sorted(roots)), Poly(ints)
 
 
 class Matrix:
@@ -438,7 +439,7 @@ class Matrix:
 
     __slots__ = ("_rows", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -446,7 +447,7 @@ class Matrix:
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged matrix rows")
-            packed.append(tuple(_integer(x) for x in r))
+            packed.append(tuple(_exact(x) for x in r))
         self._rows = tuple(packed)
         self.nrows = len(packed)
         self.ncols = width
@@ -659,7 +660,7 @@ def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
         raise ValueError("characteristic polynomial of a non-square matrix")
     if u is not None and len(u) != a.nrows:
         raise ValueError("vector length differs from matrix size")
-    uv = None if u is None else [_integer(x) for x in u]
+    uv = None if u is None else [_exact(x) for x in u]
     if a.nrows <= _FL_MAX:
         return _faddeev_leverrier(a, uv)
     f = _multimodular_charpoly(a.rows())

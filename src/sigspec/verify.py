@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .exact import charpoly
+from .exact import Matrix, charpoly
 from .graphs import MarkedSignedGraph, adjacency_matrix, matrices
 from .io import serialize_graph
 from .product import corona, product
@@ -49,11 +49,12 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
             mg1 = random_regular_marked_graph(rng, max_n1, signed)
             mg2 = random_regular_marked_graph(rng, max_n2, signed)
         pg = product(mg1, mg2)
-        # build only the matrix that is compared; L and Q need D as well
-        if matrix_kind == "A":
-            direct = charpoly(adjacency_matrix(pg.graph.graph))
-        else:
-            direct = charpoly(getattr(matrices(pg.graph), matrix_kind))
+        # build only the matrix that is compared: A, or L = D - A, or Q = D + A
+        m = adjacency_matrix(pg.graph.graph)
+        if matrix_kind != "A":
+            d = Matrix.diagonal(pg.graph.graph.degrees())
+            m = d - m if matrix_kind == "L" else d + m
+        direct = charpoly(m)
         fc = factored_charpoly(mg1, mg2, matrix_kind, degree_mode)
         match = fc.assembled == direct
         counts_ok = _count_checks(pg, mg1, mg2)

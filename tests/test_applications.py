@@ -76,10 +76,15 @@ def test_star_route_agrees_with_general_route(rng):
 def test_star_bracket_cubic_forms_agree():
     for n in range(1, 7):
         for m in (1, -1):
-            for lam in (0, 1, -2, Fraction(3, 2), Fraction(-5, 3)):
+            # both forms are affine in lam: agreement at two or more integer
+            # lam values is agreement as polynomials in x and lam
+            for lam in (0, 1, -2):
                 sub = star_bracket_cubic(n, lam, m)
                 closed = star_bracket_cubic_expanded(n, lam, m)
                 assert sub == closed
+            for cubic in (star_bracket_cubic, star_bracket_cubic_expanded):
+                with pytest.raises(TypeError):
+                    cubic(n, Fraction(3, 2), m)
 
 
 def test_star_bracket_cubic_known_coefficients():

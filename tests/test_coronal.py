@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from sigspec.coronal import (regular_balanced_coronal, signed_coronal,
                              star_coronal_closed_form)
-from sigspec.exact import Matrix, Poly, charpoly, poly_gcd
+from sigspec.exact import Matrix, Poly, adjugate_quadratic_form, charpoly, poly_gcd
 from sigspec.graphs import (MarkedSignedGraph, adjacency_matrix,
                             canonical_marking, complete, cycle, matrices,
                             mu_signed_graph, star)
@@ -13,7 +16,6 @@ from sigspec.sampling import random_marked_graph
 
 
 def rngs():
-    import random
     return st.integers(min_value=0, max_value=10 ** 6).map(random.Random)
 
 
@@ -133,3 +135,33 @@ def test_laplacian_coronal_of_regular_graph():
     # all-ones is a 0-eigenvector of L, so the coronal is n/x
     assert triple.num == Poly.constant(4)
     assert triple.den == Poly.x()
+
+
+def test_generic_order_64_coronal_is_fast_and_matches_sympy():
+    # a dense random signed graph, not a cycle or path: the gcd of its form
+    # and charpoly has small degree, so a Euclidean gcd over Q runs through
+    # ~64 remainders whose rational coefficients grow, and takes over a minute
+    rng = random.Random(64)
+    n = 64
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i] = rng.choice((1, -1))
+    n_matrix = Matrix(rows)
+    mu = [rng.choice((1, -1)) for _ in range(n)]
+    start = time.perf_counter()
+    triple = signed_coronal(n_matrix, mu)
+    elapsed = time.perf_counter() - start
+    f = charpoly(n_matrix)
+    form = adjugate_quadratic_form(n_matrix, mu)
+    assert triple.den * triple.shared == f
+    assert triple.num * triple.shared == form
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)), x, domain=sympy.ZZ)
+
+    num, den = to_sympy(form).cancel(to_sympy(f), include=True)
+    assert den == to_sympy(triple.den) and num == to_sympy(triple.num)
+    assert elapsed < 5

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -98,7 +100,7 @@ def test_poly_arithmetic_and_division():
     q, r = divmod(p, x + 2)
     assert r.is_zero
     assert q == (x - 1) * (x + 2)
-    assert p % (x - 1) == Poly([])
+    assert divmod(p, x - 1)[1] == Poly([])
     assert p.divexact(x - 1) == (x + 2) ** 2
     with pytest.raises(ArithmeticError):
         p.divexact(x - 5)
@@ -112,22 +114,30 @@ def test_poly_rejects_floats():
 
 
 def test_integral_coefficients_are_stored_as_ints():
-    p = Poly([Fraction(4, 2), Fraction(1, 3), 5])
-    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    # int is the one coefficient type: a Fraction is refused even when integral
+    for bad in (Fraction(4, 2), Fraction(1, 3), Fraction(3)):
+        with pytest.raises(TypeError):
+            Poly([bad, 5])
+        with pytest.raises(TypeError):
+            Poly([1, 5]) * bad
+        with pytest.raises(TypeError):
+            Poly([1, 5]) + bad
+    p = Poly([2, 3, 5])
+    assert all(type(c) is int for c in p.coeffs)
     assert p.coeff(7) == 0 and type(p.coeff(7)) is int
-    assert type((p * Fraction(3)).coeff(1)) is int
+    assert type((p * 3).coeff(1)) is int
 
 
 def test_exact_division_never_makes_floats():
-    assert Poly([1, 2]).monic().coeffs == (Fraction(1, 2), 1)
     x = Poly.x()
     q, r = divmod((x + 1) * Poly([1, 2]), Poly([1, 2]))
     assert q == x + 1 and r.is_zero
     assert all(type(c) is int for c in q.coeffs)
-    # x^2 = (2x + 1)(x/2 - 1/4) + 1/4
-    q, r = divmod(x ** 2, Poly([1, 2]))
-    assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2))
-    assert r.coeffs == (Fraction(1, 4),)
+    # x^2 = (2x + 1)(x/2 - 1/4) + 1/4 has no quotient over Z
+    with pytest.raises(ArithmeticError):
+        divmod(x ** 2, Poly([1, 2]))
+    with pytest.raises(ArithmeticError):
+        (x ** 2).divexact(Poly([1, 2]))
     f = RationalFn(Poly([1]), Poly([-1, 1]))
     assert f.eval(3) == Fraction(1, 2) and type(f.eval(3)) is Fraction
     g = RationalFn(Poly([4]), Poly([0, 1]))
@@ -140,6 +150,10 @@ def test_rational_fn_reduces():
     f = RationalFn((x + 1) * Poly.constant(2), (x + 1) * (x - 1) * Poly.constant(2))
     assert f.num == Poly.constant(1)
     assert f.den == x - 1
+    # the content cancels as well; a denominator left non-monic is refused
+    assert RationalFn(Poly([2]), Poly([0, 2])) == RationalFn(Poly([1]), x)
+    with pytest.raises(ValueError):
+        RationalFn(Poly([1]), Poly([1, 2]))
 
 
 def test_poly_gcd():
@@ -147,8 +161,42 @@ def test_poly_gcd():
     g = poly_gcd((x - 1) * (x + 2), (x - 1) * (x + 3))
     assert g == x - 1
     assert poly_gcd(x, Poly([])) == x
+    assert poly_gcd(Poly([]), Poly([-4, -6])) == Poly([4, 6])
+    # content is part of the gcd over Z; the leading coefficient is positive
+    assert poly_gcd(Poly([-4, -4]), Poly([6, 6])) == Poly([2, 2])
+    assert poly_gcd(Poly([3, 6]), Poly([5])) == Poly.constant(1)
+    # at the first xi = 6, gcd(8, 4) = 4 reads back as x - 2, which does not
+    # divide x + 2: the candidate is refused and xi grows
+    assert poly_gcd(x + 2, x - 2) == Poly.constant(1)
     with pytest.raises(ValueError):
         poly_gcd(Poly([]), Poly([]))
+
+
+# small coefficients give many common roots, large ones pass 2^64
+gcd_coeffs = st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.integers(min_value=-(1 << 70), max_value=1 << 70))
+
+
+@given(gc=st.lists(gcd_coeffs, min_size=1, max_size=6).filter(any),
+       ac=st.lists(gcd_coeffs, max_size=6),
+       bc=st.lists(gcd_coeffs, max_size=6))
+@example(gc=[2, 2], ac=[], bc=[3, 0, 3])
+@example(gc=[-1 << 65, 3], ac=[1, 1], bc=[1, -1])
+@settings(max_examples=200, deadline=None)
+def test_poly_gcd_matches_sympy(gc, ac, bc):
+    # oracle: sympy's gcd over ZZ of g*a and g*b, non-monic, non-primitive and
+    # with zero operands included
+    g = Poly(gc)
+    a, b = g * Poly(ac), g * Poly(bc)
+    if a.is_zero and b.is_zero:
+        return
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain=sympy.ZZ)
+
+    want = to_sympy(a).gcd(to_sympy(b))
+    assert poly_gcd(a, b).coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
 
 
 # oracle: den^deg(g) * g(num/den) agrees with plain rational evaluation
@@ -296,8 +344,9 @@ def test_integer_roots_reconstructs_products_of_linear_factors(rs):
 
 
 def test_matrix_holds_ints_only():
-    assert Matrix([[Fraction(4, 2)]])[0, 0] == 2
-    assert type(Matrix([[Fraction(4, 2)]])[0, 0]) is int
+    assert type(Matrix([[2]])[0, 0]) is int
+    with pytest.raises(TypeError):
+        Matrix([[Fraction(4, 2)]])
     with pytest.raises(TypeError):
         Matrix([[Fraction(1, 2)]])
     with pytest.raises(TypeError):
@@ -408,3 +457,29 @@ def test_adjugate_form_k2_all_ones():
     assert f == Poly([-1, 0, 1])
     assert form == Poly([2, 2])
     assert adjugate_quadratic_form(Matrix([[0, 1], [1, 0]]), [1, 1]) == Poly([2, 2])
+
+
+def test_fraction_appears_only_in_rational_fn_eval():
+    # int is the one scalar of the package: the name Fraction may appear only
+    # inside RationalFn.eval, whose value at a point need not be an integer,
+    # and in the one import of it in exact.py
+    offenders = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "exact.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name == "RationalFn":
+                    allowed |= {id(n) for f in node.body if getattr(f, "name", "") == "eval"
+                                for n in ast.walk(f)}
+                if (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                        and [(a.name, a.asname) for a in node.names] == [("Fraction", None)]):
+                    allowed.add(id(node))
+        for node in ast.walk(tree):
+            named = ((isinstance(node, ast.Name) and node.id == "Fraction")
+                     or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                     or (isinstance(node, (ast.Import, ast.ImportFrom))
+                         and any("Fraction" in (a.name, a.asname) for a in node.names)))
+            if named and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
