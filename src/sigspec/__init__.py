@@ -14,7 +14,7 @@ from .applications import (EquienergeticCertificate, IntegralityReport,
 from .coronal import (CoronalTriple, regular_balanced_coronal, signed_coronal,
                       star_coronal_closed_form)
 from .exact import (Matrix, Poly, RationalFn, adjugate_quadratic_form,
-                    charpoly, charpoly_with_adjugate_form,
+                    charpoly, charpoly_with_adjugate_form, charpolys,
                     compose_with_rational, integer_roots, poly_gcd)
 from .graphs import (Edge, GraphMatrices, MarkedSignedGraph, Marking,
                      SignedGraph, adjacency_matrix, balance_marking,
@@ -39,7 +39,7 @@ __all__ = [
     "star", "path", "cycle", "complete", "complete_bipartite", "prism",
     "line_graph",
     "Poly", "RationalFn", "Matrix", "poly_gcd",
-    "compose_with_rational", "integer_roots", "charpoly",
+    "compose_with_rational", "integer_roots", "charpoly", "charpolys",
     "charpoly_with_adjugate_form", "adjugate_quadratic_form",
     "CoronalTriple", "signed_coronal", "star_coronal_closed_form",
     "regular_balanced_coronal",

@@ -11,8 +11,13 @@ stored lowest degree first with no trailing zeros.
 
 Characteristic polynomials take one of two exact kernels by matrix order: a
 Faddeev-LeVerrier recursion on Python ints up to a small order, and above it
-Hessenberg reduction modulo word-size primes, batched over the primes in one
-int64 numpy array, lifted back to integers by CRT.
+Hessenberg reduction modulo word-size primes, lifted back to integers by CRT.
+That kernel takes a batch of same-order matrices, reduces each modulo one
+shared list of primes and runs all of them in one int64 numpy array, so
+``charpolys`` of many matrices costs a few numpy calls per column, not per
+column and matrix. The coronal's form shares the primes of its charpoly: the
+matrix and its rank-one update are one batch, and only their difference is
+lifted.
 """
 from __future__ import annotations
 
@@ -562,15 +567,17 @@ def _primes_past(bound: int) -> list[int]:
 def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Charpoly coefficients, lowest first, of each h[i] modulo p[i].
 
-    h is a (P, n, n) int64 batch of residues in [0, p). Each prime reduces its
-    matrix to upper Hessenberg form by similarity transforms over F_p, with its
-    own pivot row, which leave the charpoly unchanged; then the recurrence
+    h is a (B, n, n) int64 batch of residues in [0, p), and p a (B,) array in
+    which a prime repeats once per matrix reduced modulo it. Each residue
+    matrix is reduced to upper Hessenberg form by similarity transforms over
+    F_p, with its own pivot row, which leave the charpoly unchanged; then the
+    recurrence
     chi_m = (x - h_mm) chi_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) chi_{i-1}
     over the leading blocks gives the charpoly (Cohen, Alg. 2.2.9). h is
     overwritten.
     """
     count, n, _ = h.shape
-    batch = np.arange(count)
+    batch, primes = np.arange(count), p.tolist()
     p2, p3 = p[:, None], p[:, None, None]
     for m in range(n - 2):
         # pivot: the first row below the diagonal with a nonzero in column m;
@@ -585,8 +592,8 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
             cols = h[b, :, rb]
             h[b, :, rb] = h[b, :, m + 1]
             h[b, :, m + 1] = cols
-        inv = np.array([pow(int(x), -1, int(q)) if x else 0
-                        for x, q in zip(h[:, m + 1, m], p)], dtype=np.int64)
+        inv = np.array([pow(x, -1, q) if x else 0
+                        for x, q in zip(h[:, m + 1, m].tolist(), primes)], dtype=np.int64)
         u = h[:, m + 2:, m] * inv[:, None] % p2
         # h <- L^-1 h L with L = I + sum_i u_i e_i e_(m+1)^T: one rank-1 row
         # update, then one column update, both in place
@@ -616,64 +623,138 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 _BATCH_ENTRIES = 1 << 21
 
 
-def _multimodular_charpoly(rows: Sequence[Sequence[int]]) -> Poly:
-    """det(xI - a) of a square integer matrix, by Hessenberg reduction mod primes.
+def _charpoly_bound(n: int, rho: int) -> int:
+    """The largest C(n, k) * rho^k: a bound on every charpoly coefficient of
+    an order-n matrix whose largest absolute row sum is rho.
 
-    |c_k| <= C(n, k) * rho^k, where rho is the largest absolute row sum,
-    because c_k is a signed sum of C(n, k) principal minors of order k, each
-    at most rho^k. Primes are taken until their product exceeds twice that
-    bound, and the residues are lifted by CRT into the symmetric range. Every
-    prime works: a similarity over F_p keeps the charpoly, so there is no
-    unlucky prime to detect or retry.
+    c_k is a signed sum of C(n, k) principal minors of order k, and every
+    minor of order k is at most rho^k: by Hadamard, |det B| is at most the
+    product of the Euclidean norms of B's rows, and each is at most its
+    absolute sum, at most rho.
     """
-    n = len(rows)
-    rho = max(sum(abs(x) for x in r) for r in rows)
-    primes = _primes_past(2 * max(comb(n, k) * rho ** k for k in range(n + 1)))
+    return max(comb(n, k) * rho ** k for k in range(n + 1))
+
+
+def _max_row_sum(rows: Sequence[Sequence[int]]) -> int:
+    return max(sum(map(abs, r)) for r in rows)
+
+
+def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
+                       bound: int) -> tuple[list[int], np.ndarray]:
+    """Charpolys of T same-order integer matrices modulo one list of P primes.
+
+    The primes are the fewest whose product exceeds 2 * bound, so every
+    integer of absolute value at most bound is fixed by its residues (see
+    _crt_lift). Every matrix is reduced modulo every prime and the T*P
+    residue matrices go through _hessenberg_charpoly_mod as one batch, cut
+    into chunks of at most _BATCH_ENTRIES entries. Entries past int64 are
+    reduced as Python ints. Returns the primes and a (T, P, n + 1) int64
+    array of coefficient residues, lowest degree first. Every prime works: a
+    similarity over F_p keeps the charpoly, so there is no unlucky prime to
+    detect or retry.
+    """
+    n = len(mats[0])
+    primes = _primes_past(2 * bound)
     if n * (primes[0] - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"order {n} with primes near {primes[0]} would overflow int64")
-    # entries past int64 are reduced as Python ints
-    entries = np.array(rows, dtype=np.int64 if rho < 1 << 63 else object)
+    try:
+        entries = np.array(mats, dtype=np.int64)
+    except OverflowError:
+        entries = np.array(mats, dtype=object)
+    ps = np.array(primes, dtype=np.int64)
+    count = len(mats) * len(primes)
     step = max(1, _BATCH_ENTRIES // (n + 1) ** 2)
     parts = []
-    for lo in range(0, len(primes), step):
-        ps = np.array(primes[lo:lo + step], dtype=entries.dtype)
-        h = (entries[None] % ps[:, None, None]).astype(np.int64, copy=False)
-        parts.append(_hessenberg_charpoly_mod(h, ps.astype(np.int64)))
-    # CRT: c = sum_i r_i * (M/p_i) * ((M/p_i)^-1 mod p_i) mod M
+    for lo in range(0, count, step):
+        t, q = np.divmod(np.arange(lo, min(count, lo + step)), len(primes))
+        p = ps[q]
+        h = entries[t] % p.astype(entries.dtype)[:, None, None]
+        parts.append(_hessenberg_charpoly_mod(h.astype(np.int64, copy=False), p))
+    return primes, np.concatenate(parts).reshape(len(mats), len(primes), n + 1)
+
+
+def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
+    """The integer polynomials with these residues and coefficients below prod(primes)/2.
+
+    residues is (T, P, k): T polynomials, each as k coefficient residues
+    modulo each of the P primes. CRT gives
+    c = sum_i r_i * (M/p_i) * ((M/p_i)^-1 mod p_i) mod M, taken into the
+    symmetric range.
+    """
     modulus = prod(primes)
     weights = np.array([(modulus // q) * pow(modulus // q, -1, q) for q in primes],
                        dtype=object)
-    lifted = np.concatenate(parts).T.astype(object) @ weights
     half = modulus // 2
-    return Poly([c if c <= half else c - modulus for c in (int(x) % modulus for x in lifted)])
+    return [Poly([c if c <= half else c - modulus for c in (int(x) % modulus for x in row)])
+            for row in residues.transpose(0, 2, 1).astype(object) @ weights]
+
+
+def charpolys(mats: Sequence[Matrix]) -> list[Poly]:
+    """det(xI - m) of each square integer matrix, in order.
+
+    Matrices at or below order _FL_MAX go through Faddeev-LeVerrier one at a
+    time. Above it, the matrices of each order are one batch of the
+    multimodular kernel, modulo primes for the largest bound in the batch.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        if not m.is_square:
+            raise ValueError("characteristic polynomial of a non-square matrix")
+        groups.setdefault(m.nrows, []).append(i)
+    out: list[Poly] = [Poly()] * len(mats)
+    for n, idx in groups.items():
+        if n <= _FL_MAX:
+            for i in idx:
+                out[i] = _faddeev_leverrier(mats[i], None)[0]
+            continue
+        rows = [mats[i].rows() for i in idx]
+        bound = _charpoly_bound(n, max(map(_max_row_sum, rows)))
+        for i, f in zip(idx, _crt_lift(*_charpoly_residues(rows, bound))):
+            out[i] = f
+    return out
+
+
+def charpoly(a: Matrix) -> Poly:
+    """det(xI - a), monic, with integer coefficients."""
+    return charpolys([a])[0]
 
 
 def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
     """Characteristic polynomial of a, and u^T adj(xI - a) u if u is given.
 
     At or below order _FL_MAX both come out of one Faddeev-LeVerrier
-    recursion. Above it the charpoly comes from the multimodular Hessenberg
-    kernel, and the form from the matrix determinant lemma:
-    det(xI - a - u u^T) = chi_a(x) - u^T adj(xI - a) u.
+    recursion. Above it the form comes from the matrix determinant lemma,
+    det(xI - a - u u^T) = chi_a(x) - u^T adj(xI - a) u: a and a + u u^T are
+    one batch of the multimodular kernel, modulo one list of primes. chi_a is
+    lifted from the residues of a, and the form from the difference of the
+    two residues. chi_(a + u u^T) itself is never lifted, so its larger row
+    sums do not set the prime count.
+
+    The primes cover the larger of two bounds, with rho the largest absolute
+    row sum of a: C(n, k) * rho^k on the coefficient of x^(n-k) of chi_a (see
+    _charpoly_bound), and |u|_1^2 * C(n-1, k) * rho^k on the coefficient of
+    x^(n-1-k) of the form. The form bound holds because each coefficient of a
+    cofactor of xI - a is a sum of at most C(n-1, k) minors of a of order k,
+    each at most rho^k, and the form sums these cofactors with weights
+    u_i * u_j whose absolute values add up to |u|_1^2.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if u is not None and len(u) != a.nrows:
+    if u is None:
+        return charpoly(a), None
+    if len(u) != a.nrows:
         raise ValueError("vector length differs from matrix size")
-    uv = None if u is None else [_exact(x) for x in u]
-    if a.nrows <= _FL_MAX:
+    uv = [_exact(x) for x in u]
+    n, rows = a.nrows, a.rows()
+    if n <= _FL_MAX:
         return _faddeev_leverrier(a, uv)
-    f = _multimodular_charpoly(a.rows())
-    if uv is None:
-        return f, None
-    shifted = [[x + ui * uj for x, uj in zip(r, uv)] for r, ui in zip(a.rows(), uv)]
-    return f, f - _multimodular_charpoly(shifted)
-
-
-def charpoly(a: Matrix) -> Poly:
-    """det(xI - a), monic, with integer coefficients."""
-    f, _ = charpoly_with_adjugate_form(a, None)
-    return f
+    rho = _max_row_sum(rows)
+    bound = max(_charpoly_bound(n, rho), sum(map(abs, uv)) ** 2 * _charpoly_bound(n - 1, rho))
+    shifted = [[x + ui * uj for x, uj in zip(r, uv)] for r, ui in zip(rows, uv)]
+    primes, (chi, chi_shifted) = _charpoly_residues([rows, shifted], bound)
+    diff = (chi - chi_shifted) % np.array(primes, dtype=np.int64)[:, None]
+    f, form = _crt_lift(primes, np.stack([chi, diff]))
+    return f, form
 
 
 def adjugate_quadratic_form(a: Matrix, u: Sequence[int]) -> Poly:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Matrix, Poly, charpoly, integer_roots
+from .exact import Matrix, Poly, charpoly, charpolys, integer_roots
 from .graphs import MarkedSignedGraph, SignedGraph, adjacency_matrix, matrices
 
 
@@ -78,8 +78,8 @@ def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:
     g1, g2 = _graph_of(mg1), _graph_of(mg2)
     if matrix_kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {matrix_kind!r}")
-    return (charpoly(getattr(matrices(g1), matrix_kind))
-            == charpoly(getattr(matrices(g2), matrix_kind)))
+    f1, f2 = charpolys([getattr(matrices(g), matrix_kind) for g in (g1, g2)])
+    return f1 == f2
 
 
 @dataclass(frozen=True)

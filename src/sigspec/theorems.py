@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Literal
 
 from .coronal import CoronalTriple, signed_coronal
-from .exact import Matrix, Poly, charpoly, compose_with_rational
+from .exact import Matrix, Poly, charpoly, charpolys, compose_with_rational
 from .graphs import (MarkedSignedGraph, adjacency_matrix, matrices,
                      mu_signed_graph, regular_degree, require_regular)
 
@@ -105,18 +105,25 @@ def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     the second factor may be any graph. degree_mode picks d for L and Q and
     is ignored for A.
     """
+    return _factored_charpolys(mg1, mg2, kind, [degree_mode])[0]
+
+
+def _factored_charpolys(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph, kind: MatrixKind,
+                        degree_modes: list[DegreeMode]) -> list[FactoredCharPoly]:
+    # one factored charpoly per degree mode; the copy block and its coronal
+    # do not depend on d, so all of them share one coronal
     n2 = mg2.graph.n
     mu_graph2 = mu_signed_graph(mg2)
     if kind == "A":
-        d, copy_block = 0, adjacency_matrix(mu_graph2)
+        ds, copy_block = [0] * len(degree_modes), adjacency_matrix(mu_graph2)
     elif kind in ("L", "Q"):
         r1 = require_regular(mg1.graph, "first factor")
-        d = _a_degree(r1, n2, degree_mode)
+        ds = [_a_degree(r1, n2, mode) for mode in degree_modes]
         copy_block = getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2)
     else:
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    return _factored_from_coronal(mg1, n2, kind, d,
-                                  signed_coronal(copy_block, list(mg2.marking)))
+    coro = signed_coronal(copy_block, list(mg2.marking))
+    return [_factored_from_coronal(mg1, n2, kind, d, coro) for d in ds]
 
 
 def _factored_from_coronal(mg1: MarkedSignedGraph, n2: int, kind: MatrixKind,
@@ -178,8 +185,7 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
 
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    f_a = charpoly(adjacency_matrix(mu_signed_graph(mg_a)))
-    f_b = charpoly(adjacency_matrix(mu_signed_graph(mg_b)))
+    f_a, f_b = charpolys([adjacency_matrix(mu_signed_graph(x)) for x in (mg_a, mg_b)])
     hypothesis_cospectral = f_a == f_b
     hypothesis_coronal: bool | None = None
     if side == "right":
@@ -194,13 +200,12 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
     l_match = q_match = None
     if regular:
         ma, mb = matrices(pa.graph), matrices(pb.graph)
-        a_match = charpoly(ma.A) == charpoly(mb.A)
-        l_match = charpoly(ma.L) == charpoly(mb.L)
-        q_match = charpoly(ma.Q) == charpoly(mb.Q)
+        fs = charpolys([ma.A, mb.A, ma.L, mb.L, ma.Q, mb.Q])
+        a_match, l_match, q_match = (fs[k] == fs[k + 1] for k in (0, 2, 4))
     else:
         # only A is compared, so only A is built
-        a_match = (charpoly(adjacency_matrix(pa.graph.graph))
-                   == charpoly(adjacency_matrix(pb.graph.graph)))
+        fa, fb = charpolys([adjacency_matrix(pa.graph.graph), adjacency_matrix(pb.graph.graph)])
+        a_match = fa == fb
     return CospectralFamilyReport(side=side,
                                   hypothesis_cospectral=hypothesis_cospectral,
                                   hypothesis_coronal_equal=hypothesis_coronal,

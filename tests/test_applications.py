@@ -157,19 +157,21 @@ def test_equienergetic_product_charpolys_match_direct(base):
 
 def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
     # every exact charpoly goes through one of the two kernels; the demo's
-    # largest should be the order-18 inputs, never the order-72 products
+    # largest should be the order-18 inputs, never the order-72 products.
+    # Every matrix of a multimodular batch is recorded, so the rank-one update
+    # a coronal puts in its batch counts too
     orders = []
-    multimodular, leverrier = exact._multimodular_charpoly, exact._faddeev_leverrier
+    multimodular, leverrier = exact._charpoly_residues, exact._faddeev_leverrier
 
-    def recorded_multimodular(rows):
-        orders.append(len(rows))
-        return multimodular(rows)
+    def recorded_multimodular(mats, bound):
+        orders.extend(len(rows) for rows in mats)
+        return multimodular(mats, bound)
 
     def recorded_leverrier(a, u):
         orders.append(a.nrows)
         return leverrier(a, u)
 
-    monkeypatch.setattr(exact, "_multimodular_charpoly", recorded_multimodular)
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded_multimodular)
     monkeypatch.setattr(exact, "_faddeev_leverrier", recorded_leverrier)
     assert equienergetic_demo().valid
     assert orders and max(orders) <= 18

@@ -1,5 +1,6 @@
 import ast
 import random
+from math import comb
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from sigspec import exact
-from sigspec.exact import (_FL_MAX, Matrix, Poly, RationalFn, _faddeev_leverrier,
-                           _multimodular_charpoly, _primes_past,
-                           adjugate_quadratic_form, charpoly,
-                           charpoly_with_adjugate_form, compose_with_rational,
-                           integer_roots, poly_gcd)
+from sigspec.exact import (_FL_MAX, Matrix, Poly, RationalFn, _charpoly_bound,
+                           _charpoly_residues, _crt_lift, _faddeev_leverrier,
+                           _max_row_sum, _primes_past, adjugate_quadratic_form,
+                           charpoly, charpoly_with_adjugate_form, charpolys,
+                           compose_with_rational, integer_roots, poly_gcd)
 
 # small exact entries keep the sympy oracles affordable inside properties
 entries = st.integers(min_value=-4, max_value=4)
@@ -422,7 +423,74 @@ def test_multimodular_kernel_matches_faddeev_leverrier(sm):
     # every order, including those below the cutoff that charpoly never sends
     # to the kernel
     _, m = sm
-    assert _multimodular_charpoly(m.rows()) == _faddeev_leverrier(m, None)[0]
+    bound = _charpoly_bound(m.nrows, _max_row_sum(m.rows()))
+    assert _crt_lift(*_charpoly_residues([m.rows()], bound)) == [_faddeev_leverrier(m, None)[0]]
+
+
+@st.composite
+def matrix_batches(draw):
+    """Inputs for charpolys: matrices of mixed orders on both sides of the
+    cutoff, then up to three of one order above it whose entries go up to 1,
+    2^20 or 2^70, so one prime list chosen for the largest row sum serves
+    small and huge matrices alike, and entries past 2^63 share a batch with
+    int64 ones. The order of the list is shuffled.
+    """
+    mats = [m for _, m in draw(st.lists(kernel_matrices(), max_size=4))]
+    n = draw(st.integers(min_value=_FL_MAX + 1, max_value=_FL_MAX + 3))
+    for scale in draw(st.lists(st.sampled_from([1, 1 << 20, 1 << 70]), max_size=3)):
+        flat = draw(st.lists(st.integers(min_value=-scale, max_value=scale),
+                             min_size=n * n, max_size=n * n))
+        mats.append(Matrix([flat[i * n:(i + 1) * n] for i in range(n)]))
+    return draw(st.permutations(mats))
+
+
+@given(mats=matrix_batches())
+@example(mats=[])
+@example(mats=[ABOVE_CUTOFF[2][1], Matrix.diagonal([1] * (_FL_MAX + 1)), ABOVE_CUTOFF[1][1],
+               Matrix([[3]]), ABOVE_CUTOFF[0][1]])
+@settings(max_examples=30, deadline=None)
+def test_charpolys_match_charpoly_and_faddeev_leverrier(mats):
+    got = charpolys(mats)
+    assert got == [charpoly(m) for m in mats]
+    assert got == [_faddeev_leverrier(m, None)[0] for m in mats]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_adjugate_form_within_its_bound(seed):
+    # coefficient k of u^T adj(xI - a) u, counted from the top, is at most
+    # |u|_1^2 * C(n-1, k) * rho^k: the bound the shared primes are chosen for
+    rng = random.Random(seed)
+    n = rng.randint(_FL_MAX + 1, 40)
+    m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    u = [rng.choice((1, -1)) for _ in range(n)]
+    form = adjugate_quadratic_form(m, u)
+    assert form == _faddeev_leverrier(m, u)[1]
+    rho = _max_row_sum(m.rows())
+    for k in range(n):
+        assert abs(form.coeff(n - 1 - k)) <= n * n * comb(n - 1, k) * rho ** k
+
+
+def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
+    # a and a + u u^T are one kernel batch, modulo primes for the larger of the
+    # charpoly and form bounds of a; a + u u^T alone would need far more
+    calls = []
+    kernel = exact._charpoly_residues
+
+    def recorded(mats, bound):
+        calls.append((len(mats), bound))
+        return kernel(mats, bound)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    n = 2 * _FL_MAX
+    cycle = Matrix([[1 if abs(i - j) in (1, n - 1) else 0 for j in range(n)] for i in range(n)])
+    u = [1, -1, -1] * (n // 3) + [1] * (n % 3)
+    assert charpoly_with_adjugate_form(cycle, u) == _faddeev_leverrier(cycle, u)
+    bound = max(_charpoly_bound(n, 2), n * n * _charpoly_bound(n - 1, 2))
+    assert calls == [(2, bound)]
+    shifted = [[x + ui * uj for x, uj in zip(r, u)] for r, ui in zip(cycle.rows(), u)]
+    assert (2 * len(_primes_past(2 * bound))
+            < len(_primes_past(2 * _charpoly_bound(n, 2)))
+            + len(_primes_past(2 * _charpoly_bound(n, _max_row_sum(shifted)))))
 
 
 def test_kernel_primes_are_prime_and_cover_the_bound():
