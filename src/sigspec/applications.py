@@ -6,15 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coronal import star_coronal_closed_form
-from .exact import Poly, charpoly, compose_with_rational, integer_roots, poly_gcd
+from .coronal import signed_coronal, star_coronal_closed_form
+from .exact import Poly, charpoly, compose_with_rational, integer_roots
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree)
-from .product import product
-from .spectra import energy, symmetric_eigenvalues
-from .theorems import (FactoredCharPoly, _factored_from_coronal,
-                       coronal_of_mu_graph, factored_charpoly)
+from .spectra import EnergyValue, symmetric_eigenvalues
+from .theorems import FactoredCharPoly, _factored_from_coronal, factored_charpoly
 
 
 @dataclass(frozen=True)
@@ -186,20 +184,20 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     """Certify that mg*mg1 and mg*mg2 are equienergetic but not cospectral.
 
     Hypotheses on the mu-graphs of mg1 and mg2: not cospectral (exact),
-    equienergetic within tol, equal reduced coronals. On failure the products
-    are not built and the certificate names the failed clauses.
+    equienergetic within tol, equal reduced coronals. On failure no product
+    quantity is computed and the certificate names the failed clauses.
 
-    The input charpolys and the product charpolys come from the factors
-    alone: each input's charpoly is den * shared of its reduced coronal, and
-    each product's charpoly is the assembled factored A form of mg * mg_k,
-    built from that same coronal. No exact charpoly of a product matrix is
-    computed; the products are built only for their order and for the float
-    eigenvalues behind the product energies.
+    Everything comes from the factors alone; no product is built. Each
+    input's charpoly is den * shared of its reduced coronal. Each product's
+    charpoly is the assembled factored A form of mg * mg_k, built from that
+    same coronal, and its energy is factored_energy_estimate of that form:
+    eigenvalues of n1 bordered matrices of order n2 + 1.
     """
-    m1, m2 = mu_signed_graph(mg1), mu_signed_graph(mg2)
-    c1, c2 = coronal_of_mu_graph(mg1), coronal_of_mu_graph(mg2)
+    inputs = (mg1, mg2)
+    blocks = [adjacency_matrix(mu_signed_graph(x)) for x in inputs]
+    c1, c2 = (signed_coronal(b, x.marking.signs) for b, x in zip(blocks, inputs))
+    e1, e2 = (EnergyValue.of(symmetric_eigenvalues(b), tol) for b in blocks)
     non_cospectral = c1.charpoly != c2.charpoly
-    e1, e2 = energy(m1, tol=tol), energy(m2, tol=tol)
     equienergetic = abs(e1.value - e2.value) <= tol
     coronal_equal = (c1.num, c1.den) == (c2.num, c2.den)
     r1, r2 = regular_degree(mg1.graph), regular_degree(mg2.graph)
@@ -221,14 +219,13 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
             input_energy_1=e1.value, input_energy_2=e2.value)
 
     # c1 and c2 are the coronals of the products' copy blocks A(mg_k^mu), so
-    # the factored A form needs no further coronal and no product matrix
-    pf1 = _factored_from_coronal(mg, mg1.graph.n, "A", 0, c1).assembled
-    pf2 = _factored_from_coronal(mg, mg2.graph.n, "A", 0, c2).assembled
-    # the products are built for their order and float energies only
-    p1, p2 = product(mg, mg1), product(mg, mg2)
-    pe1, pe2 = energy(p1.graph, tol=tol), energy(p2.graph, tol=tol)
+    # the factored A forms need no further coronal and no product matrix
+    f1, f2 = (_factored_from_coronal(mg, "A", 0, b, x.marking.signs, c)
+              for b, x, c in zip(blocks, inputs, (c1, c2)))
+    pf1, pf2 = f1.assembled, f2.assembled
+    pe1, pe2 = factored_energy_estimate(f1), factored_energy_estimate(f2)
     products_non_cospectral = pf1 != pf2
-    energy_close = abs(pe1.value - pe2.value) <= tol
+    energy_close = abs(pe1 - pe2) <= tol
     if not products_non_cospectral:
         failed.append("products are cospectral")
     if not energy_close:
@@ -239,8 +236,8 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
         equienergetic_inputs=equienergetic, coronal_equal=coronal_equal,
         regular_shortcut=shortcut,
         input_energy_1=e1.value, input_energy_2=e2.value,
-        product_order=p1.graph.graph.n,
-        product_energy_1=pe1.value, product_energy_2=pe2.value,
+        product_order=2 * mg.graph.n * mg1.graph.n,
+        product_energy_1=pe1, product_energy_2=pe2,
         products_non_cospectral=products_non_cospectral,
         product_charpoly_1=pf1, product_charpoly_2=pf2)
 
@@ -269,32 +266,21 @@ def equienergetic_demo(tol: float = 1e-9,
 def factored_energy_estimate(fc: FactoredCharPoly) -> float:
     """Energy read off a factored charpoly: sum of |root| over all factors.
 
-    The bracket's roots are found per eigenvalue lam_i of its matrix, as the
-    roots of the small polynomial u - lam_i * v (np.roots), never from the
-    whole high-degree bracket, whose roots are ill-conditioned. The shared
-    factor counts shared_exponent times and the repeated linear factor
-    contributes |root| * exponent. np.roots would split a repeated root of
-    the shared factor into a complex cluster, so that factor is peeled into
-    square-free layers first: p / gcd(p, p') has every root of p once, and
-    gcd(p, p') keeps the rest.
+    For each eigenvalue lam of fc.bracket_matrix, the bordered matrix
+    B = [[d + lam*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]], with N the copy
+    block, mu2 its marking and d the root of the linear factor, has
+    det(xI - B) = shared * (u - lam*v) (see FactoredCharPoly). The eigenvalues
+    of these n1 symmetric matrices of order n2 + 1 are therefore the roots of
+    shared^n1 * bracket, and the energy is n1(n2 - 1)*|d| plus the sum of
+    their absolute values. No polynomial root is ever taken.
     """
-    total = fc.linear_exponent * abs(float(-fc.linear_factor.coeff(0)))
-
-    def floats(p: Poly, k: int) -> np.ndarray:
-        # k coefficients, highest degree first, as np.roots takes them
-        return np.array([float(p.coeff(i)) for i in range(k - 1, -1, -1)])
-
-    def root_sum(coeffs: np.ndarray) -> float:
-        return float(np.abs(np.roots(coeffs)).sum())
-
-    p = fc.shared_factor
-    while p.degree > 0:
-        g = poly_gcd(p, Poly([k * c for k, c in enumerate(p.coeffs)][1:]))
-        distinct = p.divexact(g)
-        total += fc.shared_exponent * root_sum(floats(distinct, len(distinct.coeffs)))
-        p = g
-    k = max(len(fc.bracket_u.coeffs), len(fc.bracket_v.coeffs))
-    u, v = floats(fc.bracket_u, k), floats(fc.bracket_v, k)
+    d = -fc.linear_factor.coeff(0)
+    n2 = fc.copy_block.nrows
+    b = np.zeros((n2 + 1, n2 + 1))
+    b[1:, 1:] = fc.copy_block.rows()
+    b[0, 1:] = b[1:, 0] = math.sqrt(n2) * np.array(fc.copy_marking)
+    total = fc.linear_exponent * abs(float(d))
     for lam in symmetric_eigenvalues(fc.bracket_matrix).values:
-        total += root_sum(u - lam * v)
+        b[0, 0] = d + lam * n2
+        total += sum(abs(x) for x in symmetric_eigenvalues(b).values)
     return total

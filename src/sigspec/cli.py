@@ -21,8 +21,8 @@ from .applications import (equienergetic_demo, integral_product_check,
                            star_product_integral_check)
 from .coronal import signed_coronal
 from .exact import Poly, charpoly, integer_roots
-from .graphs import (MarkedSignedGraph, Marking, SignedGraph, complete,
-                     complete_bipartite, cycle, line_graph, matrices,
+from .graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
+                     complete, complete_bipartite, cycle, line_graph, matrices,
                      mu_signed_graph, path, prism, star)
 from .io import GraphFormatError, load_graph, serialize_graph
 from .product import product
@@ -144,7 +144,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_energy(args) -> int:
     started = time.perf_counter()
     mg = load_graph(args.input)
-    spec = symmetric_eigenvalues(matrices(mg).A)
+    spec = symmetric_eigenvalues(adjacency_matrix(mg.graph))
     e = EnergyValue.of(spec, args.tol)
     _emit(args, {
         "command": "energy",

@@ -450,9 +450,14 @@ class Matrix:
         width = len(rows[0])
         packed = []
         for r in rows:
-            if len(r) != width:
+            row = tuple(r)
+            if len(row) != width:
                 raise ValueError("ragged matrix rows")
-            packed.append(tuple(_exact(x) for x in r))
+            if not set(map(type, row)) <= {int}:
+                # raises on the first entry that is not an int
+                for x in row:
+                    _exact(x)
+            packed.append(row)
         self._rows = tuple(packed)
         self.nrows = len(packed)
         self.ncols = width

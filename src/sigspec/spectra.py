@@ -56,21 +56,17 @@ class EnergyValue:
                    tolerance=tol * len(spec.values))
 
 
-def _adjacency_of(mg) -> Matrix:
+def _graph_of(mg) -> SignedGraph:
     if isinstance(mg, MarkedSignedGraph):
-        return adjacency_matrix(mg.graph)
+        return mg.graph
     if isinstance(mg, SignedGraph):
-        return adjacency_matrix(mg)
-    raise TypeError("energy expects a signed graph or marked signed graph")
+        return mg
+    raise TypeError("expected a signed graph or marked signed graph")
 
 
 def energy(mg, tol: float = 1e-9) -> EnergyValue:
     """Graph energy: sum of |eigenvalue| over the adjacency spectrum."""
-    return EnergyValue.of(symmetric_eigenvalues(_adjacency_of(mg)), tol)
-
-
-def _graph_of(mg) -> SignedGraph:
-    return mg.graph if isinstance(mg, MarkedSignedGraph) else mg
+    return EnergyValue.of(symmetric_eigenvalues(adjacency_matrix(_graph_of(mg))), tol)
 
 
 def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:

@@ -46,11 +46,17 @@ class FactoredCharPoly:
 
     linear is x - d for the clone-block diagonal d, shared the cofactor of
     the copy block's reduced coronal den in its charpoly, and the bracket is
-    prod_i (bracket_u - lam_i * bracket_v) over the eigenvalues lam_i of the
-    integer matrix bracket_matrix, so its roots can be found one small
-    polynomial per eigenvalue. All three factors are monic. The expansion is
-    built on first access only, because integrality and energy need the
-    factors alone.
+    prod_i (u - lam_i * v), with u and v as in the module docstring, over the
+    eigenvalues lam_i of the integer matrix bracket_matrix. For each lam_i
+    the symmetric bordered matrix
+
+        B = [[d + lam_i*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]]
+
+    of order n2 + 1, with N the copy block and mu2 the copy marking, has
+    det(xI - B) = shared * (u - lam_i * v) by its Schur complement, so the
+    roots of shared^n1 * bracket are the eigenvalues of n1 such matrices.
+    All three factors are monic. The expansion is built on first access
+    only, because integrality and energy need the factors alone.
     """
 
     matrix_kind: MatrixKind
@@ -59,9 +65,9 @@ class FactoredCharPoly:
     shared_factor: Poly
     shared_exponent: int
     bracket: Poly
-    bracket_u: Poly
-    bracket_v: Poly
     bracket_matrix: Matrix
+    copy_block: Matrix
+    copy_marking: tuple[int, ...]
 
     @cached_property
     def assembled(self) -> Poly:
@@ -122,16 +128,18 @@ def _factored_charpolys(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph, kind: Ma
         copy_block = getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2)
     else:
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    coro = signed_coronal(copy_block, list(mg2.marking))
-    return [_factored_from_coronal(mg1, n2, kind, d, coro) for d in ds]
+    marking = mg2.marking.signs
+    coro = signed_coronal(copy_block, marking)
+    return [_factored_from_coronal(mg1, kind, d, copy_block, marking, coro) for d in ds]
 
 
-def _factored_from_coronal(mg1: MarkedSignedGraph, n2: int, kind: MatrixKind,
-                           d: int, coro: CoronalTriple) -> FactoredCharPoly:
+def _factored_from_coronal(mg1: MarkedSignedGraph, kind: MatrixKind, d: int,
+                           copy_block: Matrix, marking: tuple[int, ...],
+                           coro: CoronalTriple) -> FactoredCharPoly:
     # the formula once the copy block's reduced coronal is known; callers
-    # that already hold it (the A form's coronal is coronal_of_mu_graph of
-    # the second factor) skip recomputing it
-    n1 = mg1.graph.n
+    # that already hold it (the A form's coronal is the second factor's
+    # mu-adjacency coronal) skip recomputing it
+    n1, n2 = mg1.graph.n, copy_block.nrows
     linear = Poly.linear(-d)
     u = linear * coro.den - n2 * coro.num
     v = n2 * coro.den
@@ -143,7 +151,8 @@ def _factored_from_coronal(mg1: MarkedSignedGraph, n2: int, kind: MatrixKind,
                             linear_exponent=n1 * (n2 - 1), shared_factor=coro.shared,
                             shared_exponent=n1,
                             bracket=compose_with_rational(charpoly(m), u, v),
-                            bracket_u=u, bracket_v=v, bracket_matrix=m)
+                            bracket_matrix=m, copy_block=copy_block,
+                            copy_marking=marking)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import hashlib
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,11 @@ from sigspec.applications import (equienergetic_demo, equienergetic_family,
                                   integral_product_check, star_bracket_cubic,
                                   star_bracket_cubic_expanded,
                                   star_product_integral_check)
-from sigspec import applications, exact
+from sigspec import applications, exact, graphs
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph,
-                            adjacency_matrix, complete, cycle, path, star)
-from sigspec.sampling import random_marked_graph
+                            adjacency_matrix, complete, cycle, path,
+                            regular_degree, star)
+from sigspec.sampling import REGULAR_FAMILIES, random_marked_graph
 from sigspec.spectra import is_integral
 from sigspec.theorems import factored_charpoly
 from sigspec.product import product
@@ -22,7 +25,6 @@ from sigspec.exact import charpoly
 
 
 def rngs():
-    import random
     return st.integers(min_value=0, max_value=10 ** 6).map(random.Random)
 
 
@@ -151,8 +153,13 @@ def test_equienergetic_product_charpolys_match_direct(base):
     g1, g2 = demo_equienergetic_pair()
     cert = equienergetic_family(g1, g2, base)
     assert cert.valid
-    for mgk, pf in ((g1, cert.product_charpoly_1), (g2, cert.product_charpoly_2)):
-        assert pf == charpoly(adjacency_matrix(product(base, mgk).graph.graph))
+    for mgk, pf, pe in ((g1, cert.product_charpoly_1, cert.product_energy_1),
+                        (g2, cert.product_charpoly_2, cert.product_energy_2)):
+        a = adjacency_matrix(product(base, mgk).graph.graph)
+        assert cert.product_order == a.nrows
+        assert pf == charpoly(a)
+        direct = float(np.abs(np.linalg.eigvalsh(np.array(a.rows(), dtype=float))).sum())
+        assert abs(pe - direct) <= 1e-12 * direct
 
 
 def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
@@ -175,6 +182,21 @@ def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
     monkeypatch.setattr(exact, "_faddeev_leverrier", recorded_leverrier)
     assert equienergetic_demo().valid
     assert orders and max(orders) <= 18
+
+
+def test_equienergetic_demo_builds_no_product(monkeypatch):
+    # order, energies and charpolys all come from the factors, so no graph
+    # beyond the order-18 inputs is ever constructed
+    sizes = []
+    init = graphs.SignedGraph.__init__
+
+    def recorded(self, n, edges=()):
+        sizes.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
+    assert equienergetic_demo().valid
+    assert sizes and max(sizes) <= 18
 
 
 @pytest.mark.parametrize("center_mark, calls", [(1, 2), (-1, 3)])
@@ -227,17 +249,60 @@ def test_factored_energy_estimate_matches_exact_route():
     assert abs(est - direct.value) < 1e-7
 
 
+def built_product(mg1, mg2, kind):
+    """A, L or Q of the built product as a float array."""
+    g = product(mg1, mg2).graph.graph
+    a = np.zeros((g.n, g.n))
+    for i, j, s in g.edges:
+        a[i, j] = a[j, i] = s
+    degrees = np.diag(np.abs(a).sum(axis=1))
+    return {"A": a, "L": degrees - a, "Q": degrees + a}[kind]
+
+
+def bordered_spectrum(fc):
+    """d repeated, then eigvalsh of [[d + lam*n2, sqrt(n2) mu2^T], [sqrt(n2) mu2, N]]."""
+    d = -fc.linear_factor.coeff(0)
+    n2 = fc.copy_block.nrows
+    values = [float(d)] * fc.linear_exponent
+    for lam in np.linalg.eigvalsh(np.array(fc.bracket_matrix.rows(), dtype=float)):
+        b = np.zeros((n2 + 1, n2 + 1))
+        b[0, 0] = d + lam * n2
+        b[0, 1:] = b[1:, 0] = np.sqrt(n2) * np.array(fc.copy_marking)
+        b[1:, 1:] = fc.copy_block.rows()
+        values.extend(np.linalg.eigvalsh(b))
+    return np.sort(values)
+
+
+def irregular_marked_graph(rng):
+    while True:
+        n = rng.randint(3, 7)
+        g = SignedGraph(n, [(i, j, rng.choice((1, -1)))
+                            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        if regular_degree(g) is None:
+            return MarkedSignedGraph(g, Marking([rng.choice((1, -1)) for _ in range(n)]))
+
+
 def test_factored_energy_estimate_order_200():
-    # the roots of the whole order-200 bracket are ill-conditioned; per
-    # eigenvalue they are not. Q of C10 x C10 has a shared factor with double
-    # roots, which np.roots alone would split into complex pairs
-    from sigspec.spectra import symmetric_eigenvalues
-    for kind, mg1, mg2 in (("A", mk(cycle(10)), mk(path(10))),
-                           ("Q", mk(cycle(10)), mk(cycle(10)))):
+    # products of order 200 to 2048. The shared factor of C_n x C_n has
+    # repeated roots clustered in a short interval, so any route through
+    # polynomial roots loses digits here; the bordered matrices do not
+    cases = [("A", mk(cycle(10)), mk(path(10))), ("Q", mk(cycle(10)), mk(cycle(10)))]
+    cases += [(kind, mk(cycle(n)), mk(cycle(n))) for n in (20, 24, 32) for kind in "LQ"]
+    for kind, mg1, mg2 in cases:
         est = factored_energy_estimate(factored_charpoly(mg1, mg2, kind))
-        built = getattr(matrices(product(mg1, mg2).graph), kind)
-        direct = sum(abs(v) for v in symmetric_eigenvalues(built).values)
-        assert abs(est - direct) <= 1e-9 * direct, kind
+        direct = float(np.abs(np.linalg.eigvalsh(built_product(mg1, mg2, kind))).sum())
+        assert abs(est - direct) <= 1e-12 * direct, (kind, mg1.graph.n)
+    # the bordered matrices give every eigenvalue of the built product, for
+    # A, L and Q with an irregular second factor (constructed degree mode)
+    rng = random.Random(13)
+    for trial in range(90):
+        kind = "ALQ"[trial % 3]
+        mg1 = random_marked_graph(rng, max_n=5, families=REGULAR_FAMILIES)
+        mg2 = irregular_marked_graph(rng)
+        fc = factored_charpoly(mg1, mg2, kind)
+        direct = np.linalg.eigvalsh(built_product(mg1, mg2, kind))
+        assert np.max(np.abs(bordered_spectrum(fc) - direct)) <= 1e-10, (kind, mg1, mg2)
+        assert abs(factored_energy_estimate(fc) - np.abs(direct).sum()) <= 1e-10 * len(direct)
 
 
 def test_factored_assembles_to_direct_charpoly_for_demo_base():

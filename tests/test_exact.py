@@ -551,3 +551,21 @@ def test_fraction_appears_only_in_rational_fn_eval():
             if named and id(node) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_numpy_polynomial_roots():
+    # every float eigenvalue comes from eigvalsh of a symmetric matrix; roots
+    # of a high-degree polynomial with clustered roots lose digits
+    offenders = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            base = node
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            on_numpy = isinstance(base, ast.Name) and base.id in ("np", "numpy")
+            if ((isinstance(node, ast.Attribute) and node.attr == "roots" and on_numpy)
+                    or (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").startswith("numpy")
+                        and any(a.name == "roots" for a in node.names))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
