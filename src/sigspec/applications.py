@@ -7,30 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coronal import signed_coronal, star_coronal_closed_form
-from .exact import Poly, charpoly, compose_with_rational, integer_roots
+from .exact import Poly, RationalFn, charpoly, compose_with_rational
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree)
-from .spectra import EnergyValue, symmetric_eigenvalues
+from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
 from .theorems import FactoredCharPoly, _factored_from_coronal, factored_charpoly
-
-
-@dataclass(frozen=True)
-class FactorIntegrality:
-    """Integer-root extraction of one factor of a factored charpoly."""
-
-    polynomial: Poly
-    roots: tuple[int, ...]
-    quotient: Poly
-
-    @classmethod
-    def of(cls, p: Poly) -> "FactorIntegrality":
-        roots, quotient = integer_roots(p)
-        return cls(polynomial=p, roots=roots, quotient=quotient)
-
-    @property
-    def integral(self) -> bool:
-        return self.quotient.degree == 0
 
 
 @dataclass(frozen=True)
@@ -41,8 +23,8 @@ class IntegralityReport:
     n2: int
     linear_root: int
     linear_exponent: int
-    shared: FactorIntegrality
-    bracket: FactorIntegrality
+    shared: IntegralityResult
+    bracket: IntegralityResult
 
     @property
     def integral(self) -> bool:
@@ -70,8 +52,8 @@ def integral_product_check(mg1: MarkedSignedGraph,
     fc = factored_charpoly(mg1, mg2, "A")
     return IntegralityReport(n1=mg1.graph.n, n2=mg2.graph.n,
                              linear_root=0, linear_exponent=fc.linear_exponent,
-                             shared=FactorIntegrality.of(fc.shared_factor),
-                             bracket=FactorIntegrality.of(fc.bracket))
+                             shared=IntegralityResult.of(fc.shared_factor),
+                             bracket=IntegralityResult.of(fc.bracket))
 
 
 def star_bracket_cubic(n: int, lam: int, center_mark: int) -> Poly:
@@ -98,9 +80,9 @@ class StarProductReport:
     n: int
     center_mark: int
     star_integral: bool
-    shared: FactorIntegrality
-    bracket: FactorIntegrality
-    as_stated_bracket: FactorIntegrality
+    shared: IntegralityResult
+    bracket: IntegralityResult
+    as_stated_bracket: IntegralityResult
 
     @property
     def integral(self) -> bool:
@@ -123,25 +105,21 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     how the star is signed. The cubic for the passed center_mark is also
     extracted so the two verdicts can be compared.
     """
-    if n < 1:
-        raise ValueError("the star needs at least one leaf")
-    if center_mark not in (1, -1):
-        raise ValueError("center mark must be +1 or -1")
+    # the closed forms check n and center_mark before any charpoly is taken
+    effective, stated = (star_coronal_closed_form(n, m) for m in (1, center_mark))
     n2 = n + 1
     g = charpoly(adjacency_matrix(mu_signed_graph(mg1)))
     star_charpoly = Poly([0] * (n - 1) + [-n, 0, 1])
 
-    def bracket_for(mark: int) -> FactorIntegrality:
-        fn = star_coronal_closed_form(n, mark)
+    def bracket_for(fn: RationalFn) -> IntegralityResult:
         u = Poly.x() * fn.den - n2 * fn.num
         v = n2 * fn.den
-        return FactorIntegrality.of(compose_with_rational(g, u, v))
+        return IntegralityResult.of(compose_with_rational(g, u, v))
 
     # the shared factor comes from the effective (mark +1) coronal only
-    shared = FactorIntegrality.of(
-        star_charpoly.divexact(star_coronal_closed_form(n, 1).den))
-    bracket = bracket_for(1)
-    as_stated = bracket if center_mark == 1 else bracket_for(center_mark)
+    shared = IntegralityResult.of(star_charpoly.divexact(effective.den))
+    bracket = bracket_for(effective)
+    as_stated = bracket if center_mark == 1 else bracket_for(stated)
     return StarProductReport(n=n, center_mark=center_mark,
                              star_integral=math.isqrt(n) ** 2 == n,
                              shared=shared, bracket=bracket,

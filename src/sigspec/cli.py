@@ -20,18 +20,17 @@ from . import __version__
 from .applications import (equienergetic_demo, integral_product_check,
                            star_product_integral_check)
 from .coronal import signed_coronal
-from .exact import Poly, charpoly, integer_roots
-from .graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
-                     complete, complete_bipartite, cycle, line_graph, matrices,
-                     mu_signed_graph, path, prism, star)
+from .exact import Poly, charpoly
+from .graphs import (FAMILIES, MarkedSignedGraph, Marking, adjacency_matrix,
+                     complete_bipartite, line_graph, matrices, mu_signed_graph,
+                     prism, star)
 from .io import GraphFormatError, load_graph, serialize_graph
 from .product import product
-from .spectra import EnergyValue, symmetric_eigenvalues
+from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
 from .theorems import cospectral_family_check
 from .verify import run_theorem_verification
 
-_GEN_FAMILIES = ("star", "path", "cycle", "complete", "complete-bipartite",
-                 "prism", "line-graph")
+_GEN_FAMILIES = (*FAMILIES, "complete-bipartite", "prism", "line-graph")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,9 +133,9 @@ def _cmd_spectrum(args) -> int:
         "charpoly": _poly_payload(f),
     }
     if args.matrix == "A":
-        roots, quotient = integer_roots(f)
-        payload["integral"] = quotient.degree == 0
-        payload["integer_roots"] = list(roots)
+        integrality = IntegralityResult.of(f)
+        payload["integral"] = integrality.integral
+        payload["integer_roots"] = list(integrality.roots)
     _emit(args, payload, started)
     return 0
 
@@ -217,9 +216,8 @@ def _cmd_equienergetic_demo(args) -> int:
 def _search_first_factors(max_n1: int):
     out = []
     for n1 in range(1, max_n1 + 1):
-        for family, builder in (("star", star), ("path", path),
-                                ("cycle", cycle), ("complete", complete)):
-            if family == "cycle" and n1 < 3:
+        for family, (builder, least) in FAMILIES.items():
+            if n1 < least:
                 continue
             for signs in ("+", "-"):
                 g = builder(n1, signs)
@@ -230,8 +228,6 @@ def _search_first_factors(max_n1: int):
 
 def _cmd_integral_search(args) -> int:
     started = time.perf_counter()
-    if args.family != "star":
-        raise ValueError("only --family star is supported")
     instances = []
     hits = []
     disagreements = 0
@@ -264,7 +260,7 @@ def _cmd_integral_search(args) -> int:
                 instances.append(entry)
     _emit(args, {
         "command": "integral-search",
-        "family": args.family,
+        "family": "star",
         "max_n1": args.max_n1,
         "max_n": args.max_n,
         "instances": instances,
@@ -281,9 +277,10 @@ def _cmd_gen(args) -> int:
         args.marking = "--"
     marking = None
     if args.marking not in (None, "canonical"):
-        if set(args.marking) - {"+", "-"}:
-            raise ValueError(f"--marking takes '+' or '-' per vertex, got {args.marking!r}")
-        marking = Marking([1 if ch == "+" else -1 for ch in args.marking])
+        try:
+            marking = Marking(args.marking)
+        except ValueError as exc:
+            raise ValueError(f"--marking: {exc}") from None
     if args.family == "line-graph":
         if not args.of:
             raise ValueError("line-graph needs --of FILE")
@@ -297,8 +294,7 @@ def _cmd_gen(args) -> int:
     else:
         if args.n is None:
             raise ValueError(f"{args.family} needs --n")
-        builder = {"star": star, "path": path, "cycle": cycle,
-                   "complete": complete, "prism": prism}[args.family]
+        builder = prism if args.family == "prism" else FAMILIES[args.family][0]
         g = builder(args.n, args.signs)
     mg = (MarkedSignedGraph(g, marking) if marking is not None
           else MarkedSignedGraph.with_canonical_marking(g))
@@ -367,7 +363,6 @@ def build_parser() -> _Parser:
 
     p = add("integral-search", _cmd_integral_search,
             "enumerate small star products and report integral spectra")
-    p.add_argument("--family", default="star")
     p.add_argument("--max-n1", type=int, default=3)
     p.add_argument("--max-n", type=int, default=4)
 

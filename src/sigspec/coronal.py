@@ -4,7 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import Matrix, Poly, RationalFn, charpoly_with_adjugate_form, poly_gcd
+from .exact import (Matrix, Poly, RationalFn, _exact_ints, charpoly_with_adjugate_form,
+                    poly_gcd)
+from .graphs import _signs
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,8 @@ def signed_coronal(n_matrix: Matrix, mu: Sequence[int]) -> CoronalTriple:
     """
     if not n_matrix.is_square:
         raise ValueError("coronal requires a square matrix")
-    if len(mu) != n_matrix.nrows:
-        raise ValueError("marking length differs from matrix size")
-    if any(int(s) not in (1, -1) for s in mu):
-        raise ValueError("coronal vector entries must be +1 or -1")
-    f, p = charpoly_with_adjugate_form(n_matrix, [int(s) for s in mu])
+    mu = _signs(mu, n_matrix.nrows, "coronal vector entries")
+    f, p = charpoly_with_adjugate_form(n_matrix, mu)
     g = poly_gcd(p, f)
     return CoronalTriple(num=p.divexact(g), den=f.divexact(g), shared=g)
 
@@ -63,10 +62,10 @@ def star_coronal_closed_form(n: int, center_mark: int) -> RationalFn:
     of the edge signs at the center. Returned reduced (the n = 1 case
     collapses to a linear denominator).
     """
+    _exact_ints((n,))
     if n < 1:
         raise ValueError("star closed form needs at least one leaf")
-    if center_mark not in (1, -1):
-        raise ValueError("center mark must be +1 or -1")
+    (center_mark,) = _signs((center_mark,), what="center marks")
     num = Poly([2 * n * center_mark, n + 1])
     den = Poly([-n, 0, 1])
     return RationalFn(num, den)
@@ -74,6 +73,7 @@ def star_coronal_closed_form(n: int, center_mark: int) -> RationalFn:
 
 def regular_balanced_coronal(r: int, n: int) -> RationalFn:
     """Coronal n/(x - r) shared by every r-regular mu-signed graph on n vertices."""
+    _exact_ints((r, n))
     if n < 1:
         raise ValueError("need at least one vertex")
     if not (0 <= r < n):

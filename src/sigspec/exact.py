@@ -30,11 +30,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def _exact(x: int) -> int:
-    """x itself if it is an int; a bool, float, Fraction or anything else raises TypeError."""
-    if type(x) is not int:
-        raise TypeError(f"int expected, got {type(x).__name__} {x!r}")
-    return x
+_INT_ONLY = frozenset((int,))
+
+
+def _exact_ints(xs: Iterable[int]) -> tuple[int, ...]:
+    """xs as a tuple if every entry is an int.
+
+    A bool, float, Fraction or anything else raises TypeError naming the first
+    such entry. One pass over the entry types decides; only a failure scans again.
+    """
+    t = tuple(xs)
+    if not _INT_ONLY.issuperset(map(type, t)):
+        bad = next(x for x in t if type(x) is not int)
+        raise TypeError(f"int expected, got {type(bad).__name__} {bad!r}")
+    return t
 
 
 class Poly:
@@ -43,10 +52,11 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = [_exact(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        c = _exact_ints(coeffs)
+        k = len(c)
+        while k and c[k - 1] == 0:
+            k -= 1
+        self._c = c[:k]
 
     @classmethod
     def constant(cls, value: int) -> "Poly":
@@ -123,7 +133,7 @@ class Poly:
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         if not isinstance(other, Poly):
-            s = _exact(other)
+            (s,) = _exact_ints((other,))
             return Poly([s * x for x in self._c])
         a, b = self._c, other._c
         if not a or not b:
@@ -453,11 +463,7 @@ class Matrix:
             row = tuple(r)
             if len(row) != width:
                 raise ValueError("ragged matrix rows")
-            if not set(map(type, row)) <= {int}:
-                # raises on the first entry that is not an int
-                for x in row:
-                    _exact(x)
-            packed.append(row)
+            packed.append(_exact_ints(row))
         self._rows = tuple(packed)
         self.nrows = len(packed)
         self.ncols = width
@@ -749,7 +755,7 @@ def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
         return charpoly(a), None
     if len(u) != a.nrows:
         raise ValueError("vector length differs from matrix size")
-    uv = [_exact(x) for x in u]
+    uv = _exact_ints(u)
     n, rows = a.nrows, a.rows()
     if n <= _FL_MAX:
         return _faddeev_leverrier(a, uv)

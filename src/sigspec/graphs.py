@@ -8,11 +8,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import Matrix
+from .exact import Matrix, _exact_ints
 
 Edge = tuple[int, int, int]  # (i, j, sign) with i < j
+
+_SIGN_VALUES = frozenset((1, -1))
+_SIGN_CHARS = frozenset("+-")
 
 
 class EdgeError(ValueError):
@@ -23,14 +27,43 @@ class EdgeError(ValueError):
         self.index = index
 
 
+def _signs(signs: str | Iterable[int], m: int | None = None,
+           what: str = "signs") -> tuple[int, ...]:
+    """A '+'/'-' string or a sequence of ints as a tuple of +-1 signs.
+
+    Ints follow the exact core's rule: a bool, float or str entry raises
+    TypeError. An int other than +-1, a character other than + or -, or a
+    length other than m raises ValueError.
+    """
+    if isinstance(signs, str):
+        if not _SIGN_CHARS.issuperset(signs):
+            raise ValueError(f"{what} must be '+' or '-' characters, got {signs!r}")
+        vals = tuple(1 if ch == "+" else -1 for ch in signs)
+    else:
+        vals = _exact_ints(signs)
+        if not _SIGN_VALUES.issuperset(vals):
+            bad = sorted(set(vals) - _SIGN_VALUES)
+            raise ValueError(f"{what} must be +1 or -1, got {bad}")
+    if m is not None and len(vals) != m:
+        raise ValueError(f"need {m} {what}, got {len(vals)}")
+    return vals
+
+
 def _normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+    """The sorted (i, j, sign) edges of a graph on n vertices; checks n too."""
+    edges = list(edges)
+    if not {3}.issuperset(map(len, edges)):
+        k = next(k for k, e in enumerate(edges) if len(e) != 3)
+        raise EdgeError(k, f"edge must be (i, j, sign), got {edges[k]!r}")
+    # flat is n, then i, j, sign per edge: types and signs are checked over all
+    # edges at once; the checks below name the edge, which parse_graph turns
+    # into a line number
+    flat = _exact_ints(chain((n,), *edges))
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    ss = _signs(flat[3::3], what="edge signs")
     seen: dict[tuple[int, int], int] = {}
-    for k, e in enumerate(edges):
-        if len(e) != 3:
-            raise EdgeError(k, f"edge must be (i, j, sign), got {e!r}")
-        i, j, s = int(e[0]), int(e[1]), int(e[2])
-        if s not in (1, -1):
-            raise EdgeError(k, f"edge sign must be +1 or -1, got {s}")
+    for k, (i, j, s) in enumerate(zip(flat[1::3], flat[2::3], ss)):
         if i == j:
             raise EdgeError(k, f"self-loop at vertex {i} is not allowed")
         if not (0 <= i < n and 0 <= j < n):
@@ -49,10 +82,8 @@ class SignedGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        self.n = n
         self.edges = _normalize_edges(n, edges)
+        self.n = n
 
     @property
     def num_edges(self) -> int:
@@ -102,17 +133,14 @@ class SignedGraph:
 
 
 class Marking:
-    """Vector of +-1 vertex signs."""
+    """Vector of +-1 vertex signs, given as ints or as a '+'/'-' string."""
 
     __slots__ = ("signs",)
 
-    def __init__(self, signs: Iterable[int]):
-        vals = tuple(int(s) for s in signs)
-        if not vals:
+    def __init__(self, signs: str | Iterable[int]):
+        self.signs = _signs(signs, what="marking entries")
+        if not self.signs:
             raise ValueError("marking must cover at least one vertex")
-        if any(s not in (1, -1) for s in vals):
-            raise ValueError("marking entries must be +1 or -1")
-        self.signs = vals
 
     @classmethod
     def all_positive(cls, n: int) -> "Marking":
@@ -217,13 +245,9 @@ def regular_degree(g: SignedGraph) -> int | None:
 
 
 def require_regular(g: SignedGraph, label: str) -> int:
-    degs = g.degrees()
-    r = degs[0]
-    for v, d in enumerate(degs):
-        if d != r:
-            raise ValueError(
-                f"{label} must be regular: vertex {v} has degree {d}, "
-                f"vertex 0 has degree {r}")
+    r = regular_degree(g)
+    if r is None:
+        raise ValueError(f"{label} must be regular")
     return r
 
 
@@ -250,46 +274,23 @@ def matrices(mg: MarkedSignedGraph | SignedGraph) -> GraphMatrices:
     return GraphMatrices(A=a, D=d, L=d - a, Q=d + a)
 
 
-def _resolve_signs(m: int, signs) -> list[int]:
-    if signs is None or signs == "+" or signs == "all-positive":
-        return [1] * m
-    if signs == "-" or signs == "all-negative":
-        return [-1] * m
-    if isinstance(signs, str):
-        if len(signs) != m:
-            raise ValueError(f"need {m} signs, got {len(signs)}")
-        out = []
-        for ch in signs:
-            if ch == "+":
-                out.append(1)
-            elif ch == "-":
-                out.append(-1)
-            else:
-                raise ValueError(f"sign characters must be + or -, got {ch!r}")
-        return out
-    vals = [int(s) for s in signs]
-    if len(vals) != m:
-        raise ValueError(f"need {m} signs, got {len(vals)}")
-    if any(s not in (1, -1) for s in vals):
-        raise ValueError("signs must be +1 or -1")
-    return vals
-
-
 def _from_pairs(n: int, pairs: list[tuple[int, int]], signs) -> SignedGraph:
-    ss = _resolve_signs(len(pairs), signs)
+    """signs: None, '+' or 'all-positive', '-' or 'all-negative', or one per pair."""
+    if signs is None or signs in ("+", "all-positive"):
+        ss = (1,) * len(pairs)
+    elif signs in ("-", "all-negative"):
+        ss = (-1,) * len(pairs)
+    else:
+        ss = _signs(signs, len(pairs))
     return SignedGraph(n, [(i, j, s) for (i, j), s in zip(pairs, ss)])
 
 
 def star(n: int, signs=None) -> SignedGraph:
     """Star on n vertices: center 0 joined to n-1 leaves."""
-    if n < 1:
-        raise ValueError("star needs at least one vertex")
     return _from_pairs(n, [(0, k) for k in range(1, n)], signs)
 
 
 def path(n: int, signs=None) -> SignedGraph:
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
     return _from_pairs(n, [(k, k + 1) for k in range(n - 1)], signs)
 
 
@@ -300,12 +301,16 @@ def cycle(n: int, signs=None) -> SignedGraph:
 
 
 def complete(n: int, signs=None) -> SignedGraph:
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
     return _from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)], signs)
 
 
+# name -> (builder, smallest order it takes); sampling draws in this order
+FAMILIES: dict[str, tuple[Callable[..., SignedGraph], int]] = {
+    "star": (star, 1), "path": (path, 1), "cycle": (cycle, 3), "complete": (complete, 1)}
+
+
 def complete_bipartite(a: int, b: int, signs=None) -> SignedGraph:
+    _exact_ints((a, b))
     if a < 1 or b < 1:
         raise ValueError("both parts need at least one vertex")
     return _from_pairs(a + b, [(i, a + j) for i in range(a) for j in range(b)], signs)

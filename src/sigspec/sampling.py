@@ -3,14 +3,9 @@ from __future__ import annotations
 
 import random
 
-from .graphs import (MarkedSignedGraph, Marking, SignedGraph, complete, cycle,
-                     path, star)
+from .graphs import FAMILIES, MarkedSignedGraph, Marking, SignedGraph
 
-FAMILIES = ("star", "path", "cycle", "complete")
 REGULAR_FAMILIES = ("cycle", "complete")
-
-_MIN_SIZE = {"star": 1, "path": 1, "cycle": 3, "complete": 1}
-_BUILDERS = {"star": star, "path": path, "cycle": cycle, "complete": complete}
 
 
 def _random_signs(rng: random.Random, count: int, signed: bool) -> list[int]:
@@ -22,12 +17,12 @@ def _random_signs(rng: random.Random, count: int, signed: bool) -> list[int]:
 def random_marked_graph(rng: random.Random, max_n: int, signed: bool = True,
                         families=FAMILIES) -> MarkedSignedGraph:
     """One random family member with random signs and a random marking."""
-    feasible = [f for f in families if _MIN_SIZE[f] <= max_n]
+    feasible = [f for f in families if FAMILIES[f][1] <= max_n]
     if not feasible:
         raise ValueError(f"no family fits within {max_n} vertices")
-    family = rng.choice(feasible)
-    n = rng.randint(_MIN_SIZE[family], max_n)
-    skeleton = _BUILDERS[family](n)
+    build, least = FAMILIES[rng.choice(feasible)]
+    n = rng.randint(least, max_n)
+    skeleton = build(n)
     g = SignedGraph(n, [(i, j, s) for (i, j, _), s in
                         zip(skeleton.edges,
                             _random_signs(rng, skeleton.num_edges, signed))])

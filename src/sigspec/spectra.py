@@ -80,14 +80,18 @@ def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:
 
 @dataclass(frozen=True)
 class IntegralityResult:
+    """Integer roots of a monic integer polynomial and the rest of it."""
+
     integral: bool
     roots: tuple[int, ...]
     quotient: Poly
 
+    @classmethod
+    def of(cls, p: Poly) -> IntegralityResult:
+        roots, quotient = integer_roots(p)
+        return cls(integral=quotient.degree == 0, roots=roots, quotient=quotient)
+
 
 def is_integral(mg) -> IntegralityResult:
     """Exact integrality of the adjacency spectrum via integer root extraction."""
-    f = charpoly(adjacency_matrix(_graph_of(mg)))
-    roots, quotient = integer_roots(f)
-    return IntegralityResult(integral=quotient.degree == 0, roots=roots,
-                             quotient=quotient)
+    return IntegralityResult.of(charpoly(adjacency_matrix(_graph_of(mg))))

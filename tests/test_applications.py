@@ -12,7 +12,7 @@ from sigspec.applications import (equienergetic_demo, equienergetic_family,
                                   integral_product_check, star_bracket_cubic,
                                   star_bracket_cubic_expanded,
                                   star_product_integral_check)
-from sigspec import applications, exact, graphs
+from sigspec import applications, exact, graphs, spectra
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph,
                             adjacency_matrix, complete, cycle, path,
                             regular_degree, star)
@@ -204,15 +204,28 @@ def test_star_check_scans_each_factor_once(monkeypatch, center_mark, calls):
     # shared and bracket from the effective coronal, plus the as-stated
     # bracket when the center mark is -1
     counted = []
-    roots = applications.integer_roots
+    roots = spectra.integer_roots
 
     def recorded(p):
         counted.append(p)
         return roots(p)
 
-    monkeypatch.setattr(applications, "integer_roots", recorded)
+    # every factor's roots go through IntegralityResult.of
+    monkeypatch.setattr(spectra, "integer_roots", recorded)
     star_product_integral_check(mk(cycle(4)), 3, center_mark)
     assert len(counted) == calls
+
+
+def test_star_check_rejects_bad_input_before_any_charpoly(monkeypatch):
+    def no_charpoly(m):
+        raise AssertionError("a charpoly was taken before the input check")
+
+    monkeypatch.setattr(applications, "charpoly", no_charpoly)
+    for n, center_mark in ((0, 1), (2, 0), (2, 2)):
+        with pytest.raises(ValueError):
+            star_product_integral_check(mk(cycle(4)), n, center_mark)
+    with pytest.raises(TypeError):
+        star_product_integral_check(mk(cycle(4)), 2, True)
 
 
 def test_equienergetic_family_with_single_vertex_base():

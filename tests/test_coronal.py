@@ -37,6 +37,11 @@ def test_star_closed_form_examples():
     f = star_coronal_closed_form(1, 1)
     assert f.num == Poly.constant(2)
     assert f.den == Poly.linear(-1)
+    for n, center_mark in ((True, 1), (2, True), (2, 1.0)):
+        with pytest.raises(TypeError):
+            star_coronal_closed_form(n, center_mark)
+    with pytest.raises(ValueError):
+        star_coronal_closed_form(2, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -62,6 +67,8 @@ def test_regular_balanced_coronal():
     assert regular_balanced_coronal(2, 5).den == Poly.linear(-2)
     with pytest.raises(ValueError):
         regular_balanced_coronal(5, 5)
+    with pytest.raises(TypeError):
+        regular_balanced_coronal(True, 3)
 
 
 @pytest.mark.parametrize("builder,n,r", [(cycle, 5, 2), (complete, 4, 3)])
@@ -127,6 +134,10 @@ def test_signed_coronal_validates_marks():
         signed_coronal(Matrix([[0, 1], [1, 0]]), [1, 2])
     with pytest.raises(ValueError):
         signed_coronal(Matrix([[0, 1], [1, 0]]), [1])
+    with pytest.raises(TypeError):
+        signed_coronal(Matrix([[0, 1], [1, 0]]), [1.5, -1])
+    with pytest.raises(TypeError):
+        signed_coronal(Matrix([[0, 1], [1, 0]]), [True, -1])
 
 
 def test_laplacian_coronal_of_regular_graph():

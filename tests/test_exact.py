@@ -553,6 +553,18 @@ def test_fraction_appears_only_in_rational_fn_eval():
     assert offenders == []
 
 
+def test_graph_layer_makes_no_int_call():
+    # graph input is checked by the exact core's int rule, never coerced: a
+    # call to int() would round a float or a bool into a graph or a marking
+    offenders = []
+    for name in ("graphs.py", "coronal.py", "sampling.py", "product.py"):
+        tree = ast.parse((Path(exact.__file__).parent / name).read_text())
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "int"]
+    assert offenders == []
+
+
 def test_no_numpy_polynomial_roots():
     # every float eigenvalue comes from eigvalsh of a symmetric matrix; roots
     # of a high-degree polynomial with clustered roots lose digits

@@ -26,6 +26,24 @@ def test_signed_graph_validation():
         SignedGraph(2, [(0, 1, 1), (1, 0, -1)])
     with pytest.raises(ValueError):
         SignedGraph(2, [(0, 3, 1)])
+    # the exact core's int rule: no float, bool or str is rounded into a graph
+    with pytest.raises(TypeError):
+        SignedGraph(3, [(0.9, 2.2, 1.7)])
+    with pytest.raises(TypeError):
+        SignedGraph(3, [(0, 2, 1.0)])
+    with pytest.raises(TypeError):
+        SignedGraph(3, [(0, 2, True)])
+    with pytest.raises(TypeError):
+        SignedGraph(True, [])
+    with pytest.raises(TypeError):
+        cycle(3, [1.2, 1, 1])
+    with pytest.raises(TypeError):
+        complete_bipartite(True, 2)
+    with pytest.raises(ValueError):
+        cycle(3, [1, 1])
+    with pytest.raises(ValueError):
+        cycle(3, "+x+")
+    assert cycle(3, [1, -1, 1]) == cycle(3, "+-+")
 
 
 def test_degrees_and_neighbors():
@@ -138,5 +156,13 @@ def test_negated_and_underlying():
 def test_marking_validation():
     with pytest.raises(ValueError):
         Marking([1, 0])
+    for bad in ([1.9, -1.2], [True, -1], ["1", "-1"]):
+        with pytest.raises(TypeError):
+            Marking(bad)
+    with pytest.raises(ValueError):
+        Marking("+x")
+    with pytest.raises(ValueError):
+        Marking("")
+    assert Marking("+-") == Marking([1, -1])
     with pytest.raises(ValueError):
         MarkedSignedGraph(cycle(3), Marking([1, 1]))

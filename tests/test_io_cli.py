@@ -106,6 +106,15 @@ def test_gen_all_negative_two_vertex_marking(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "marking - -"
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral-search", "--family", "star"],
+    ["gen", "--family", "cycle", "--n", "3", "--signs", "1,1"],
+])
+def test_cli_input_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_gen_rejects_marking_characters_other_than_signs(capsys):
     rc = main(["gen", "--family", "cycle", "--n", "3", "--marking", "+a+"])
     assert rc == 1
@@ -204,6 +213,7 @@ def test_cli_integral_search(capsys):
     rc = main(["integral-search", "--max-n1", "2", "--max-n", "2"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["family"] == "star"
     assert payload["disagreements"] == 0
     assert all(inst["agree"] for inst in payload["instances"])
 
