@@ -27,7 +27,7 @@ from .product import ProductGraph, corona, product
 from .spectra import (EnergyValue, IntegralityResult, Spectrum, cospectral,
                       energy, is_integral, symmetric_eigenvalues)
 from .theorems import (CospectralFamilyReport, FactoredCharPoly,
-                       cospectral_family_check, factored_charpoly)
+                       cospectral_family_check, factored_charpoly, factored_charpolys)
 from .verify import run_corona_verification, run_theorem_verification
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     "regular_balanced_coronal",
     "ProductGraph", "product", "corona",
     "FactoredCharPoly", "factored_charpoly", "CospectralFamilyReport",
-    "cospectral_family_check",
+    "cospectral_family_check", "factored_charpolys",
     "Spectrum", "EnergyValue", "IntegralityResult", "symmetric_eigenvalues",
     "energy", "cospectral", "is_integral",
     "IntegralityReport", "StarProductReport", "EquienergeticCertificate",

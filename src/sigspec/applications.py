@@ -6,13 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coronal import signed_coronal, star_coronal_closed_form
-from .exact import Poly, RationalFn, charpoly, compose_with_rational
+from .coronal import reduced_coronal, star_coronal_closed_form
+from .exact import (Poly, RationalFn, _charpolys_with_forms, _exact_ints, charpoly,
+                    compose_with_rational)
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
-                     regular_degree)
+                     regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
-from .theorems import FactoredCharPoly, _factored_from_coronal, factored_charpoly
+from .theorems import (FactoredCharPoly, _factored_from_coronal, factored_charpoly,
+                       factored_charpolys)
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,11 @@ def integral_product_check(mg1: MarkedSignedGraph,
     shared factor and the bracket product; the product is integral exactly
     when the latter two have only integer roots.
     """
-    fc = factored_charpoly(mg1, mg2, "A")
-    return IntegralityReport(n1=mg1.graph.n, n2=mg2.graph.n,
+    return _integrality_report(factored_charpoly(mg1, mg2, "A"))
+
+
+def _integrality_report(fc: FactoredCharPoly) -> IntegralityReport:
+    return IntegralityReport(n1=fc.bracket_matrix.nrows, n2=fc.copy_block.nrows,
                              linear_root=0, linear_exponent=fc.linear_exponent,
                              shared=IntegralityResult.of(fc.shared_factor),
                              bracket=IntegralityResult.of(fc.bracket))
@@ -107,8 +112,36 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     """
     # the closed forms check n and center_mark before any charpoly is taken
     effective, stated = (star_coronal_closed_form(n, m) for m in (1, center_mark))
-    n2 = n + 1
     g = charpoly(adjacency_matrix(mu_signed_graph(mg1)))
+    return _star_report(n, center_mark, effective, stated, g)
+
+
+def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
+                         ) -> list[tuple[StarProductReport, IntegralityReport]]:
+    """star_product_integral_check(mg1, n, center_mark) and integral_product_check
+    of mg1 * star for each case (mg1, n, center_mark).
+
+    star is K_{1,n} with canonical marking and its first edge signed
+    center_mark, so that its center mark is center_mark. One
+    factored_charpolys batch gives every general check, so each distinct
+    star copy block's coronal and each first factor's mu-adjacency charpoly
+    are computed once; the closed-form check composes that same charpoly.
+    """
+    # ints first: a bool would hide behind an equal int key of the distinct stars
+    _exact_ints(x for _, n, center_mark in cases for x in (n, center_mark))
+    closed = {(n, m): tuple(star_coronal_closed_form(n, k) for k in (1, m))
+              for n, m in dict.fromkeys((n, m) for _, n, m in cases)}
+    stars = {(n, m): MarkedSignedGraph.with_canonical_marking(
+                 star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1))) for n, m in closed}
+    fcs = factored_charpolys([(mg1, stars[n, m]) for mg1, n, m in cases], "A", ["constructed"])
+    return [(_star_report(n, m, *closed[n, m], fc.bracket_charpoly), _integrality_report(fc))
+            for (_, n, m), (fc,) in zip(cases, fcs)]
+
+
+def _star_report(n: int, center_mark: int, effective: RationalFn, stated: RationalFn,
+                 g: Poly) -> StarProductReport:
+    # the closed-form verdicts from g, the first factor's mu-adjacency charpoly
+    n2 = n + 1
     star_charpoly = Poly([0] * (n - 1) + [-n, 0, 1])
 
     def bracket_for(fn: RationalFn) -> IntegralityResult:
@@ -173,7 +206,8 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     """
     inputs = (mg1, mg2)
     blocks = [adjacency_matrix(mu_signed_graph(x)) for x in inputs]
-    c1, c2 = (signed_coronal(b, x.marking.signs) for b, x in zip(blocks, inputs))
+    c1, c2 = (reduced_coronal(f, p) for f, p in
+              _charpolys_with_forms([(b, x.marking.signs) for b, x in zip(blocks, inputs)]))
     e1, e2 = (EnergyValue.of(symmetric_eigenvalues(b), tol) for b in blocks)
     non_cospectral = c1.charpoly != c2.charpoly
     equienergetic = abs(e1.value - e2.value) <= tol
@@ -197,8 +231,11 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
             input_energy_1=e1.value, input_energy_2=e2.value)
 
     # c1 and c2 are the coronals of the products' copy blocks A(mg_k^mu), so
-    # the factored A forms need no further coronal and no product matrix
-    f1, f2 = (_factored_from_coronal(mg, "A", 0, b, x.marking.signs, c)
+    # the factored A forms need no further coronal and no product matrix, and
+    # both share the charpoly of the base's bracket matrix
+    a = adjacency_matrix(mu_signed_graph(mg))
+    chi_a = charpoly(a)
+    f1, f2 = (_factored_from_coronal("A", 0, c, b, x.marking.signs, a, chi_a)
               for b, x, c in zip(blocks, inputs, (c1, c2)))
     pf1, pf2 = f1.assembled, f2.assembled
     pe1, pe2 = factored_energy_estimate(f1), factored_energy_estimate(f2)

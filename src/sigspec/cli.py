@@ -12,18 +12,16 @@ import hashlib
 import json
 import os
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .applications import (equienergetic_demo, integral_product_check,
-                           star_product_integral_check)
+from .applications import equienergetic_demo, star_integral_checks
 from .coronal import signed_coronal
 from .exact import Poly, charpoly
 from .graphs import (FAMILIES, MarkedSignedGraph, Marking, adjacency_matrix,
                      complete_bipartite, line_graph, matrices, mu_signed_graph,
-                     prism, star)
+                     prism)
 from .io import GraphFormatError, load_graph, serialize_graph
 from .product import product
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
@@ -55,9 +53,7 @@ def _poly_payload(p: Poly) -> dict:
             "pretty": p.pretty()}
 
 
-def _emit(args, payload: dict, started: float) -> None:
-    if getattr(args, "timings", False):
-        payload["elapsed_seconds"] = round(time.perf_counter() - started, 6)
+def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
@@ -86,7 +82,6 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    started = time.perf_counter()
     mg = load_graph(args.input)
     f = charpoly(getattr(matrices(mg), args.matrix))
     _emit(args, {
@@ -96,12 +91,11 @@ def _cmd_charpoly(args) -> int:
         "matrix": args.matrix,
         "n": mg.graph.n,
         "charpoly": _poly_payload(f),
-    }, started)
+    })
     return 0
 
 
 def _cmd_coronal(args) -> int:
-    started = time.perf_counter()
     mg = load_graph(args.input)
     target = MarkedSignedGraph(mu_signed_graph(mg), mg.marking) if args.mu_graph else mg
     triple = signed_coronal(getattr(matrices(target), args.matrix), list(mg.marking))
@@ -115,12 +109,11 @@ def _cmd_coronal(args) -> int:
         "den": _poly_payload(triple.den),
         "shared": _poly_payload(triple.shared),
         "pretty": f"({triple.num.pretty()}) / ({triple.den.pretty()})",
-    }, started)
+    })
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    started = time.perf_counter()
     mg = load_graph(args.input)
     m = getattr(matrices(mg), args.matrix)
     f = charpoly(m)
@@ -136,12 +129,11 @@ def _cmd_spectrum(args) -> int:
         integrality = IntegralityResult.of(f)
         payload["integral"] = integrality.integral
         payload["integer_roots"] = list(integrality.roots)
-    _emit(args, payload, started)
+    _emit(args, payload)
     return 0
 
 
 def _cmd_energy(args) -> int:
-    started = time.perf_counter()
     mg = load_graph(args.input)
     spec = symmetric_eigenvalues(adjacency_matrix(mg.graph))
     e = EnergyValue.of(spec, args.tol)
@@ -152,23 +144,21 @@ def _cmd_energy(args) -> int:
         "energy": e.value,
         "tolerance": e.tolerance,
         "eigenvalues": list(spec.values),
-    }, started)
+    })
     return 0
 
 
 def _cmd_verify_theorem(args) -> int:
-    started = time.perf_counter()
     report = run_theorem_verification(
         matrix_kind=args.matrix, signed=args.signed == "yes",
         trials=args.trials, max_n1=args.max_n1, max_n2=args.max_n2,
         degree_mode=args.degree_mode, seed=_resolve_seed(args.seed))
     report = {"command": "verify-theorem", **report}
-    _emit(args, report, started)
+    _emit(args, report)
     return 0 if report["all_match"] else 2
 
 
 def _cmd_cospectral_family(args) -> int:
-    started = time.perf_counter()
     mg_a, mg_b = load_graph(args.first), load_graph(args.second)
     base = load_graph(args.base)
     report = cospectral_family_check(mg_a, mg_b, base, args.side)
@@ -180,12 +170,11 @@ def _cmd_cospectral_family(args) -> int:
         "hypothesis_holds": report.hypothesis_holds,
         "consistent": report.consistent,
     }
-    _emit(args, payload, started)
+    _emit(args, payload)
     return 0 if report.consistent else 2
 
 
 def _cmd_equienergetic_demo(args) -> int:
-    started = time.perf_counter()
     cert = equienergetic_demo(tol=args.tol)
     payload = {
         "command": "equienergetic-demo",
@@ -205,7 +194,7 @@ def _cmd_equienergetic_demo(args) -> int:
     if cert.product_charpoly_1 is not None:
         payload["product_charpoly_1"] = cert.product_charpoly_1.coeff_strings()
         payload["product_charpoly_2"] = cert.product_charpoly_2.coeff_strings()
-    _emit(args, payload, started)
+    _emit(args, payload)
     if not cert.valid:
         hypothesis_only = all(("inputs" in c) or ("coronal" in c)
                               for c in cert.failed_clauses)
@@ -214,59 +203,42 @@ def _cmd_equienergetic_demo(args) -> int:
 
 
 def _search_first_factors(max_n1: int):
-    out = []
-    for n1 in range(1, max_n1 + 1):
-        for family, (builder, least) in FAMILIES.items():
-            if n1 < least:
-                continue
-            for signs in ("+", "-"):
-                g = builder(n1, signs)
-                label = f"{family}({n1}) signs={signs}"
-                out.append((label, MarkedSignedGraph.with_canonical_marking(g)))
-    return out
+    return [(f"{family}({n1}) signs={signs}",
+             MarkedSignedGraph.with_canonical_marking(builder(n1, signs)))
+            for n1 in range(1, max_n1 + 1) for family, (builder, least) in FAMILIES.items()
+            if n1 >= least for signs in ("+", "-")]
 
 
 def _cmd_integral_search(args) -> int:
-    started = time.perf_counter()
+    cases = [(label, mg1, n, center_mark)
+             for label, mg1 in _search_first_factors(args.max_n1)
+             for n in range(1, args.max_n + 1) for center_mark in (1, -1)]
     instances = []
-    hits = []
-    disagreements = 0
-    for label, mg1 in _search_first_factors(args.max_n1):
-        for n in range(1, args.max_n + 1):
-            for center_signs in ("+", "-"):
-                # one negative center edge flips the canonical center mark
-                signs = center_signs + "+" * (n - 1)
-                star_graph = star(n + 1, signs)
-                star_mg = MarkedSignedGraph.with_canonical_marking(star_graph)
-                center_mark = star_mg.marking[0]
-                report = star_product_integral_check(mg1, n, center_mark)
-                general = integral_product_check(mg1, star_mg)
-                agree = report.integral == general.integral
-                if not agree:
-                    disagreements += 1
-                entry = {
-                    "first_factor": label,
-                    "star_leaves": n,
-                    "center_mark": center_mark,
-                    "integral": report.integral,
-                    "as_stated_integral": report.as_stated_integral,
-                    "star_integral": report.star_integral,
-                    "general_integral": general.integral,
-                    "agree": agree,
-                }
-                if report.integral:
-                    entry["spectrum"] = list(general.all_roots or ())
-                    hits.append(entry)
-                instances.append(entry)
+    for (label, _, n, center_mark), (report, general) in zip(
+            cases, star_integral_checks([case[1:] for case in cases])):
+        entry = {
+            "first_factor": label,
+            "star_leaves": n,
+            "center_mark": center_mark,
+            "integral": report.integral,
+            "as_stated_integral": report.as_stated_integral,
+            "star_integral": report.star_integral,
+            "general_integral": general.integral,
+            "agree": report.integral == general.integral,
+        }
+        if report.integral:
+            entry["spectrum"] = list(general.all_roots or ())
+        instances.append(entry)
+    disagreements = sum(not entry["agree"] for entry in instances)
     _emit(args, {
         "command": "integral-search",
         "family": "star",
         "max_n1": args.max_n1,
         "max_n": args.max_n,
         "instances": instances,
-        "hits": hits,
+        "hits": [entry for entry in instances if entry["integral"]],
         "disagreements": disagreements,
-    }, started)
+    })
     return 0 if disagreements == 0 else 2
 
 
@@ -281,6 +253,8 @@ def _cmd_gen(args) -> int:
             marking = Marking(args.marking)
         except ValueError as exc:
             raise ValueError(f"--marking: {exc}") from None
+    if args.iterations < 0:
+        raise ValueError("--iterations must be a non-negative count")
     if args.family == "line-graph":
         if not args.of:
             raise ValueError("line-graph needs --of FILE")
@@ -311,8 +285,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="also write the output to this file")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock time (breaks byte-reproducibility)")
         return p
 
     p = add("product", _cmd_product, "marked product of two graph files")

@@ -43,14 +43,18 @@ class CoronalTriple:
 def signed_coronal(n_matrix: Matrix, mu: Sequence[int]) -> CoronalTriple:
     """Coronal of the matrix with respect to a +-1 vector.
 
-    Computes p = mu^T adj(xI - N) mu and f = charpoly(N) with
-    charpoly_with_adjugate_form, splits off g = gcd(p, f) and returns
-    (num, den, shared) = (p/g, f/g, g).
+    f = charpoly(N) and p = mu^T adj(xI - N) mu come from
+    charpoly_with_adjugate_form, and reduced_coronal splits off their gcd.
     """
     if not n_matrix.is_square:
         raise ValueError("coronal requires a square matrix")
     mu = _signs(mu, n_matrix.nrows, "coronal vector entries")
-    f, p = charpoly_with_adjugate_form(n_matrix, mu)
+    return reduced_coronal(*charpoly_with_adjugate_form(n_matrix, mu))
+
+
+def reduced_coronal(f: Poly, p: Poly) -> CoronalTriple:
+    """(num, den, shared) = (p/g, f/g, g) with g = gcd(p, f), for f = charpoly(N)
+    and p = mu^T adj(xI - N) mu."""
     g = poly_gcd(p, f)
     return CoronalTriple(num=p.divexact(g), den=f.divexact(g), shared=g)
 

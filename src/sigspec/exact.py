@@ -9,15 +9,14 @@ coefficient is not an integer. The one rational value is what
 ``RationalFn.eval`` returns where it is not integral. Coefficient vectors are
 stored lowest degree first with no trailing zeros.
 
-Characteristic polynomials take one of two exact kernels by matrix order: a
-Faddeev-LeVerrier recursion on Python ints up to a small order, and above it
-Hessenberg reduction modulo word-size primes, lifted back to integers by CRT.
-That kernel takes a batch of same-order matrices, reduces each modulo one
-shared list of primes and runs all of them in one int64 numpy array, so
-``charpolys`` of many matrices costs a few numpy calls per column, not per
-column and matrix. The coronal's form shares the primes of its charpoly: the
-matrix and its rank-one update are one batch, and only their difference is
-lifted.
+Every characteristic polynomial, at every order, comes from one exact
+kernel: Hessenberg reduction modulo word-size primes, lifted back to
+integers by CRT. The kernel takes a batch of same-order matrices, reduces
+each modulo one shared list of primes and runs all of them in one int64
+numpy array, so many matrices cost a few numpy calls per column, not per
+column and matrix. One entry groups matrices by order into such batches; a
+matrix given with a vector u also puts its rank-one update in the batch, and
+u^T adj(xI - a) u is lifted from the difference of the two residues.
 """
 from __future__ import annotations
 
@@ -145,7 +144,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
+        (k,) = _exact_ints((k,))
+        if k < 0:
             raise ValueError("polynomial power must be a non-negative int")
         result = Poly.constant(1)
         base = self
@@ -516,42 +516,6 @@ class Matrix:
         return Matrix([[-x for x in r] for r in self._rows])
 
 
-def _faddeev_leverrier(a: Matrix, u: Sequence[int] | None) -> tuple[Poly, Poly | None]:
-    # The auxiliary matrices M_k satisfy adj(xI - a) = sum_k M_k x^(n-1-k), so
-    # one recursion gives the charpoly and u^T adj(xI - a) u. Every M_k of an
-    # integer matrix is an integer matrix, so the recursion runs on ints; numpy
-    # object matmul keeps Python big ints and is the fastest exact route here.
-    n = a.nrows
-    mat = np.array(a.rows(), dtype=object)
-    m = np.identity(n, dtype=object)
-    uv = None if u is None else np.array(u, dtype=object)
-    coeffs = [1]
-    forms = []
-    for k in range(1, n + 1):
-        if uv is not None:
-            forms.append(int(uv @ (m @ uv)))
-        m = mat @ m
-        tr = 0
-        for i in range(n):
-            tr += m[i, i]
-        c, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("trace not divisible in integer Faddeev-LeVerrier")
-        coeffs.append(c)
-        for i in range(n):
-            m[i, i] += c
-    if any(m[i, j] != 0 for i in range(n) for j in range(n)):
-        raise ArithmeticError("Faddeev-LeVerrier recursion did not terminate at zero")
-    f = Poly(list(reversed(coeffs)))
-    if u is None:
-        return f, None
-    return f, Poly(list(reversed(forms)))
-
-
-# Faddeev-LeVerrier runs at or below this order. Its O(n^4) big-int work beats
-# the multimodular kernel's fixed cost of a few numpy calls per row up to here.
-_FL_MAX = 11
-
 # The multimodular kernel works modulo primes below this bound. Every sum it
 # accumulates in int64 has at most n terms, each a product of two residues, so
 # it cannot wrap while n * (p - 1)^2 < 2^63: up to order 2^15 here.
@@ -612,7 +576,7 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
         below -= u[:, :, None] * h[:, m + 1, None, m:]
         np.remainder(below, p3, out=below)
         col = h[:, :, m + 1]
-        col += np.einsum("bij,bj->bi", h[:, :, m + 2:], u)
+        col += (h[:, :, m + 2:] @ u[:, :, None])[:, :, 0]
         np.remainder(col, p2, out=col)
     chi = np.zeros((count, n + 1, n + 1), dtype=np.int64)
     chi[:, 0, 0] = 1
@@ -624,7 +588,7 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
         if m > 1:
             tail[:, 1:m] = tail[:, 1:m] * h[:, m - 1, m - 2, None] % p2
             w = h[:, :m - 1, m - 1] * tail[:, 1:m] % p2
-            acc[:, :m - 1] -= np.einsum("bi,bik->bk", w, chi[:, :m - 1, :m - 1]) % p2
+            acc[:, :m - 1] -= (w[:, None, :] @ chi[:, :m - 1, :m - 1])[:, 0, :] % p2
         chi[:, m, 1:m + 1] = prev
         chi[:, m, :m] = (chi[:, m, :m] + acc) % p2
     return chi[:, n, :]
@@ -700,29 +664,59 @@ def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
             for row in residues.transpose(0, 2, 1).astype(object) @ weights]
 
 
-def charpolys(mats: Sequence[Matrix]) -> list[Poly]:
-    """det(xI - m) of each square integer matrix, in order.
+def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
+                          ) -> list[tuple[Poly, Poly | None]]:
+    """det(xI - a) of each square integer matrix a, and u^T adj(xI - a) u where u is given.
 
-    Matrices at or below order _FL_MAX go through Faddeev-LeVerrier one at a
-    time. Above it, the matrices of each order are one batch of the
-    multimodular kernel, modulo primes for the largest bound in the batch.
+    The items of each order are one batch of the multimodular kernel, modulo
+    one list of primes. An item with a vector also puts a + u u^T in its
+    batch: by the matrix determinant lemma, det(xI - a - u u^T) =
+    chi_a(x) - u^T adj(xI - a) u, so the form is lifted from the difference
+    of the two residues, and chi_(a + u u^T) itself is never lifted; its
+    larger row sums do not set the prime count.
+
+    The primes cover the largest of two bounds over the batch, with rho the
+    largest absolute row sum of a matrix a: C(n, k) * rho^k on the
+    coefficient of x^(n-k) of chi_a (see _charpoly_bound), and
+    |u|_1^2 * C(n-1, k) * rho^k on the coefficient of x^(n-1-k) of the form.
+    The form bound holds because each coefficient of a cofactor of xI - a is
+    a sum of at most C(n-1, k) minors of a of order k, each at most rho^k,
+    and the form sums these cofactors with weights u_i * u_j whose absolute
+    values add up to |u|_1^2.
     """
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        if not m.is_square:
+    keys = []  # per item: rows of a, u, rows of a + u u^T (u and the update None if no u)
+    for a, u in items:
+        if not a.is_square:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        groups.setdefault(m.nrows, []).append(i)
-    out: list[Poly] = [Poly()] * len(mats)
-    for n, idx in groups.items():
-        if n <= _FL_MAX:
-            for i in idx:
-                out[i] = _faddeev_leverrier(mats[i], None)[0]
-            continue
-        rows = [mats[i].rows() for i in idx]
-        bound = _charpoly_bound(n, max(map(_max_row_sum, rows)))
-        for i, f in zip(idx, _crt_lift(*_charpoly_residues(rows, bound))):
-            out[i] = f
-    return out
+        rows, update = a.rows(), None
+        if u is not None:
+            if len(u) != a.nrows:
+                raise ValueError("vector length differs from matrix size")
+            u = _exact_ints(u)
+            update = tuple(tuple(x + ui * uj for x, uj in zip(r, u)) for r, ui in zip(rows, u))
+        keys.append((rows, u, update))
+    chis, forms = {}, {}
+    for n in dict.fromkeys(len(a) for a, _, _ in keys):
+        group = [k for k in keys if len(k[0]) == n]
+        # each distinct matrix, plain or updated, is in the batch once
+        bases = list(dict.fromkeys(a for a, _, _ in group))
+        pairs = list(dict.fromkeys((a, b) for a, _, b in group if b is not None))
+        slot = {r: j for j, r in enumerate(dict.fromkeys(bases + [b for _, b in pairs]))}
+        rho = max(map(_max_row_sum, bases))
+        weight = max((sum(map(abs, u)) ** 2 for _, u, _ in group if u is not None), default=0)
+        bound = max(_charpoly_bound(n, rho), weight * _charpoly_bound(n - 1, rho))
+        primes, res = _charpoly_residues(list(slot), bound)
+        diff = ((res[[slot[a] for a, _ in pairs]] - res[[slot[b] for _, b in pairs]])
+                % np.array(primes, dtype=np.int64)[:, None])
+        lifted = _crt_lift(primes, np.concatenate([res[:len(bases)], diff]))
+        chis.update(zip(bases, lifted))
+        forms.update(zip(pairs, lifted[len(bases):]))
+    return [(chis[a], None if b is None else forms[a, b]) for a, _, b in keys]
+
+
+def charpolys(mats: Sequence[Matrix]) -> list[Poly]:
+    """det(xI - m) of each square integer matrix, in order (see _charpolys_with_forms)."""
+    return [f for f, _ in _charpolys_with_forms([(m, None) for m in mats])]
 
 
 def charpoly(a: Matrix) -> Poly:
@@ -730,45 +724,12 @@ def charpoly(a: Matrix) -> Poly:
     return charpolys([a])[0]
 
 
-def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int] | None):
-    """Characteristic polynomial of a, and u^T adj(xI - a) u if u is given.
-
-    At or below order _FL_MAX both come out of one Faddeev-LeVerrier
-    recursion. Above it the form comes from the matrix determinant lemma,
-    det(xI - a - u u^T) = chi_a(x) - u^T adj(xI - a) u: a and a + u u^T are
-    one batch of the multimodular kernel, modulo one list of primes. chi_a is
-    lifted from the residues of a, and the form from the difference of the
-    two residues. chi_(a + u u^T) itself is never lifted, so its larger row
-    sums do not set the prime count.
-
-    The primes cover the larger of two bounds, with rho the largest absolute
-    row sum of a: C(n, k) * rho^k on the coefficient of x^(n-k) of chi_a (see
-    _charpoly_bound), and |u|_1^2 * C(n-1, k) * rho^k on the coefficient of
-    x^(n-1-k) of the form. The form bound holds because each coefficient of a
-    cofactor of xI - a is a sum of at most C(n-1, k) minors of a of order k,
-    each at most rho^k, and the form sums these cofactors with weights
-    u_i * u_j whose absolute values add up to |u|_1^2.
-    """
-    if not a.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    if u is None:
-        return charpoly(a), None
-    if len(u) != a.nrows:
-        raise ValueError("vector length differs from matrix size")
-    uv = _exact_ints(u)
-    n, rows = a.nrows, a.rows()
-    if n <= _FL_MAX:
-        return _faddeev_leverrier(a, uv)
-    rho = _max_row_sum(rows)
-    bound = max(_charpoly_bound(n, rho), sum(map(abs, uv)) ** 2 * _charpoly_bound(n - 1, rho))
-    shifted = [[x + ui * uj for x, uj in zip(r, uv)] for r, ui in zip(rows, uv)]
-    primes, (chi, chi_shifted) = _charpoly_residues([rows, shifted], bound)
-    diff = (chi - chi_shifted) % np.array(primes, dtype=np.int64)[:, None]
-    f, form = _crt_lift(primes, np.stack([chi, diff]))
-    return f, form
+def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int]) -> tuple[Poly, Poly]:
+    """Characteristic polynomial of a and u^T adj(xI - a) u, from one kernel batch
+    of a and a + u u^T (see _charpolys_with_forms)."""
+    return _charpolys_with_forms([(a, u)])[0]
 
 
 def adjugate_quadratic_form(a: Matrix, u: Sequence[int]) -> Poly:
     """u^T adj(xI - a) u as a polynomial of degree n-1."""
-    _, p = charpoly_with_adjugate_form(a, u)
-    return p
+    return charpoly_with_adjugate_form(a, u)[1]

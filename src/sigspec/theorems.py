@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, Sequence
 
-from .coronal import CoronalTriple, signed_coronal
-from .exact import Matrix, Poly, charpoly, charpolys, compose_with_rational
+from .coronal import CoronalTriple, reduced_coronal, signed_coronal
+from .exact import Matrix, Poly, _charpolys_with_forms, charpolys, compose_with_rational
 from .graphs import (MarkedSignedGraph, adjacency_matrix, matrices,
                      mu_signed_graph, regular_degree, require_regular)
 
@@ -47,8 +47,9 @@ class FactoredCharPoly:
     linear is x - d for the clone-block diagonal d, shared the cofactor of
     the copy block's reduced coronal den in its charpoly, and the bracket is
     prod_i (u - lam_i * v), with u and v as in the module docstring, over the
-    eigenvalues lam_i of the integer matrix bracket_matrix. For each lam_i
-    the symmetric bordered matrix
+    eigenvalues lam_i of the integer matrix bracket_matrix, whose charpoly
+    bracket_charpoly is composed with u/v. For each lam_i the symmetric
+    bordered matrix
 
         B = [[d + lam_i*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]]
 
@@ -66,6 +67,7 @@ class FactoredCharPoly:
     shared_exponent: int
     bracket: Poly
     bracket_matrix: Matrix
+    bracket_charpoly: Poly
     copy_block: Matrix
     copy_marking: tuple[int, ...]
 
@@ -111,48 +113,62 @@ def factored_charpoly(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     the second factor may be any graph. degree_mode picks d for L and Q and
     is ignored for A.
     """
-    return _factored_charpolys(mg1, mg2, kind, [degree_mode])[0]
+    return factored_charpolys([(mg1, mg2)], kind, [degree_mode])[0][0]
 
 
-def _factored_charpolys(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph, kind: MatrixKind,
-                        degree_modes: list[DegreeMode]) -> list[FactoredCharPoly]:
-    # one factored charpoly per degree mode; the copy block and its coronal
-    # do not depend on d, so all of them share one coronal
-    n2 = mg2.graph.n
-    mu_graph2 = mu_signed_graph(mg2)
-    if kind == "A":
-        ds, copy_block = [0] * len(degree_modes), adjacency_matrix(mu_graph2)
-    elif kind in ("L", "Q"):
-        r1 = require_regular(mg1.graph, "first factor")
-        ds = [_a_degree(r1, n2, mode) for mode in degree_modes]
-        copy_block = getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2)
-    else:
+def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGraph]],
+                       kind: MatrixKind, degree_modes: Sequence[DegreeMode]
+                       ) -> list[list[FactoredCharPoly]]:
+    """factored_charpoly of each pair in each degree mode, one list per pair.
+
+    Every copy block, with its marking, and every bracket matrix goes through
+    one exact call, so the matrices of each order are one kernel batch. The
+    copy block does not depend on d, so the forms of one pair share its
+    coronal, and each distinct copy block's coronal is reduced once.
+    """
+    if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    marking = mg2.marking.signs
-    coro = signed_coronal(copy_block, marking)
-    return [_factored_from_coronal(mg1, kind, d, copy_block, marking, coro) for d in ds]
+    # the copy block depends on the second factor only and the bracket matrix
+    # on the first only, so each distinct factor's is built once
+    dss, blocks, brackets = [], {}, {}
+    for mg1, mg2 in pairs:
+        n2 = mg2.graph.n
+        r1 = 0 if kind == "A" else require_regular(mg1.graph, "first factor")
+        dss.append([0 if kind == "A" else _a_degree(r1, n2, mode) for mode in degree_modes])
+        if mg2 not in blocks:
+            mu_graph2 = mu_signed_graph(mg2)
+            blocks[mg2] = (adjacency_matrix(mu_graph2) if kind == "A" else
+                           getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2),
+                           mg2.marking.signs)
+        if mg1 not in brackets:
+            # the clone block of L carries -A(Sigma1^mu) (x) J
+            a1 = adjacency_matrix(mu_signed_graph(mg1))
+            brackets[mg1] = -a1 if kind == "L" else a1
+    items = list(blocks.values()) + [(m, None) for m in brackets.values()]
+    solved = dict(zip(items, _charpolys_with_forms(items)))
+    coronals = {item: reduced_coronal(f, p) for item, (f, p) in solved.items()
+                if p is not None}
+    return [[_factored_from_coronal(kind, d, coronals[blocks[mg2]], *blocks[mg2],
+                                    brackets[mg1], solved[brackets[mg1], None][0])
+             for d in ds] for (mg1, mg2), ds in zip(pairs, dss)]
 
 
-def _factored_from_coronal(mg1: MarkedSignedGraph, kind: MatrixKind, d: int,
+def _factored_from_coronal(kind: MatrixKind, d: int, coro: CoronalTriple,
                            copy_block: Matrix, marking: tuple[int, ...],
-                           coro: CoronalTriple) -> FactoredCharPoly:
-    # the formula once the copy block's reduced coronal is known; callers
-    # that already hold it (the A form's coronal is the second factor's
-    # mu-adjacency coronal) skip recomputing it
-    n1, n2 = mg1.graph.n, copy_block.nrows
+                           bracket_matrix: Matrix, bracket_charpoly: Poly) -> FactoredCharPoly:
+    # the formula once the copy block's reduced coronal and the bracket
+    # matrix's charpoly are known
+    n1, n2 = bracket_matrix.nrows, copy_block.nrows
     linear = Poly.linear(-d)
     u = linear * coro.den - n2 * coro.num
     v = n2 * coro.den
-    # the clone block of L carries -A(Sigma1^mu) (x) J
-    a1 = adjacency_matrix(mu_signed_graph(mg1))
-    m = -a1 if kind == "L" else a1
     # v^n1 * chi_m(u/v) = prod_i (u - lam_i*v): one composition, no eigenvalues
     return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
                             linear_exponent=n1 * (n2 - 1), shared_factor=coro.shared,
                             shared_exponent=n1,
-                            bracket=compose_with_rational(charpoly(m), u, v),
-                            bracket_matrix=m, copy_block=copy_block,
-                            copy_marking=marking)
+                            bracket=compose_with_rational(bracket_charpoly, u, v),
+                            bracket_matrix=bracket_matrix, bracket_charpoly=bracket_charpoly,
+                            copy_block=copy_block, copy_marking=marking)
 
 
 @dataclass(frozen=True)

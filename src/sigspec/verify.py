@@ -10,7 +10,7 @@ from .io import serialize_graph
 from .product import corona, product
 from .sampling import (random_marked_graph, random_regular_marked_graph,
                        random_single_vertex)
-from .theorems import _factored_charpolys
+from .theorems import factored_charpolys
 
 
 def _digest(mg: MarkedSignedGraph) -> str:
@@ -25,8 +25,8 @@ def _count_checks(pg, mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> bool:
     return vertices_ok and edges_ok
 
 
-# trials sampled and built before one charpolys call takes their direct
-# charpolys: large enough that each product order is one kernel batch, small
+# trials sampled and built before one charpolys and one factored_charpolys call
+# take their charpolys: large enough that each order is one kernel batch, small
 # enough that memory stays flat however many trials run
 _BLOCK = 50
 
@@ -45,6 +45,8 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
     """
     if matrix_kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {matrix_kind!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be a non-negative count, got {trials}")
     rng = random.Random(seed)
     other_mode = "paper" if degree_mode == "constructed" else "constructed"
     # L and Q also record the other degree mode; its form shares the coronal
@@ -68,8 +70,9 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
                 m = d - m if matrix_kind == "L" else d + m
             block.append((mg1, mg2, _count_checks(pg, mg1, mg2), m))
         directs = charpolys([m for *_, m in block])
-        for t, ((mg1, mg2, counts_ok, _), direct) in enumerate(zip(block, directs), start):
-            fc, *other = _factored_charpolys(mg1, mg2, matrix_kind, modes)
+        factored = factored_charpolys([(mg1, mg2) for mg1, mg2, *_ in block], matrix_kind, modes)
+        for t, ((mg1, mg2, counts_ok, _), direct, (fc, *other)) in enumerate(
+                zip(block, directs, factored), start):
             match = fc.assembled == direct
             record = {
                 "trial": t,
@@ -106,6 +109,8 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
 def run_corona_verification(trials: int = 20, seed: int = 0,
                             signed: bool = True) -> dict:
     """Products with a one-vertex second factor against the pendant corona."""
+    if trials < 0:
+        raise ValueError(f"trials must be a non-negative count, got {trials}")
     rng = random.Random(seed)
     records = []
     failures = 0

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from sigspec.applications import (equienergetic_demo, equienergetic_family,
                                   factored_energy_estimate,
                                   integral_product_check, star_bracket_cubic,
                                   star_bracket_cubic_expanded,
-                                  star_product_integral_check)
+                                  star_integral_checks, star_product_integral_check)
 from sigspec import applications, exact, graphs, spectra
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph,
                             adjacency_matrix, complete, cycle, path,
@@ -73,6 +75,44 @@ def test_star_route_agrees_with_general_route(rng):
     report = star_product_integral_check(mg1, leaves, star_mg.marking[0])
     general = integral_product_check(mg1, star_mg)
     assert report.integral == general.integral
+
+
+def test_star_integral_checks_match_one_case_at_a_time():
+    cases = [(mg1, n, m) for mg1 in (single(), mk(cycle(3, "+-+")), mk(complete(4)))
+             for n in (1, 3, 4) for m in (1, -1)]
+    for (mg1, n, m), (report, general) in zip(cases, star_integral_checks(cases)):
+        star_mg = mk(star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1)))
+        assert star_mg.marking[0] == m
+        assert report == star_product_integral_check(mg1, n, m)
+        assert general == integral_product_check(mg1, star_mg)
+    with pytest.raises(ValueError):
+        star_integral_checks([(single(), 2, 0)])
+
+
+def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsys):
+    # 336 instances, but only 12 star copy blocks with their markings (11
+    # distinct matrices: the two K_{1,1} blocks differ in marking only) and
+    # 28 first factors: each distinct matrix, rank-one updates included, is
+    # in one batch once
+    from sigspec.cli import _search_first_factors, main
+    seen = Counter()
+    kernel = exact._charpoly_residues
+
+    def recorded(mats, bound):
+        seen.update(tuple(map(tuple, rows)) for rows in mats)
+        return kernel(mats, bound)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
+    firsts = [adjacency_matrix(graphs.mu_signed_graph(mg)).rows()
+              for _, mg in _search_first_factors(4)]
+    stars = [mk(star(n + 1, c + "+" * (n - 1))) for n in range(1, 7) for c in "+-"]
+    blocks = {(adjacency_matrix(graphs.mu_signed_graph(s)).rows(), s.marking.signs)
+              for s in stars}
+    assert len(firsts) == 28 and len(blocks) == 12
+    assert set(firsts) | {rows for rows, _ in blocks} <= set(seen)
+    assert set(seen.values()) == {1}
 
 
 def test_star_bracket_cubic_forms_agree():
@@ -163,23 +203,18 @@ def test_equienergetic_product_charpolys_match_direct(base):
 
 
 def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
-    # every exact charpoly goes through one of the two kernels; the demo's
-    # largest should be the order-18 inputs, never the order-72 products.
-    # Every matrix of a multimodular batch is recorded, so the rank-one update
-    # a coronal puts in its batch counts too
+    # every exact charpoly goes through the one kernel; the demo's largest
+    # should be the order-18 inputs, never the order-72 products. Every
+    # matrix of a batch is recorded, so the rank-one update a coronal puts in
+    # its batch counts too
     orders = []
-    multimodular, leverrier = exact._charpoly_residues, exact._faddeev_leverrier
+    kernel = exact._charpoly_residues
 
-    def recorded_multimodular(mats, bound):
+    def recorded(mats, bound):
         orders.extend(len(rows) for rows in mats)
-        return multimodular(mats, bound)
+        return kernel(mats, bound)
 
-    def recorded_leverrier(a, u):
-        orders.append(a.nrows)
-        return leverrier(a, u)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded_multimodular)
-    monkeypatch.setattr(exact, "_faddeev_leverrier", recorded_leverrier)
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     assert equienergetic_demo().valid
     assert orders and max(orders) <= 18
 

@@ -109,6 +109,8 @@ def test_gen_all_negative_two_vertex_marking(capsys):
 @pytest.mark.parametrize("argv", [
     ["integral-search", "--family", "star"],
     ["gen", "--family", "cycle", "--n", "3", "--signs", "1,1"],
+    ["verify-theorem", "--trials", "-3"],
+    ["gen", "--family", "cycle", "--n", "3", "--iterations", "-1"],
 ])
 def test_cli_input_errors_exit_1(argv, capsys):
     assert main(argv) == 1

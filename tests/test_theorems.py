@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigspec import exact
 from sigspec.coronal import signed_coronal
 from sigspec.exact import Matrix, Poly, charpoly
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
@@ -14,7 +15,7 @@ from sigspec.product import product
 from sigspec.sampling import (random_marked_graph,
                               random_regular_marked_graph)
 from sigspec.theorems import (coronal_of_mu_graph, cospectral_family_check,
-                              factored_charpoly)
+                              factored_charpoly, factored_charpolys)
 
 
 def rngs():
@@ -139,6 +140,38 @@ def test_factored_charpoly_dispatch():
         fc = factored_charpoly(mg1, mg2, kind)
         assert fc.matrix_kind == kind
         assert fc.assembled == charpoly(getattr(matrices(product(mg1, mg2).graph), kind))
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+def test_factored_charpolys_match_one_pair_at_a_time(kind):
+    # one batch over mixed pairs: one-vertex factors, equal and unequal
+    # orders, a repeated pair and a second factor equal to a first factor
+    k2_minus = MarkedSignedGraph(complete(2), Marking([1, -1]))
+    c4 = MarkedSignedGraph(cycle(4, "+-++"), Marking([1, -1, -1, 1]))
+    firsts = [single(), k2_minus, mk(cycle(3, "+--")), c4]
+    seconds = [single(), mk(path(3, "+-")), c4, mk(star(4, "-++"))]
+    pairs = [(g1, g2) for g1 in firsts for g2 in seconds] + [(c4, c4)]
+    modes = ["constructed", "paper"]
+    got = factored_charpolys(pairs, kind, modes)
+    assert got == [[factored_charpoly(g1, g2, kind, m) for m in modes] for g1, g2 in pairs]
+    assert factored_charpolys([], kind, modes) == []
+
+
+def test_factored_charpoly_is_one_kernel_call(monkeypatch):
+    # the copy block, its rank-one update and the bracket matrix have one
+    # order here, so they share one batch and one list of primes
+    calls = []
+    kernel = exact._charpoly_residues
+
+    def recorded(mats, bound):
+        calls.append(len(mats))
+        return kernel(mats, bound)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    fc = factored_charpoly(mk(cycle(8)), mk(cycle(8)), "L")
+    assert calls == [3]
+    monkeypatch.undo()
+    assert fc.assembled == charpoly(matrices(product(mk(cycle(8)), mk(cycle(8))).graph).L)
 
 
 def _check_stated_factorization(fc):

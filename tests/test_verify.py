@@ -1,13 +1,17 @@
 from collections import Counter
 
+import pytest
+
 from sigspec import exact, verify
-from sigspec.verify import run_theorem_verification
+from sigspec.verify import run_corona_verification, run_theorem_verification
 
 
 def test_verification_batches_each_product_order_once_per_block(monkeypatch):
-    # the direct charpolys of a block are one charpolys call, so each product
-    # order above the cutoff is one kernel batch per block; one call per
-    # product, as before blocks, would be about 86 here
+    # a block's direct charpolys are one charpolys call and its factored forms
+    # one factored_charpolys call, so each product order is one kernel batch
+    # per block and each factor order (at most 4 here) at most two, where
+    # products of order 2 and 4 share an order with factors; one call per
+    # product or factor would be hundreds here
     calls = Counter()
     kernel = exact._charpoly_residues
 
@@ -20,9 +24,17 @@ def test_verification_batches_each_product_order_once_per_block(monkeypatch):
     report = run_theorem_verification(matrix_kind="A", trials=trials, seed=3)
     assert report["all_match"]
     blocks = -(-trials // verify._BLOCK)
-    assert calls and all(order > exact._FL_MAX for order in calls)
-    assert max(calls.values()) <= blocks
-    assert sum(calls.values()) <= blocks * len(calls) < 20
+    assert calls and all(count <= (2 if order <= 4 else 1) * blocks
+                         for order, count in calls.items())
+    assert sum(calls.values()) < 45
+
+
+def test_negative_trial_counts_are_refused():
+    with pytest.raises(ValueError):
+        run_theorem_verification(trials=-3)
+    with pytest.raises(ValueError):
+        run_corona_verification(trials=-2)
+    assert run_theorem_verification(trials=0)["records"] == []
 
 
 def test_block_boundaries_leave_the_rng_stream_alone():
