@@ -2,19 +2,22 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from math import prod
+from typing import Callable
 
 import numpy as np
 
 from .coronal import reduced_coronal, star_coronal_closed_form
-from .exact import (Poly, RationalFn, _charpolys_with_forms, _exact_ints, charpoly,
-                    compose_with_rational)
+from .exact import Poly, RationalFn, _charpolys_with_forms, _exact_ints, charpoly
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
-from .theorems import (FactoredCharPoly, _factored_from_coronal, factored_charpoly,
-                       factored_charpolys)
+from .theorems import (FactoredCharPoly, _composed_bracket, _factored_from_coronal,
+                       factored_charpoly, factored_charpolys)
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,49 @@ def integral_product_check(mg1: MarkedSignedGraph,
 
     The factored adjacency charpoly has an x^(n1(n2-1)) factor (root 0), the
     shared factor and the bracket product; the product is integral exactly
-    when the latter two have only integer roots.
+    when the latter two have only integer roots. The bracket is decided per
+    eigenvalue of the first factor (see _bracket_integrality) and is never
+    expanded unless its quotient is read.
     """
-    return _integrality_report(factored_charpoly(mg1, mg2, "A"))
+    return _integrality_report(factored_charpoly(mg1, mg2, "A"), IntegralityResult.of)
 
 
-def _integrality_report(fc: FactoredCharPoly) -> IntegralityReport:
+def _integrality_report(fc: FactoredCharPoly,
+                        of: Callable[[Poly], IntegralityResult]) -> IntegralityReport:
+    # of: IntegralityResult.of, or a memo of it shared by a batch
     return IntegralityReport(n1=fc.bracket_matrix.nrows, n2=fc.copy_block.nrows,
                              linear_root=0, linear_exponent=fc.linear_exponent,
-                             shared=IntegralityResult.of(fc.shared_factor),
-                             bracket=IntegralityResult.of(fc.bracket))
+                             shared=of(fc.shared_factor),
+                             bracket=_bracket_integrality(
+                                 of(fc.bracket_charpoly), fc.bracket_u, fc.bracket_v,
+                                 lambda: fc.bracket, of))
+
+
+def _bracket_integrality(eigen: IntegralityResult, u: Poly, v: Poly,
+                         bracket: Callable[[], Poly],
+                         of: Callable[[Poly], IntegralityResult]) -> IntegralityResult:
+    """Integer roots of the bracket prod_i (u - lam_i * v), lam_i the roots of
+    a monic integer chi, decided per eigenvalue from eigen = of(chi).
+
+    u = (x - d)*den - n2*num and v = n2*den come from a reduced coronal
+    num/den. At an integer root x of u - lam*v, v(x) != 0, because num and
+    den are coprime, so lam = u(x)/v(x) is rational; a root of the monic
+    integer chi is an algebraic integer, so lam is an integer. So the
+    bracket's integer roots are those of u - lam*v over the integer lam,
+    each counted lam's multiplicity times, and the bracket splits over Z
+    exactly when chi does and so does each such u - lam*v. Each u - lam*v
+    goes through of (IntegralityResult.of or a memo of it); bracket builds
+    the expansion, only if the quotient is read.
+    """
+    integral, roots = eigen.integral, []
+    for lam, k in Counter(eigen.roots).items():
+        factor = of(u - lam * v)
+        integral = integral and factor.integral
+        roots += factor.roots * k
+    roots.sort()
+    return IntegralityResult(integral=integral, roots=tuple(roots),
+                             build_quotient=lambda: bracket().divexact(
+                                 prod((Poly([-r, 1]) for r in roots), start=Poly.constant(1))))
 
 
 def star_bracket_cubic(n: int, lam: int, center_mark: int) -> Poly:
@@ -113,7 +149,7 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     # the closed forms check n and center_mark before any charpoly is taken
     effective, stated = (star_coronal_closed_form(n, m) for m in (1, center_mark))
     g = charpoly(adjacency_matrix(mu_signed_graph(mg1)))
-    return _star_report(n, center_mark, effective, stated, g)
+    return _star_report(n, center_mark, effective, stated, g, IntegralityResult.of)
 
 
 def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
@@ -125,7 +161,9 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     center_mark, so that its center mark is center_mark. One
     factored_charpolys batch gives every general check, so each distinct
     star copy block's coronal and each first factor's mu-adjacency charpoly
-    are computed once; the closed-form check composes that same charpoly.
+    are computed once. Both checks decide per eigenvalue of that same
+    charpoly, and every distinct polynomial's integer roots, over all cases,
+    are taken once.
     """
     # ints first: a bool would hide behind an equal int key of the distinct stars
     _exact_ints(x for _, n, center_mark in cases for x in (n, center_mark))
@@ -134,23 +172,26 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     stars = {(n, m): MarkedSignedGraph.with_canonical_marking(
                  star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1))) for n, m in closed}
     fcs = factored_charpolys([(mg1, stars[n, m]) for mg1, n, m in cases], "A", ["constructed"])
-    return [(_star_report(n, m, *closed[n, m], fc.bracket_charpoly), _integrality_report(fc))
-            for (_, n, m), (fc,) in zip(cases, fcs)]
+    of = cache(IntegralityResult.of)
+    return [(_star_report(n, m, *closed[n, m], fc.bracket_charpoly, of),
+             _integrality_report(fc, of)) for (_, n, m), (fc,) in zip(cases, fcs)]
 
 
 def _star_report(n: int, center_mark: int, effective: RationalFn, stated: RationalFn,
-                 g: Poly) -> StarProductReport:
-    # the closed-form verdicts from g, the first factor's mu-adjacency charpoly
+                 g: Poly, of: Callable[[Poly], IntegralityResult]) -> StarProductReport:
+    # the closed-form verdicts from g, the first factor's mu-adjacency
+    # charpoly, decided per eigenvalue; of as in _integrality_report
     n2 = n + 1
+    eigen = of(g)
     star_charpoly = Poly([0] * (n - 1) + [-n, 0, 1])
 
     def bracket_for(fn: RationalFn) -> IntegralityResult:
         u = Poly.x() * fn.den - n2 * fn.num
         v = n2 * fn.den
-        return IntegralityResult.of(compose_with_rational(g, u, v))
+        return _bracket_integrality(eigen, u, v, lambda: _composed_bracket(g, u, v), of)
 
     # the shared factor comes from the effective (mark +1) coronal only
-    shared = IntegralityResult.of(star_charpoly.divexact(effective.den))
+    shared = of(star_charpoly.divexact(effective.den))
     bracket = bracket_for(effective)
     as_stated = bracket if center_mark == 1 else bracket_for(stated)
     return StarProductReport(n=n, center_mark=center_mark,

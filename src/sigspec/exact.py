@@ -20,11 +20,13 @@ u^T adj(xI - a) u is lifted from the difference of the two residues.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt, prod
 from math import gcd as _int_gcd
 from numbers import Rational
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -249,6 +251,9 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     product's coefficients are read back chunk by chunk. Chunks hold a
     coefficient plus half their range, so every chunk is non-negative and no
     borrow runs between neighbours; subtracting the offset corrects for it.
+    A square (b is a) packs once and multiplies the int by itself, which
+    CPython's multiplication detects and does in about two thirds of the
+    time of a general product.
     """
     # |product coefficient| <= min(len) * max|a| * max|b|, plus one sign bit
     bits = (max(abs(x) for x in a).bit_length() + max(abs(x) for x in b).bit_length()
@@ -261,7 +266,9 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return int.from_bytes(raw, "little") - _offset(len(c), width)
 
     n = len(a) + len(b) - 1
-    raw = (pack(a) * pack(b) + _offset(n, width)).to_bytes(width * n, "little")
+    pa = pack(a)
+    pb = pa if b is a else pack(b)
+    raw = (pa * pb + _offset(n, width)).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * n, width)]
 
@@ -406,46 +413,106 @@ def _synthetic_div(c: list[int], root: int) -> list[int]:
     return out
 
 
-def _int_root_bound(c: list[int]) -> int:
-    # Fujiwara-style bound from bit lengths: |root| <= 2 * max_i (|a_{n-i}|/|a_n|)^(1/i),
-    # overestimated via 2^(ceil((bits(a_{n-i}) - bits(a_n) + 1)/i)).
-    n = len(c) - 1
-    lead_bits = abs(c[-1]).bit_length()
-    emax = 0
-    for i in range(1, n + 1):
-        a = c[n - i]
-        if a == 0:
-            continue
-        e = -(-(abs(a).bit_length() - lead_bits + 1) // i)
-        emax = max(emax, e)
-    if emax > 60:
-        raise ArithmeticError("integer root bound is out of range for this polynomial")
-    return 2 << emax
+def _derivative(p: Poly) -> Poly:
+    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def _square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's square-free decomposition of a primitive p with a positive leading
+    coefficient: [(s_j, j), ...] with p = prod s_j^j, each s_j square-free of
+    positive degree, the s_j pairwise coprime and ordered by j.
+
+    With a = gcd(p, p'), b = p/a and c = p'/a, each round takes
+    d = c - b', s_j = gcd(b, d), then b <- b/s_j and c <- d/s_j (Yun,
+    "On square-free decomposition algorithms", SYMSAC 1976). Every divisor
+    is a gcd with a positive leading coefficient of primitive polynomials,
+    so it is primitive, and by Gauss's lemma each division is exact over Z.
+    """
+    parts = []
+    dp = _derivative(p)
+    a = poly_gcd(p, dp)
+    b, c = p.divexact(a), dp.divexact(a)
+    j = 1
+    while b.degree > 0:
+        d = c - _derivative(b)
+        s = poly_gcd(b, d)
+        if s.degree > 0:
+            parts.append((s, j))
+        b, c = b.divexact(s), d.divexact(s)
+        j += 1
+    return parts
+
+
+def _odd_primes() -> Iterator[int]:
+    q = 3
+    while True:
+        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            yield q
+        q += 2
+
+
+def _eval_mod(c: Sequence[int], x: int, m: int) -> int:
+    # c(x) mod m by Horner, c lowest first
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * x + a) % m
+    return acc
+
+
+def _roots_mod(c: Sequence[int], q: int) -> list[int]:
+    return [a for a in range(q) if _eval_mod(c, a, q) == 0]
+
+
+def _root_candidates(f: Poly) -> list[int]:
+    """Integers that include every integer root of a square-free f with f(0) != 0.
+
+    Every integer root divides f(0), so its size is at most B = |f(0)|.
+    Take the first odd prime q modulo which f has only simple roots in F_q,
+    f'(a) != 0 mod q at each root a of f mod q; as f is square-free, every q
+    that divides neither its leading coefficient nor its discriminant will
+    do. Every integer root is congruent to one of the a. Each a has one
+    lift modulo q^(2^i) by Newton's iteration r <- r - f(r)/f'(r) (Hensel's
+    lemma), so once the modulus m exceeds 2B, the lift of an integer root,
+    read in (-m/2, m/2], is that root. The lifts are candidates; the caller
+    confirms each.
+    """
+    c, dc = f.coeffs, _derivative(f).coeffs
+    q = next(q for q in _odd_primes() if all(_eval_mod(dc, a, q) for a in _roots_mod(c, q)))
+    bound, out = abs(c[0]), []
+    for r in _roots_mod(c, q):
+        m = q
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+        out.append(r if 2 * r <= m else r - m)
+    return out
 
 
 def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
     """All integer roots of p with multiplicity, plus the integer-root-free quotient.
 
     Returns (roots sorted ascending, quotient) with
-    p == quotient * prod(x - root).
+    p == quotient * prod(x - root). After x^m is split off, the other roots
+    are among the Hensel-lifted candidates (see _root_candidates) of the
+    square-free part, the product of the Yun factors of p (see
+    _square_free_parts). Each candidate that divides the constant term is
+    divided out by synthetic division for as long as the division is exact;
+    no interval of integers is scanned.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
     zero_mult, ints = _strip_low_zeros(list(p.coeffs))
     roots = [0] * zero_mult
     if len(ints) > 1:
-        bound = _int_root_bound(ints)
-        for k in range(-bound, bound + 1):
-            if k == 0 or ints[0] % k != 0:
-                continue
-            while len(ints) > 1:
-                acc = 0
-                for c in reversed(ints):
-                    acc = acc * k + c
-                if acc != 0:
+        square_free = prod((s for s, _ in _square_free_parts(_primitive(Poly(ints))[1])),
+                           start=Poly.constant(1))
+        for r in _root_candidates(square_free):
+            while r and ints[0] % r == 0 and len(ints) > 1:
+                try:
+                    ints = _synthetic_div(ints, r)
+                except ArithmeticError:
                     break
-                ints = _synthetic_div(ints, k)
-                roots.append(k)
+                roots.append(r)
     return tuple(sorted(roots)), Poly(ints)
 
 
@@ -598,20 +665,27 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 _BATCH_ENTRIES = 1 << 21
 
 
-def _charpoly_bound(n: int, rho: int) -> int:
-    """The largest C(n, k) * rho^k: a bound on every charpoly coefficient of
-    an order-n matrix whose largest absolute row sum is rho.
+def _coefficient_bound(rows: Sequence[Sequence[int]]) -> int:
+    """max_k e_k(r_1, ..., r_n), with r_i = ceil(|row_i|_2) and e_k the k-th
+    elementary symmetric sum: a bound on every charpoly coefficient of the
+    square integer matrix with these rows.
 
-    c_k is a signed sum of C(n, k) principal minors of order k, and every
-    minor of order k is at most rho^k: by Hadamard, |det B| is at most the
-    product of the Euclidean norms of B's rows, and each is at most its
-    absolute sum, at most rho.
+    The coefficient of x^(n-k) is a signed sum of the principal minors of
+    order k, one per row set S of size k. By Hadamard, such a minor is at
+    most the product of the Euclidean norms of its rows, each at most the
+    norm of the whole row, so the sum is at most the sum over S of
+    prod_{i in S} r_i, which is e_k. No symmetry is needed. The e_k are the
+    coefficients of prod_i (1 + r_i t), with the m rows of one norm r
+    contributing (1 + r t)^m, whose coefficients are C(m, i) r^i.
     """
-    return max(comb(n, k) * rho ** k for k in range(n + 1))
+    norms = Counter(_ceil_sqrt(sum(map(mul, r, r))) for r in rows)
+    return max(prod((Poly([comb(m, i) * r ** i for i in range(m + 1)])
+                     for r, m in norms.items()), start=Poly.constant(1)).coeffs)
 
 
-def _max_row_sum(rows: Sequence[Sequence[int]]) -> int:
-    return max(sum(map(abs, r)) for r in rows)
+def _ceil_sqrt(t: int) -> int:
+    s = isqrt(t)
+    return s + (s * s < t)
 
 
 def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
@@ -673,16 +747,17 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
     batch: by the matrix determinant lemma, det(xI - a - u u^T) =
     chi_a(x) - u^T adj(xI - a) u, so the form is lifted from the difference
     of the two residues, and chi_(a + u u^T) itself is never lifted; its
-    larger row sums do not set the prime count.
+    larger row norms do not set the prime count.
 
-    The primes cover the largest of two bounds over the batch, with rho the
-    largest absolute row sum of a matrix a: C(n, k) * rho^k on the
-    coefficient of x^(n-k) of chi_a (see _charpoly_bound), and
-    |u|_1^2 * C(n-1, k) * rho^k on the coefficient of x^(n-1-k) of the form.
-    The form bound holds because each coefficient of a cofactor of xI - a is
-    a sum of at most C(n-1, k) minors of a of order k, each at most rho^k,
-    and the form sums these cofactors with weights u_i * u_j whose absolute
-    values add up to |u|_1^2.
+    The primes cover W * E, with E the largest _coefficient_bound of a
+    matrix a of the batch and W the largest |u|_1^2 (1 where no item has a
+    vector). E bounds every chi_a, and |u|_1^2 * E every coefficient of a
+    form. That coefficient sums u_i * u_j times the matching coefficient of
+    det(xI - a) with row j and column i deleted, and the coefficient of
+    x^(n-1-k) there is a signed sum of minors of a of order k, one per row
+    set of size k that avoids j. Each minor is at most the product of its
+    rows' norms (Hadamard), so the sum is at most e_k of the r_l, and the
+    weights |u_i * u_j| add up to |u|_1^2.
     """
     keys = []  # per item: rows of a, u, rows of a + u u^T (u and the update None if no u)
     for a, u in items:
@@ -702,9 +777,8 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
         bases = list(dict.fromkeys(a for a, _, _ in group))
         pairs = list(dict.fromkeys((a, b) for a, _, b in group if b is not None))
         slot = {r: j for j, r in enumerate(dict.fromkeys(bases + [b for _, b in pairs]))}
-        rho = max(map(_max_row_sum, bases))
         weight = max((sum(map(abs, u)) ** 2 for _, u, _ in group if u is not None), default=0)
-        bound = max(_charpoly_bound(n, rho), weight * _charpoly_bound(n - 1, rho))
+        bound = max(1, weight) * max(map(_coefficient_bound, bases))
         primes, res = _charpoly_residues(list(slot), bound)
         diff = ((res[[slot[a] for a, _ in pairs]] - res[[slot[b] for _, b in pairs]])
                 % np.array(primes, dtype=np.int64)[:, None])

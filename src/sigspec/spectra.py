@@ -5,7 +5,9 @@ Eigenvalues come from ``np.linalg.eigvalsh`` (``dsyevd``). Exact decisions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -80,16 +82,26 @@ def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:
 
 @dataclass(frozen=True)
 class IntegralityResult:
-    """Integer roots of a monic integer polynomial and the rest of it."""
+    """Integer roots of a monic integer polynomial and the rest of it.
+
+    quotient, the polynomial divided by prod(x - root), is built by
+    build_quotient on first access, so a verdict on a polynomial known only
+    through its factors never expands it.
+    """
 
     integral: bool
     roots: tuple[int, ...]
-    quotient: Poly
+    build_quotient: Callable[[], Poly] = field(repr=False, compare=False)
+
+    @cached_property
+    def quotient(self) -> Poly:
+        return self.build_quotient()
 
     @classmethod
     def of(cls, p: Poly) -> IntegralityResult:
         roots, quotient = integer_roots(p)
-        return cls(integral=quotient.degree == 0, roots=roots, quotient=quotient)
+        return cls(integral=quotient.degree == 0, roots=roots,
+                   build_quotient=lambda: quotient)
 
 
 def is_integral(mg) -> IntegralityResult:

@@ -22,17 +22,21 @@ mu2^T (xI - N)^-1 mu2 is the reduced coronal of N and shared = charpoly(N)
 
 with u = (x - d)*den - n2*num, v = n2*den and lam_i the eigenvalues of
 s*A(Sigma1^mu). The bracket prod_i (u - lam_i*v) is assembled without
-computing eigenvalues by composing the charpoly of s*A(Sigma1^mu) with u/v.
-Every factor is monic: den is, and deg num < deg den.
+computing eigenvalues by composing the charpoly of s*A(Sigma1^mu) with u/v,
+one square-free part at a time, and only when it is read: integrality and
+energy need the factors alone. Every factor is monic: den is, and
+deg num < deg den.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Literal, Sequence
 
 from .coronal import CoronalTriple, reduced_coronal, signed_coronal
-from .exact import Matrix, Poly, _charpolys_with_forms, charpolys, compose_with_rational
+from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _square_free_parts,
+                    charpolys, compose_with_rational)
 from .graphs import (MarkedSignedGraph, adjacency_matrix, matrices,
                      mu_signed_graph, regular_degree, require_regular)
 
@@ -46,18 +50,19 @@ class FactoredCharPoly:
 
     linear is x - d for the clone-block diagonal d, shared the cofactor of
     the copy block's reduced coronal den in its charpoly, and the bracket is
-    prod_i (u - lam_i * v), with u and v as in the module docstring, over the
-    eigenvalues lam_i of the integer matrix bracket_matrix, whose charpoly
-    bracket_charpoly is composed with u/v. For each lam_i the symmetric
-    bordered matrix
+    prod_i (u - lam_i * v), with u = bracket_u and v = bracket_v as in the
+    module docstring, over the eigenvalues lam_i of the integer matrix
+    bracket_matrix, whose charpoly bracket_charpoly is composed with u/v.
+    For each lam_i the symmetric bordered matrix
 
         B = [[d + lam_i*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]]
 
     of order n2 + 1, with N the copy block and mu2 the copy marking, has
     det(xI - B) = shared * (u - lam_i * v) by its Schur complement, so the
     roots of shared^n1 * bracket are the eigenvalues of n1 such matrices.
-    All three factors are monic. The expansion is built on first access
-    only, because integrality and energy need the factors alone.
+    All three factors are monic. The bracket and the expansion are built
+    on first access only, because integrality and energy need the factors
+    alone.
     """
 
     matrix_kind: MatrixKind
@@ -65,11 +70,17 @@ class FactoredCharPoly:
     linear_exponent: int
     shared_factor: Poly
     shared_exponent: int
-    bracket: Poly
+    bracket_u: Poly
+    bracket_v: Poly
     bracket_matrix: Matrix
     bracket_charpoly: Poly
     copy_block: Matrix
     copy_marking: tuple[int, ...]
+
+    @cached_property
+    def bracket(self) -> Poly:
+        """prod_i (u - lam_i * v) = v^n1 * chi(u/v), chi = bracket_charpoly."""
+        return _composed_bracket(self.bracket_charpoly, self.bracket_u, self.bracket_v)
 
     @cached_property
     def assembled(self) -> Poly:
@@ -87,6 +98,21 @@ class FactoredCharPoly:
         if not expanded.is_monic:
             raise AssertionError("assembled polynomial must be monic")
         return expanded
+
+
+def _composed_bracket(chi: Poly, u: Poly, v: Poly) -> Poly:
+    """v^deg(chi) * chi(u/v), expanded, for a monic chi.
+
+    With chi = prod_j s_j^j split square-free (Yun), this is
+    prod_j (v^deg(s_j) * s_j(u/v))^j: each distinct factor is composed once
+    and raised to its power, where the whole composition would repeat the
+    work of every repeated eigenvalue. A chi of degree at most
+    _SCHOOLBOOK_MAX is composed whole, the size rule of Poly.__mul__.
+    """
+    if chi.degree <= _SCHOOLBOOK_MAX:
+        return compose_with_rational(chi, u, v)
+    return prod((compose_with_rational(s, u, v) ** j for s, j in _square_free_parts(chi)),
+                start=Poly.constant(1))
 
 
 def coronal_of_mu_graph(mg: MarkedSignedGraph) -> CoronalTriple:
@@ -162,11 +188,9 @@ def _factored_from_coronal(kind: MatrixKind, d: int, coro: CoronalTriple,
     linear = Poly.linear(-d)
     u = linear * coro.den - n2 * coro.num
     v = n2 * coro.den
-    # v^n1 * chi_m(u/v) = prod_i (u - lam_i*v): one composition, no eigenvalues
     return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
                             linear_exponent=n1 * (n2 - 1), shared_factor=coro.shared,
-                            shared_exponent=n1,
-                            bracket=compose_with_rational(bracket_charpoly, u, v),
+                            shared_exponent=n1, bracket_u=u, bracket_v=v,
                             bracket_matrix=bracket_matrix, bracket_charpoly=bracket_charpoly,
                             copy_block=copy_block, copy_marking=marking)
 
@@ -210,11 +234,14 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
 
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    f_a, f_b = charpolys([adjacency_matrix(mu_signed_graph(x)) for x in (mg_a, mg_b)])
+    # one kernel batch gives both charpolys and, on the right, both forms
+    (f_a, p_a), (f_b, p_b) = _charpolys_with_forms(
+        [(adjacency_matrix(mu_signed_graph(x)), x.marking.signs if side == "right" else None)
+         for x in (mg_a, mg_b)])
     hypothesis_cospectral = f_a == f_b
     hypothesis_coronal: bool | None = None
     if side == "right":
-        ca, cb = coronal_of_mu_graph(mg_a), coronal_of_mu_graph(mg_b)
+        ca, cb = reduced_coronal(f_a, p_a), reduced_coronal(f_b, p_b)
         hypothesis_coronal = (ca.num, ca.den) == (cb.num, cb.den)
 
     if side == "left":

@@ -234,10 +234,12 @@ def test_equienergetic_demo_builds_no_product(monkeypatch):
     assert sizes and max(sizes) <= 18
 
 
-@pytest.mark.parametrize("center_mark, calls", [(1, 2), (-1, 3)])
+@pytest.mark.parametrize("center_mark, calls", [(1, 5), (-1, 8)])
 def test_star_check_scans_each_factor_once(monkeypatch, center_mark, calls):
-    # shared and bracket from the effective coronal, plus the as-stated
-    # bracket when the center mark is -1
+    # the shared factor and the first factor's charpoly once each, then
+    # u - lam*v of the effective coronal for each of C4's three distinct
+    # integer eigenvalues 2, 0 and -2, and again of the as-stated coronal
+    # when the center mark is -1
     counted = []
     roots = spectra.integer_roots
 
@@ -359,3 +361,79 @@ def test_factored_assembles_to_direct_charpoly_for_demo_base():
     fc = factored_charpoly(g1, single(), "A")
     direct = charpoly(matrices(product(g1, single()).graph).A)
     assert fc.assembled == direct
+
+
+def near_integer_eigenvalues(values):
+    """The eigenvalues within 1e-7 of an integer, rounded, sorted."""
+    return sorted(int(round(x)) for x in values if abs(x - round(x)) <= 1e-7)
+
+
+def integer_roots_of(report, n1, n2):
+    """Every integer root a factored report lists, with multiplicity."""
+    zeros = [0] * (n1 * (n2 - 1))
+    return sorted(zeros + list(report.shared.roots) * n1 + list(report.bracket.roots))
+
+
+# the integral star products integral-search finds: C3 and K3, either sign,
+# times K_{1,1}
+INTEGRAL_CASES = [(mk(cycle(3, s)), 1) for s in "+-"] + [(mk(complete(3, s)), 1) for s in "+-"]
+
+
+@given(rng=rngs(), star_case=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_per_eigenvalue_integrality_matches_eigvalsh(rng, star_case):
+    # verdict and integer roots of the per-eigenvalue check against the
+    # eigenvalues of the built product, for general and star products
+    mg1 = random_marked_graph(rng, max_n=4)
+    if star_case:
+        n, mark = rng.randint(1, 6), rng.choice((1, -1))
+        if rng.random() < 0.3:
+            mg1, n = rng.choice(INTEGRAL_CASES)
+        mg2 = mk(star(n + 1, ("+" if mark == 1 else "-") + "+" * (n - 1)))
+    else:
+        mg2 = random_marked_graph(rng, max_n=4)
+    values = np.linalg.eigvalsh(built_product(mg1, mg2, "A"))
+    integral = len(near_integer_eigenvalues(values)) == len(values)
+    report = integral_product_check(mg1, mg2)
+    n1, n2 = mg1.graph.n, mg2.graph.n
+    assert report.integral == integral
+    assert integer_roots_of(report, n1, n2) == near_integer_eigenvalues(values)
+    if star_case:
+        star_report = star_product_integral_check(mg1, n, mark)
+        assert star_report.integral == integral
+        assert integer_roots_of(star_report, n1, n2) == near_integer_eigenvalues(values)
+
+
+def test_integral_star_products_list_every_eigenvalue():
+    for mg1, n in INTEGRAL_CASES:
+        mg2 = mk(star(n + 1))
+        report = integral_product_check(mg1, mg2)
+        values = np.linalg.eigvalsh(built_product(mg1, mg2, "A"))
+        assert report.integral and star_product_integral_check(mg1, n).integral
+        assert list(report.all_roots) == near_integer_eigenvalues(values)
+
+
+def test_integrality_and_energy_never_compose_the_bracket(monkeypatch):
+    # the checks decide from the factors alone, up to C128 x P128 (order
+    # 32768), whose bracket has degree 16512; reading the quotient of a
+    # bracket composes it, and only then
+    from sigspec import theorems
+
+    def refuse(*args):
+        raise AssertionError("the bracket was composed")
+
+    monkeypatch.setattr(theorems, "compose_with_rational", refuse)
+    monkeypatch.setattr(exact, "compose_with_rational", refuse)
+    rng = random.Random(128)
+    pairs = [(mk(cycle(3)), mk(star(2))), (mk(complete(2)), single())]
+    pairs += [(MarkedSignedGraph(cycle(128), Marking([rng.choice((1, -1)) for _ in range(128)])),
+               MarkedSignedGraph(path(128), Marking([rng.choice((1, -1)) for _ in range(128)])))]
+    for mg1, mg2 in pairs:
+        report = integral_product_check(mg1, mg2)
+        assert report.integral == (mg1.graph.n == 3)
+        assert factored_energy_estimate(factored_charpoly(mg1, mg2, "A")) > 0
+    cases = [(mk(cycle(n)), k, m) for n in (3, 4, 24) for k in (1, 4) for m in (1, -1)]
+    for (mg1, k, m), (report, general) in zip(cases, star_integral_checks(cases)):
+        assert report.integral == general.integral
+    with pytest.raises(AssertionError, match="composed"):
+        integral_product_check(mk(complete(2)), single()).bracket.quotient

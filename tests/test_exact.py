@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from math import comb
 from fractions import Fraction
 from pathlib import Path
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from sigspec import exact
-from sigspec.exact import (Matrix, Poly, RationalFn, _charpoly_bound,
-                           _charpoly_residues, _crt_lift,
-                           _max_row_sum, _primes_past, adjugate_quadratic_form,
+from sigspec.exact import (Matrix, Poly, RationalFn, _charpoly_residues,
+                           _coefficient_bound, _crt_lift, _primes_past,
+                           _square_free_parts, adjugate_quadratic_form,
                            charpoly, charpoly_with_adjugate_form, charpolys,
                            compose_with_rational, integer_roots, poly_gcd)
 
@@ -294,6 +295,10 @@ def test_integral_product_matches_sympy(a, b):
     got = Poly(a) * Poly(b)
     assert all(c.denominator == 1 for c in got.coeffs)
     assert [c.numerator for c in got.coeffs] == want
+    # a square multiplies one packed int by itself
+    want = [int(c) for c in reversed((sympy.Poly(list(reversed(a)), x, domain="ZZ") ** 2)
+                                     .all_coeffs())]
+    assert list((Poly(a) ** 2).coeffs) == (want if any(a) else [])
 
 
 @pytest.mark.parametrize("la, lb", [(9, 9), (15, 20), (16, 16), (31, 40)])
@@ -348,6 +353,72 @@ def test_integer_roots_reconstructs_products_of_linear_factors(rs):
     roots, rest = integer_roots(p)
     assert list(roots) == sorted(rs)
     assert rest == Poly.constant(1)
+
+
+def test_integer_roots_of_huge_squares_lift_past_the_bound():
+    # the roots +-2^60 and +-3^20 are far beyond any scan: the parent scan
+    # raised on the first and ran for minutes on the second
+    x = Poly.x()
+    for root in (1 << 60, 3 ** 20, 7 ** 31):
+        start = time.perf_counter()
+        roots, rest = integer_roots(x ** 2 - Poly.constant(root * root))
+        assert time.perf_counter() - start < 1
+        assert roots == (-root, root)
+        assert rest == Poly.constant(1)
+    roots, rest = integer_roots(Poly.constant(3) * (x - Poly.constant(1 << 80)) ** 3
+                                * (x ** 2 + Poly.constant(1)) * x)
+    assert roots == (0, 1 << 80, 1 << 80, 1 << 80)
+    assert rest == Poly([3, 0, 3])
+
+
+def sympy_poly(p):
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ")
+
+
+# random factors: linear with roots up to 2^70, and small ones of degree up to 3
+factors = st.one_of(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70).map(lambda r: Poly([-r, 1])),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=4).map(Poly)
+    .filter(lambda p: p.degree > 0))
+
+
+@given(parts=st.lists(st.tuples(factors, st.integers(min_value=1, max_value=3)),
+                      min_size=1, max_size=4),
+       scale=st.sampled_from([1, -1, 2, -6]))
+@settings(max_examples=150, deadline=None)
+def test_integer_roots_match_sympy(parts, scale):
+    # products with repeated factors, contents, negative leading coefficients
+    # and huge roots; sympy's factorisation over ZZ is the reference
+    p = Poly.constant(scale)
+    for f, j in parts:
+        p = p * f ** j
+    roots, rest = integer_roots(p)
+    _, sym = sympy_poly(p).factor_list()
+    want = sorted(-int(f.all_coeffs()[1]) // int(f.all_coeffs()[0]) for f, j in sym
+                  for _ in range(j) if f.degree() == 1 and abs(f.all_coeffs()[0]) == 1)
+    assert list(roots) == want
+    product = rest
+    for r in roots:
+        product = product * Poly([-r, 1])
+    assert product == p
+
+
+@given(parts=st.lists(st.tuples(factors, st.integers(min_value=1, max_value=4)),
+                      min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_square_free_parts_match_sympy(parts):
+    p = Poly.constant(1)
+    for f, j in parts:
+        p = p * f ** j
+    p = exact._primitive(p)[1]
+    got = _square_free_parts(p)
+    _, want = sympy_poly(p).sqf_list()
+    assert [(list(reversed(s.coeffs)), j) for s, j in got] == [
+        ([int(c) for c in s.all_coeffs()], j) for s, j in want]
+    product = Poly.constant(1)
+    for s, j in got:
+        product = product * s ** j
+    assert product == p
 
 
 def test_matrix_holds_ints_only():
@@ -453,7 +524,7 @@ def test_adjugate_form_matches_solve_oracle(sm, signs, x0):
 @settings(max_examples=60, deadline=None)
 def test_multimodular_kernel_matches_faddeev_leverrier(sm):
     _, m = sm
-    bound = _charpoly_bound(m.nrows, _max_row_sum(m.rows()))
+    bound = _coefficient_bound(m.rows())
     assert _crt_lift(*_charpoly_residues([m.rows()], bound)) == [_faddeev_leverrier(m, None)[0]]
 
 
@@ -484,19 +555,52 @@ def test_charpolys_match_charpoly_and_faddeev_leverrier(mats):
     assert got == [_faddeev_leverrier(m, None)[0] for m in mats]
 
 
+def elementary_symmetric(rows):
+    """e_0..e_n of the rounded-up Euclidean row norms (sympy's exact square
+    root), by the recurrence e_k <- e_k + r * e_(k-1) over the rows."""
+    e = [1] + [0] * len(rows)
+    for row in rows:
+        r = int(sympy.ceiling(sympy.sqrt(sum(x * x for x in row))))
+        for k in range(len(rows), 0, -1):
+            e[k] += r * e[k - 1]
+    return e
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_adjugate_form_within_its_bound(seed):
     # coefficient k of u^T adj(xI - a) u, counted from the top, is at most
-    # |u|_1^2 * C(n-1, k) * rho^k: the bound the shared primes are chosen for
+    # |u|_1^2 * e_k of the rounded-up row norms: the bound the shared primes
+    # are chosen for
     rng = random.Random(seed)
     n = rng.randint(1, 40)
     m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
     u = [rng.choice((1, -1)) for _ in range(n)]
     form = adjugate_quadratic_form(m, u)
     assert form == _faddeev_leverrier(m, u)[1]
-    rho = _max_row_sum(m.rows())
+    e = elementary_symmetric(m.rows())
+    assert _coefficient_bound(m.rows()) == max(e)
     for k in range(n):
-        assert abs(form.coeff(n - 1 - k)) <= n * n * comb(n - 1, k) * rho ** k
+        assert abs(form.coeff(n - 1 - k)) <= n * n * e[k]
+
+
+@given(sm=kernel_matrices(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_coefficient_bound_dominates_charpolys_and_forms(sm, data):
+    # every coefficient of chi_a within e_k, and of u^T adj(xI - a) u within
+    # |u|_1^2 * e_k, on every stratum (most are not symmetric) and for u
+    # with entries other than +-1
+    _, m = sm
+    n = m.nrows
+    u = data.draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+    chi, form = _faddeev_leverrier(m, u)
+    e = elementary_symmetric(m.rows())
+    bound = _coefficient_bound(m.rows())
+    assert bound == max(e)
+    weight = sum(map(abs, u)) ** 2
+    for k in range(n + 1):
+        assert abs(chi.coeff(n - k)) <= e[k] <= bound
+    for k in range(n):
+        assert abs(form.coeff(n - 1 - k)) <= weight * e[k] <= weight * bound
 
 
 def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
@@ -514,12 +618,14 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     cycle = Matrix([[1 if abs(i - j) in (1, n - 1) else 0 for j in range(n)] for i in range(n)])
     u = [1, -1, -1] * (n // 3) + [1] * (n % 3)
     assert charpoly_with_adjugate_form(cycle, u) == _faddeev_leverrier(cycle, u)
-    bound = max(_charpoly_bound(n, 2), n * n * _charpoly_bound(n - 1, 2))
+    # every row of the cycle has norm sqrt(2), rounded up to 2
+    assert _coefficient_bound(cycle.rows()) == max(comb(n, k) * 2 ** k for k in range(n + 1))
+    bound = n * n * _coefficient_bound(cycle.rows())
     assert calls == [(2, bound)]
     shifted = [[x + ui * uj for x, uj in zip(r, u)] for r, ui in zip(cycle.rows(), u)]
     assert (2 * len(_primes_past(2 * bound))
-            < len(_primes_past(2 * _charpoly_bound(n, 2)))
-            + len(_primes_past(2 * _charpoly_bound(n, _max_row_sum(shifted)))))
+            < len(_primes_past(2 * _coefficient_bound(cycle.rows())))
+            + len(_primes_past(2 * _coefficient_bound(shifted))))
 
 
 def test_kernel_primes_are_prime_and_cover_the_bound():

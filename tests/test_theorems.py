@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from sigspec import exact
 from sigspec.coronal import signed_coronal
 from sigspec.exact import Matrix, Poly, charpoly
-from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
+from sigspec.graphs import (FAMILIES, MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             complete, complete_bipartite, cycle, line_graph, matrices,
                             mu_signed_graph, path, star)
 from sigspec.product import product
-from sigspec.sampling import (random_marked_graph,
+from sigspec.sampling import (REGULAR_FAMILIES, random_marked_graph,
                               random_regular_marked_graph)
 from sigspec.theorems import (coronal_of_mu_graph, cospectral_family_check,
                               factored_charpoly, factored_charpolys)
@@ -359,3 +359,55 @@ def test_coronal_gcd_golden(graph, marks, digest):
     c = coronal_of_mu_graph(MarkedSignedGraph(graph, Marking(marks)))
     text = " | ".join(" ".join(p.coeff_strings()) for p in (c.num, c.den, c.shared))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def eager_bracket(fc):
+    """The reference bracket: bracket_charpoly composed with u/v in one piece."""
+    return exact.compose_with_rational(fc.bracket_charpoly, fc.bracket_u, fc.bracket_v)
+
+
+@given(rng=rngs(), kind=st.sampled_from("ALQ"))
+@settings(max_examples=30, deadline=None)
+def test_lazy_bracket_matches_eager_composition(rng, kind):
+    # first factors of order up to 14 put bracket charpolys on both sides of
+    # _SCHOOLBOOK_MAX; cycles and complete graphs have repeated eigenvalues,
+    # so their square-free split has more than one part
+    mg1 = random_marked_graph(rng, max_n=14,
+                              families=FAMILIES if kind == "A" else REGULAR_FAMILIES)
+    mg2 = random_marked_graph(rng, max_n=4)
+    fc = factored_charpoly(mg1, mg2, kind)
+    assert "bracket" not in vars(fc)
+    assert fc.bracket == eager_bracket(fc)
+
+
+@pytest.mark.parametrize("g1, g2, multiplicity", [
+    (cycle(24), path(5), 2), (complete(10), star(3), 9),
+    (complete_bipartite(5, 5), cycle(4), 8), (path(9), SignedGraph(1, []), 1)])
+def test_lazy_bracket_splits_repeated_eigenvalues(g1, g2, multiplicity):
+    fc = factored_charpoly(mk(g1), mk(g2), "A")
+    assert fc.bracket_charpoly.degree > exact._SCHOOLBOOK_MAX
+    assert max(j for _, j in exact._square_free_parts(fc.bracket_charpoly)) == multiplicity
+    assert fc.bracket == eager_bracket(fc)
+    # built once: a second read returns the cached polynomial
+    assert fc.bracket is fc.bracket
+
+
+def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
+    # both charpolys and both adjugate forms of the inputs come from one
+    # batch; the two built products' charpolys are the other one
+    s = mk(star(5))
+    c4_iso = MarkedSignedGraph.with_canonical_marking(SignedGraph(5, cycle(4).edges))
+    calls = []
+    kernel = exact._charpoly_residues
+
+    def recorded(mats, bound):
+        calls.append(len(mats))
+        return kernel(mats, bound)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    report = cospectral_family_check(s, c4_iso, mk(complete(2)), "right")
+    assert calls == [4, 2]
+    monkeypatch.undo()
+    ca, cb = coronal_of_mu_graph(s), coronal_of_mu_graph(c4_iso)
+    assert report.hypothesis_coronal_equal == ((ca.num, ca.den) == (cb.num, cb.den))
+    assert report.hypothesis_cospectral == (ca.charpoly == cb.charpoly)
