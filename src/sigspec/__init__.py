@@ -19,8 +19,8 @@ from .exact import (Matrix, Poly, RationalFn, adjugate_quadratic_form,
 from .graphs import (Edge, GraphMatrices, MarkedSignedGraph, Marking,
                      SignedGraph, adjacency_matrix, balance_marking,
                      canonical_marking, complete, complete_bipartite, cycle,
-                     is_balanced, line_graph, matrices, mu_signed_graph, path,
-                     prism, regular_degree, star)
+                     graph_matrix, is_balanced, line_graph, matrices,
+                     mu_signed_graph, path, prism, regular_degree, star)
 from .io import (GraphFormatError, load_graph, parse_graph, save_graph,
                  serialize_graph)
 from .product import ProductGraph, corona, product
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Edge", "SignedGraph", "Marking", "MarkedSignedGraph", "GraphMatrices",
     "canonical_marking", "mu_signed_graph", "balance_marking", "is_balanced",
-    "regular_degree", "adjacency_matrix", "matrices",
+    "regular_degree", "adjacency_matrix", "graph_matrix", "matrices",
     "star", "path", "cycle", "complete", "complete_bipartite", "prism",
     "line_graph",
     "Poly", "RationalFn", "Matrix", "poly_gcd",

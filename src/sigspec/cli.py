@@ -8,6 +8,7 @@ same inputs and seed; `product` and `gen` emit graph text. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from .applications import equienergetic_demo, star_integral_checks
 from .coronal import signed_coronal
 from .exact import Poly, charpoly
 from .graphs import (FAMILIES, MarkedSignedGraph, Marking, adjacency_matrix,
-                     complete_bipartite, line_graph, matrices, mu_signed_graph,
+                     complete_bipartite, graph_matrix, line_graph, mu_signed_graph,
                      prism)
 from .io import GraphFormatError, load_graph, serialize_graph
 from .product import product
@@ -83,7 +84,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     mg = load_graph(args.input)
-    f = charpoly(getattr(matrices(mg), args.matrix))
+    f = charpoly(graph_matrix(mg, args.matrix))
     _emit(args, {
         "command": "charpoly",
         "input": args.input,
@@ -98,7 +99,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_coronal(args) -> int:
     mg = load_graph(args.input)
     target = MarkedSignedGraph(mu_signed_graph(mg), mg.marking) if args.mu_graph else mg
-    triple = signed_coronal(getattr(matrices(target), args.matrix), list(mg.marking))
+    triple = signed_coronal(graph_matrix(target, args.matrix), list(mg.marking))
     _emit(args, {
         "command": "coronal",
         "input": args.input,
@@ -115,7 +116,7 @@ def _cmd_coronal(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     mg = load_graph(args.input)
-    m = getattr(matrices(mg), args.matrix)
+    m = graph_matrix(mg, args.matrix)
     f = charpoly(m)
     payload = {
         "command": "spectrum",
@@ -350,10 +351,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # one parser per process, built on the first main call and never at import;
+    # parse_args only reads it, and every per-call value (SIGSPEC_SEED, say) is
+    # resolved in the handler
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

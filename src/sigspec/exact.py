@@ -459,27 +459,49 @@ def _eval_mod(c: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
-def _roots_mod(c: Sequence[int], q: int) -> list[int]:
-    return [a for a in range(q) if _eval_mod(c, a, q) == 0]
+def _simple_roots_mod(c: Sequence[int], dc: Sequence[int], q: int) -> list[int] | None:
+    """The roots of c in F_q, or None if one of them is a root of dc too."""
+    roots = []
+    # residues in the order 0, -1, 1, -2, 2, ...: a repeated small root, the
+    # common case, rules q out after a few evaluations
+    for a in ((k + 1) // 2 * (-1) ** k % q for k in range(q)):
+        if _eval_mod(c, a, q) == 0:
+            if _eval_mod(dc, a, q) == 0:
+                return None
+            roots.append(a)
+    return roots
 
 
-def _root_candidates(f: Poly) -> list[int]:
-    """Integers that include every integer root of a square-free f with f(0) != 0.
+# odd primes at which integer_roots tries p itself before it takes p's
+# square-free part
+_SIMPLE_ROOT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
-    Every integer root divides f(0), so its size is at most B = |f(0)|.
-    Take the first odd prime q modulo which f has only simple roots in F_q,
-    f'(a) != 0 mod q at each root a of f mod q; as f is square-free, every q
-    that divides neither its leading coefficient nor its discriminant will
-    do. Every integer root is congruent to one of the a. Each a has one
-    lift modulo q^(2^i) by Newton's iteration r <- r - f(r)/f'(r) (Hensel's
-    lemma), so once the modulus m exceeds 2B, the lift of an integer root,
-    read in (-m/2, m/2], is that root. The lifts are candidates; the caller
-    confirms each.
+
+def _root_candidates(f: Poly, primes: Iterable[int]) -> list[int] | None:
+    """Integers that include every integer root of f, given f(0) != 0, or
+    None when no prime in primes will do.
+
+    A prime q will do when every root a of f in F_q is simple, f'(a) != 0
+    mod q; then every integer root of f is simple too. If f is square-free,
+    every q that divides neither its leading coefficient nor its
+    discriminant will do, so a search over all odd primes ends; if f has a
+    repeated integer root, no q will do, so the search must be over
+    finitely many primes. Every integer root divides f(0), so its size is
+    at most B = |f(0)|, and it is congruent to some root a mod q. Each a
+    has one lift modulo q^(2^i) by Newton's iteration r <- r - f(r)/f'(r)
+    (Hensel's lemma), so once the modulus m exceeds 2B, the lift of an
+    integer root, read in (-m/2, m/2], is that root. The lifts are
+    candidates; the caller confirms each.
     """
     c, dc = f.coeffs, _derivative(f).coeffs
-    q = next(q for q in _odd_primes() if all(_eval_mod(dc, a, q) for a in _roots_mod(c, q)))
+    for q in primes:
+        roots = _simple_roots_mod(c, dc, q)
+        if roots is not None:
+            break
+    else:
+        return None
     bound, out = abs(c[0]), []
-    for r in _roots_mod(c, q):
+    for r in roots:
         m = q
         while m <= 2 * bound:
             m *= m
@@ -494,19 +516,25 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
     Returns (roots sorted ascending, quotient) with
     p == quotient * prod(x - root). After x^m is split off, the other roots
     are among the Hensel-lifted candidates (see _root_candidates) of the
-    square-free part, the product of the Yun factors of p (see
-    _square_free_parts). Each candidate that divides the constant term is
-    divided out by synthetic division for as long as the division is exact;
-    no interval of integers is scanned.
+    rest f, lifted from the first of _SIMPLE_ROOT_PRIMES modulo which every
+    root of f is simple. When none is, f may have a repeated root, and the
+    candidates come from its square-free part, the product of the Yun
+    factors of f (see _square_free_parts). Each candidate that divides the
+    constant term is divided out by synthetic division for as long as the
+    division is exact; no interval of integers is scanned.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
     zero_mult, ints = _strip_low_zeros(list(p.coeffs))
     roots = [0] * zero_mult
     if len(ints) > 1:
-        square_free = prod((s for s, _ in _square_free_parts(_primitive(Poly(ints))[1])),
-                           start=Poly.constant(1))
-        for r in _root_candidates(square_free):
+        f = Poly(ints)
+        candidates = _root_candidates(f, _SIMPLE_ROOT_PRIMES)
+        if candidates is None:
+            square_free = prod((s for s, _ in _square_free_parts(_primitive(f)[1])),
+                               start=Poly.constant(1))
+            candidates = _root_candidates(square_free, _odd_primes())
+        for r in candidates:
             while r and ints[0] % r == 0 and len(ints) > 1:
                 try:
                     ints = _synthetic_div(ints, r)

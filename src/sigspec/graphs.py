@@ -259,19 +259,33 @@ class GraphMatrices(NamedTuple):
 
 
 def adjacency_matrix(g: SignedGraph) -> Matrix:
+    return graph_matrix(g, "A")
+
+
+def graph_matrix(mg: MarkedSignedGraph | SignedGraph, kind: str) -> Matrix:
+    """The one matrix of the given kind: adjacency A, L = D - A or Q = D + A,
+    with D the underlying degree matrix; no other matrix is built."""
+    if kind not in ("A", "L", "Q"):
+        raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
+    g = mg.graph if isinstance(mg, MarkedSignedGraph) else mg
     rows = [[0] * g.n for _ in range(g.n)]
+    sign = -1 if kind == "L" else 1
     for i, j, s in g.edges:
-        rows[i][j] = s
-        rows[j][i] = s
+        rows[i][j] = rows[j][i] = sign * s
+    if kind != "A":
+        for v, d in enumerate(g.degrees()):
+            rows[v][v] = d
     return Matrix(rows)
 
 
 def matrices(mg: MarkedSignedGraph | SignedGraph) -> GraphMatrices:
-    """Adjacency A, underlying degree matrix D, L = D - A and Q = D + A."""
+    """Adjacency A, underlying degree matrix D, L = D - A and Q = D + A.
+
+    For one of A, L or Q alone, graph_matrix builds only that one.
+    """
     g = mg.graph if isinstance(mg, MarkedSignedGraph) else mg
-    a = adjacency_matrix(g)
-    d = Matrix.diagonal(g.degrees())
-    return GraphMatrices(A=a, D=d, L=d - a, Q=d + a)
+    return GraphMatrices(A=graph_matrix(g, "A"), D=Matrix.diagonal(g.degrees()),
+                         L=graph_matrix(g, "L"), Q=graph_matrix(g, "Q"))
 
 
 def _from_pairs(n: int, pairs: list[tuple[int, int]], signs) -> SignedGraph:

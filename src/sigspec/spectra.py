@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .exact import Matrix, Poly, charpoly, charpolys, integer_roots
-from .graphs import MarkedSignedGraph, SignedGraph, adjacency_matrix, matrices
+from .graphs import MarkedSignedGraph, SignedGraph, adjacency_matrix, graph_matrix
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,7 @@ def energy(mg, tol: float = 1e-9) -> EnergyValue:
 
 def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:
     """Exact cospectrality: charpoly equality over the rationals, never floats."""
-    g1, g2 = _graph_of(mg1), _graph_of(mg2)
-    if matrix_kind not in ("A", "L", "Q"):
-        raise ValueError(f"matrix kind must be A, L or Q, got {matrix_kind!r}")
-    f1, f2 = charpolys([getattr(matrices(g), matrix_kind) for g in (g1, g2)])
+    f1, f2 = charpolys([graph_matrix(_graph_of(mg), matrix_kind) for mg in (mg1, mg2)])
     return f1 == f2
 
 

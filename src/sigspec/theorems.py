@@ -37,7 +37,7 @@ from typing import Literal, Sequence
 from .coronal import CoronalTriple, reduced_coronal, signed_coronal
 from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _square_free_parts,
                     charpolys, compose_with_rational)
-from .graphs import (MarkedSignedGraph, adjacency_matrix, matrices,
+from .graphs import (MarkedSignedGraph, adjacency_matrix, graph_matrix, matrices,
                      mu_signed_graph, regular_degree, require_regular)
 
 DegreeMode = Literal["constructed", "paper"]
@@ -164,7 +164,7 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
         if mg2 not in blocks:
             mu_graph2 = mu_signed_graph(mg2)
             blocks[mg2] = (adjacency_matrix(mu_graph2) if kind == "A" else
-                           getattr(matrices(mu_graph2), kind) + Matrix.diagonal([n2] * n2),
+                           graph_matrix(mu_graph2, kind) + Matrix.diagonal([n2] * n2),
                            mg2.marking.signs)
         if mg1 not in brackets:
             # the clone block of L carries -A(Sigma1^mu) (x) J

@@ -4,6 +4,7 @@ import time
 from math import comb
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -371,6 +372,19 @@ def test_integer_roots_of_huge_squares_lift_past_the_bound():
     assert rest == Poly([3, 0, 3])
 
 
+def test_integer_roots_take_square_free_parts_only_for_repeated_roots():
+    x = Poly.x()
+    for p, roots, needs_yun in [
+            (x ** 3 - Poly.constant(3) * x - Poly.constant(2), (-1, -1, 2), True),
+            # simple roots mod 5 and no root of x^2 + 1 mod 3: f itself will do
+            (x ** 4 - Poly.constant(5) * x ** 2 + Poly.constant(4), (-2, -1, 1, 2), False),
+            ((x - Poly.constant(2)) * (x ** 2 + Poly.constant(1)) ** 2, (2,), False)]:
+        with mock.patch.object(exact, "_square_free_parts",
+                               wraps=exact._square_free_parts) as yun:
+            assert integer_roots(p)[0] == roots
+        assert yun.called == needs_yun
+
+
 def sympy_poly(p):
     return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ")
 
@@ -392,11 +406,18 @@ def test_integer_roots_match_sympy(parts, scale):
     p = Poly.constant(scale)
     for f, j in parts:
         p = p * f ** j
-    roots, rest = integer_roots(p)
+    with mock.patch.object(exact, "_square_free_parts",
+                           wraps=exact._square_free_parts) as yun:
+        roots, rest = integer_roots(p)
     _, sym = sympy_poly(p).factor_list()
-    want = sorted(-int(f.all_coeffs()[1]) // int(f.all_coeffs()[0]) for f, j in sym
-                  for _ in range(j) if f.degree() == 1 and abs(f.all_coeffs()[0]) == 1)
+    integer_factors = [(-int(f.all_coeffs()[1]) // int(f.all_coeffs()[0]), j) for f, j in sym
+                       if f.degree() == 1 and abs(f.all_coeffs()[0]) == 1]
+    want = sorted(r for r, j in integer_factors for _ in range(j))
     assert list(roots) == want
+    # a repeated nonzero integer root is a repeated root modulo every prime,
+    # so only the square-free part's candidates can find it
+    if any(r and j > 1 for r, j in integer_factors):
+        assert yun.called
     product = rest
     for r in roots:
         product = product * Poly([-r, 1])

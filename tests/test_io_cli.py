@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigspec import cli
 from sigspec.cli import main
 from sigspec.graphs import MarkedSignedGraph, Marking, SignedGraph, cycle
 from sigspec.io import (GraphFormatError, parse_graph, serialize_graph)
@@ -250,3 +251,51 @@ def test_cli_coronal_mu_flag(tmp_path, capsys):
     # center mark is -1, so the raw numerator differs from the mu route
     assert raw["num"]["pretty"] == "3x - 4"
     assert mu["num"]["pretty"] == "3x + 4"
+
+
+def test_main_reuses_one_parser_and_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # every main call in a process parses with one parser, built on the first
+    # call; each call must print, write and exit as a fresh process does
+    real_build = cli.build_parser
+    built = []
+
+    def counted_build():
+        built.append(None)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    # --help wraps to the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    k2 = tmp_path / "k2.txt"
+    k2.write_text("2 1\n0 1 -\n")
+    out = tmp_path / "out.txt"
+    gen = ["gen", "--family", "cycle", "--n", "4", "--signs", "+-+-"]
+    verify = ["verify-theorem", "--which", "L", "--trials", "3"]
+    calls = [(["nonsense-subcommand"], None), (["--version"], None), (["--help"], None),
+             (gen, None), (gen + ["--out", str(out)], None),
+             (["charpoly", str(k2), "--matrix", "Q"], None),
+             (verify, "5"), (verify, "9")]
+    verify_outputs = []
+    cli._parser.cache_clear()
+    try:
+        for argv, seed in calls:
+            if seed is not None:
+                monkeypatch.setenv("SIGSPEC_SEED", seed)
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            fresh = run_cli(argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert written == (out.read_text() if out.exists() else None), argv
+            out.unlink(missing_ok=True)
+            if argv is verify:
+                verify_outputs.append(captured.out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    # SIGSPEC_SEED is read on each call, not kept from the first
+    assert verify_outputs[0] != verify_outputs[1]
+    assert json.loads(verify_outputs[0])["seed"] == 5
+    assert real_build() is not real_build()
