@@ -473,8 +473,9 @@ def _simple_roots_mod(c: Sequence[int], dc: Sequence[int], q: int) -> list[int] 
 
 
 # odd primes at which integer_roots tries p itself before it takes p's
-# square-free part
-_SIMPLE_ROOT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+# square-free part; a p with a repeated integer root fails at every prime,
+# so each one tried costs it an extra pass
+_SIMPLE_ROOT_PRIMES = (3, 5)
 
 
 def _root_candidates(f: Poly, primes: Iterable[int]) -> list[int] | None:

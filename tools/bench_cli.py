@@ -7,10 +7,7 @@ Writes BENCH_cli.json (best of --repeats wall-clock runs per entry):
   product, charpoly, coronal, spectrum, energy, cospectral-family and
   equienergetic-demo) called through sigspec.cli.main with stdout captured,
   as a first call, which builds the parser, and as a warm call, which
-  reuses the one main built before; their difference is the parser's share;
-- layers: on the order-72 product K2 x L^2(K3,3) those commands read, all
-  four matrices() against the one graph_matrix() a command needs, and
-  integer_roots on small polynomials with simple and with repeated roots.
+  reuses the one main built before; their difference is the parser's share.
 
 The graph files go to a temporary directory. Run from the root of a
 checkout:
@@ -31,9 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from sigspec import cli
-from sigspec.exact import Poly, charpoly, integer_roots
-from sigspec.graphs import graph_matrix, matrices
-from sigspec.io import load_graph
 
 
 def best(fn, repeats: int, number: int = 1) -> float:
@@ -101,26 +95,6 @@ def bench_commands(d: Path, repeats: int) -> list[dict]:
     return out
 
 
-def bench_layers(d: Path, repeats: int) -> dict:
-    mg = load_graph(d / "p1.txt")
-    x, c = Poly.x(), Poly.constant
-    polys = {
-        "x^4 - 5x^2 + 4": x ** 4 - c(5) * x ** 2 + c(4),
-        "x^8 + 3x^5 - x^2 + 7": x ** 8 + c(3) * x ** 5 - x ** 2 + c(7),
-        "(x - 2)(x^2 + 1)^2": (x - c(2)) * (x ** 2 + c(1)) ** 2,
-        "x^3 - 3x - 2 (root -1 twice)": x ** 3 - c(3) * x - c(2),
-        "charpoly A of the order-72 product": charpoly(graph_matrix(mg, "A")),
-    }
-    return {
-        "order": mg.n,
-        "matrices_s": best(lambda: matrices(mg), repeats, 20),
-        "graph_matrix_s": {kind: best(lambda: graph_matrix(mg, kind), repeats, 20)
-                           for kind in "ALQ"},
-        "integer_roots_s": {name: best(lambda: integer_roots(p), repeats, 200)
-                            for name, p in polys.items()},
-    }
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -137,7 +111,6 @@ def main(argv=None) -> None:
             "repeats": args.repeats, "statistic": "best (minimum) wall-clock seconds",
             "build_parser_s": best(cli.build_parser, args.repeats, 20),
             "commands": bench_commands(d, args.repeats),
-            "layers": bench_layers(d, args.repeats),
         }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
