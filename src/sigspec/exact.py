@@ -14,8 +14,10 @@ kernel: Hessenberg reduction modulo word-size primes, lifted back to
 integers by CRT. The kernel takes a batch of same-order matrices, reduces
 each modulo one shared list of primes and runs all of them in one int64
 numpy array, so many matrices cost a few numpy calls per column, not per
-column and matrix. One entry groups matrices by order into such batches; a
-matrix given with a vector u also puts its rank-one update in the batch, and
+column and matrix. One entry first folds each matrix by its twin rows,
+which splits off a linear factor (x - lam) per folded row exactly, then
+groups the folded matrices by order into such batches; a matrix given with
+a vector u also puts its rank-one update in the batch, and
 u^T adj(xI - a) u is lifted from the difference of the two residues.
 """
 from __future__ import annotations
@@ -694,20 +696,23 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 _BATCH_ENTRIES = 1 << 21
 
 
-def _coefficient_bound(rows: Sequence[Sequence[int]]) -> int:
-    """max_k e_k(r_1, ..., r_n), with r_i = ceil(|row_i|_2) and e_k the k-th
+def _coefficient_bound(vectors: Iterable[Sequence[int]]) -> int:
+    """max_k e_k(r_1, ..., r_n), with r_i = ceil(|v_i|_2) and e_k the k-th
     elementary symmetric sum: a bound on every charpoly coefficient of the
-    square integer matrix with these rows.
+    square integer matrix whose rows, or whose columns, are the v_i.
 
     The coefficient of x^(n-k) is a signed sum of the principal minors of
-    order k, one per row set S of size k. By Hadamard, such a minor is at
-    most the product of the Euclidean norms of its rows, each at most the
-    norm of the whole row, so the sum is at most the sum over S of
-    prod_{i in S} r_i, which is e_k. No symmetry is needed. The e_k are the
-    coefficients of prod_i (1 + r_i t), with the m rows of one norm r
-    contributing (1 + r t)^m, whose coefficients are C(m, i) r^i.
+    order k, one per index set S of size k. By Hadamard, such a minor is at
+    most the product of the Euclidean norms of its rows, and also of its
+    columns (det M = det M^T); each is at most the norm of the whole row or
+    column, so the sum is at most the sum over S of prod_{i in S} r_i,
+    which is e_k. No symmetry is needed. _charpolys_with_forms passes the
+    columns of a matrix folded by its twin rows, whose columns carry the
+    class sizes once each. The e_k are the coefficients of
+    prod_i (1 + r_i t), with the m vectors of one norm r contributing
+    (1 + r t)^m, whose coefficients are C(m, i) r^i.
     """
-    norms = Counter(_ceil_sqrt(sum(map(mul, r, r))) for r in rows)
+    norms = Counter(_ceil_sqrt(sum(map(mul, v, v))) for v in vectors)
     return max(prod((Poly([comb(m, i) * r ** i for i in range(m + 1)])
                      for r, m in norms.items()), start=Poly.constant(1)).coeffs)
 
@@ -767,54 +772,123 @@ def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
             for row in residues.transpose(0, 2, 1).astype(object) @ weights]
 
 
+def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
+                ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...] | None,
+                           Counter]:
+    """Fold the twin rows of a square integer matrix a, and of a + u u^T where u is given.
+
+    Rows i and j are twins when a_ii = a_jj = lam, a_ij = a_ji = 0, the two
+    rows agree everywhere else and, where u is given, u_i = u_j: exactly
+    when their keys (lam, u_i, row i with its diagonal set to 0) agree, so
+    one dict pass finds the classes. Then (e_j - e_i)^T a = lam (e_j - e_i)^T,
+    and the similarity by I - e_j e_i^T, which subtracts row i from row j and
+    adds column j into column i, leaves lam e_j^T as row j. Over a class of m
+    twins, det(xI - a) = (x - lam)^(m-1) det(xI - a'),
+    where a' keeps one row and column per class and adds the columns of each
+    class into its representative's: a'_kc = sum over j in class c of a_kj.
+    The paper's product clones every first-factor vertex n2 times, and the
+    clones are twins in A, L and Q; that is its linear factor
+    (x - d)^(n1 (n2 - 1)), and the folded product has order n1 (n2 + 1).
+
+    u_i = u_j keeps e_j - e_i a left eigenvector of a + u u^T with the same
+    lam, so the same classes fold it to a' + u' w^T, with u' the
+    representatives' entries of u and w its class sums (|w|_1 = |u|_1).
+
+    Returns the rows of a', of a' + u' w^T (None without u) and the
+    multiplicity of each split-off linear factor (x - lam); with no twins,
+    a itself and no factor.
+    """
+    classes: dict = {}
+    for i, r in enumerate(rows):
+        classes.setdefault((r[i], None if u is None else u[i], r[:i] + (0,) + r[i + 1:]),
+                           []).append(i)
+    linear: Counter = Counter()
+    members = list(classes.values())
+    if len(members) < len(rows):
+        column_class = [0] * len(rows)
+        for k, c in enumerate(members):
+            for j in c:
+                column_class[j] = k
+        folded = []
+        for c in members:
+            row = [0] * len(members)
+            for x, k in zip(rows[c[0]], column_class):
+                row[k] += x
+            folded.append(tuple(row))
+        rows = tuple(folded)
+        for (lam, _, _), c in classes.items():
+            if len(c) > 1:
+                linear[lam] += len(c) - 1
+    if u is None:
+        return rows, None, linear
+    reps = [u[c[0]] for c in members]
+    w = [ui * len(c) for ui, c in zip(reps, members)]
+    return rows, tuple(tuple(x + ui * wj for x, wj in zip(r, w))
+                       for r, ui in zip(rows, reps)), linear
+
+
+def _times_linear(p: Poly, linear: Counter) -> Poly:
+    # p * prod (x - lam)^e over the split-off factors; p itself when there are none
+    return prod((Poly.linear(-lam) ** e for lam, e in linear.items()), start=p)
+
+
 def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
                           ) -> list[tuple[Poly, Poly | None]]:
     """det(xI - a) of each square integer matrix a, and u^T adj(xI - a) u where u is given.
 
-    The items of each order are one batch of the multimodular kernel, modulo
-    one list of primes. An item with a vector also puts a + u u^T in its
-    batch: by the matrix determinant lemma, det(xI - a - u u^T) =
-    chi_a(x) - u^T adj(xI - a) u, so the form is lifted from the difference
-    of the two residues, and chi_(a + u u^T) itself is never lifted; its
-    larger row norms do not set the prime count.
+    Each item is first folded by its twin rows (see _fold_twins), which
+    splits off det(xI - a) = prod (x - lam)^e * det(xI - a') exactly; the
+    factor multiplies the lifted charpoly and form back, and an item with
+    no twins goes through whole. The folded items of each order are one
+    batch of the multimodular kernel, modulo one list of primes. An item
+    with a vector also puts its folded update a' + u' w^T in the batch: by
+    the matrix determinant lemma, det(xI - a' - u' w^T) =
+    chi_a'(x) - w^T adj(xI - a') u', and the folding factor of a + u u^T is
+    that of a, so u^T adj(xI - a) u = prod (x - lam)^e * w^T adj(xI - a') u'
+    is lifted from the difference of the two residues. chi_(a' + u' w^T)
+    itself is never lifted, so its larger entries do not set the prime count.
 
-    The primes cover W * E, with E the largest _coefficient_bound of a
-    matrix a of the batch and W the largest |u|_1^2 (1 where no item has a
-    vector). E bounds every chi_a, and |u|_1^2 * E every coefficient of a
-    form. That coefficient sums u_i * u_j times the matching coefficient of
-    det(xI - a) with row j and column i deleted, and the coefficient of
-    x^(n-1-k) there is a signed sum of minors of a of order k, one per row
-    set of size k that avoids j. Each minor is at most the product of its
-    rows' norms (Hadamard), so the sum is at most e_k of the r_l, and the
-    weights |u_i * u_j| add up to |u|_1^2.
+    The primes cover W * E, with E the largest _coefficient_bound of the
+    columns of a folded matrix a' of the batch and W the largest |u|_1^2
+    (1 where no item has a vector). E bounds every chi_a'. The coefficient
+    of x^(n-1-k) in w^T adj(xI - a') u' sums w_i * u'_j times a signed sum
+    of minors of a' of order k, one per column set of size k that avoids i;
+    each is at most the product of its columns' norms (Hadamard), so the sum
+    is at most e_k of the column norms, and the weights |w_i * u'_j| add up
+    to |w|_1 |u'|_1 <= |u|_1^2. Columns, not rows: folding multiplies the
+    column of a class of m twins by m, so in the column bound the class
+    counts once, while in a row bound the factor m would enter every row
+    that meets the class (163 against 82 bits for A of the order-72
+    K2 x L^2(K3,3)). For a symmetric a with no twins the two are equal.
     """
-    keys = []  # per item: rows of a, u, rows of a + u u^T (u and the update None if no u)
+    keys = []  # per item: rows of a', rows of a' + u' w^T (None without u), |u|_1^2, factors
     for a, u in items:
         if not a.is_square:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        rows, update = a.rows(), None
         if u is not None:
             if len(u) != a.nrows:
                 raise ValueError("vector length differs from matrix size")
             u = _exact_ints(u)
-            update = tuple(tuple(x + ui * uj for x, uj in zip(r, u)) for r, ui in zip(rows, u))
-        keys.append((rows, u, update))
+        folded, update, linear = _fold_twins(a.rows(), u)
+        keys.append((folded, update, None if u is None else sum(map(abs, u)) ** 2, linear))
     chis, forms = {}, {}
-    for n in dict.fromkeys(len(a) for a, _, _ in keys):
+    for n in dict.fromkeys(len(a) for a, _, _, _ in keys):
         group = [k for k in keys if len(k[0]) == n]
         # each distinct matrix, plain or updated, is in the batch once
-        bases = list(dict.fromkeys(a for a, _, _ in group))
-        pairs = list(dict.fromkeys((a, b) for a, _, b in group if b is not None))
+        bases = list(dict.fromkeys(a for a, _, _, _ in group))
+        pairs = list(dict.fromkeys((a, b) for a, b, _, _ in group if b is not None))
         slot = {r: j for j, r in enumerate(dict.fromkeys(bases + [b for _, b in pairs]))}
-        weight = max((sum(map(abs, u)) ** 2 for _, u, _ in group if u is not None), default=0)
-        bound = max(1, weight) * max(map(_coefficient_bound, bases))
+        weight = max((w for _, _, w, _ in group if w is not None), default=0)
+        bound = max(1, weight) * max(_coefficient_bound(tuple(zip(*a))) for a in bases)
         primes, res = _charpoly_residues(list(slot), bound)
         diff = ((res[[slot[a] for a, _ in pairs]] - res[[slot[b] for _, b in pairs]])
                 % np.array(primes, dtype=np.int64)[:, None])
         lifted = _crt_lift(primes, np.concatenate([res[:len(bases)], diff]))
         chis.update(zip(bases, lifted))
         forms.update(zip(pairs, lifted[len(bases):]))
-    return [(chis[a], None if b is None else forms[a, b]) for a, _, b in keys]
+    return [(_times_linear(chis[a], linear),
+             None if b is None else _times_linear(forms[a, b], linear))
+            for a, b, _, linear in keys]
 
 
 def charpolys(mats: Sequence[Matrix]) -> list[Poly]:

@@ -90,10 +90,11 @@ def test_star_integral_checks_match_one_case_at_a_time():
 
 
 def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsys):
-    # 336 instances, but only 12 star copy blocks with their markings (11
-    # distinct matrices: the two K_{1,1} blocks differ in marking only) and
-    # 28 first factors: each distinct matrix, rank-one updates included, is
-    # in one batch once
+    # 336 instances, but only 12 star copy blocks with their markings and 28
+    # first factors: each distinct matrix, folded by its twin rows, and each
+    # folded rank-one update is in one batch once. The two K_{1,1} blocks,
+    # marked (1, 1) and (-1, -1), have one update u u^T, so the 12 blocks
+    # fold to 11 distinct pairs
     from sigspec.cli import _search_first_factors, main
     seen = Counter()
     kernel = exact._charpoly_residues
@@ -105,13 +106,13 @@ def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsy
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
     assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
-    firsts = [adjacency_matrix(graphs.mu_signed_graph(mg)).rows()
+    firsts = [exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(mg)).rows(), None)[0]
               for _, mg in _search_first_factors(4)]
     stars = [mk(star(n + 1, c + "+" * (n - 1))) for n in range(1, 7) for c in "+-"]
-    blocks = {(adjacency_matrix(graphs.mu_signed_graph(s)).rows(), s.marking.signs)
-              for s in stars}
-    assert len(firsts) == 28 and len(blocks) == 12
-    assert set(firsts) | {rows for rows, _ in blocks} <= set(seen)
+    blocks = {exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(s)).rows(),
+                                s.marking.signs)[:2] for s in stars}
+    assert len(firsts) == 28 and len(blocks) == 11
+    assert set(firsts) | {rows for block in blocks for rows in block} <= set(seen)
     assert set(seen.values()) == {1}
 
 

@@ -1,6 +1,7 @@
 import ast
 import random
 import time
+from collections import Counter
 from math import comb
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,9 @@ from sigspec.exact import (Matrix, Poly, RationalFn, _charpoly_residues,
                            _square_free_parts, adjugate_quadratic_form,
                            charpoly, charpoly_with_adjugate_form, charpolys,
                            compose_with_rational, integer_roots, poly_gcd)
+from sigspec.graphs import (MarkedSignedGraph, adjacency_matrix, complete, complete_bipartite,
+                            line_graph)
+from sigspec.product import product
 
 # small exact entries keep the sympy oracles affordable inside properties
 entries = st.integers(min_value=-4, max_value=4)
@@ -576,6 +580,83 @@ def test_charpolys_match_charpoly_and_faddeev_leverrier(mats):
     assert got == [_faddeev_leverrier(m, None)[0] for m in mats]
 
 
+@st.composite
+def twin_blowups(draw):
+    """A matrix with planted twin classes, the class of each row, and a vector u.
+
+    A random integer base matrix b of order k, not symmetric, is blown up:
+    class c gets 1 to 4 rows that all carry row c of b outside the class,
+    zeros between them and the class's own diagonal lam_c. The lam_c differ,
+    so the planted classes are exactly the twin classes. u is uniform on
+    some classes and drawn row by row on others. Rows and columns are then
+    permuted together, so twins need not be neighbours.
+    """
+    k = draw(st.integers(min_value=1, max_value=5))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k))
+    lams = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k,
+                         unique=True))
+    scale = draw(st.sampled_from([4, 1 << 40]))
+    flat = draw(st.lists(st.integers(min_value=-scale, max_value=scale),
+                         min_size=k * k, max_size=k * k))
+    u = []
+    for m in sizes:
+        if draw(st.booleans()):
+            u += [draw(st.sampled_from([1, -1, 2]))] * m
+        else:
+            u += draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=m, max_size=m))
+    classes = [c for c, m in enumerate(sizes) for _ in range(m)]
+    order = draw(st.permutations(range(len(classes))))
+    classes, u = [classes[i] for i in order], [u[i] for i in order]
+    rows = [[lams[ci] if i == j else 0 if ci == cj else flat[ci * k + cj]
+             for j, cj in enumerate(classes)] for i, ci in enumerate(classes)]
+    return classes, lams, Matrix(rows), u
+
+
+@given(blowup=twin_blowups())
+# two twins with u = (1, -1) do not fold, and the plain matrix is all one class
+@example(blowup=([0, 0], [3], Matrix([[3, 0], [0, 3]]), [1, -1]))
+@example(blowup=([0, 0, 1, 0], [0, 5], Matrix([[0, 0, 2, 0], [0, 0, 2, 0], [-1, -1, 5, -1],
+                                                [0, 0, 2, 0]]), [1, 1, 1, -1]))
+@settings(max_examples=80, deadline=None)
+def test_twin_fold_is_exact(blowup):
+    # folding the twin classes splits off (x - lam_c)^(m_c - 1) and leaves
+    # one row per class; with u, rows of one class with different u_i are
+    # not twins of a + u u^T, and only equal-u rows fold
+    classes, lams, m, u = blowup
+    assert charpoly(m) == _faddeev_leverrier(m, None)[0]
+    assert charpoly_with_adjugate_form(m, u) == _faddeev_leverrier(m, u)
+    folded, update, linear = exact._fold_twins(m.rows(), None)
+    sizes = Counter(classes)
+    assert len(folded) == len(lams) and update is None
+    assert linear == Counter({lams[c]: k - 1 for c, k in sizes.items() if k > 1})
+    # the prime count is chosen from the folded matrix's column norms
+    chi = _faddeev_leverrier(Matrix(folded), None)[0]
+    assert max(map(abs, chi.coeffs)) <= _coefficient_bound(tuple(zip(*folded)))
+    folded_u, update_u, _ = exact._fold_twins(m.rows(), tuple(u))
+    assert len(folded_u) == len(update_u) == len(set(zip(classes, u)))
+
+
+def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
+    # K2 x L^2(K3,3) clones each of K2's two vertices 18 times; the clones
+    # of one vertex are twins, so A reaches the kernel at order
+    # n1 (n2 + 1) = 38 with x^34 split off, modulo 4 primes where the
+    # unfolded order-72 matrix needed 9
+    calls = []
+    kernel = exact._charpoly_residues
+
+    def recorded(mats, bound):
+        calls.append((len(mats), len(mats[0]), len(_primes_past(2 * bound))))
+        return kernel(mats, bound)
+
+    k2 = MarkedSignedGraph.with_canonical_marking(complete(2))
+    l2 = MarkedSignedGraph.with_canonical_marking(line_graph(line_graph(complete_bipartite(3, 3))))
+    a = adjacency_matrix(product(k2, l2).graph.graph)
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    f = charpoly(a)
+    assert calls == [(1, 38, 4)]
+    assert f.degree == 72 and f.coeffs[:34] == (0,) * 34
+
+
 def elementary_symmetric(rows):
     """e_0..e_n of the rounded-up Euclidean row norms (sympy's exact square
     root), by the recurrence e_k <- e_k + r * e_(k-1) over the rows."""
@@ -663,7 +744,8 @@ def test_kernel_primes_are_prime_and_cover_the_bound():
 def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
     # the kernel's int64 sums have at most n terms, each below (p - 1)^2, so
     # n * (p - 1)^2 < 2^63 must hold; the prime 2^31 - 1 breaks it from order
-    # 3 on, and the kernel must raise before it allocates a batch
+    # 3 on, and the kernel must raise before it allocates a batch. The
+    # diagonal entries differ, so no rows are twins and the kernel sees order 12
     assert (1 << 15) * (exact._PRIME_BOUND - 2) ** 2 < 1 << 63
     monkeypatch.setattr(exact, "_PRIME_BOUND", 1 << 31)
     monkeypatch.setattr(exact, "_PRIMES", [])
@@ -673,7 +755,7 @@ def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
 
     monkeypatch.setattr(exact, "_hessenberg_charpoly_mod", batch)
     with pytest.raises(OverflowError):
-        charpoly(Matrix.diagonal([1] * 12))
+        charpoly(Matrix.diagonal(range(1, 13)))
 
 
 def test_adjugate_form_k2_all_ones():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspec import exact
+from sigspec import exact, theorems
 from sigspec.coronal import signed_coronal
 from sigspec.exact import Matrix, Poly, charpoly
 from sigspec.graphs import (FAMILIES, MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
@@ -394,19 +394,28 @@ def test_lazy_bracket_splits_repeated_eigenvalues(g1, g2, multiplicity):
 
 def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
     # both charpolys and both adjugate forms of the inputs come from one
-    # batch; the two built products' charpolys are the other one
+    # exact call, one batch per folded order: S5's four leaves fold to one
+    # row and C4's two twin pairs to two, so the inputs reach the kernel at
+    # orders 2 and 3, each with its rank-one update; the two built products'
+    # charpolys are the other two batches, of two distinct folded orders
     s = mk(star(5))
     c4_iso = MarkedSignedGraph.with_canonical_marking(SignedGraph(5, cycle(4).edges))
-    calls = []
-    kernel = exact._charpoly_residues
+    calls, entries = [], []
+    kernel, entry = exact._charpoly_residues, theorems._charpolys_with_forms
 
     def recorded(mats, bound):
         calls.append(len(mats))
         return kernel(mats, bound)
 
+    def exact_call(items):
+        entries.append(len(items))
+        return entry(items)
+
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    monkeypatch.setattr(theorems, "_charpolys_with_forms", exact_call)
     report = cospectral_family_check(s, c4_iso, mk(complete(2)), "right")
-    assert calls == [4, 2]
+    assert entries == [2]
+    assert calls == [2, 2, 1, 1]
     monkeypatch.undo()
     ca, cb = coronal_of_mu_graph(s), coronal_of_mu_graph(c4_iso)
     assert report.hypothesis_coronal_equal == ((ca.num, ca.den) == (cb.num, cb.den))

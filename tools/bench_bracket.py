@@ -9,9 +9,11 @@ Writes BENCH_bracket.json (best of --repeats wall-clock runs per entry):
 - checks: integral_product_check and factored_energy_estimate of C_n x P_n
   (n = 64, 128), each from scratch, with the number of compositions they
   made (0 expected);
-- kernel: the prime count and the charpoly time of the order-72 product
-  K2 x L^2(K3,3), with the prime count a largest-row-sum bound
-  max_k C(n, k) rho^k would need beside it.
+- kernel: the charpoly time of the order-72 product K2 x L^2(K3,3), the
+  order and prime count of the matrix the kernel receives (the product
+  folded by its twin rows, see exact._fold_twins), and beside them the
+  prime counts the unfolded matrix would need with the row-norm bound and
+  with a largest-row-sum bound max_k C(n, k) rho^k.
 
 Run from the root of a checkout:
 
@@ -111,10 +113,15 @@ def bench_kernel(repeats: int) -> dict:
     n = a.nrows
     rho = max(sum(map(abs, r)) for r in a.rows())
     charpoly_s, _ = best(lambda: exact.charpoly(a), repeats)
+    # what charpoly hands the kernel: the matrix folded by its twin rows
+    folded = exact._fold_twins(a.rows(), None)[0]
     return {"product": "K2xL2(K3,3)", "order": n,
-            "primes": len(exact._primes_past(2 * exact._coefficient_bound(a.rows()))),
+            "primes_unfolded": len(exact._primes_past(2 * exact._coefficient_bound(a.rows()))),
             "primes_row_sum_bound": len(exact._primes_past(
                 2 * max(comb(n, k) * rho ** k for k in range(n + 1)))),
+            "kernel_order": len(folded),
+            "primes": len(exact._primes_past(
+                2 * exact._coefficient_bound(tuple(zip(*folded))))),
             "charpoly_s": charpoly_s}
 
 
