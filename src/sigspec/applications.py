@@ -10,14 +10,14 @@ from typing import Callable
 
 import numpy as np
 
-from .coronal import reduced_coronal, star_coronal_closed_form
-from .exact import Poly, RationalFn, _charpolys_with_forms, _exact_ints, charpoly
+from .coronal import star_coronal_closed_form
+from .exact import Poly, RationalFn, _exact_ints, charpoly
 from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
                      complete_bipartite, line_graph, mu_signed_graph, prism,
                      regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
-from .theorems import (FactoredCharPoly, _composed_bracket, _factored_from_coronal,
-                       factored_charpoly, factored_charpolys)
+from .theorems import (FactoredCharPoly, _composed_bracket, factored_charpoly,
+                       factored_charpolys)
 
 
 @dataclass(frozen=True)
@@ -239,17 +239,16 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     equienergetic within tol, equal reduced coronals. On failure no product
     quantity is computed and the certificate names the failed clauses.
 
-    Everything comes from the factors alone; no product is built. Each
-    input's charpoly is den * shared of its reduced coronal. Each product's
-    charpoly is the assembled factored A form of mg * mg_k, built from that
-    same coronal, and its energy is factored_energy_estimate of that form:
+    Everything comes from the factors alone; no product is built. One
+    factored_charpolys call gives the factored A forms of mg * mg1 and
+    mg * mg2. Each form's copy block is its input's mu-adjacency matrix, so
+    its coronal and energy are the input's; each product's charpoly is the
+    assembled form, and its energy is factored_energy_estimate of the form:
     eigenvalues of n1 bordered matrices of order n2 + 1.
     """
-    inputs = (mg1, mg2)
-    blocks = [adjacency_matrix(mu_signed_graph(x)) for x in inputs]
-    c1, c2 = (reduced_coronal(f, p) for f, p in
-              _charpolys_with_forms([(b, x.marking.signs) for b, x in zip(blocks, inputs)]))
-    e1, e2 = (EnergyValue.of(symmetric_eigenvalues(b), tol) for b in blocks)
+    (f1,), (f2,) = factored_charpolys([(mg, mg1), (mg, mg2)], "A", ["constructed"])
+    c1, c2 = f1.coronal, f2.coronal
+    e1, e2 = (EnergyValue.of(symmetric_eigenvalues(f.copy_block), tol) for f in (f1, f2))
     non_cospectral = c1.charpoly != c2.charpoly
     equienergetic = abs(e1.value - e2.value) <= tol
     coronal_equal = (c1.num, c1.den) == (c2.num, c2.den)
@@ -271,13 +270,6 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
             regular_shortcut=shortcut,
             input_energy_1=e1.value, input_energy_2=e2.value)
 
-    # c1 and c2 are the coronals of the products' copy blocks A(mg_k^mu), so
-    # the factored A forms need no further coronal and no product matrix, and
-    # both share the charpoly of the base's bracket matrix
-    a = adjacency_matrix(mu_signed_graph(mg))
-    chi_a = charpoly(a)
-    f1, f2 = (_factored_from_coronal("A", 0, c, b, x.marking.signs, a, chi_a)
-              for b, x, c in zip(blocks, inputs, (c1, c2)))
     pf1, pf2 = f1.assembled, f2.assembled
     pe1, pe2 = factored_energy_estimate(f1), factored_energy_estimate(f2)
     products_non_cospectral = pf1 != pf2

@@ -88,11 +88,6 @@ def product(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> ProductGraph:
                         n1=n1, n2=n2)
 
 
-def degrees(pg: ProductGraph) -> tuple[int, ...]:
-    """Underlying degree of every product vertex, in vertex order."""
-    return pg.graph.graph.degrees()
-
-
 def corona(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> MarkedSignedGraph:
     """Independent corona construction: join vertex i of mg1 to all of copy i of mg2.
 

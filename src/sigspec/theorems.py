@@ -26,6 +26,9 @@ computing eigenvalues by composing the charpoly of s*A(Sigma1^mu) with u/v,
 one square-free part at a time, and only when it is read: integrality and
 energy need the factors alone. Every factor is monic: den is, and
 deg num < deg den.
+
+factored_charpolys is the one route from two factors to a product charpoly;
+cospectral_family_check compares its forms and builds no product.
 """
 from __future__ import annotations
 
@@ -36,9 +39,9 @@ from typing import Literal, Sequence
 
 from .coronal import CoronalTriple, reduced_coronal, signed_coronal
 from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _square_free_parts,
-                    charpolys, compose_with_rational)
-from .graphs import (MarkedSignedGraph, adjacency_matrix, graph_matrix, matrices,
-                     mu_signed_graph, regular_degree, require_regular)
+                    compose_with_rational)
+from .graphs import (MarkedSignedGraph, adjacency_matrix, graph_matrix, mu_signed_graph,
+                     regular_degree, require_regular)
 
 DegreeMode = Literal["constructed", "paper"]
 MatrixKind = Literal["A", "L", "Q"]
@@ -48,8 +51,10 @@ MatrixKind = Literal["A", "L", "Q"]
 class FactoredCharPoly:
     """det(xI - M) = linear^linear_exponent * shared^shared_exponent * bracket.
 
-    linear is x - d for the clone-block diagonal d, shared the cofactor of
-    the copy block's reduced coronal den in its charpoly, and the bracket is
+    linear is x - d for the clone-block diagonal d, and coronal is the
+    reduced coronal num/den of the copy block N with its marking mu2. The
+    rest is derived from these: shared is coronal.shared, the cofactor of den
+    in charpoly(N); the exponents are n1(n2 - 1) and n1; and the bracket is
     prod_i (u - lam_i * v), with u = bracket_u and v = bracket_v as in the
     module docstring, over the eigenvalues lam_i of the integer matrix
     bracket_matrix, whose charpoly bracket_charpoly is composed with u/v.
@@ -57,25 +62,42 @@ class FactoredCharPoly:
 
         B = [[d + lam_i*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]]
 
-    of order n2 + 1, with N the copy block and mu2 the copy marking, has
-    det(xI - B) = shared * (u - lam_i * v) by its Schur complement, so the
-    roots of shared^n1 * bracket are the eigenvalues of n1 such matrices.
-    All three factors are monic. The bracket and the expansion are built
-    on first access only, because integrality and energy need the factors
-    alone.
+    of order n2 + 1 has det(xI - B) = shared * (u - lam_i * v) by its Schur
+    complement, so the roots of shared^n1 * bracket are the eigenvalues of
+    n1 such matrices. All three factors are monic. The bracket and the
+    expansion are built on first access only, because integrality and
+    energy need the factors alone. factored_charpolys builds every instance.
     """
 
     matrix_kind: MatrixKind
     linear_factor: Poly
-    linear_exponent: int
-    shared_factor: Poly
-    shared_exponent: int
-    bracket_u: Poly
-    bracket_v: Poly
+    coronal: CoronalTriple
     bracket_matrix: Matrix
     bracket_charpoly: Poly
     copy_block: Matrix
     copy_marking: tuple[int, ...]
+
+    @property
+    def shared_factor(self) -> Poly:
+        return self.coronal.shared
+
+    @property
+    def shared_exponent(self) -> int:
+        return self.bracket_matrix.nrows
+
+    @property
+    def linear_exponent(self) -> int:
+        return self.bracket_matrix.nrows * (self.copy_block.nrows - 1)
+
+    @cached_property
+    def bracket_u(self) -> Poly:
+        """u = (x - d)*den - n2*num."""
+        return self.linear_factor * self.coronal.den - self.copy_block.nrows * self.coronal.num
+
+    @cached_property
+    def bracket_v(self) -> Poly:
+        """v = n2*den."""
+        return self.copy_block.nrows * self.coronal.den
 
     @cached_property
     def bracket(self) -> Poly:
@@ -174,25 +196,11 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     solved = dict(zip(items, _charpolys_with_forms(items)))
     coronals = {item: reduced_coronal(f, p) for item, (f, p) in solved.items()
                 if p is not None}
-    return [[_factored_from_coronal(kind, d, coronals[blocks[mg2]], *blocks[mg2],
-                                    brackets[mg1], solved[brackets[mg1], None][0])
+    return [[FactoredCharPoly(matrix_kind=kind, linear_factor=Poly.linear(-d),
+                              coronal=coronals[blocks[mg2]], bracket_matrix=brackets[mg1],
+                              bracket_charpoly=solved[brackets[mg1], None][0],
+                              copy_block=blocks[mg2][0], copy_marking=blocks[mg2][1])
              for d in ds] for (mg1, mg2), ds in zip(pairs, dss)]
-
-
-def _factored_from_coronal(kind: MatrixKind, d: int, coro: CoronalTriple,
-                           copy_block: Matrix, marking: tuple[int, ...],
-                           bracket_matrix: Matrix, bracket_charpoly: Poly) -> FactoredCharPoly:
-    # the formula once the copy block's reduced coronal and the bracket
-    # matrix's charpoly are known
-    n1, n2 = bracket_matrix.nrows, copy_block.nrows
-    linear = Poly.linear(-d)
-    u = linear * coro.den - n2 * coro.num
-    v = n2 * coro.den
-    return FactoredCharPoly(matrix_kind=kind, linear_factor=linear,
-                            linear_exponent=n1 * (n2 - 1), shared_factor=coro.shared,
-                            shared_exponent=n1, bracket_u=u, bracket_v=v,
-                            bracket_matrix=bracket_matrix, bracket_charpoly=bracket_charpoly,
-                            copy_block=copy_block, copy_marking=marking)
 
 
 @dataclass(frozen=True)
@@ -228,36 +236,30 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
 
     side="left" compares mg_a * mg and mg_b * mg (cospectral mu-graphs
     suffice); side="right" compares mg * mg_a and mg * mg_b (equal reduced
-    coronals are hypothesised as well).
+    coronals are hypothesised as well). Hypotheses and matches are read off
+    the products' factored forms, one factored_charpolys call per kind, and
+    no product is built. A match compares the assembled forms, the products'
+    charpolys, not the factors: a factorization is not unique. L and Q are
+    compared when all three inputs are regular.
     """
-    from .product import product
-
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    # one kernel batch gives both charpolys and, on the right, both forms
-    (f_a, p_a), (f_b, p_b) = _charpolys_with_forms(
-        [(adjacency_matrix(mu_signed_graph(x)), x.marking.signs if side == "right" else None)
-         for x in (mg_a, mg_b)])
-    hypothesis_cospectral = f_a == f_b
+    pairs = [(mg_a, mg), (mg_b, mg)] if side == "left" else [(mg, mg_a), (mg, mg_b)]
+    (fa,), (fb,) = factored_charpolys(pairs, "A", ["constructed"])
     hypothesis_coronal: bool | None = None
-    if side == "right":
-        ca, cb = reduced_coronal(f_a, p_a), reduced_coronal(f_b, p_b)
-        hypothesis_coronal = (ca.num, ca.den) == (cb.num, cb.den)
-
     if side == "left":
-        pa, pb = product(mg_a, mg), product(mg_b, mg)
+        hypothesis_cospectral = fa.bracket_charpoly == fb.bracket_charpoly
     else:
-        pa, pb = product(mg, mg_a), product(mg, mg_b)
+        ca, cb = fa.coronal, fb.coronal
+        hypothesis_cospectral = ca.charpoly == cb.charpoly
+        hypothesis_coronal = (ca.num, ca.den) == (cb.num, cb.den)
     regular = all(regular_degree(x.graph) is not None for x in (mg_a, mg_b, mg))
+    a_match = fa.assembled == fb.assembled
     l_match = q_match = None
     if regular:
-        ma, mb = matrices(pa.graph), matrices(pb.graph)
-        fs = charpolys([ma.A, mb.A, ma.L, mb.L, ma.Q, mb.Q])
-        a_match, l_match, q_match = (fs[k] == fs[k + 1] for k in (0, 2, 4))
-    else:
-        # only A is compared, so only A is built
-        fa, fb = charpolys([adjacency_matrix(pa.graph.graph), adjacency_matrix(pb.graph.graph)])
-        a_match = fa == fb
+        (la,), (lb,) = factored_charpolys(pairs, "L", ["constructed"])
+        (qa,), (qb,) = factored_charpolys(pairs, "Q", ["constructed"])
+        l_match, q_match = la.assembled == lb.assembled, qa.assembled == qb.assembled
     return CospectralFamilyReport(side=side,
                                   hypothesis_cospectral=hypothesis_cospectral,
                                   hypothesis_coronal_equal=hypothesis_coronal,

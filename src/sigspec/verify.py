@@ -4,8 +4,8 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .exact import Matrix, charpolys
-from .graphs import MarkedSignedGraph, adjacency_matrix, matrices
+from .exact import charpolys
+from .graphs import MarkedSignedGraph, graph_matrix, matrices
 from .io import serialize_graph
 from .product import corona, product
 from .sampling import (random_marked_graph, random_regular_marked_graph,
@@ -63,12 +63,9 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
                 mg1 = random_regular_marked_graph(rng, max_n1, signed)
                 mg2 = random_regular_marked_graph(rng, max_n2, signed)
             pg = product(mg1, mg2)
-            # build only the matrix that is compared: A, or L = D - A, or Q = D + A
-            m = adjacency_matrix(pg.graph.graph)
-            if matrix_kind != "A":
-                d = Matrix.diagonal(pg.graph.graph.degrees())
-                m = d - m if matrix_kind == "L" else d + m
-            block.append((mg1, mg2, _count_checks(pg, mg1, mg2), m))
+            # build only the matrix that is compared
+            block.append((mg1, mg2, _count_checks(pg, mg1, mg2),
+                          graph_matrix(pg.graph, matrix_kind)))
         directs = charpolys([m for *_, m in block])
         factored = factored_charpolys([(mg1, mg2) for mg1, mg2, *_ in block], matrix_kind, modes)
         for t, ((mg1, mg2, counts_ok, _), direct, (fc, *other)) in enumerate(

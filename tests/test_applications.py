@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspec.applications import (equienergetic_demo, equienergetic_family,
-                                  factored_energy_estimate,
+from sigspec.applications import (demo_equienergetic_pair, equienergetic_demo,
+                                  equienergetic_family, factored_energy_estimate,
                                   integral_product_check, star_bracket_cubic,
                                   star_bracket_cubic_expanded,
                                   star_integral_checks, star_product_integral_check)
@@ -233,6 +233,26 @@ def test_equienergetic_demo_builds_no_product(monkeypatch):
     monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
     assert equienergetic_demo().valid
     assert sizes and max(sizes) <= 18
+
+
+@pytest.mark.parametrize("mg1, mg2, base, valid", [
+    (*demo_equienergetic_pair(), mk(path(3, "+-")), True),
+    (mk(cycle(4)), mk(path(4)), mk(complete(2)), False),
+    (mk(cycle(4)), mk(cycle(4)), mk(cycle(5)), False),
+], ids=["demo", "C4/P4", "C4/C4"])
+def test_equienergetic_family_builds_no_product(monkeypatch, mg1, mg2, base, valid):
+    # on the valid and the failure path alike, no graph larger than an input
+    largest = max(x.graph.n for x in (mg1, mg2, base))
+    sizes = []
+    init = graphs.SignedGraph.__init__
+
+    def recorded(self, n, edges=()):
+        sizes.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
+    assert equienergetic_family(mg1, mg2, base).valid == valid
+    assert sizes and max(sizes) <= largest
 
 
 @pytest.mark.parametrize("center_mark, calls", [(1, 5), (-1, 8)])

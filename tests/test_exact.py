@@ -791,6 +791,26 @@ def test_fraction_appears_only_in_rational_fn_eval():
     assert offenders == []
 
 
+def test_only_output_and_oracle_modules_import_the_product():
+    # the product is output (the package API and the CLI) or the oracle the
+    # factored route is checked against (verify.py); every other module works
+    # from the factors, so an import of it there, lazy or not, is a second route
+    importers = set()
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                # a relative import is resolved against the package
+                base = ".".join(filter(None, ["sigspec" if node.level else "", node.module]))
+                modules = [base] + [f"{base}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if "sigspec.product" in modules:
+                importers.add(path.name)
+    assert importers == {"__init__.py", "cli.py", "verify.py"}
+
+
 def test_graph_layer_makes_no_int_call():
     # graph input is checked by the exact core's int rule, never coerced: a
     # call to int() would round a float or a bool into a graph or a marking

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspec import exact, theorems
+from sigspec import exact, graphs, theorems
 from sigspec.coronal import signed_coronal
 from sigspec.exact import Matrix, Poly, charpoly
 from sigspec.graphs import (FAMILIES, MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
-                            complete, complete_bipartite, cycle, line_graph, matrices,
-                            mu_signed_graph, path, star)
+                            complete, complete_bipartite, cycle, graph_matrix, line_graph,
+                            matrices, mu_signed_graph, path, star)
 from sigspec.product import product
 from sigspec.sampling import (REGULAR_FAMILIES, random_marked_graph,
                               random_regular_marked_graph)
@@ -274,6 +274,50 @@ def test_non_cospectral_inputs_report_hypothesis_failure():
     assert report.consistent
 
 
+_LK33 = line_graph(complete_bipartite(3, 3))
+_FAMILY_TRIPLES = {
+    "S5/C4+K1 on K2": (mk(star(5)), mk(SignedGraph(5, cycle(4).edges)), mk(complete(2))),
+    # equal coronals under distinct markings, since each is a switching of the other
+    "L(K3,3) pair on C6": (mk(_LK33),
+                           MarkedSignedGraph(_LK33, Marking([1, -1, 1, 1, -1, 1, 1, 1, -1])),
+                           mk(cycle(6))),
+    "C4/P4 on K2": (mk(cycle(4)), mk(path(4)), mk(complete(2))),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("triple", list(_FAMILY_TRIPLES), ids=list(_FAMILY_TRIPLES))
+def test_cospectral_family_matches_built_products(side, triple):
+    # the reference route: build both products and compare their charpolys
+    mg_a, mg_b, mg = _FAMILY_TRIPLES[triple]
+    report = cospectral_family_check(mg_a, mg_b, mg, side)
+    pairs = [(mg_a, mg), (mg_b, mg)] if side == "left" else [(mg, mg_a), (mg, mg_b)]
+    built = [product(*pair).graph for pair in pairs]
+    kinds = "ALQ" if report.regular_inputs else "A"
+    for kind in kinds:
+        pa, pb = (charpoly(graph_matrix(g, kind)) for g in built)
+        assert getattr(report, f"{kind.lower()}_match") == (pa == pb)
+    if not report.regular_inputs:
+        assert report.l_match is None and report.q_match is None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("triple", list(_FAMILY_TRIPLES), ids=list(_FAMILY_TRIPLES))
+def test_cospectral_family_builds_no_product(monkeypatch, side, triple):
+    mg_a, mg_b, mg = _FAMILY_TRIPLES[triple]
+    largest = max(x.graph.n for x in (mg_a, mg_b, mg))
+    sizes = []
+    init = graphs.SignedGraph.__init__
+
+    def recorded(self, n, edges=()):
+        sizes.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
+    cospectral_family_check(mg_a, mg_b, mg, side)
+    assert sizes and max(sizes) <= largest
+
+
 @pytest.mark.parametrize("kind, g1, marks1, g2, marks2, digest", [
     ("A", cycle(16), [1] * 16, path(16), [1] * 16,
      "894351a869ecaac50a2abb2fac7bfdba8ef92b04e9479682108134c9abfc9427"),
@@ -393,11 +437,11 @@ def test_lazy_bracket_splits_repeated_eigenvalues(g1, g2, multiplicity):
 
 
 def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
-    # both charpolys and both adjugate forms of the inputs come from one
-    # exact call, one batch per folded order: S5's four leaves fold to one
-    # row and C4's two twin pairs to two, so the inputs reach the kernel at
-    # orders 2 and 3, each with its rank-one update; the two built products'
-    # charpolys are the other two batches, of two distinct folded orders
+    # the two copy blocks with their markings and the base's bracket matrix
+    # go through one exact call, one batch per folded order, and no product
+    # is built: S5's four leaves fold to one row and C4's two twin pairs to
+    # two, so the inputs reach the kernel at orders 2 and 3, each with its
+    # rank-one update, and K2 joins the order-2 batch
     s = mk(star(5))
     c4_iso = MarkedSignedGraph.with_canonical_marking(SignedGraph(5, cycle(4).edges))
     calls, entries = [], []
@@ -414,8 +458,8 @@ def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     monkeypatch.setattr(theorems, "_charpolys_with_forms", exact_call)
     report = cospectral_family_check(s, c4_iso, mk(complete(2)), "right")
-    assert entries == [2]
-    assert calls == [2, 2, 1, 1]
+    assert entries == [3]
+    assert calls == [3, 2]
     monkeypatch.undo()
     ca, cb = coronal_of_mu_graph(s), coronal_of_mu_graph(c4_iso)
     assert report.hypothesis_coronal_equal == ((ca.num, ca.den) == (cb.num, cb.den))
