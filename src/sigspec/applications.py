@@ -162,8 +162,11 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     factored_charpolys batch gives every general check, so each distinct
     star copy block's coronal and each first factor's mu-adjacency charpoly
     are computed once. Both checks decide per eigenvalue of that same
-    charpoly, and every distinct polynomial's integer roots, over all cases,
-    are taken once.
+    charpoly g, and a case enters them only through (n, center_mark, g): the
+    star fixes the closed forms, copy block, u, v and n2, and g fixes n1 and
+    the eigenvalue verdicts. So the pair of reports is made once per distinct
+    key and shared by every case with it, and every distinct polynomial's
+    integer roots, over all keys, are taken once.
     """
     # ints first: a bool would hide behind an equal int key of the distinct stars
     _exact_ints(x for _, n, center_mark in cases for x in (n, center_mark))
@@ -173,8 +176,14 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
                  star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1))) for n, m in closed}
     fcs = factored_charpolys([(mg1, stars[n, m]) for mg1, n, m in cases], "A", ["constructed"])
     of = cache(IntegralityResult.of)
-    return [(_star_report(n, m, *closed[n, m], fc.bracket_charpoly, of),
-             _integrality_report(fc, of)) for (_, n, m), (fc,) in zip(cases, fcs)]
+    by_key, reports = {}, []
+    for (_, n, m), (fc,) in zip(cases, fcs):
+        g = fc.bracket_charpoly
+        key = (n, m, g)
+        if key not in by_key:
+            by_key[key] = (_star_report(n, m, *closed[n, m], g, of), _integrality_report(fc, of))
+        reports.append(by_key[key])
+    return reports
 
 
 def _star_report(n: int, center_mark: int, effective: RationalFn, stated: RationalFn,

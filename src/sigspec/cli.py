@@ -211,6 +211,10 @@ def _search_first_factors(max_n1: int):
 
 
 def _cmd_integral_search(args) -> int:
+    # a bound below 1 would search nothing and print a report of no hits
+    for option, value in (("--max-n1", args.max_n1), ("--max-n", args.max_n)):
+        if value < 1:
+            raise ValueError(f"{option} must be at least 1, got {value}")
     cases = [(label, mg1, n, center_mark)
              for label, mg1 in _search_first_factors(args.max_n1)
              for n in range(1, args.max_n + 1) for center_mark in (1, -1)]

@@ -4,17 +4,18 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .exact import charpolys
+from .exact import Matrix, Poly, charpolys
 from .graphs import MarkedSignedGraph, graph_matrix, matrices
 from .io import serialize_graph
 from .product import corona, product
 from .sampling import (random_marked_graph, random_regular_marked_graph,
                        random_single_vertex)
-from .theorems import factored_charpolys
+from .theorems import FactoredCharPoly, factored_charpolys
 
 
-def _digest(mg: MarkedSignedGraph) -> str:
-    return hashlib.sha256(serialize_graph(mg).encode()).hexdigest()[:16]
+def _digest(text: str) -> str:
+    # text: a factor's serialize_graph, which the record may also carry
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _count_checks(pg, mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> bool:
@@ -25,10 +26,49 @@ def _count_checks(pg, mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> bool:
     return vertices_ok and edges_ok
 
 
-# trials sampled and built before one charpolys and one factored_charpolys call
-# take their charpolys: large enough that each order is one kernel batch, small
-# enough that memory stays flat however many trials run
-_BLOCK = 50
+# most product-matrix entries in one block, the trials sampled and built
+# before one charpolys and one factored_charpolys call: 256 trials at the
+# default orders, so a run of a few hundred trials is one block and each
+# folded order one kernel batch, while memory stays bounded for any factor
+# orders and any trial count
+_BLOCK_ENTRIES = 2 ** 18
+
+
+def _block_trials(max_n1: int, max_n2: int) -> int:
+    """Trials per block: as many largest products as fit in _BLOCK_ENTRIES."""
+    # a bound below 1 fits no family; sampling refuses it with its own message
+    return max(1, _BLOCK_ENTRIES // max(1, 2 * max_n1 * max_n2) ** 2)
+
+
+def _build(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph, kind: str) -> tuple[bool, Matrix]:
+    """The product's count checks and the one matrix that is compared."""
+    pg = product(mg1, mg2)
+    return _count_checks(pg, mg1, mg2), graph_matrix(pg.graph, kind)
+
+
+def _checked(pair: tuple[MarkedSignedGraph, MarkedSignedGraph], counts_ok: bool,
+             direct: Poly, forms: list[FactoredCharPoly], other_mode: str) -> dict:
+    """A trial's record but its number: the factored forms against direct."""
+    mg1, mg2 = pair
+    fc, *other = forms
+    match = fc.assembled == direct
+    text1, text2 = serialize_graph(mg1), serialize_graph(mg2)
+    record = {
+        "n1": mg1.graph.n,
+        "n2": mg2.graph.n,
+        "digest1": _digest(text1),
+        "digest2": _digest(text2),
+        "graph1": text1,
+        "graph2": text2,
+        "counts_ok": counts_ok,
+        "match": match,
+    }
+    if other:
+        record[f"{other_mode}_mode_match"] = other[0].assembled == direct
+    if not (match and counts_ok):
+        record["direct"] = direct.coeff_strings()
+        record["assembled"] = fc.assembled.coeff_strings()
+    return record
 
 
 def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
@@ -39,9 +79,10 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
 
     For L and Q the report also records whether the other degree-mode variant
     would have matched, so the two a-degree constants can be compared run
-    over run. Trials are sampled in blocks of _BLOCK; a block draws from the
-    rng in trial order before any charpoly is taken, so the records do not
-    depend on where the blocks end.
+    over run. Trials are sampled in blocks of _block_trials(max_n1, max_n2);
+    a block draws from the rng in trial order before any charpoly is taken,
+    so the records do not depend on where the blocks end. A pair drawn again
+    within a block is built and checked once.
     """
     if matrix_kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {matrix_kind!r}")
@@ -53,41 +94,29 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
     modes = [degree_mode] if matrix_kind == "A" else [degree_mode, other_mode]
     records = []
     failures = 0
-    for start in range(0, trials, _BLOCK):
-        block = []
-        for _ in range(start, min(trials, start + _BLOCK)):
+    size = _block_trials(max_n1, max_n2)
+    for start in range(0, trials, size):
+        pairs = []
+        for _ in range(start, min(trials, start + size)):
             if matrix_kind == "A":
                 mg1 = random_marked_graph(rng, max_n1, signed)
                 mg2 = random_marked_graph(rng, max_n2, signed)
             else:
                 mg1 = random_regular_marked_graph(rng, max_n1, signed)
                 mg2 = random_regular_marked_graph(rng, max_n2, signed)
-            pg = product(mg1, mg2)
-            # build only the matrix that is compared
-            block.append((mg1, mg2, _count_checks(pg, mg1, mg2),
-                          graph_matrix(pg.graph, matrix_kind)))
-        directs = charpolys([m for *_, m in block])
-        factored = factored_charpolys([(mg1, mg2) for mg1, mg2, *_ in block], matrix_kind, modes)
-        for t, ((mg1, mg2, counts_ok, _), direct, (fc, *other)) in enumerate(
-                zip(block, directs, factored), start):
-            match = fc.assembled == direct
-            record = {
-                "trial": t,
-                "n1": mg1.graph.n,
-                "n2": mg2.graph.n,
-                "digest1": _digest(mg1),
-                "digest2": _digest(mg2),
-                "graph1": serialize_graph(mg1),
-                "graph2": serialize_graph(mg2),
-                "counts_ok": counts_ok,
-                "match": match,
-            }
-            if other:
-                record[f"{other_mode}_mode_match"] = other[0].assembled == direct
-            if not (match and counts_ok):
-                failures += 1
-                record["direct"] = direct.coeff_strings()
-                record["assembled"] = fc.assembled.coeff_strings()
+            pairs.append((mg1, mg2))
+        # a pair drawn again in the block is built and checked once; its
+        # record is a function of the pair and the trial number
+        distinct = list(dict.fromkeys(pairs))
+        built = [_build(mg1, mg2, matrix_kind) for mg1, mg2 in distinct]
+        directs = charpolys([m for _, m in built])
+        factored = factored_charpolys(distinct, matrix_kind, modes)
+        checked = {pair: _checked(pair, counts_ok, direct, forms, other_mode)
+                   for pair, (counts_ok, _), direct, forms
+                   in zip(distinct, built, directs, factored)}
+        for t, pair in enumerate(pairs, start):
+            record = {"trial": t, **checked[pair]}
+            failures += not (record["match"] and record["counts_ok"])
             records.append(record)
     return {
         "matrix": matrix_kind,
@@ -127,7 +156,7 @@ def run_corona_verification(trials: int = 20, seed: int = 0,
         records.append({
             "trial": t,
             "n1": mg1.graph.n,
-            "digest1": _digest(mg1),
+            "digest1": _digest(serialize_graph(mg1)),
             "same_graph": same_graph,
             "charpolys_ok": charpolys_ok,
             "counts_ok": counts_ok,

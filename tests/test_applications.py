@@ -89,6 +89,34 @@ def test_star_integral_checks_match_one_case_at_a_time():
         star_integral_checks([(single(), 2, 0)])
 
 
+def test_star_integral_checks_report_once_per_key(monkeypatch):
+    # a case enters both reports only through (n, center_mark, g), g the first
+    # factor's mu-adjacency charpoly; the six first factors below, signed
+    # differently, have three distinct g (P3, K_{1,3}, C4), so 36 cases have
+    # 18 keys and each key's reports are made once
+    firsts = [mk(path(3, "++")), mk(path(3, "+-")), mk(star(4, "+-+")),
+              mk(cycle(4, "++++")), mk(cycle(4, "+--+")), mk(cycle(4, "+++-"))]
+    cases = [(mg1, n, m) for mg1 in firsts for n in (1, 2, 4) for m in (1, -1)]
+    keys = {(n, m, charpoly(adjacency_matrix(graphs.mu_signed_graph(mg1))))
+            for mg1, n, m in cases}
+    assert len(keys) == 3 * 3 * 2 < len(cases)
+    calls = []
+    inner = applications._star_report
+
+    def recorded(*args):
+        calls.append(args[:2])
+        return inner(*args)
+
+    monkeypatch.setattr(applications, "_star_report", recorded)
+    reports = star_integral_checks(cases)
+    assert len(calls) == len(keys)
+    monkeypatch.setattr(applications, "_star_report", inner)
+    for (mg1, n, m), (report, general) in zip(cases, reports):
+        star_mg = mk(star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1)))
+        assert report == star_product_integral_check(mg1, n, m)
+        assert general == integral_product_check(mg1, star_mg)
+
+
 def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsys):
     # 336 instances, but only 12 star copy blocks with their markings and 28
     # first factors: each distinct matrix, folded by its twin rows, and each

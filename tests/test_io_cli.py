@@ -126,6 +126,17 @@ def test_gen_rejects_marking_characters_other_than_signs(capsys):
     assert "--marking" in captured.err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-n1", "-1"), ("--max-n1", "0"), ("--max-n", "0"), ("--max-n", "-2"),
+])
+def test_integral_search_refuses_bounds_below_one(option, value, capsys):
+    # a bound below 1 searches nothing; an empty report would read as no hits
+    assert main(["integral-search", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sigspec: {option} must be at least 1, got {value}" in captured.err
+
+
 def test_charpoly_cli_json(tmp_path, capsys):
     f = tmp_path / "k2.txt"
     f.write_text("2 1\n0 1 +\n")

@@ -33,7 +33,7 @@ def test_verification_batches_each_product_order_once_per_block(monkeypatch):
     trials = 150
     report = run_theorem_verification(matrix_kind="A", trials=trials, seed=3)
     assert report["all_match"]
-    blocks = -(-trials // verify._BLOCK)
+    blocks = -(-trials // verify._block_trials(4, 4))
     assert len(batches) == 2 * blocks
     assert calls and all(count <= (2 if order <= 4 else 1) * blocks
                          for order, count in calls.items())
@@ -48,11 +48,67 @@ def test_negative_trial_counts_are_refused():
     assert run_theorem_verification(trials=0)["records"] == []
 
 
-def test_block_boundaries_leave_the_rng_stream_alone():
+def test_block_boundaries_leave_the_rng_stream_alone(monkeypatch):
     # a run of k trials is the first k trials of a longer run, for k past a
-    # block boundary and not a multiple of the block size
-    k = verify._BLOCK + 7
+    # block boundary and not a multiple of the block size; blocks of 20
+    # trials at the default orders keep the runs short
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 20 * (2 * 4 * 4) ** 2)
+    size = verify._block_trials(4, 4)
+    assert size == 20
+    k = size + 7
     for kind in ("A", "L"):
         short = run_theorem_verification(matrix_kind=kind, trials=k, seed=11)
-        long = run_theorem_verification(matrix_kind=kind, trials=3 * verify._BLOCK, seed=11)
+        long = run_theorem_verification(matrix_kind=kind, trials=3 * size, seed=11)
         assert short["records"] == long["records"][:k]
+
+
+def test_block_size_follows_the_largest_product():
+    # at the default orders a block is 256 trials of order at most 32; larger
+    # factors make smaller blocks, never an empty one
+    assert verify._block_trials(4, 4) == 256
+    assert verify._block_trials(8, 8) == 16
+    assert verify._block_trials(400, 400) == 1
+
+
+def test_150_trials_make_one_exact_call_of_each_kind(monkeypatch):
+    # one block for 150 A trials at the default orders: one direct charpolys
+    # call and one factored_charpolys call, where blocks of 50 made three each
+    calls = Counter()
+    for name in ("charpolys", "factored_charpolys"):
+        inner = getattr(verify, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert run_theorem_verification(matrix_kind="A", trials=150, seed=1)["all_match"]
+    assert calls == {"charpolys": 1, "factored_charpolys": 1}
+    # 300 trials cross one block boundary
+    calls.clear()
+    run_theorem_verification(matrix_kind="A", trials=300, seed=1)
+    assert calls == {"charpolys": 2, "factored_charpolys": 2}
+
+
+def test_repeated_pairs_are_built_once_per_block(monkeypatch):
+    # unsigned Q trials draw from a handful of factors, so pairs repeat; each
+    # distinct pair of a block is built and checked once, and its repeats
+    # carry equal records under their own trial numbers
+    built = []
+    inner = verify.product
+
+    def recorded(mg1, mg2):
+        built.append((mg1, mg2))
+        return inner(mg1, mg2)
+
+    monkeypatch.setattr(verify, "product", recorded)
+    report = run_theorem_verification(matrix_kind="Q", signed=False, trials=50, seed=1)
+    records = report["records"]
+    pairs = [(r["graph1"], r["graph2"]) for r in records]
+    assert len(built) == len(set(built)) == len(set(pairs)) < 50
+    assert [r["trial"] for r in records] == list(range(50))
+    first = {}
+    for r in records:
+        rest = {k: v for k, v in r.items() if k != "trial"}
+        assert first.setdefault((r["graph1"], r["graph2"]), rest) == rest
+    assert report["all_match"]

@@ -8,13 +8,15 @@ keeping the other labels already there, so two checkouts can be compared:
     PYTHONPATH=src python tools/bench_kernel.py --label change
 
 Entries, all on the order-72 product K2 x L^2(K3,3) with a fixed random
-marking of L^2(K3,3), then on verify-theorem campaigns:
+marking of L^2(K3,3), then on the verify-theorem and integral-search campaigns:
 
 - charpoly_A, charpoly_L: charpoly of its A and L;
 - form_A: charpoly_with_adjugate_form of A and the product's marking, the
   kernel work of the coronal command on the product file;
 - verify_A: run_theorem_verification("A", 150 trials);
-- verify_L: run_theorem_verification("L", 50 trials).
+- verify_L: run_theorem_verification("L", 50 trials);
+- integral_search: star_integral_checks over the 336 cases of
+  integral-search --max-n1 4 --max-n 6.
 
 Each entry records its kernel batches as seen by _charpoly_residues: their
 count, the largest order and prime count, and the residue matrices reduced
@@ -33,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from sigspec import exact
+from sigspec.applications import star_integral_checks
+from sigspec.cli import _search_first_factors
 from sigspec.graphs import (MarkedSignedGraph, Marking, complete, complete_bipartite,
                             graph_matrix, line_graph)
 from sigspec.product import product
@@ -89,12 +93,15 @@ def bench(repeats: int) -> dict:
     pg = demo_product()
     a, lap = graph_matrix(pg.graph, "A"), graph_matrix(pg.graph, "L")
     marks = list(pg.marking)
+    search = [(mg1, n, center_mark) for _, mg1 in _search_first_factors(4)
+              for n in range(1, 7) for center_mark in (1, -1)]
     entries = {
         "charpoly_A": lambda: exact.charpoly(a),
         "charpoly_L": lambda: exact.charpoly(lap),
         "form_A": lambda: exact.charpoly_with_adjugate_form(a, marks),
         "verify_A": lambda: run_theorem_verification("A", trials=150, seed=1),
         "verify_L": lambda: run_theorem_verification("L", trials=50, seed=1),
+        "integral_search": lambda: star_integral_checks(search),
     }
     return {name: measure(fn, repeats) for name, fn in entries.items()}
 
