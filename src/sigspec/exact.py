@@ -11,10 +11,13 @@ stored lowest degree first with no trailing zeros.
 
 Every characteristic polynomial, at every order, comes from one exact
 kernel: Hessenberg reduction modulo word-size primes, lifted back to
-integers by CRT. The kernel takes a batch of same-order matrices, reduces
-each modulo one shared list of primes and runs all of them in one int64
-numpy array, so many matrices cost a few numpy calls per column, not per
-column and matrix. One entry first folds each matrix by its twin rows,
+integers by CRT. The primes are sized to the order n: the largest below
+2^b, for the largest b with (n + 1) * 4^b < 2^63, so no int64 sum of the
+kernel can wrap (2^30 through order 6, 2^29 through order 30, 2^28
+through order 126). The kernel takes a batch of same-order matrices,
+reduces each modulo one shared list of primes and runs all of them in one
+int64 numpy array, so many matrices cost a few numpy calls per column, not
+per column and matrix. One entry first folds each matrix by its twin rows,
 which splits off a linear factor (x - lam) per folded row exactly, then
 groups the folded matrices by order into such batches; a matrix given with
 a vector u also puts its rank-one update in the batch, and
@@ -614,25 +617,64 @@ class Matrix:
         return Matrix([[-x for x in r] for r in self._rows])
 
 
-# The multimodular kernel works modulo primes below this bound. Every sum it
-# accumulates in int64 has at most n terms, each a product of two residues, so
-# it cannot wrap while n * (p - 1)^2 < 2^63: up to order 2^15 here.
-_PRIME_BOUND = 1 << 24
-# primes below _PRIME_BOUND, largest first; only ever extended, so every caller
-# sees the same list
-_PRIMES: list[int] = []
+def _prime_bits(n: int) -> int:
+    """The largest b with (n + 1) * 4^b < 2^63: the kernel's primes at order n lie below 2^b.
+
+    Every int64 sum the kernel accumulates at order n has at most n + 1
+    terms, each below p^2, so with p < 2^b none can wrap: 2^30 through
+    order 6, 2^29 through order 30, 2^28 through order 126, 2^27 through
+    order 510, and so on. Larger primes mean fewer of them per bound.
+    """
+    b = 31
+    while (n + 1) << (2 * b) >= 1 << 63:
+        b -= 1
+    return b
 
 
-def _primes_past(bound: int) -> list[int]:
-    """The fewest of the largest primes below _PRIME_BOUND whose product exceeds bound."""
+# per ceiling bit count b, the primes below 2^b found so far, largest first;
+# only ever extended, so every caller at one ceiling sees the same list
+_PRIMES: dict[int, list[int]] = {}
+
+
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2, 7 and 61.
+
+    Exact for q < 4 759 123 141 (Jaeschke, Math. Comp. 1993), which every
+    prime ceiling is below; trial division would cost every fresh process
+    milliseconds per prime near 2^29.
+    """
+    if q < 2 or q % 2 == 0:
+        return q == 2
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        if a % q == 0:
+            continue
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_past(bound: int, n: int) -> list[int]:
+    """The fewest of the largest primes below 2^_prime_bits(n) whose product exceeds bound."""
+    b = _prime_bits(n)
+    primes = _PRIMES.setdefault(b, [])
     out, product = [], 1
     while product <= bound:
-        if len(out) == len(_PRIMES):
-            q = (_PRIMES[-1] if _PRIMES else _PRIME_BOUND) - 1
-            while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
-                q -= 1
-            _PRIMES.append(q)
-        out.append(_PRIMES[len(out)])
+        if len(out) == len(primes):
+            q = (primes[-1] if primes else (1 << b) + 1) - 2
+            while not _is_prime(q):
+                q -= 2
+            primes.append(q)
+        out.append(primes[len(out)])
         product *= out[-1]
     return out
 
@@ -648,23 +690,33 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     chi_m = (x - h_mm) chi_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) chi_{i-1}
     over the leading blocks gives the charpoly (Cohen, Alg. 2.2.9). h is
     overwritten.
+
+    Work the batch does not need is skipped: the pivot search runs only
+    when some matrix has a zero on the subdiagonal, and a column with
+    nothing below its subdiagonal in any matrix is left alone, where the
+    elimination would subtract u = 0. Each row of the recurrence sums at
+    most m + 1 <= n + 1 terms below p^2 before its one reduction, which
+    _prime_bits keeps below 2^63.
     """
     count, n, _ = h.shape
     batch, primes = np.arange(count), p.tolist()
     p2, p3 = p[:, None], p[:, None, None]
     for m in range(n - 2):
-        # pivot: the first row below the diagonal with a nonzero in column m;
-        # a prime with none has nothing to eliminate in this column
-        r = m + 1 + np.argmax(h[:, m + 1:, m] != 0, axis=1)
-        moved = r != m + 1
-        if moved.any():
-            b, rb = batch[moved], r[moved]
-            rows = h[b, rb, :]
-            h[b, rb, :] = h[b, m + 1, :]
-            h[b, m + 1, :] = rows
-            cols = h[b, :, rb]
-            h[b, :, rb] = h[b, :, m + 1]
-            h[b, :, m + 1] = cols
+        if not h[:, m + 1, m].all():
+            # pivot: the first row below the diagonal with a nonzero in column m;
+            # a matrix with none has nothing to eliminate in this column
+            r = m + 1 + np.argmax(h[:, m + 1:, m] != 0, axis=1)
+            moved = r != m + 1
+            if moved.any():
+                b, rb = batch[moved], r[moved]
+                rows = h[b, rb, :]
+                h[b, rb, :] = h[b, m + 1, :]
+                h[b, m + 1, :] = rows
+                cols = h[b, :, rb]
+                h[b, :, rb] = h[b, :, m + 1]
+                h[b, :, m + 1] = cols
+        if not h[:, m + 2:, m].any():
+            continue
         inv = np.array([pow(x, -1, q) if x else 0
                         for x, q in zip(h[:, m + 1, m].tolist(), primes)], dtype=np.int64)
         u = h[:, m + 2:, m] * inv[:, None] % p2
@@ -682,13 +734,14 @@ def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     tail = np.ones((count, n), dtype=np.int64)
     for m in range(1, n + 1):
         prev = chi[:, m - 1, :m]
-        acc = -(h[:, m - 1, m - 1, None] * prev % p2)
+        row = chi[:, m, :m + 1]
+        row[:, 1:] = prev
+        row[:, :m] -= h[:, m - 1, m - 1, None] * prev
         if m > 1:
             tail[:, 1:m] = tail[:, 1:m] * h[:, m - 1, m - 2, None] % p2
             w = h[:, :m - 1, m - 1] * tail[:, 1:m] % p2
-            acc[:, :m - 1] -= (w[:, None, :] @ chi[:, :m - 1, :m - 1])[:, 0, :] % p2
-        chi[:, m, 1:m + 1] = prev
-        chi[:, m, :m] = (chi[:, m, :m] + acc) % p2
+            row[:, :m - 1] -= (w[:, None, :] @ chi[:, :m - 1, :m - 1])[:, 0, :]
+        np.remainder(row[:, :m], p2, out=row[:, :m])
     return chi[:, n, :]
 
 
@@ -710,11 +763,14 @@ def _coefficient_bound(vectors: Iterable[Sequence[int]]) -> int:
     columns of a matrix folded by its twin rows, whose columns carry the
     class sizes once each. The e_k are the coefficients of
     prod_i (1 + r_i t), with the m vectors of one norm r contributing
-    (1 + r t)^m, whose coefficients are C(m, i) r^i.
+    (1 + r t)^m, whose coefficients are C(m, i) r^i; they are multiplied
+    out on plain int lists, and a zero norm contributes 1.
     """
-    norms = Counter(_ceil_sqrt(sum(map(mul, v, v))) for v in vectors)
-    return max(prod((Poly([comb(m, i) * r ** i for i in range(m + 1)])
-                     for r, m in norms.items()), start=Poly.constant(1)).coeffs)
+    e = [1]
+    for r, m in Counter(_ceil_sqrt(sum(map(mul, v, v))) for v in vectors).items():
+        if r:
+            e = _schoolbook(e, [comb(m, i) * r ** i for i in range(m + 1)])
+    return max(e)
 
 
 def _ceil_sqrt(t: int) -> int:
@@ -726,19 +782,21 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
                        bound: int) -> tuple[list[int], np.ndarray]:
     """Charpolys of T same-order integer matrices modulo one list of P primes.
 
-    The primes are the fewest whose product exceeds 2 * bound, so every
-    integer of absolute value at most bound is fixed by its residues (see
-    _crt_lift). Every matrix is reduced modulo every prime and the T*P
-    residue matrices go through _hessenberg_charpoly_mod as one batch, cut
-    into chunks of at most _BATCH_ENTRIES entries. Entries past int64 are
-    reduced as Python ints. Returns the primes and a (T, P, n + 1) int64
-    array of coefficient residues, lowest degree first. Every prime works: a
-    similarity over F_p keeps the charpoly, so there is no unlucky prime to
-    detect or retry.
+    The primes are the fewest of the largest below the order's ceiling
+    2^_prime_bits(n) whose product exceeds 2 * bound, so every integer of
+    absolute value at most bound is fixed by its residues (see _crt_lift),
+    and the lifted integers do not depend on which primes were used. Every
+    matrix is reduced modulo every prime and the T*P residue matrices go
+    through _hessenberg_charpoly_mod as one batch, cut into chunks of at
+    most _BATCH_ENTRIES entries. Entries past int64 are reduced as Python
+    ints. Returns the primes and a (T, P, n + 1) int64 array of coefficient
+    residues, lowest degree first. Every prime works: a similarity over F_p
+    keeps the charpoly, so there is no unlucky prime to detect or retry.
     """
     n = len(mats[0])
-    primes = _primes_past(2 * bound)
-    if n * (primes[0] - 1) ** 2 >= 1 << 63:
+    primes = _primes_past(2 * bound, n)
+    # the invariant _prime_bits keeps: n + 1 terms below p^2 cannot wrap int64
+    if (n + 1) * primes[0] ** 2 >= 1 << 63:
         raise OverflowError(f"order {n} with primes near {primes[0]} would overflow int64")
     try:
         entries = np.array(mats, dtype=np.int64)
@@ -828,8 +886,15 @@ def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
 
 
 def _times_linear(p: Poly, linear: Counter) -> Poly:
-    # p * prod (x - lam)^e over the split-off factors; p itself when there are none
-    return prod((Poly.linear(-lam) ** e for lam, e in linear.items()), start=p)
+    # p * prod (x - lam)^e over the split-off factors; p itself when there are
+    # none. (x - lam)^e is a shift by e for lam = 0, and otherwise the one
+    # product by sum_k C(e, k) (-lam)^(e-k) x^k
+    for lam, e in linear.items():
+        if lam:
+            p = p * Poly([comb(e, k) * (-lam) ** (e - k) for k in range(e + 1)])
+        else:
+            p = Poly((0,) * e + p.coeffs)
+    return p
 
 
 def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .graphs import FAMILIES, MarkedSignedGraph, Marking, SignedGraph
 
@@ -14,18 +15,26 @@ def _random_signs(rng: random.Random, count: int, signed: bool) -> list[int]:
     return [rng.choice((1, -1)) for _ in range(count)]
 
 
+@cache
+def _skeleton_pairs(family: str, n: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (i, j) edges of the family's member on n vertices, built once."""
+    return tuple((i, j) for i, j, _ in FAMILIES[family][0](n).edges)
+
+
 def random_marked_graph(rng: random.Random, max_n: int, signed: bool = True,
                         families=FAMILIES) -> MarkedSignedGraph:
-    """One random family member with random signs and a random marking."""
+    """One random family member with random signs and a random marking.
+
+    The signs go to the member's edges in sorted order.
+    """
     feasible = [f for f in families if FAMILIES[f][1] <= max_n]
     if not feasible:
         raise ValueError(f"no family fits within {max_n} vertices")
-    build, least = FAMILIES[rng.choice(feasible)]
-    n = rng.randint(least, max_n)
-    skeleton = build(n)
-    g = SignedGraph(n, [(i, j, s) for (i, j, _), s in
-                        zip(skeleton.edges,
-                            _random_signs(rng, skeleton.num_edges, signed))])
+    family = rng.choice(feasible)
+    n = rng.randint(FAMILIES[family][1], max_n)
+    pairs = _skeleton_pairs(family, n)
+    g = SignedGraph(n, [(i, j, s) for (i, j), s in
+                        zip(pairs, _random_signs(rng, len(pairs), signed))])
     marking = Marking(_random_signs(rng, n, signed))
     return MarkedSignedGraph(g, marking)
 

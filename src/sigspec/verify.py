@@ -46,6 +46,23 @@ def _build(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph, kind: str) -> tuple[b
     return _count_checks(pg, mg1, mg2), graph_matrix(pg.graph, kind)
 
 
+def _other_mode_match(fc: FactoredCharPoly, other: FactoredCharPoly, match: bool,
+                      direct: Poly) -> bool:
+    """other.assembled == direct, given match = (fc.assembled == direct).
+
+    The forms for clone diagonals d and d' share the coronal and the bracket
+    matrix, so equal linear factors x - d make them equal. Otherwise their
+    x^(N-1) coefficients differ by exactly n1*n2*(d' - d): (x - d)^(n1(n2-1))
+    contributes -n1(n2 - 1)*d to it, and each of the n1 bracket factors
+    (x - d)*den - n2*num - lam*n2*den, with den monic of degree k and
+    deg num < k, contributes -d through its x^k coefficient. So when fc
+    matches, other cannot, and only a mismatch expands other.
+    """
+    if other.linear_factor == fc.linear_factor:
+        return match
+    return not match and other.assembled == direct
+
+
 def _checked(pair: tuple[MarkedSignedGraph, MarkedSignedGraph], counts_ok: bool,
              direct: Poly, forms: list[FactoredCharPoly], other_mode: str) -> dict:
     """A trial's record but its number: the factored forms against direct."""
@@ -64,7 +81,7 @@ def _checked(pair: tuple[MarkedSignedGraph, MarkedSignedGraph], counts_ok: bool,
         "match": match,
     }
     if other:
-        record[f"{other_mode}_mode_match"] = other[0].assembled == direct
+        record[f"{other_mode}_mode_match"] = _other_mode_match(fc, other[0], match, direct)
     if not (match and counts_ok):
         record["direct"] = direct.coeff_strings()
         record["assembled"] = fc.assembled.coeff_strings()

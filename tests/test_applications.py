@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -486,3 +487,35 @@ def test_integrality_and_energy_never_compose_the_bracket(monkeypatch):
         assert report.integral == general.integral
     with pytest.raises(AssertionError, match="composed"):
         integral_product_check(mk(complete(2)), single()).bracket.quotient
+
+
+def _energy_one_matrix_at_a_time(fc):
+    # factored_energy_estimate with one symmetric_eigenvalues call per bordered matrix
+    d = -fc.linear_factor.coeff(0)
+    n2 = fc.copy_block.nrows
+    b = np.zeros((n2 + 1, n2 + 1))
+    b[1:, 1:] = fc.copy_block.rows()
+    b[0, 1:] = b[1:, 0] = math.sqrt(n2) * np.array(fc.copy_marking)
+    total = fc.linear_exponent * abs(float(d))
+    for lam in spectra.symmetric_eigenvalues(fc.bracket_matrix).values:
+        b[0, 0] = d + lam * n2
+        total += sum(abs(x) for x in spectra.symmetric_eigenvalues(b).values)
+    return total
+
+
+@pytest.mark.parametrize("entries", [None, 100, 1])
+def test_stacked_energy_equals_one_matrix_at_a_time(monkeypatch, entries):
+    # stacked eigvalsh returns each matrix's eigenvalues bit for bit, and the
+    # sums run in the same order, so the energies are equal floats, whether
+    # the bordered matrices are one chunk, chunks of a few, or one per chunk
+    if entries is not None:
+        monkeypatch.setattr(applications, "_BATCH_ENTRIES", entries)
+    rng = random.Random(21)
+    cases = [("A", mk(cycle(16)), mk(path(16))), ("L", mk(cycle(12)), mk(cycle(9))),
+             ("Q", mk(complete(5)), mk(star(6)))]
+    for trial in range(12):
+        mg1 = random_marked_graph(rng, max_n=6, families=REGULAR_FAMILIES)
+        cases.append(("ALQ"[trial % 3], mg1, random_marked_graph(rng, max_n=6)))
+    for kind, mg1, mg2 in cases:
+        fc = factored_charpoly(mg1, mg2, kind)
+        assert factored_energy_estimate(fc) == _energy_one_matrix_at_a_time(fc), (kind, mg1, mg2)

@@ -2,7 +2,7 @@ import ast
 import random
 import time
 from collections import Counter
-from math import comb
+from math import comb, isqrt
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -34,9 +34,6 @@ def square_matrices(max_n=4):
                            min_size=n, max_size=n).map(Matrix))
 
 
-# the multimodular kernel's first prime: an entry that is a multiple of it
-# vanishes modulo that prime only, so that prime pivots on other rows
-FIRST_PRIME = _primes_past(1)[0]
 STRATA = ("small", "symmetric", "no_pivot", "block", "laplacian",
           "prime_multiples", "wide", "scalar")
 
@@ -48,7 +45,8 @@ def kernel_matrices(draw):
     Each stratum aims at a way the multimodular kernel could go wrong: a
     column with no pivot below the diagonal, or none on the subdiagonal;
     block-diagonal structure; L/Q-style diagonals; entries that vanish modulo
-    one prime only; entries up to 2^40, which need many primes; and the
+    one prime only (the kernel's first prime at order n, the largest below
+    its ceiling); entries up to 2^40, which need many primes; and the
     scalar matrix d*I, whose charpoly (x - d)^n attains the coefficient bound
     the prime count is chosen from.
     """
@@ -68,7 +66,10 @@ def kernel_matrices(draw):
     elif stratum == "wide":
         rows = square(st.integers(min_value=-(1 << 40), max_value=1 << 40))
     elif stratum == "prime_multiples":
-        rows = square(st.sampled_from([0, 1, -1, FIRST_PRIME, -FIRST_PRIME, 2 * FIRST_PRIME]))
+        # an entry that is a multiple of the first prime vanishes modulo that
+        # prime only, so that prime pivots on other rows
+        first = _primes_past(1, n)[0]
+        rows = square(st.sampled_from([0, 1, -1, first, -first, 2 * first]))
     elif stratum == "laplacian":
         adj = symmetrize(square(st.sampled_from([0, 0, 1, -1])))
         sign = draw(st.sampled_from([1, -1]))
@@ -639,13 +640,13 @@ def test_twin_fold_is_exact(blowup):
 def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
     # K2 x L^2(K3,3) clones each of K2's two vertices 18 times; the clones
     # of one vertex are twins, so A reaches the kernel at order
-    # n1 (n2 + 1) = 38 with x^34 split off, modulo 4 primes where the
-    # unfolded order-72 matrix needed 9
+    # n1 (n2 + 1) = 38 with x^34 split off, modulo 3 primes below 2^28
+    # (an 82-bit bound) where the unfolded order-72 matrix needed 7
     calls = []
     kernel = exact._charpoly_residues
 
     def recorded(mats, bound):
-        calls.append((len(mats), len(mats[0]), len(_primes_past(2 * bound))))
+        calls.append((len(mats), len(mats[0]), len(_primes_past(2 * bound, len(mats[0])))))
         return kernel(mats, bound)
 
     k2 = MarkedSignedGraph.with_canonical_marking(complete(2))
@@ -653,7 +654,8 @@ def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
     a = adjacency_matrix(product(k2, l2).graph.graph)
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     f = charpoly(a)
-    assert calls == [(1, 38, 4)]
+    assert calls == [(1, 38, 3)]
+    assert len(_primes_past(2 * _coefficient_bound(a.rows()), 72)) == 7
     assert f.degree == 72 and f.coeffs[:34] == (0,) * 34
 
 
@@ -707,7 +709,8 @@ def test_coefficient_bound_dominates_charpolys_and_forms(sm, data):
 
 def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     # a and a + u u^T are one kernel batch, modulo primes for the larger of the
-    # charpoly and form bounds of a; a + u u^T alone would need far more
+    # charpoly and form bounds of a; a + u u^T alone would need more (at order
+    # 26, 4 residue matrices against 2 + 3; at order 22 the 29-bit primes tie)
     calls = []
     kernel = exact._charpoly_residues
 
@@ -716,7 +719,7 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
         return kernel(mats, bound)
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
-    n = 22
+    n = 26
     cycle = Matrix([[1 if abs(i - j) in (1, n - 1) else 0 for j in range(n)] for i in range(n)])
     u = [1, -1, -1] * (n // 3) + [1] * (n % 3)
     assert charpoly_with_adjugate_form(cycle, u) == _faddeev_leverrier(cycle, u)
@@ -725,30 +728,58 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     bound = n * n * _coefficient_bound(cycle.rows())
     assert calls == [(2, bound)]
     shifted = [[x + ui * uj for x, uj in zip(r, u)] for r, ui in zip(cycle.rows(), u)]
-    assert (2 * len(_primes_past(2 * bound))
-            < len(_primes_past(2 * _coefficient_bound(cycle.rows())))
-            + len(_primes_past(2 * _coefficient_bound(shifted))))
+    assert (2 * len(_primes_past(2 * bound, n))
+            < len(_primes_past(2 * _coefficient_bound(cycle.rows()), n))
+            + len(_primes_past(2 * _coefficient_bound(shifted), n)))
 
 
 def test_kernel_primes_are_prime_and_cover_the_bound():
+    # at each order, the largest primes below its ceiling, one after another
     bound = 1 << 3000
-    primes = _primes_past(bound)
-    assert primes == sorted(set(primes), reverse=True)
-    assert all(sympy.isprime(p) for p in primes)
-    product = 1
-    for p in primes:
-        product *= p
-    assert product > bound >= product // primes[-1]
+    for n in (1, 6, 7, 38, 127, 600):
+        primes = _primes_past(bound, n)
+        assert primes[0] == sympy.prevprime(1 << exact._prime_bits(n))
+        assert all(q == sympy.prevprime(p) for p, q in zip(primes, primes[1:]))
+        product = 1
+        for p in primes:
+            product *= p
+        assert product > bound >= product // primes[-1]
+        # a smaller bound takes a prefix of the same list
+        fewer = _primes_past(1 << 100, n)
+        assert fewer == primes[:len(fewer)]
+
+
+def test_prime_ceiling_is_the_largest_that_cannot_wrap():
+    # n + 1 terms below p^2 < 4^b stay below 2^63, and one more bit would not
+    for n in list(range(1, 140)) + [510, 511, 2046, 2047, 1 << 15]:
+        b = exact._prime_bits(n)
+        assert (n + 1) << (2 * b) < 1 << 63 <= (n + 1) << (2 * b + 2)
+    orders = (1, 6, 7, 30, 31, 126, 127, 510, 511)
+    assert [exact._prime_bits(n) for n in orders] == [30, 30, 29, 29, 28, 28, 27, 27, 26]
+
+
+def _trial_division_is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+def test_miller_rabin_matches_trial_division_near_every_ceiling():
+    # every candidate within 400 of each ceiling the kernel can use, the small
+    # numbers, and strong pseudoprimes to base 2 and to bases 2, 3, 5 and 7
+    window = [q for b in range(2, 31) for q in range(max(0, (1 << b) - 400), (1 << b) + 400)]
+    for q in sorted(set(range(2000)) | set(window)):
+        assert exact._is_prime(q) == _trial_division_is_prime(q), q
+    for q in (2047, 1373653, 25326001, 3215031751):
+        assert not exact._is_prime(q) and not sympy.isprime(q)
+    assert exact._is_prime((1 << 31) - 1)
 
 
 def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
-    # the kernel's int64 sums have at most n terms, each below (p - 1)^2, so
-    # n * (p - 1)^2 < 2^63 must hold; the prime 2^31 - 1 breaks it from order
-    # 3 on, and the kernel must raise before it allocates a batch. The
-    # diagonal entries differ, so no rows are twins and the kernel sees order 12
-    assert (1 << 15) * (exact._PRIME_BOUND - 2) ** 2 < 1 << 63
-    monkeypatch.setattr(exact, "_PRIME_BOUND", 1 << 31)
-    monkeypatch.setattr(exact, "_PRIMES", [])
+    # the kernel's int64 sums have at most n + 1 terms, each below p^2, so
+    # (n + 1) * p^2 < 2^63 must hold; primes below 2^31 break it from order 2
+    # on, and the kernel must raise before it allocates a batch. The diagonal
+    # entries differ, so no rows are twins and the kernel sees order 12
+    monkeypatch.setattr(exact, "_prime_bits", lambda n: 31)
+    monkeypatch.setattr(exact, "_PRIMES", {})
 
     def batch(*args):
         raise AssertionError("the kernel allocated a batch past the guard")
@@ -756,6 +787,117 @@ def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
     monkeypatch.setattr(exact, "_hessenberg_charpoly_mod", batch)
     with pytest.raises(OverflowError):
         charpoly(Matrix.diagonal(range(1, 13)))
+
+
+class _CountedNumpy:
+    """numpy, with the kernel's argmax and remainder calls counted.
+
+    argmax runs once per pivot search, remainder twice per eliminated column
+    and once per row of the recurrence.
+    """
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("argmax", "remainder"):
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def _upper_hessenberg(rng, n):
+    # nonzero subdiagonal, zeros below it: no pivot search, nothing to eliminate
+    return [[rng.randint(-3, 3) if i <= j else rng.choice((1, -2, 3)) if i == j + 1 else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _dense(rng, n):
+    return [[rng.choice((1, 2, -1, -3)) for _ in range(n)] for _ in range(n)]
+
+
+# (name, matrices of one order, pivot searches, eliminated columns); None
+# where that count is not checked
+KERNEL_BRANCHES = [
+    ("order 1", [[[5]], [[-7]]], 0, 0),
+    ("order 2", [[[0, 1], [1, 0]], [[2, 0], [0, 3]]], 0, 0),
+    ("order 3, pivot nonzero", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]]], 0, 1),
+    # the swap brings 7 up to the pivot and leaves nothing below it
+    ("order 3, zero pivot swapped", [[[1, 2, 3], [0, 5, 6], [7, 8, 10]]], 1, 0),
+    ("order 3, nothing below", [[[1, 2, 3], [4, 5, 6], [0, 8, 10]]], 0, 0),
+    ("order 3, zero column", [[[1, 2, 3], [0, 5, 6], [0, 8, 10]]], 1, 0),
+    # column 0 swaps rows 1 and 2 and eliminates row 3 with u = 3/7; column 1
+    # then has pivot 9 and -16/49 below it
+    ("order 4, swap then eliminate",
+     [[[1, 2, 3, 4], [0, 5, 6, 7], [7, 8, 10, 1], [3, 1, 2, 5]]], 1, 2),
+    ("Hessenberg, all pivots nonzero", [_upper_hessenberg(random.Random(s), 9)
+                                        for s in range(3)], 0, 0),
+    # in general position every pivot is nonzero and every column is eliminated
+    ("dense", [_dense(random.Random(s), 12) for s in range(4)], 0, 10),
+    # a permutation matrix needs swaps only
+    ("permutations", [_shift(9, 2).rows(), _shift(9, 4).rows()], None, 0),
+    ("diagonal and Hessenberg, nothing to eliminate",
+     [Matrix.diagonal(range(1, 10)).rows(), _upper_hessenberg(random.Random(7), 9)], 7, 0),
+    ("mixed", [_upper_hessenberg(random.Random(3), 9), _shift(9, 3).rows(),
+               _dense(random.Random(4), 9), Matrix.diagonal(range(9)).rows()], None, None),
+]
+
+
+@pytest.mark.parametrize("case", KERNEL_BRANCHES, ids=[c[0] for c in KERNEL_BRANCHES])
+def test_multimodular_kernel_branches_match_faddeev_leverrier(monkeypatch, case):
+    _, mats, searches, eliminated = case
+    mats = [tuple(map(tuple, rows)) for rows in mats]
+    n = len(mats[0])
+    counted = _CountedNumpy()
+    monkeypatch.setattr(exact, "np", counted)
+    primes, res = _charpoly_residues(mats, max(_coefficient_bound(m) for m in mats))
+    monkeypatch.undo()
+    assert _crt_lift(primes, res) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
+    if searches is not None:
+        assert counted.calls["argmax"] == searches
+    if eliminated is not None:
+        assert counted.calls["remainder"] == 2 * eliminated + n
+
+
+@st.composite
+def same_order_batches(draw):
+    """One to four matrices of one order from 1 to 10.
+
+    Each is upper Hessenberg, dense, with a zero pivot or a zero column per
+    column, or with entries that vanish modulo the first prime only: every
+    branch of the kernel, mixed within one batch.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    first = _primes_past(1, n)[0]
+    batch = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["hessenberg", "dense", "no_pivot", "prime_multiples"]))
+        values = (st.sampled_from([0, 1, -1, first, 2 * first]) if kind == "prime_multiples"
+                  else entries)
+        rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
+        for j in range(n - 1):
+            if kind == "hessenberg":
+                below = range(j + 2, n)
+            elif kind == "no_pivot":
+                # zero nothing, the subdiagonal entry, or all below the diagonal
+                below = range(j + 1, min(n, j + 1 + draw(st.sampled_from([0, 1, n]))))
+            else:
+                below = range(0)
+            for i in below:
+                rows[i][j] = 0
+        batch.append(tuple(map(tuple, rows)))
+    return batch
+
+
+@given(mats=same_order_batches())
+@settings(max_examples=60, deadline=None)
+def test_multimodular_kernel_on_mixed_batches_matches_faddeev_leverrier(mats):
+    primes, res = _charpoly_residues(mats, max(_coefficient_bound(m) for m in mats))
+    assert _crt_lift(primes, res) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
 
 
 def test_adjugate_form_k2_all_ones():

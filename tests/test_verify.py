@@ -1,8 +1,12 @@
+import random
 from collections import Counter
 
 import pytest
 
 from sigspec import exact, theorems, verify
+from sigspec.exact import Poly, charpolys
+from sigspec.sampling import random_regular_marked_graph
+from sigspec.theorems import factored_charpolys
 from sigspec.verify import run_corona_verification, run_theorem_verification
 
 
@@ -112,3 +116,55 @@ def test_repeated_pairs_are_built_once_per_block(monkeypatch):
         rest = {k: v for k, v in r.items() if k != "trial"}
         assert first.setdefault((r["graph1"], r["graph2"]), rest) == rest
     assert report["all_match"]
+
+
+@pytest.mark.parametrize("kind", ["L", "Q"])
+@pytest.mark.parametrize("degree_mode", ["constructed", "paper"])
+def test_other_mode_shortcut_matches_the_full_comparison(kind, degree_mode):
+    # the other degree mode's verdict, decided from the linear factors and the
+    # first verdict, equals expanding its form and comparing it, for the
+    # product's charpoly and for a polynomial that matches neither form
+    other_mode = "paper" if degree_mode == "constructed" else "constructed"
+    seen = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        signed = seed % 2 == 0
+        pairs = [(random_regular_marked_graph(rng, 4, signed),
+                  random_regular_marked_graph(rng, 4, signed)) for _ in range(5)]
+        directs = charpolys([verify._build(mg1, mg2, kind)[1] for mg1, mg2 in pairs])
+        forms = factored_charpolys(pairs, kind, [degree_mode, other_mode])
+        for (fc, other), direct in zip(forms, directs):
+            for target in (direct, direct + Poly.constant(1)):
+                match, full = fc.assembled == target, other.assembled == target
+                assert verify._other_mode_match(fc, other, match, target) == full
+                seen[fc.linear_factor == other.linear_factor, match, full] += 1
+    # equal clone diagonals, different ones with either form matching, and no match
+    first_matches = degree_mode == "constructed"
+    assert {(True, True, True), (False, first_matches, not first_matches),
+            (False, False, False), (True, False, False)} <= set(seen)
+
+
+def _fresh_marked_graph(rng, max_n, signed, families):
+    # the sampler as it reads without the skeleton cache: build the member per draw
+    from sigspec.graphs import FAMILIES, MarkedSignedGraph, Marking, SignedGraph
+    feasible = [f for f in families if FAMILIES[f][1] <= max_n]
+    build, least = FAMILIES[rng.choice(feasible)]
+    n = rng.randint(least, max_n)
+    skeleton = build(n)
+    signs = [rng.choice((1, -1)) if signed else 1 for _ in range(skeleton.num_edges)]
+    g = SignedGraph(n, [(i, j, s) for (i, j, _), s in zip(skeleton.edges, signs)])
+    return MarkedSignedGraph(g, Marking([rng.choice((1, -1)) if signed else 1
+                                         for _ in range(n)]))
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_cached_skeletons_keep_the_seeded_draws(signed):
+    from sigspec.graphs import FAMILIES
+    from sigspec.sampling import REGULAR_FAMILIES, random_marked_graph
+    for seed in range(20):
+        for families in (FAMILIES, REGULAR_FAMILIES):
+            cached, fresh = random.Random(seed), random.Random(seed)
+            for max_n in (1, 3, 4, 6):
+                assert (random_marked_graph(cached, max_n, signed, families)
+                        == _fresh_marked_graph(fresh, max_n, signed, families))
+            assert cached.getstate() == fresh.getstate()

@@ -116,12 +116,12 @@ def bench_kernel(repeats: int) -> dict:
     # what charpoly hands the kernel: the matrix folded by its twin rows
     folded = exact._fold_twins(a.rows(), None)[0]
     return {"product": "K2xL2(K3,3)", "order": n,
-            "primes_unfolded": len(exact._primes_past(2 * exact._coefficient_bound(a.rows()))),
+            "primes_unfolded": len(exact._primes_past(2 * exact._coefficient_bound(a.rows()), n)),
             "primes_row_sum_bound": len(exact._primes_past(
-                2 * max(comb(n, k) * rho ** k for k in range(n + 1)))),
+                2 * max(comb(n, k) * rho ** k for k in range(n + 1)), n)),
             "kernel_order": len(folded),
             "primes": len(exact._primes_past(
-                2 * exact._coefficient_bound(tuple(zip(*folded))))),
+                2 * exact._coefficient_bound(tuple(zip(*folded))), len(folded))),
             "charpoly_s": charpoly_s}
 
 

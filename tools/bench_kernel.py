@@ -1,134 +1,215 @@
-"""Time the exact charpoly kernel's heaviest callers and record what reaches it.
+"""Time the exact charpoly kernel and its heaviest callers against another checkout's.
 
-Measures the sigspec found on the import path and stores the result under
---label in BENCH_kernel.json (best of --repeats wall-clock runs per entry),
-keeping the other labels already there, so two checkouts can be compared:
+Loads the sigspec on the import path as "change" and the one under
+--baseline as "parent", a second package in the same process, and times
+each entry in both, back to back and alternating which goes first, with
+perfbench's Calibrator (perfbench/calibrate.py) sampled around every
+measurement. A scaled time is the wall time at the calibrator's reference
+host speed. Each repeat gives one change/parent ratio of scaled times
+taken back to back, so a change of host speed between repeats cancels out
+of it; the entry's ratio is their median. Run from the root of a checkout:
 
-    PYTHONPATH=/path/to/other/checkout/src python tools/bench_kernel.py --label parent
-    PYTHONPATH=src python tools/bench_kernel.py --label change
+    PYTHONPATH=src python tools/bench_kernel.py --baseline /path/to/parent/src
 
-Entries, all on the order-72 product K2 x L^2(K3,3) with a fixed random
-marking of L^2(K3,3), then on the verify-theorem and integral-search campaigns:
+Entries with kernel batches are the batch shapes of the benchmark's
+workloads and the largest factored product:
 
-- charpoly_A, charpoly_L: charpoly of its A and L;
-- form_A: charpoly_with_adjugate_form of A and the product's marking, the
-  kernel work of the coronal command on the product file;
-- verify_A: run_theorem_verification("A", 150 trials);
-- verify_L: run_theorem_verification("L", 50 trials);
-- integral_search: star_integral_checks over the 336 cases of
-  integral-search --max-n1 4 --max-n 6.
+- A_C32xP32, L_C16xC16: factored_charpoly of a randomly marked C32 x P32 (A)
+  and C16 x C16 (L), the factored_large workload's kernel batches;
+- charpoly_A_72, coronal_A_72: charpoly, and charpoly_with_adjugate_form
+  with the product's marking, of A of the order-72 product K2 x L^2(K3,3)
+  with a fixed random marking of L^2(K3,3), the direct_files workload's;
+- demo: the factored forms of equienergetic-demo (K2 with L^2(K3,3) and
+  with L^2(prism));
+- A_C256xP256: factored_charpoly of a randomly marked C256 x P256 (A).
 
-Each entry records its kernel batches as seen by _charpoly_residues: their
-count, the largest order and prime count, and the residue matrices reduced
-(matrices times primes, summed over batches). When both labels are present
-the file also holds each entry's time ratio label over label.
+For these, "kernel" times _charpoly_residues alone on the batches the call
+hands it, each module choosing its own primes, and "call" times the whole
+call. The campaign entries (verify_A: run_theorem_verification("A", 150
+trials); verify_L: "L", 50 trials; integral_search: star_integral_checks
+over the 336 cases of integral-search --max-n1 4 --max-n 6) have calls only.
+Every entry records each module's kernel batches as (matrices, order,
+primes) and the residue matrices reduced (matrices times primes, summed).
+The result, with the best raw and the median scaled time of --repeats per
+entry and module, goes to --out.
 """
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
+import importlib.util
 import json
 import platform
 import random
+import statistics
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from sigspec import exact
-from sigspec.applications import star_integral_checks
-from sigspec.cli import _search_first_factors
-from sigspec.graphs import (MarkedSignedGraph, Marking, complete, complete_bipartite,
-                            graph_matrix, line_graph)
-from sigspec.product import product
-from sigspec.verify import run_theorem_verification
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from calibrate import Calibrator  # noqa: E402
+
+import sigspec  # noqa: E402
+
+# a measurement repeats a call until it takes about this long
+MIN_MEASURE_S = 0.1
+
+
+def load_baseline(src: Path, name: str = "sigspec_parent"):
+    """The sigspec package under src, imported as name beside the one on the path."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "sigspec" / "__init__.py", submodule_search_locations=[str(src / "sigspec")])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class KernelRecorder:
-    """Records (matrices, order, primes) of each _charpoly_residues call while active."""
+    """Records the (mats, bound) of each _charpoly_residues call while active."""
 
-    def __init__(self):
+    def __init__(self, exact):
+        self.exact = exact
+        self.calls = []
         self.batches = []
         self._inner = exact._charpoly_residues
 
     def __enter__(self):
         def recorded(mats, bound):
             primes, res = self._inner(mats, bound)
+            self.calls.append((mats, bound))
             self.batches.append((len(mats), len(mats[0]), len(primes)))
             return primes, res
 
-        exact._charpoly_residues = recorded
+        self.exact._charpoly_residues = recorded
         return self
 
     def __exit__(self, *exc):
-        exact._charpoly_residues = self._inner
-
-    def summary(self) -> dict:
-        return {"batches": len(self.batches),
-                "max_order": max(n for _, n, _ in self.batches),
-                "max_primes": max(p for _, _, p in self.batches),
-                "residue_matrices": sum(t * p for t, _, p in self.batches)}
+        self.exact._charpoly_residues = self._inner
 
 
-def measure(fn, repeats: int) -> dict:
-    """Best of repeats wall-clock runs of fn, and the kernel batches of one run."""
-    with KernelRecorder() as rec:
-        fn()
-    times = []
-    for _ in range(repeats):
-        t = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t)
-    return {"s": min(times), **rec.summary()}
+def marked(S, g, rng: random.Random):
+    return S.MarkedSignedGraph(g, S.Marking([rng.choice((1, -1)) for _ in range(g.n)]))
 
 
-def demo_product() -> MarkedSignedGraph:
+def entries(S) -> dict:
+    """Each entry's call, built with the package S; (call, has kernel entry)."""
+    exact = importlib.import_module(S.__name__ + ".exact")
+    verify = importlib.import_module(S.__name__ + ".verify")
+    cli = importlib.import_module(S.__name__ + ".cli")
+    applications = importlib.import_module(S.__name__ + ".applications")
     rng = random.Random(72)
-    k2 = MarkedSignedGraph.with_canonical_marking(complete(2))
-    l2 = line_graph(line_graph(complete_bipartite(3, 3)))
-    return product(k2, MarkedSignedGraph(l2, Marking([rng.choice((1, -1))
-                                                      for _ in range(l2.n)]))).graph
-
-
-def bench(repeats: int) -> dict:
-    pg = demo_product()
-    a, lap = graph_matrix(pg.graph, "A"), graph_matrix(pg.graph, "L")
+    k2 = S.MarkedSignedGraph.with_canonical_marking(S.complete(2))
+    l2 = S.line_graph(S.line_graph(S.complete_bipartite(3, 3)))
+    pg = S.product(k2, marked(S, l2, rng)).graph
+    a72 = S.graph_matrix(pg.graph, "A")
     marks = list(pg.marking)
-    search = [(mg1, n, center_mark) for _, mg1 in _search_first_factors(4)
+    c32, p32 = marked(S, S.cycle(32), rng), marked(S, S.path(32), rng)
+    c16, d16 = marked(S, S.cycle(16), rng), marked(S, S.cycle(16), rng)
+    c256, p256 = marked(S, S.cycle(256), rng), marked(S, S.path(256), rng)
+    demo1, demo2 = S.demo_equienergetic_pair()
+    search = [(mg1, n, center_mark) for _, mg1 in cli._search_first_factors(4)
               for n in range(1, 7) for center_mark in (1, -1)]
-    entries = {
-        "charpoly_A": lambda: exact.charpoly(a),
-        "charpoly_L": lambda: exact.charpoly(lap),
-        "form_A": lambda: exact.charpoly_with_adjugate_form(a, marks),
-        "verify_A": lambda: run_theorem_verification("A", trials=150, seed=1),
-        "verify_L": lambda: run_theorem_verification("L", trials=50, seed=1),
-        "integral_search": lambda: star_integral_checks(search),
+    factored = S.factored_charpoly
+    return {
+        "A_C32xP32": (lambda: factored(c32, p32, "A"), True),
+        "L_C16xC16": (lambda: factored(c16, d16, "L"), True),
+        "charpoly_A_72": (lambda: exact.charpoly(a72), True),
+        "coronal_A_72": (lambda: exact.charpoly_with_adjugate_form(a72, marks), True),
+        "demo": (lambda: S.factored_charpolys([(k2, demo1), (k2, demo2)], "A",
+                                              ["constructed"]), True),
+        "A_C256xP256": (lambda: factored(c256, p256, "A"), True),
+        "verify_A": (lambda: verify.run_theorem_verification("A", trials=150, seed=1), False),
+        "verify_L": (lambda: verify.run_theorem_verification("L", trials=50, seed=1), False),
+        "integral_search": (lambda: applications.star_integral_checks(search), False),
     }
-    return {name: measure(fn, repeats) for name, fn in entries.items()}
+
+
+def timed(fn, number: int):
+    def run():
+        for _ in range(number):
+            fn()
+    return run
+
+
+def bench(modules: dict, repeats: int) -> dict:
+    """Per entry and module: batches, the best raw and the median scaled
+    seconds per call; per entry and kind: the median over repeats of the
+    change/parent ratio of scaled times taken back to back, and the repeats
+    in which change was faster.
+
+    A scaled time is divided by a Calibrator sample, so one outlying sample
+    sets a minimum of scaled times; the median is not moved by it.
+    """
+    calib = Calibrator()
+    built = {label: entries(S) for label, S in modules.items()}
+    labels = list(modules)
+    out = {}
+    for name in built["change"]:
+        runs, record = {}, {}
+        for label, S in modules.items():
+            exact = importlib.import_module(S.__name__ + ".exact")
+            call, has_kernel = built[label][name]
+            with KernelRecorder(exact) as rec:
+                call()  # warm: primes, caches
+            record[label] = {"batches": rec.batches,
+                             "residue_matrices": sum(t * p for t, _, p in rec.batches)}
+            runs[label, "call"] = call
+            if has_kernel:
+                runs[label, "kernel"] = (lambda calls=rec.calls, f=exact._charpoly_residues:
+                                         [f(m, b) for m, b in calls])
+        kinds = [kind for kind in ("call", "kernel") if ("change", kind) in runs]
+        number = {}
+        for kind in kinds:
+            t = time.perf_counter()
+            runs["parent", kind]()
+            number[kind] = max(1, round(MIN_MEASURE_S / (time.perf_counter() - t)))
+        times: dict = {key: [] for key in runs}
+        ratios: dict = {kind: [] for kind in kinds}
+        for r in range(repeats):
+            for kind in kinds:
+                k, scaled = number[kind], {}
+                for label in (labels if r % 2 == 0 else labels[::-1]):
+                    gc.collect()
+                    _, seconds, scaled[label] = calib.measure(timed(runs[label, kind], k))
+                    times[label, kind].append((seconds / k, scaled[label] / k))
+                ratios[kind].append(scaled["change"] / scaled["parent"])
+        for (label, kind), ts in times.items():
+            record[label][f"{kind}_s"] = min(s for s, _ in ts)
+            record[label][f"{kind}_scaled_s"] = statistics.median(s for _, s in ts)
+        record["ratio"] = {kind: statistics.median(rs) for kind, rs in ratios.items()}
+        record["change_faster"] = {kind: f"{sum(x < 1 for x in rs)}/{len(rs)}"
+                                   for kind, rs in ratios.items()}
+        out[name] = record
+        print(name, json.dumps(record["ratio"]), json.dumps(record["change_faster"]),
+              file=sys.stderr)
+    return out
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--baseline", required=True, type=Path,
+                        help="the src directory of the checkout to compare against")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_kernel.json")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    out = Path(args.out)
-    result = json.loads(out.read_text()) if out.exists() else {}
-    result.update({
+    if args.repeats < 3:
+        parser.error("--repeats must be at least 3")
+    modules = {"parent": load_baseline(args.baseline.resolve()), "change": sigspec}
+    result = {
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "processor": platform.processor()},
-        "statistic": "best (minimum) wall-clock seconds",
-    })
-    result.setdefault("runs", {})[args.label] = {"repeats": args.repeats,
-                                                 "entries": bench(args.repeats)}
-    runs = result["runs"]
-    result["ratios"] = {f"{x}/{y}": {name: runs[x]["entries"][name]["s"]
-                                     / runs[y]["entries"][name]["s"]
-                                     for name in runs[x]["entries"]}
-                        for x in runs for y in runs if x < y}
-    out.write_text(json.dumps(result, indent=2) + "\n")
+        "statistic": ("*_s: best (minimum) of the repeats, per call; *_scaled_s: median of "
+                      "the repeats at perfbench's reference host speed; ratio: median over "
+                      "the repeats of change over parent, scaled, measured back to back"),
+        "repeats": args.repeats,
+        "entries": bench(modules, args.repeats),
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 
 
