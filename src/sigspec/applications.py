@@ -11,9 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .coronal import star_coronal_closed_form
-from .exact import _BATCH_ENTRIES, Poly, RationalFn, _exact_ints, charpoly
-from .graphs import (MarkedSignedGraph, adjacency_matrix, complete,
-                     complete_bipartite, line_graph, mu_signed_graph, prism,
+from .exact import _BATCH_ENTRIES, Poly, RationalFn, _exact_ints
+from .graphs import (MarkedSignedGraph, complete, complete_bipartite, line_graph, prism,
                      regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
 from .theorems import (FactoredCharPoly, _composed_bracket, factored_charpoly,
@@ -97,23 +96,6 @@ def _bracket_integrality(eigen: IntegralityResult, u: Poly, v: Poly,
                                  prod((Poly([-r, 1]) for r in roots), start=Poly.constant(1))))
 
 
-def star_bracket_cubic(n: int, lam: int, center_mark: int) -> Poly:
-    """x(x^2-n) - n2*lam*(x^2-n) - n2*((n+1)x + 2n*center_mark), with n2 = n+1."""
-    n2 = n + 1
-    star_den = Poly([-n, 0, 1])
-    star_num = Poly([2 * n * center_mark, n + 1])
-    return Poly.x() * star_den - n2 * lam * star_den - n2 * star_num
-
-
-def star_bracket_cubic_expanded(n: int, lam: int, center_mark: int) -> Poly:
-    """The same cubic written out: x^3 - n2*lam*x^2 - (n2^2+n2-1)x + n2(n2-1)(lam-2m)."""
-    n2 = n + 1
-    return Poly([n2 * (n2 - 1) * (lam - 2 * center_mark),
-                 -(n2 * n2 + n2 - 1),
-                 -n2 * lam,
-                 1])
-
-
 @dataclass(frozen=True)
 class StarProductReport:
     """Integrality of mg1 * star via the star's closed-form coronal."""
@@ -138,18 +120,16 @@ class StarProductReport:
 
 def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
                                 center_mark: int = 1) -> StarProductReport:
-    """Integrality of mg1 * K_{1,n} from closed forms, no matrices built.
+    """Integrality of mg1 * K_{1,n} from the star's closed-form coronal.
 
     Every product edge sign is a product of endpoint marks, so the product is
     balanced and its spectrum matches the underlying unsigned product: the
     effective coronal is the all-positive star's (center mark +1) no matter
     how the star is signed. The cubic for the passed center_mark is also
-    extracted so the two verdicts can be compared.
+    extracted so the two verdicts can be compared. This is the first report
+    of star_integral_checks for the one case.
     """
-    # the closed forms check n and center_mark before any charpoly is taken
-    effective, stated = (star_coronal_closed_form(n, m) for m in (1, center_mark))
-    g = charpoly(adjacency_matrix(mu_signed_graph(mg1)))
-    return _star_report(n, center_mark, effective, stated, g, IntegralityResult.of)
+    return star_integral_checks([(mg1, n, center_mark)])[0][0]
 
 
 def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]

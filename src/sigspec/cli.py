@@ -54,17 +54,14 @@ def _poly_payload(p: Poly) -> dict:
             "pretty": p.pretty()}
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
-
-
 def _emit_text(args, text: str) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
     sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _emit_text(args, json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_product(args) -> int:

@@ -1,4 +1,9 @@
-"""Signed coronals: the rational function mu^T (xI - N)^{-1} mu in reduced form."""
+"""Signed coronals: the rational function mu^T (xI - N)^{-1} mu in reduced form.
+
+The star's closed form is here because integral-search reads it. The
+regular balanced closed form n/(x - r) only checks signed_coronal, so it
+lives in the tests (tests/reference.py).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -73,13 +78,3 @@ def star_coronal_closed_form(n: int, center_mark: int) -> RationalFn:
     num = Poly([2 * n * center_mark, n + 1])
     den = Poly([-n, 0, 1])
     return RationalFn(num, den)
-
-
-def regular_balanced_coronal(r: int, n: int) -> RationalFn:
-    """Coronal n/(x - r) shared by every r-regular mu-signed graph on n vertices."""
-    _exact_ints((r, n))
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if not (0 <= r < n):
-        raise ValueError("regular degree must satisfy 0 <= r < n")
-    return RationalFn(Poly.constant(n), Poly.linear(-r))

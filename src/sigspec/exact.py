@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 from math import comb, isqrt, prod
 from math import gcd as _int_gcd
 from numbers import Rational
@@ -154,15 +155,7 @@ class Poly:
         (k,) = _exact_ints((k,))
         if k < 0:
             raise ValueError("polynomial power must be a non-negative int")
-        result = Poly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power({1: self}, k) if k else Poly.constant(1)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Division over Z: ArithmeticError where a quotient coefficient is not an integer."""
@@ -449,11 +442,7 @@ def _square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def _odd_primes() -> Iterator[int]:
-    q = 3
-    while True:
-        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
-            yield q
-        q += 2
+    return (q for q in count(3, 2) if _is_prime(q))
 
 
 def _eval_mod(c: Sequence[int], x: int, m: int) -> int:
@@ -885,7 +874,7 @@ def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
                        for r, ui in zip(rows, reps)), linear
 
 
-def _times_linear(p: Poly, linear: Counter) -> Poly:
+def _times_linear(p: Poly, linear: dict[int, int]) -> Poly:
     # p * prod (x - lam)^e over the split-off factors; p itself when there are
     # none. (x - lam)^e is a shift by e for lam = 0, and otherwise the one
     # product by sum_k C(e, k) (-lam)^(e-k) x^k
@@ -970,8 +959,3 @@ def charpoly_with_adjugate_form(a: Matrix, u: Sequence[int]) -> tuple[Poly, Poly
     """Characteristic polynomial of a and u^T adj(xI - a) u, from one kernel batch
     of a and a + u u^T (see _charpolys_with_forms)."""
     return _charpolys_with_forms([(a, u)])[0]
-
-
-def adjugate_quadratic_form(a: Matrix, u: Sequence[int]) -> Poly:
-    """u^T adj(xI - a) u as a polynomial of degree n-1."""
-    return charpoly_with_adjugate_form(a, u)[1]

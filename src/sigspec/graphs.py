@@ -142,10 +142,6 @@ class Marking:
         if not self.signs:
             raise ValueError("marking must cover at least one vertex")
 
-    @classmethod
-    def all_positive(cls, n: int) -> "Marking":
-        return cls([1] * n)
-
     def __len__(self) -> int:
         return len(self.signs)
 

@@ -5,6 +5,11 @@ product has 2*n1*n2 vertices: n2 clones a[i][k] of each Sigma1 vertex u_i
 followed by n1 copies b[i][q] of the whole Sigma2 vertex set. Every edge
 sign is the product of its endpoint marks, so the product is balanced by
 construction and its own marking is a balance witness.
+
+With a one-vertex second factor the product is the pendant corona of
+McLeman & McNicholas ("Spectra of coronae", LAA 2011). That independent
+construction is a cross-check only, so it lives in the tests
+(tests/reference.py), not here.
 """
 from __future__ import annotations
 
@@ -86,27 +91,3 @@ def product(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> ProductGraph:
         raise AssertionError("product edge count diverged from the closed form")
     return ProductGraph(graph=MarkedSignedGraph(graph, Marking(marks)),
                         n1=n1, n2=n2)
-
-
-def corona(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> MarkedSignedGraph:
-    """Independent corona construction: join vertex i of mg1 to all of copy i of mg2.
-
-    Uses the mu-signed versions of both factors and endpoint-product signs on
-    the join edges, laid out as all mg1 vertices then copy 0, copy 1, ...
-    For a one-vertex second factor this is the pendant construction that the
-    marked product degenerates to.
-    """
-    g1, mu1 = mg1.graph, mg1.marking
-    g2, mu2 = mg2.graph, mg2.marking
-    n1, n2 = g1.n, g2.n
-    edges: list[tuple[int, int, int]] = []
-    for i, j, _ in g1.edges:
-        edges.append((i, j, mu1[i] * mu1[j]))
-    for i in range(n1):
-        base = n1 + i * n2
-        for p, q, _ in g2.edges:
-            edges.append((base + p, base + q, mu2[p] * mu2[q]))
-        for q in range(n2):
-            edges.append((i, base + q, mu1[i] * mu2[q]))
-    marks = list(mu1) + [mu2[q] for _ in range(n1) for q in range(n2)]
-    return MarkedSignedGraph(SignedGraph(n1 + n1 * n2, edges), Marking(marks))

@@ -43,8 +43,3 @@ def random_regular_marked_graph(rng: random.Random, max_n: int,
                                 signed: bool = True) -> MarkedSignedGraph:
     """Like random_marked_graph but restricted to regular families."""
     return random_marked_graph(rng, max_n, signed, families=REGULAR_FAMILIES)
-
-
-def random_single_vertex(rng: random.Random, signed: bool = True) -> MarkedSignedGraph:
-    mark = rng.choice((1, -1)) if signed else 1
-    return MarkedSignedGraph(SignedGraph(1), Marking([mark]))

@@ -37,9 +37,9 @@ from functools import cached_property
 from math import prod
 from typing import Literal, Sequence
 
-from .coronal import CoronalTriple, reduced_coronal, signed_coronal
+from .coronal import CoronalTriple, reduced_coronal
 from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _square_free_parts,
-                    compose_with_rational)
+                    _times_linear, compose_with_rational)
 from .graphs import (MarkedSignedGraph, adjacency_matrix, graph_matrix, mu_signed_graph,
                      regular_degree, require_regular)
 
@@ -107,11 +107,7 @@ class FactoredCharPoly:
     @cached_property
     def assembled(self) -> Poly:
         rest = (self.shared_factor ** self.shared_exponent) * self.bracket
-        if self.linear_factor == Poly.x():
-            # x^e shifts the coefficients; no product needed
-            expanded = Poly([0] * self.linear_exponent + list(rest.coeffs))
-        else:
-            expanded = (self.linear_factor ** self.linear_exponent) * rest
+        expanded = _times_linear(rest, {-self.linear_factor.coeff(0): self.linear_exponent})
         total = (self.linear_exponent
                  + self.shared_exponent * self.shared_factor.degree
                  + self.bracket.degree)
@@ -135,11 +131,6 @@ def _composed_bracket(chi: Poly, u: Poly, v: Poly) -> Poly:
         return compose_with_rational(chi, u, v)
     return prod((compose_with_rational(s, u, v) ** j for s, j in _square_free_parts(chi)),
                 start=Poly.constant(1))
-
-
-def coronal_of_mu_graph(mg: MarkedSignedGraph) -> CoronalTriple:
-    """Reduced coronal of the mu-signed version of mg, with mg's marking."""
-    return signed_coronal(adjacency_matrix(mu_signed_graph(mg)), list(mg.marking))
 
 
 def _a_degree(r1: int, n2: int, degree_mode: DegreeMode) -> int:

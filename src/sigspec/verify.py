@@ -1,15 +1,19 @@
-"""Randomized oracle campaigns: factored charpolys against direct computation."""
+"""Randomized oracle campaigns: factored charpolys against direct computation.
+
+The corona campaign (one-vertex second factors against the pendant corona)
+checks the product construction only, so it lives in the tests
+(tests/reference.py).
+"""
 from __future__ import annotations
 
 import hashlib
 import random
 
 from .exact import Matrix, Poly, charpolys
-from .graphs import MarkedSignedGraph, graph_matrix, matrices
+from .graphs import MarkedSignedGraph, graph_matrix
 from .io import serialize_graph
-from .product import corona, product
-from .sampling import (random_marked_graph, random_regular_marked_graph,
-                       random_single_vertex)
+from .product import product
+from .sampling import random_marked_graph, random_regular_marked_graph
 from .theorems import FactoredCharPoly, factored_charpolys
 
 
@@ -142,44 +146,6 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
         "max_n1": max_n1,
         "max_n2": max_n2,
         "degree_mode": degree_mode,
-        "seed": seed,
-        "failures": failures,
-        "all_match": failures == 0,
-        "records": records,
-    }
-
-
-def run_corona_verification(trials: int = 20, seed: int = 0,
-                            signed: bool = True) -> dict:
-    """Products with a one-vertex second factor against the pendant corona."""
-    if trials < 0:
-        raise ValueError(f"trials must be a non-negative count, got {trials}")
-    rng = random.Random(seed)
-    records = []
-    failures = 0
-    for t in range(trials):
-        mg1 = random_marked_graph(rng, 4, signed)
-        mg2 = random_single_vertex(rng, signed)
-        pg = product(mg1, mg2)
-        pend = corona(mg1, mg2)
-        same_graph = pg.graph == pend
-        mats_p, mats_c = matrices(pg.graph), matrices(pend)
-        fs = charpolys([getattr(m, kind) for kind in "ALQ" for m in (mats_p, mats_c)])
-        charpolys_ok = fs[0::2] == fs[1::2]
-        counts_ok = _count_checks(pg, mg1, mg2)
-        ok = same_graph and charpolys_ok and counts_ok
-        if not ok:
-            failures += 1
-        records.append({
-            "trial": t,
-            "n1": mg1.graph.n,
-            "digest1": _digest(serialize_graph(mg1)),
-            "same_graph": same_graph,
-            "charpolys_ok": charpolys_ok,
-            "counts_ok": counts_ok,
-        })
-    return {
-        "trials": trials,
         "seed": seed,
         "failures": failures,
         "all_match": failures == 0,

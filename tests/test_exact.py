@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import time
 from collections import Counter
@@ -17,12 +18,13 @@ from sympy.polys.matrices import DomainMatrix
 from sigspec import exact
 from sigspec.exact import (Matrix, Poly, RationalFn, _charpoly_residues,
                            _coefficient_bound, _crt_lift, _primes_past,
-                           _square_free_parts, adjugate_quadratic_form,
-                           charpoly, charpoly_with_adjugate_form, charpolys,
-                           compose_with_rational, integer_roots, poly_gcd)
+                           _square_free_parts, charpoly, charpoly_with_adjugate_form,
+                           charpolys, compose_with_rational, integer_roots, poly_gcd)
 from sigspec.graphs import (MarkedSignedGraph, adjacency_matrix, complete, complete_bipartite,
                             line_graph)
 from sigspec.product import product
+
+from reference import adjugate_quadratic_form
 
 # small exact entries keep the sympy oracles affordable inside properties
 entries = st.integers(min_value=-4, max_value=4)
@@ -334,9 +336,10 @@ def test_pow_does_not_square_past_top_bit(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counted)
     p = Poly([1, 1]) ** 8
     assert p == Poly([1, 8, 28, 56, 70, 56, 28, 8, 1])
-    # three squarings reach (x+1)^8; a fourth would build (x+1)^16 and drop it
+    # three squarings reach (x+1)^8, and no product by the constant 1; a
+    # fourth squaring would build (x+1)^16 and drop it
     assert max(products) == 8
-    assert len(products) == 4
+    assert len(products) == 3
 
 
 def test_integer_roots_known():
@@ -388,6 +391,18 @@ def test_integer_roots_take_square_free_parts_only_for_repeated_roots():
                                wraps=exact._square_free_parts) as yun:
             assert integer_roots(p)[0] == roots
         assert yun.called == needs_yun
+
+
+def test_integer_roots_search_odd_primes_past_the_fixed_ones():
+    # (x - 1)^2 (x - 16) has a repeated root modulo 3 and 5, and so has its
+    # square-free part (x - 1)(x - 16), since 16 = 1 modulo both; the search
+    # over the odd primes goes on to 7
+    x = Poly.x()
+    p = (x - Poly.constant(1)) ** 2 * (x - Poly.constant(16))
+    with mock.patch.object(exact, "_simple_roots_mod",
+                           wraps=exact._simple_roots_mod) as spy:
+        assert integer_roots(p) == ((1, 1, 16), Poly.constant(1))
+    assert [call.args[2] for call in spy.call_args_list] == [3, 5, 3, 5, 7]
 
 
 def sympy_poly(p):
@@ -773,6 +788,11 @@ def test_miller_rabin_matches_trial_division_near_every_ceiling():
     assert exact._is_prime((1 << 31) - 1)
 
 
+def test_odd_primes_match_trial_division():
+    want = (q for q in itertools.count(3, 2) if _trial_division_is_prime(q))
+    assert list(itertools.islice(exact._odd_primes(), 2000)) == list(itertools.islice(want, 2000))
+
+
 def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
     # the kernel's int64 sums have at most n + 1 terms, each below p^2, so
     # (n + 1) * p^2 < 2^63 must hold; primes below 2^31 break it from order 2
@@ -951,6 +971,22 @@ def test_only_output_and_oracle_modules_import_the_product():
             if "sigspec.product" in modules:
                 importers.add(path.name)
     assert importers == {"__init__.py", "cli.py", "verify.py"}
+
+
+def test_all_lists_each_public_name_once_and_no_cross_check():
+    # the cross-check routes live in tests/reference.py: no sigspec module
+    # defines them, and the package exports each of its names once
+    import importlib
+    import sigspec
+    assert len(set(sigspec.__all__)) == len(sigspec.__all__)
+    assert all(hasattr(sigspec, name) for name in sigspec.__all__)
+    moved = {"corona", "run_corona_verification", "random_single_vertex", "star_bracket_cubic",
+             "star_bracket_cubic_expanded", "regular_balanced_coronal",
+             "adjugate_quadratic_form", "coronal_of_mu_graph"}
+    assert moved.isdisjoint(sigspec.__all__)
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        name = "sigspec" if path.stem == "__init__" else f"sigspec.{path.stem}"
+        assert moved.isdisjoint(vars(importlib.import_module(name))), name
 
 
 def test_graph_layer_makes_no_int_call():

@@ -9,8 +9,10 @@ from sigspec.exact import charpoly
 from sigspec.graphs import (MarkedSignedGraph, SignedGraph, adjacency_matrix,
                             complete, cycle, matrices, mu_signed_graph, path,
                             star)
-from sigspec.product import corona, product
-from sigspec.sampling import random_marked_graph, random_single_vertex
+from sigspec.product import product
+from sigspec.sampling import random_marked_graph
+
+from reference import corona, random_single_vertex
 
 
 def rngs():

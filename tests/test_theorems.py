@@ -14,8 +14,9 @@ from sigspec.graphs import (FAMILIES, MarkedSignedGraph, Marking, SignedGraph, a
 from sigspec.product import product
 from sigspec.sampling import (REGULAR_FAMILIES, random_marked_graph,
                               random_regular_marked_graph)
-from sigspec.theorems import (coronal_of_mu_graph, cospectral_family_check,
-                              factored_charpoly, factored_charpolys)
+from sigspec.theorems import cospectral_family_check, factored_charpoly, factored_charpolys
+
+from reference import coronal_of_mu_graph
 
 
 def rngs():
@@ -198,6 +199,20 @@ def test_stated_factorization_on_random_regular_pairs(rng, kind, degree_mode):
     mg1 = random_regular_marked_graph(rng, max_n=4)
     mg2 = random_regular_marked_graph(rng, max_n=4)
     _check_stated_factorization(factored_charpoly(mg1, mg2, kind, degree_mode))
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+@pytest.mark.parametrize("degree_mode", ["constructed", "paper"])
+@pytest.mark.parametrize("mg2", [mk(path(3, "+-")), single()], ids=["P3", "K1"])
+def test_assembled_is_the_linear_power_times_the_rest(kind, degree_mode, mg2):
+    # assembled multiplies by (x - d)^e in one binomial row, or shifts for
+    # d = 0; the power here squares its way there. A one-vertex second
+    # factor makes e = 0
+    fc = factored_charpoly(mk(cycle(4, "+--+")), mg2, kind, degree_mode)
+    assert (fc.linear_factor == Poly.x()) == (kind == "A")
+    assert fc.linear_exponent == 4 * (mg2.graph.n - 1)
+    rest = fc.shared_factor ** fc.shared_exponent * fc.bracket
+    assert fc.assembled == fc.linear_factor ** fc.linear_exponent * rest
 
 
 @given(rng=rngs(), x0=st.integers(min_value=11, max_value=17))

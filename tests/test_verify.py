@@ -7,7 +7,9 @@ from sigspec import exact, theorems, verify
 from sigspec.exact import Poly, charpolys
 from sigspec.sampling import random_regular_marked_graph
 from sigspec.theorems import factored_charpolys
-from sigspec.verify import run_corona_verification, run_theorem_verification
+from sigspec.verify import run_theorem_verification
+
+from reference import run_corona_verification
 
 
 def test_verification_batches_each_product_order_once_per_block(monkeypatch):
