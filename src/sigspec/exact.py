@@ -10,18 +10,21 @@ coefficient is not an integer. The one rational value is what
 stored lowest degree first with no trailing zeros.
 
 Every characteristic polynomial, at every order, comes from one exact
-kernel: Hessenberg reduction modulo word-size primes, lifted back to
-integers by CRT. The primes are sized to the order n: the largest below
-2^b, for the largest b with (n + 1) * 4^b < 2^63, so no int64 sum of the
-kernel can wrap (2^30 through order 6, 2^29 through order 30, 2^28
-through order 126). The kernel takes a batch of same-order matrices,
-reduces each modulo one shared list of primes and runs all of them in one
-int64 numpy array, so many matrices cost a few numpy calls per column, not
-per column and matrix. One entry first folds each matrix by its twin rows,
-which splits off a linear factor (x - lam) per folded row exactly, then
-groups the folded matrices by order into such batches; a matrix given with
-a vector u also puts its rank-one update in the batch, and
-u^T adj(xI - a) u is lifted from the difference of the two residues.
+kernel modulo word-size primes, lifted back to integers by CRT: the power
+sums tr(a^k), k <= n, from about 2 sqrt(n) float64 matrix products
+(baby-step/giant-step), then the coefficients by Newton's identities. The
+primes are sized to the order n: the largest below 2^b, for the largest b
+with n * (2^(b-1) + 2)^2 < 2^53, so every float sum of the kernel is an
+exact integer (2^26 through order 7, 2^25 through order 31, 2^24 through
+order 127, 2^23 through order 511). The kernel takes a batch of
+same-order matrices, reduces each modulo one shared list of primes and
+runs all of them in one numpy array, so many matrices cost a few numpy
+calls per product, not per product and matrix. One entry first folds each
+matrix by its twin rows, which splits off a linear factor (x - lam) per
+folded row exactly, then groups the folded matrices by order into such
+batches; a matrix given with a vector u also puts its rank-one update in
+the batch, and u^T adj(xI - a) u is lifted from the difference of the two
+residues.
 """
 from __future__ import annotations
 
@@ -607,15 +610,19 @@ class Matrix:
 
 
 def _prime_bits(n: int) -> int:
-    """The largest b with (n + 1) * 4^b < 2^63: the kernel's primes at order n lie below 2^b.
+    """The largest b with n * (2^(b-1) + 2)^2 < 2^53: the kernel's primes at order n lie below 2^b.
 
-    Every int64 sum the kernel accumulates at order n has at most n + 1
-    terms, each below p^2, so with p < 2^b none can wrap: 2^30 through
-    order 6, 2^29 through order 30, 2^28 through order 126, 2^27 through
-    order 510, and so on. Larger primes mean fewer of them per bound.
+    The kernel keeps float64 residues r with |r| <= p/2 + 2, and every sum
+    it accumulates at order n has at most n terms, each a product of two
+    such residues; with p < 2^b every partial sum is an integer below 2^53,
+    so it is exact in any summation order (see _power_sum_charpoly_mod):
+    2^27 at order 1, 2^26 through order 7, 2^25 through order 31, 2^24
+    through order 127, 2^23 through order 511, and so on. The same bound
+    keeps the int64 sums of Newton's identities, n terms below p^2, from
+    wrapping. Larger primes mean fewer of them per bound.
     """
     b = 31
-    while (n + 1) << (2 * b) >= 1 << 63:
+    while n * ((1 << b) + 4) ** 2 >= 1 << 55:
         b -= 1
     return b
 
@@ -668,73 +675,94 @@ def _primes_past(bound: int, n: int) -> list[int]:
     return out
 
 
-def _hessenberg_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _inverses(q: int, n: int) -> list[int]:
+    # [0, 1^-1, ..., n^-1] mod the prime q > n, by k^-1 = -(q // k) (q mod k)^-1
+    inv = [0, 1]
+    for k in range(2, n + 1):
+        inv.append((q - q // k) * inv[q % k] % q)
+    return inv
+
+
+def _reduce(x: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
+    # x <- x - rint(x * inv) * p in place: symmetric float residues modulo p,
+    # with inv = 1/p, both broadcast against x
+    y = x * inv
+    np.rint(y, out=y)
+    y *= p
+    x -= y
+
+
+def _fill_powers(stack: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
+    # stack[0] = I and stack[1] = x are given; stack[j] = x^j for every later slot
+    for j in range(2, len(stack)):
+        np.matmul(stack[j - 1], stack[1], out=stack[j])
+        _reduce(stack[j], p, inv)
+
+
+def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Charpoly coefficients, lowest first, of each h[i] modulo p[i].
 
-    h is a (B, n, n) int64 batch of residues in [0, p), and p a (B,) array in
-    which a prime repeats once per matrix reduced modulo it. Each residue
-    matrix is reduced to upper Hessenberg form by similarity transforms over
-    F_p, with its own pivot row, which leave the charpoly unchanged; then the
-    recurrence
-    chi_m = (x - h_mm) chi_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) chi_{i-1}
-    over the leading blocks gives the charpoly (Cohen, Alg. 2.2.9). h is
-    overwritten.
+    h is a (B, n, n) int64 batch of residues in [0, p), and p a (B,) array of
+    primes above n in which a prime repeats once per matrix reduced modulo
+    it. The charpoly x^n + c_1 x^(n-1) + ... + c_n follows from the power
+    sums p_k = tr(a^k) by Newton's identities, k c_k = -sum_{i=1..k} p_i c_(k-i)
+    (Csanky, SIAM J. Comput. 1976), and all n power sums from about 2 sqrt(n)
+    matrix products (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
+    s = isqrt(n) + 1 and t = n // s, the baby powers a^0 ... a^(s-1) and the
+    giant powers g^0 ... g^t of g = a^s give p_(is+j) = tr(g^i a^j), the sum
+    over r of row r of a^j times column r of g^i, which covers k <= n.
 
-    Work the batch does not need is skipped: the pivot search runs only
-    when some matrix has a zero on the subdiagonal, and a column with
-    nothing below its subdiagonal in any matrix is left alone, where the
-    elimination would subtract u = 0. Each row of the recurrence sums at
-    most m + 1 <= n + 1 terms below p^2 before its one reduction, which
-    _prime_bits keeps below 2^63.
+    The products run in float64 on symmetric residues r = x - rint(x/p) p,
+    so BLAS does them. Each is exact: its entries sum n products of residues
+    with |r| <= p/2 + 2, and _prime_bits keeps n (p/2 + 2)^2 < 2^53, so every
+    partial sum is an integer below 2^53, whatever order BLAS adds in, with
+    or without fused multiply-adds. The reduction keeps that bound: for
+    |x| < 2^53 the float x * (1/p) is within about 2/p of x/p, so rint(x/p)
+    misses the nearest integer by less than 1/2 + 2/p, and both its product
+    with p and the difference are exact integers. Each trace sums n reduced
+    entries, far below 2^53. Newton's identities run in int64 on residues in
+    [0, p): each step sums at most n products below p^2, below 2^63 by the
+    same bound, and divides by k through a table of inverses built once per
+    distinct prime, which needs p > n.
     """
     count, n, _ = h.shape
-    batch, primes = np.arange(count), p.tolist()
-    p2, p3 = p[:, None], p[:, None, None]
-    for m in range(n - 2):
-        if not h[:, m + 1, m].all():
-            # pivot: the first row below the diagonal with a nonzero in column m;
-            # a matrix with none has nothing to eliminate in this column
-            r = m + 1 + np.argmax(h[:, m + 1:, m] != 0, axis=1)
-            moved = r != m + 1
-            if moved.any():
-                b, rb = batch[moved], r[moved]
-                rows = h[b, rb, :]
-                h[b, rb, :] = h[b, m + 1, :]
-                h[b, m + 1, :] = rows
-                cols = h[b, :, rb]
-                h[b, :, rb] = h[b, :, m + 1]
-                h[b, :, m + 1] = cols
-        if not h[:, m + 2:, m].any():
-            continue
-        inv = np.array([pow(x, -1, q) if x else 0
-                        for x, q in zip(h[:, m + 1, m].tolist(), primes)], dtype=np.int64)
-        u = h[:, m + 2:, m] * inv[:, None] % p2
-        # h <- L^-1 h L with L = I + sum_i u_i e_i e_(m+1)^T: one rank-1 row
-        # update, then one column update, both in place
-        below = h[:, m + 2:, m:]
-        below -= u[:, :, None] * h[:, m + 1, None, m:]
-        np.remainder(below, p3, out=below)
-        col = h[:, :, m + 1]
-        col += (h[:, :, m + 2:] @ u[:, :, None])[:, :, 0]
-        np.remainder(col, p2, out=col)
-    chi = np.zeros((count, n + 1, n + 1), dtype=np.int64)
-    chi[:, 0, 0] = 1
-    # tail[:, i] = h_{i,i-1} h_{i+1,i} ... h_{m-1,m-2} for the current m
-    tail = np.ones((count, n), dtype=np.int64)
-    for m in range(1, n + 1):
-        prev = chi[:, m - 1, :m]
-        row = chi[:, m, :m + 1]
-        row[:, 1:] = prev
-        row[:, :m] -= h[:, m - 1, m - 1, None] * prev
-        if m > 1:
-            tail[:, 1:m] = tail[:, 1:m] * h[:, m - 1, m - 2, None] % p2
-            w = h[:, :m - 1, m - 1] * tail[:, 1:m] % p2
-            row[:, :m - 1] -= (w[:, None, :] @ chi[:, :m - 1, :m - 1])[:, 0, :]
-        np.remainder(row[:, :m], p2, out=row[:, :m])
-    return chi[:, n, :]
+    s = isqrt(n) + 1
+    t = n // s
+    # p and 1/p as whole matrices: a full operand is faster than a broadcast one
+    pf = np.empty((count, n, n))
+    pf[:] = p[:, None, None]
+    inv = 1 / pf
+    eye = np.eye(n)
+    baby = np.empty((s, count, n, n))
+    baby[0] = eye
+    baby[1] = h
+    _reduce(baby[1], pf, inv)
+    _fill_powers(baby, pf, inv)
+    # giant[i] is the transpose of g^i, so that its rows are the columns of g^i
+    giant = np.empty((t + 1, count, n, n))
+    giant[0] = eye
+    if t:
+        np.matmul(baby[1].transpose(0, 2, 1), baby[s - 1].transpose(0, 2, 1), out=giant[1])
+        _reduce(giant[1], pf, inv)
+        _fill_powers(giant, pf, inv)
+    # terms[b, r, j, i] = (row r of a^j) . (column r of g^i), one n-term sum each
+    terms = baby.transpose(1, 2, 0, 3) @ giant.transpose(1, 2, 3, 0)
+    _reduce(terms, pf[:, :1, :1, None], inv[:, :1, :1, None])
+    traces = terms.sum(axis=1)
+    _reduce(traces, pf[:, :1, :1], inv[:, :1, :1])
+    # rev[m] = p_(n-m) in [0, p), one row per power, one column per matrix
+    rev = traces.transpose(2, 1, 0).reshape(-1, count)[n::-1].astype(np.int64) % p
+    table = {q: [q - x for x in _inverses(q, n)] for q in set(p.tolist())}
+    neg_inv = np.array([table[q] for q in p.tolist()], dtype=np.int64).T
+    # c[k] = -(p_k c_0 + p_(k-1) c_1 + ... + p_1 c_(k-1)) / k, the coefficient of x^(n-k)
+    c = np.zeros((n + 1, count), dtype=np.int64)
+    c[0] = 1
+    for k in range(1, n + 1):
+        c[k] = (c[:k] * rev[n - k:n]).sum(axis=0) % p * neg_inv[k] % p
+    return c[::-1].T
 
 
-# batch at most this many int64 entries per array, so memory stays bounded
+# hold at most this many array entries per chunk of a batch, so memory stays bounded
 _BATCH_ENTRIES = 1 << 21
 
 
@@ -776,30 +804,38 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
     absolute value at most bound is fixed by its residues (see _crt_lift),
     and the lifted integers do not depend on which primes were used. Every
     matrix is reduced modulo every prime and the T*P residue matrices go
-    through _hessenberg_charpoly_mod as one batch, cut into chunks of at
-    most _BATCH_ENTRIES entries. Entries past int64 are reduced as Python
-    ints. Returns the primes and a (T, P, n + 1) int64 array of coefficient
-    residues, lowest degree first. Every prime works: a similarity over F_p
-    keeps the charpoly, so there is no unlucky prime to detect or retry.
+    through _power_sum_charpoly_mod as one batch, cut into chunks that hold
+    at most _BATCH_ENTRIES array entries. Entries past int64 are reduced as
+    Python ints. Returns the primes and a (T, P, n + 1) int64 array of
+    coefficient residues, lowest degree first. Every prime above n works:
+    Newton's identities hold over any field whose characteristic exceeds n,
+    so there is no unlucky prime to detect or retry.
     """
     n = len(mats[0])
     primes = _primes_past(2 * bound, n)
-    # the invariant _prime_bits keeps: n + 1 terms below p^2 cannot wrap int64
-    if (n + 1) * primes[0] ** 2 >= 1 << 63:
-        raise OverflowError(f"order {n} with primes near {primes[0]} would overflow int64")
+    # the invariants _prime_bits keeps: n products of residues of size at most
+    # p/2 + 2 sum below 2^53, and every k <= n is invertible modulo every prime
+    if n * (primes[0] + 4) ** 2 >= 1 << 55:
+        raise OverflowError(f"order {n} with primes near {primes[0]} would leave exact float64")
+    if primes[-1] <= n:
+        raise ValueError(f"order {n} needs primes above it, got {primes[-1]}")
     try:
         entries = np.array(mats, dtype=np.int64)
     except OverflowError:
         entries = np.array(mats, dtype=object)
     ps = np.array(primes, dtype=np.int64)
     count = len(mats) * len(primes)
-    step = max(1, _BATCH_ENTRIES // (n + 1) ** 2)
+    # per residue matrix the kernel holds s = isqrt(n) + 1 baby and at most s
+    # giant powers, and at most seven more arrays of (n + 1)^2 entries: the
+    # residues, p, 1/p, and the row-by-column terms of the traces and their
+    # reduction, two each
+    step = max(1, _BATCH_ENTRIES // ((n + 1) ** 2 * (2 * (isqrt(n) + 1) + 7)))
     parts = []
     for lo in range(0, count, step):
         t, q = np.divmod(np.arange(lo, min(count, lo + step)), len(primes))
         p = ps[q]
         h = entries[t] % p.astype(entries.dtype)[:, None, None]
-        parts.append(_hessenberg_charpoly_mod(h.astype(np.int64, copy=False), p))
+        parts.append(_power_sum_charpoly_mod(h.astype(np.int64, copy=False), p))
     return primes, np.concatenate(parts).reshape(len(mats), len(primes), n + 1)
 
 

@@ -44,11 +44,11 @@ STRATA = ("small", "symmetric", "no_pivot", "block", "laplacian",
 def kernel_matrices(draw):
     """Integer matrices of orders 1 to 16.
 
-    Each stratum aims at a way the multimodular kernel could go wrong: a
-    column with no pivot below the diagonal, or none on the subdiagonal;
-    block-diagonal structure; L/Q-style diagonals; entries that vanish modulo
-    one prime only (the kernel's first prime at order n, the largest below
-    its ceiling); entries up to 2^40, which need many primes; and the
+    Each stratum aims at a way an exact charpoly kernel could go wrong: a
+    column with no pivot below the diagonal, or none on the subdiagonal,
+    which trips elimination; block-diagonal structure; L/Q-style
+    diagonals; entries that vanish modulo one prime only (the kernel's
+    first prime at order n, the largest below its ceiling); entries up to 2^40, which need many primes; and the
     scalar matrix d*I, whose charpoly (x - d)^n attains the coefficient bound
     the prime count is chosen from.
     """
@@ -69,7 +69,7 @@ def kernel_matrices(draw):
         rows = square(st.integers(min_value=-(1 << 40), max_value=1 << 40))
     elif stratum == "prime_multiples":
         # an entry that is a multiple of the first prime vanishes modulo that
-        # prime only, so that prime pivots on other rows
+        # prime only, so that prime sees a sparser matrix than the others
         first = _primes_past(1, n)[0]
         rows = square(st.sampled_from([0, 1, -1, first, -first, 2 * first]))
     elif stratum == "laplacian":
@@ -655,8 +655,8 @@ def test_twin_fold_is_exact(blowup):
 def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
     # K2 x L^2(K3,3) clones each of K2's two vertices 18 times; the clones
     # of one vertex are twins, so A reaches the kernel at order
-    # n1 (n2 + 1) = 38 with x^34 split off, modulo 3 primes below 2^28
-    # (an 82-bit bound) where the unfolded order-72 matrix needed 7
+    # n1 (n2 + 1) = 38 with x^34 split off, modulo 4 primes below 2^24
+    # (an 82-bit bound) where the unfolded order-72 matrix needs 9
     calls = []
     kernel = exact._charpoly_residues
 
@@ -669,8 +669,8 @@ def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
     a = adjacency_matrix(product(k2, l2).graph.graph)
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     f = charpoly(a)
-    assert calls == [(1, 38, 3)]
-    assert len(_primes_past(2 * _coefficient_bound(a.rows()), 72)) == 7
+    assert calls == [(1, 38, 4)]
+    assert len(_primes_past(2 * _coefficient_bound(a.rows()), 72)) == 9
     assert f.degree == 72 and f.coeffs[:34] == (0,) * 34
 
 
@@ -725,7 +725,8 @@ def test_coefficient_bound_dominates_charpolys_and_forms(sm, data):
 def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     # a and a + u u^T are one kernel batch, modulo primes for the larger of the
     # charpoly and form bounds of a; a + u u^T alone would need more (at order
-    # 26, 4 residue matrices against 2 + 3; at order 22 the 29-bit primes tie)
+    # 26, 4 residue matrices against 2 + 3 with its 25-bit primes; at order 27
+    # the one batch needs 3 primes, 6 against 2 + 3)
     calls = []
     kernel = exact._charpoly_residues
 
@@ -751,7 +752,7 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
 def test_kernel_primes_are_prime_and_cover_the_bound():
     # at each order, the largest primes below its ceiling, one after another
     bound = 1 << 3000
-    for n in (1, 6, 7, 38, 127, 600):
+    for n in (1, 2, 6, 7, 8, 38, 127, 128, 600):
         primes = _primes_past(bound, n)
         assert primes[0] == sympy.prevprime(1 << exact._prime_bits(n))
         assert all(q == sympy.prevprime(p) for p, q in zip(primes, primes[1:]))
@@ -765,12 +766,14 @@ def test_kernel_primes_are_prime_and_cover_the_bound():
 
 
 def test_prime_ceiling_is_the_largest_that_cannot_wrap():
-    # n + 1 terms below p^2 < 4^b stay below 2^63, and one more bit would not
-    for n in list(range(1, 140)) + [510, 511, 2046, 2047, 1 << 15]:
+    # n products of float residues of size at most p/2 + 2 < 2^(b-1) + 2 sum
+    # below 2^53, and one more bit would not: n (2^b + 4)^2 < 2^55
+    for n in list(range(1, 140)) + [510, 511, 512, 2046, 2047, 1 << 15]:
         b = exact._prime_bits(n)
-        assert (n + 1) << (2 * b) < 1 << 63 <= (n + 1) << (2 * b + 2)
-    orders = (1, 6, 7, 30, 31, 126, 127, 510, 511)
-    assert [exact._prime_bits(n) for n in orders] == [30, 30, 29, 29, 28, 28, 27, 27, 26]
+        assert n * ((1 << (b - 1)) + 2) ** 2 < 1 << 53 <= n * ((1 << b) + 2) ** 2
+        assert sympy.prevprime(1 << b) > n
+    orders = (1, 2, 7, 8, 31, 32, 127, 128, 511, 512)
+    assert [exact._prime_bits(n) for n in orders] == [27, 26, 26, 25, 25, 24, 24, 23, 23, 22]
 
 
 def _trial_division_is_prime(q: int) -> bool:
@@ -793,45 +796,94 @@ def test_odd_primes_match_trial_division():
     assert list(itertools.islice(exact._odd_primes(), 2000)) == list(itertools.islice(want, 2000))
 
 
+def _kernel_not_reached(*args):
+    raise AssertionError("the kernel allocated a batch past the guard")
+
+
 def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
-    # the kernel's int64 sums have at most n + 1 terms, each below p^2, so
-    # (n + 1) * p^2 < 2^63 must hold; primes below 2^31 break it from order 2
-    # on, and the kernel must raise before it allocates a batch. The diagonal
-    # entries differ, so no rows are twins and the kernel sees order 12
-    monkeypatch.setattr(exact, "_prime_bits", lambda n: 31)
+    # the kernel's float64 sums have at most n terms, each a product of two
+    # residues of size at most p/2 + 2, so n (p/2 + 2)^2 < 2^53 must hold;
+    # primes one bit past the ceiling break it, and the kernel must raise
+    # before it allocates a batch. The diagonal entries differ, so no rows
+    # are twins and the kernel sees order 12
+    bits = exact._prime_bits
+    monkeypatch.setattr(exact, "_prime_bits", lambda n: bits(n) + 1)
     monkeypatch.setattr(exact, "_PRIMES", {})
-
-    def batch(*args):
-        raise AssertionError("the kernel allocated a batch past the guard")
-
-    monkeypatch.setattr(exact, "_hessenberg_charpoly_mod", batch)
+    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", _kernel_not_reached)
     with pytest.raises(OverflowError):
         charpoly(Matrix.diagonal(range(1, 13)))
 
 
-class _CountedNumpy:
-    """numpy, with the kernel's argmax and remainder calls counted.
+def test_multimodular_kernel_refuses_primes_not_above_the_order(monkeypatch):
+    # Newton's identities divide by every k <= n, so every prime must exceed
+    # n: with primes below 2^4, a bound of 100 takes 13, 11 and 7, and 7 is
+    # not above order 12
+    monkeypatch.setattr(exact, "_prime_bits", lambda n: 4)
+    monkeypatch.setattr(exact, "_PRIMES", {})
+    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", _kernel_not_reached)
+    assert _primes_past(200, 12) == [13, 11, 7]
+    with pytest.raises(ValueError):
+        _charpoly_residues([[[0] * 12 for _ in range(12)]], 100)
 
-    argmax runs once per pivot search, remainder twice per eliminated column
-    and once per row of the recurrence.
-    """
 
-    def __init__(self):
-        self.calls = Counter()
+def _faddeev_leverrier_mod(a: np.ndarray, q: int) -> list[int]:
+    # the Faddeev-LeVerrier recursion of _faddeev_leverrier on int64 residues
+    # modulo the prime q > n, lowest degree first; every int64 sum has n
+    # terms below q^2 < 2^63 / n
+    n = len(a)
+    m = np.identity(n, dtype=np.int64)
+    coeffs = [1]
+    for k in range(1, n + 1):
+        m = a @ m % q
+        c = -int(m.trace()) * pow(k, -1, q) % q
+        coeffs.append(c)
+        m[np.diag_indices(n)] = (m.diagonal() + c) % q
+    assert not m.any()
+    return coeffs[::-1]
 
-    def __getattr__(self, name):
-        fn = getattr(np, name)
-        if name not in ("argmax", "remainder"):
-            return fn
 
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+@pytest.mark.parametrize("n", [31, 127])
+def test_power_sums_exact_at_the_prime_ceiling(n):
+    # every residue of size (p - 1)/2, the largest a symmetric residue takes,
+    # modulo the largest prime below the order's ceiling (31 and 127 are the
+    # largest orders of their ceilings): one batch with random signs, and one
+    # with a single sign, whose first product sums n terms of ((p - 1)/2)^2
+    p = _primes_past(1, n)[0]
+    rng = np.random.default_rng(n)
+    half = (p - 1) // 2
+    for signs in (rng.choice([1, -1], size=(2, n, n)), np.stack([np.ones((n, n), dtype=int),
+                                                                 -np.ones((n, n), dtype=int)])):
+        mats = signs * half % p
+        got = exact._power_sum_charpoly_mod(mats.copy(), np.full(len(mats), p, dtype=np.int64))
+        assert [row.tolist() for row in got] == [_faddeev_leverrier_mod(m, p) for m in mats]
+
+
+def test_kernel_chunks_give_the_same_residues(monkeypatch):
+    # with _BATCH_ENTRIES at 1 every chunk holds one residue matrix, and the
+    # residues are those of the whole batch
+    rng = random.Random(5)
+    mats = [tuple(tuple(rng.randint(-9, 9) for _ in range(10)) for _ in range(10))
+            for _ in range(3)]
+    bound = max(_coefficient_bound(m) for m in mats)
+    primes, res = _charpoly_residues(mats, bound)
+    assert len(primes) > 1
+    monkeypatch.setattr(exact, "_BATCH_ENTRIES", 1)
+    chunked = []
+    kernel = exact._power_sum_charpoly_mod
+
+    def recorded(h, p):
+        chunked.append(len(h))
+        return kernel(h, p)
+
+    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", recorded)
+    again, res1 = _charpoly_residues(mats, bound)
+    assert chunked == [1] * (len(mats) * len(primes))
+    assert again == primes and (res1 == res).all()
+    assert _crt_lift(primes, res1) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
 
 
 def _upper_hessenberg(rng, n):
-    # nonzero subdiagonal, zeros below it: no pivot search, nothing to eliminate
+    # upper Hessenberg: a nonzero subdiagonal and zeros below it
     return [[rng.randint(-3, 3) if i <= j else rng.choice((1, -2, 3)) if i == j + 1 else 0
              for j in range(n)] for i in range(n)]
 
@@ -840,47 +892,34 @@ def _dense(rng, n):
     return [[rng.choice((1, 2, -1, -3)) for _ in range(n)] for _ in range(n)]
 
 
-# (name, matrices of one order, pivot searches, eliminated columns); None
-# where that count is not checked
+# (name, matrices of one order): fixed batches with zero pivots, columns with
+# nothing below the diagonal, permutations, diagonal and shift matrices
 KERNEL_BRANCHES = [
-    ("order 1", [[[5]], [[-7]]], 0, 0),
-    ("order 2", [[[0, 1], [1, 0]], [[2, 0], [0, 3]]], 0, 0),
-    ("order 3, pivot nonzero", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]]], 0, 1),
-    # the swap brings 7 up to the pivot and leaves nothing below it
-    ("order 3, zero pivot swapped", [[[1, 2, 3], [0, 5, 6], [7, 8, 10]]], 1, 0),
-    ("order 3, nothing below", [[[1, 2, 3], [4, 5, 6], [0, 8, 10]]], 0, 0),
-    ("order 3, zero column", [[[1, 2, 3], [0, 5, 6], [0, 8, 10]]], 1, 0),
-    # column 0 swaps rows 1 and 2 and eliminates row 3 with u = 3/7; column 1
-    # then has pivot 9 and -16/49 below it
+    ("order 1", [[[5]], [[-7]]]),
+    ("order 2", [[[0, 1], [1, 0]], [[2, 0], [0, 3]]]),
+    ("order 3, pivot nonzero", [[[1, 2, 3], [4, 5, 6], [7, 8, 10]]]),
+    ("order 3, zero pivot swapped", [[[1, 2, 3], [0, 5, 6], [7, 8, 10]]]),
+    ("order 3, nothing below", [[[1, 2, 3], [4, 5, 6], [0, 8, 10]]]),
+    ("order 3, zero column", [[[1, 2, 3], [0, 5, 6], [0, 8, 10]]]),
     ("order 4, swap then eliminate",
-     [[[1, 2, 3, 4], [0, 5, 6, 7], [7, 8, 10, 1], [3, 1, 2, 5]]], 1, 2),
+     [[[1, 2, 3, 4], [0, 5, 6, 7], [7, 8, 10, 1], [3, 1, 2, 5]]]),
     ("Hessenberg, all pivots nonzero", [_upper_hessenberg(random.Random(s), 9)
-                                        for s in range(3)], 0, 0),
-    # in general position every pivot is nonzero and every column is eliminated
-    ("dense", [_dense(random.Random(s), 12) for s in range(4)], 0, 10),
-    # a permutation matrix needs swaps only
-    ("permutations", [_shift(9, 2).rows(), _shift(9, 4).rows()], None, 0),
+                                        for s in range(3)]),
+    ("dense", [_dense(random.Random(s), 12) for s in range(4)]),
+    ("permutations", [_shift(9, 2).rows(), _shift(9, 4).rows()]),
     ("diagonal and Hessenberg, nothing to eliminate",
-     [Matrix.diagonal(range(1, 10)).rows(), _upper_hessenberg(random.Random(7), 9)], 7, 0),
+     [Matrix.diagonal(range(1, 10)).rows(), _upper_hessenberg(random.Random(7), 9)]),
     ("mixed", [_upper_hessenberg(random.Random(3), 9), _shift(9, 3).rows(),
-               _dense(random.Random(4), 9), Matrix.diagonal(range(9)).rows()], None, None),
+               _dense(random.Random(4), 9), Matrix.diagonal(range(9)).rows()]),
 ]
 
 
 @pytest.mark.parametrize("case", KERNEL_BRANCHES, ids=[c[0] for c in KERNEL_BRANCHES])
-def test_multimodular_kernel_branches_match_faddeev_leverrier(monkeypatch, case):
-    _, mats, searches, eliminated = case
+def test_multimodular_kernel_branches_match_faddeev_leverrier(case):
+    _, mats = case
     mats = [tuple(map(tuple, rows)) for rows in mats]
-    n = len(mats[0])
-    counted = _CountedNumpy()
-    monkeypatch.setattr(exact, "np", counted)
     primes, res = _charpoly_residues(mats, max(_coefficient_bound(m) for m in mats))
-    monkeypatch.undo()
     assert _crt_lift(primes, res) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
-    if searches is not None:
-        assert counted.calls["argmax"] == searches
-    if eliminated is not None:
-        assert counted.calls["remainder"] == 2 * eliminated + n
 
 
 @st.composite
@@ -888,8 +927,8 @@ def same_order_batches(draw):
     """One to four matrices of one order from 1 to 10.
 
     Each is upper Hessenberg, dense, with a zero pivot or a zero column per
-    column, or with entries that vanish modulo the first prime only: every
-    branch of the kernel, mixed within one batch.
+    column, or with entries that vanish modulo the first prime only, so one
+    batch mixes sparse, nilpotent-like and dense residue matrices.
     """
     n = draw(st.integers(min_value=1, max_value=10))
     first = _primes_past(1, n)[0]

@@ -21,7 +21,8 @@ workloads and the largest factored product:
   with a fixed random marking of L^2(K3,3), the direct_files workload's;
 - demo: the factored forms of equienergetic-demo (K2 with L^2(K3,3) and
   with L^2(prism));
-- A_C256xP256: factored_charpoly of a randomly marked C256 x P256 (A).
+- A_C128xP128, A_C256xP256: factored_charpoly of a randomly marked
+  C128 x P128 and C256 x P256 (A), kernel batches of order 128 and 256.
 
 For these, "kernel" times _charpoly_residues alone on the batches the call
 hands it, each module choosing its own primes, and "call" times the whole
@@ -111,6 +112,7 @@ def entries(S) -> dict:
     c32, p32 = marked(S, S.cycle(32), rng), marked(S, S.path(32), rng)
     c16, d16 = marked(S, S.cycle(16), rng), marked(S, S.cycle(16), rng)
     c256, p256 = marked(S, S.cycle(256), rng), marked(S, S.path(256), rng)
+    c128, p128 = marked(S, S.cycle(128), rng), marked(S, S.path(128), rng)
     demo1, demo2 = S.demo_equienergetic_pair()
     search = [(mg1, n, center_mark) for _, mg1 in cli._search_first_factors(4)
               for n in range(1, 7) for center_mark in (1, -1)]
@@ -122,6 +124,7 @@ def entries(S) -> dict:
         "coronal_A_72": (lambda: exact.charpoly_with_adjugate_form(a72, marks), True),
         "demo": (lambda: S.factored_charpolys([(k2, demo1), (k2, demo2)], "A",
                                               ["constructed"]), True),
+        "A_C128xP128": (lambda: factored(c128, p128, "A"), True),
         "A_C256xP256": (lambda: factored(c256, p256, "A"), True),
         "verify_A": (lambda: verify.run_theorem_verification("A", trials=150, seed=1), False),
         "verify_L": (lambda: verify.run_theorem_verification("L", trials=50, seed=1), False),
