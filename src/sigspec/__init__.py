@@ -11,8 +11,8 @@ from .applications import (EquienergeticCertificate, IntegralityReport,
                            factored_energy_estimate, integral_product_check,
                            star_product_integral_check)
 from .coronal import CoronalTriple, signed_coronal, star_coronal_closed_form
-from .exact import (Matrix, Poly, RationalFn, charpoly, charpoly_with_adjugate_form,
-                    charpolys, compose_with_rational, integer_roots, poly_gcd)
+from .exact import (Matrix, Poly, charpoly, charpoly_with_adjugate_form, charpolys,
+                    compose_with_rational, integer_roots, poly_gcd)
 from .graphs import (Edge, GraphMatrices, MarkedSignedGraph, Marking,
                      SignedGraph, adjacency_matrix, balance_marking,
                      canonical_marking, complete, complete_bipartite, cycle,
@@ -35,7 +35,7 @@ __all__ = [
     "regular_degree", "adjacency_matrix", "graph_matrix", "matrices",
     "star", "path", "cycle", "complete", "complete_bipartite", "prism",
     "line_graph",
-    "Poly", "RationalFn", "Matrix", "poly_gcd",
+    "Poly", "Matrix", "poly_gcd",
     "compose_with_rational", "integer_roots", "charpoly", "charpolys",
     "charpoly_with_adjugate_form",
     "CoronalTriple", "signed_coronal", "star_coronal_closed_form",

@@ -10,8 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coronal import star_coronal_closed_form
-from .exact import _BATCH_ENTRIES, Poly, RationalFn, _exact_ints
+from .coronal import CoronalTriple, star_coronal_closed_form
+from .exact import _BATCH_ENTRIES, Poly, _exact_ints
 from .graphs import (MarkedSignedGraph, complete, complete_bipartite, line_graph, prism,
                      regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
@@ -166,21 +166,20 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     return reports
 
 
-def _star_report(n: int, center_mark: int, effective: RationalFn, stated: RationalFn,
+def _star_report(n: int, center_mark: int, effective: CoronalTriple, stated: CoronalTriple,
                  g: Poly, of: Callable[[Poly], IntegralityResult]) -> StarProductReport:
     # the closed-form verdicts from g, the first factor's mu-adjacency
     # charpoly, decided per eigenvalue; of as in _integrality_report
     n2 = n + 1
     eigen = of(g)
-    star_charpoly = Poly([0] * (n - 1) + [-n, 0, 1])
 
-    def bracket_for(fn: RationalFn) -> IntegralityResult:
+    def bracket_for(fn: CoronalTriple) -> IntegralityResult:
         u = Poly.x() * fn.den - n2 * fn.num
         v = n2 * fn.den
         return _bracket_integrality(eigen, u, v, lambda: _composed_bracket(g, u, v), of)
 
     # the shared factor comes from the effective (mark +1) coronal only
-    shared = of(star_charpoly.divexact(effective.den))
+    shared = of(effective.shared)
     bracket = bracket_for(effective)
     as_stated = bracket if center_mark == 1 else bracket_for(stated)
     return StarProductReport(n=n, center_mark=center_mark,

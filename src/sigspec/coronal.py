@@ -1,5 +1,10 @@
 """Signed coronals: the rational function mu^T (xI - N)^{-1} mu in reduced form.
 
+CoronalTriple is the one reduced num/den type, and reduced_coronal, which
+splits the gcd off the charpoly f and the adjugate form p, is the one place
+that reduces one. A triple also keeps that gcd, so den * shared gives back
+the charpoly, and its eval is the package's one rational value.
+
 The star's closed form is here because integral-search reads it. The
 regular balanced closed form n/(x - r) only checks signed_coronal, so it
 lives in the tests (tests/reference.py).
@@ -7,10 +12,11 @@ lives in the tests (tests/reference.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
-from .exact import (Matrix, Poly, RationalFn, _exact_ints, charpoly_with_adjugate_form,
-                    poly_gcd)
+from .exact import Matrix, Poly, _exact_ints, charpoly_with_adjugate_form, poly_gcd
 from .graphs import _signs
 
 
@@ -37,12 +43,13 @@ class CoronalTriple:
     def charpoly(self) -> Poly:
         return self.den * self.shared
 
-    @property
-    def rational_fn(self) -> RationalFn:
-        return RationalFn(self.num, self.den)
-
-    def eval(self, x: int):
-        return self.rational_fn.eval(x)
+    def eval(self, x: Rational) -> Rational:
+        """The value num(x)/den(x): an int where it is integral, else a Fraction."""
+        d = self.den.eval(x)
+        if d == 0:
+            raise ZeroDivisionError(f"pole of the coronal at {x}")
+        q = Fraction(self.num.eval(x), d)
+        return q.numerator if q.denominator == 1 else q
 
 
 def signed_coronal(n_matrix: Matrix, mu: Sequence[int]) -> CoronalTriple:
@@ -64,17 +71,17 @@ def reduced_coronal(f: Poly, p: Poly) -> CoronalTriple:
     return CoronalTriple(num=p.divexact(g), den=f.divexact(g), shared=g)
 
 
-def star_coronal_closed_form(n: int, center_mark: int) -> RationalFn:
+def star_coronal_closed_form(n: int, center_mark: int) -> CoronalTriple:
     """Coronal of a signed star on n+1 vertices with canonical marking.
 
     ((n+1)x + 2n*center_mark) / (x^2 - n), where center_mark is the product
-    of the edge signs at the center. Returned reduced (the n = 1 case
-    collapses to a linear denominator).
+    of the edge signs at the center: reduced_coronal of the star's charpoly
+    x^(n-1)(x^2 - n) and the form x^(n-1)((n+1)x + 2n*center_mark), so the
+    n = 1 case collapses to a linear denominator.
     """
     _exact_ints((n,))
     if n < 1:
         raise ValueError("star closed form needs at least one leaf")
     (center_mark,) = _signs((center_mark,), what="center marks")
-    num = Poly([2 * n * center_mark, n + 1])
-    den = Poly([-n, 0, 1])
-    return RationalFn(num, den)
+    leaves = Poly.x() ** (n - 1)
+    return reduced_coronal(leaves * Poly([-n, 0, 1]), leaves * Poly([2 * n * center_mark, n + 1]))

@@ -1,13 +1,14 @@
-"""Exact algebra: polynomials, rational functions and integer matrices.
+"""Exact algebra: integer polynomials and integer matrices.
 
 The one exact scalar is ``int``: matrices are integer matrices, charpolys
 are monic over Z, and the reduced coronal num/den are integer polynomials by
 Gauss's lemma, because den is monic. ``Poly`` and ``Matrix`` hold ints only,
 and bools, floats, rationals and anything else are rejected, so nothing
 silently leaves exact arithmetic; polynomial division fails where a quotient
-coefficient is not an integer. The one rational value is what
-``RationalFn.eval`` returns where it is not integral. Coefficient vectors are
-stored lowest degree first with no trailing zeros.
+coefficient is not an integer. The one rational value is what a reduced
+coronal's ``CoronalTriple.eval`` (coronal.py) returns where it is not
+integral. Coefficient vectors are stored lowest degree first with no
+trailing zeros.
 
 Every characteristic polynomial, at every order, comes from one exact
 kernel modulo word-size primes, lifted back to integers by CRT: the power
@@ -29,7 +30,6 @@ residues.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import count
 from math import comb, isqrt, prod
 from math import gcd as _int_gcd
@@ -272,42 +272,6 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     raw = (pa * pb + _offset(n, width)).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * n, width)]
-
-
-class RationalFn:
-    """Reduced ratio of two integer polynomials; the reduced denominator must be monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num.is_zero:
-            g = poly_gcd(num, den)
-            num, den = num.divexact(g), den.divexact(g)
-        if not den.is_monic:
-            raise ValueError(f"reduced denominator {den.pretty()} is not monic")
-        self.num = num
-        self.den = den
-
-    def eval(self, x: Rational) -> Rational:
-        """The value at x: an int where it is integral, else a Fraction."""
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of rational function at {x}")
-        q = Fraction(self.num.eval(x), d)
-        return q.numerator if q.denominator == 1 else q
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFn):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalFn(({self.num.pretty()}) / ({self.den.pretty()}))"
 
 
 def _primitive(p: Poly) -> tuple[int, Poly]:
@@ -667,6 +631,9 @@ def _primes_past(bound: int, n: int) -> list[int]:
     while product <= bound:
         if len(out) == len(primes):
             q = (primes[-1] if primes else (1 << b) + 1) - 2
+            if q < 3:
+                raise ValueError(f"the odd primes below 2^{b}, the ceiling at order {n}, "
+                                 f"multiply to no more than {bound}")
             while not _is_prime(q):
                 q -= 2
             primes.append(q)

@@ -258,12 +258,20 @@ def adjacency_matrix(g: SignedGraph) -> Matrix:
     return graph_matrix(g, "A")
 
 
+def _graph_of(mg: MarkedSignedGraph | SignedGraph) -> SignedGraph:
+    if isinstance(mg, MarkedSignedGraph):
+        return mg.graph
+    if isinstance(mg, SignedGraph):
+        return mg
+    raise TypeError(f"expected a signed graph or marked signed graph, got {type(mg).__name__}")
+
+
 def graph_matrix(mg: MarkedSignedGraph | SignedGraph, kind: str) -> Matrix:
     """The one matrix of the given kind: adjacency A, L = D - A or Q = D + A,
     with D the underlying degree matrix; no other matrix is built."""
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    g = mg.graph if isinstance(mg, MarkedSignedGraph) else mg
+    g = _graph_of(mg)
     rows = [[0] * g.n for _ in range(g.n)]
     sign = -1 if kind == "L" else 1
     for i, j, s in g.edges:
@@ -279,7 +287,7 @@ def matrices(mg: MarkedSignedGraph | SignedGraph) -> GraphMatrices:
 
     For one of A, L or Q alone, graph_matrix builds only that one.
     """
-    g = mg.graph if isinstance(mg, MarkedSignedGraph) else mg
+    g = _graph_of(mg)
     return GraphMatrices(A=graph_matrix(g, "A"), D=Matrix.diagonal(g.degrees()),
                          L=graph_matrix(g, "L"), Q=graph_matrix(g, "Q"))
 

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .exact import Matrix, Poly, charpoly, charpolys, integer_roots
-from .graphs import MarkedSignedGraph, SignedGraph, adjacency_matrix, graph_matrix
+from .graphs import graph_matrix
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,14 @@ class EnergyValue:
                    tolerance=tol * len(spec.values))
 
 
-def _graph_of(mg) -> SignedGraph:
-    if isinstance(mg, MarkedSignedGraph):
-        return mg.graph
-    if isinstance(mg, SignedGraph):
-        return mg
-    raise TypeError("expected a signed graph or marked signed graph")
-
-
 def energy(mg, tol: float = 1e-9) -> EnergyValue:
     """Graph energy: sum of |eigenvalue| over the adjacency spectrum."""
-    return EnergyValue.of(symmetric_eigenvalues(adjacency_matrix(_graph_of(mg))), tol)
+    return EnergyValue.of(symmetric_eigenvalues(graph_matrix(mg, "A")), tol)
 
 
 def cospectral(mg1, mg2, matrix_kind: str = "A") -> bool:
     """Exact cospectrality: charpoly equality over the rationals, never floats."""
-    f1, f2 = charpolys([graph_matrix(_graph_of(mg), matrix_kind) for mg in (mg1, mg2)])
+    f1, f2 = charpolys([graph_matrix(mg, matrix_kind) for mg in (mg1, mg2)])
     return f1 == f2
 
 
@@ -103,4 +95,4 @@ class IntegralityResult:
 
 def is_integral(mg) -> IntegralityResult:
     """Exact integrality of the adjacency spectrum via integer root extraction."""
-    return IntegralityResult.of(charpoly(adjacency_matrix(_graph_of(mg))))
+    return IntegralityResult.of(charpoly(graph_matrix(mg, "A")))

@@ -13,8 +13,8 @@ import random
 
 from sigspec.applications import StarProductReport, _star_report
 from sigspec.coronal import CoronalTriple, signed_coronal, star_coronal_closed_form
-from sigspec.exact import (Matrix, Poly, RationalFn, _exact_ints, charpoly,
-                           charpoly_with_adjugate_form, charpolys)
+from sigspec.exact import (Matrix, Poly, _exact_ints, charpoly, charpoly_with_adjugate_form,
+                           charpolys)
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             matrices, mu_signed_graph)
 from sigspec.io import serialize_graph
@@ -108,14 +108,15 @@ def star_bracket_cubic_expanded(n: int, lam: int, center_mark: int) -> Poly:
                  1])
 
 
-def regular_balanced_coronal(r: int, n: int) -> RationalFn:
-    """Coronal n/(x - r) shared by every r-regular mu-signed graph on n vertices."""
+def regular_balanced_coronal(r: int, n: int) -> tuple[Poly, Poly]:
+    """Coronal n/(x - r) shared by every r-regular mu-signed graph on n vertices,
+    as the pair (num, den)."""
     _exact_ints((r, n))
     if n < 1:
         raise ValueError("need at least one vertex")
     if not (0 <= r < n):
         raise ValueError("regular degree must satisfy 0 <= r < n")
-    return RationalFn(Poly.constant(n), Poly.linear(-r))
+    return Poly.constant(n), Poly.linear(-r)
 
 
 def adjugate_quadratic_form(a: Matrix, u) -> Poly:

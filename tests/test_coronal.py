@@ -1,12 +1,14 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspec.coronal import signed_coronal, star_coronal_closed_form
+from sigspec.coronal import (CoronalTriple, reduced_coronal, signed_coronal,
+                             star_coronal_closed_form)
 from sigspec.exact import Matrix, Poly, charpoly, poly_gcd
 from sigspec.graphs import (MarkedSignedGraph, adjacency_matrix,
                             canonical_marking, complete, cycle, matrices,
@@ -28,6 +30,39 @@ def test_k2_all_ones_triple():
     assert triple.charpoly == Poly([-1, 0, 1])
 
 
+def test_reduced_coronal_reduces():
+    x = Poly.x()
+    # the common factor x + 1 is split off into shared; den is monic, so the
+    # content 2 of the form cannot cancel and stays in num
+    t = reduced_coronal((x + 1) * (x - 1), (x + 1) * Poly.constant(2))
+    assert t == CoronalTriple(num=Poly.constant(2), den=x - 1, shared=x + 1)
+    assert reduced_coronal(x * (x - 1), Poly([-1, 2])) == CoronalTriple(
+        num=Poly([-1, 2]), den=x * (x - 1), shared=Poly.constant(1))
+    # a content that cancels leaves a shared factor that is not monic, and a
+    # reduced den left non-monic is refused as well
+    for f, p in ((Poly([0, 2]), Poly([2])), (Poly([1, 2]), Poly([1]))):
+        with pytest.raises(ValueError):
+            reduced_coronal(f, p)
+    with pytest.raises(ValueError):
+        CoronalTriple(num=Poly([1]), den=Poly([1, 2]), shared=Poly.constant(1))
+
+
+def test_coronal_eval_is_exact():
+    f = reduced_coronal(Poly([-1, 1]), Poly([1]))
+    assert f.eval(3) == Fraction(1, 2) and type(f.eval(3)) is Fraction
+    g = reduced_coronal(Poly.x(), Poly([4]))
+    assert g.eval(2) == 2 and type(g.eval(2)) is int
+    assert g.eval(Fraction(1, 2)) == 8 and type(g.eval(Fraction(1, 2))) is int
+    assert g.eval(-3) == Fraction(-4, 3)
+    with pytest.raises(ZeroDivisionError):
+        g.eval(0)
+    with pytest.raises(ZeroDivisionError):
+        f.eval(Fraction(2, 2))
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            g.eval(bad)
+
+
 def test_star_closed_form_examples():
     f = star_coronal_closed_form(2, 1)
     assert f.num == Poly([4, 3])
@@ -38,6 +73,11 @@ def test_star_closed_form_examples():
     f = star_coronal_closed_form(1, 1)
     assert f.num == Poly.constant(2)
     assert f.den == Poly.linear(-1)
+    assert f.shared == Poly.linear(1)
+    f = star_coronal_closed_form(1, -1)
+    assert f.num == Poly.constant(2)
+    assert f.den == Poly.linear(1)
+    assert f.shared == Poly.linear(-1)
     for n, center_mark in ((True, 1), (2, True), (2, 1.0)):
         with pytest.raises(TypeError):
             star_coronal_closed_form(n, center_mark)
@@ -56,16 +96,24 @@ def test_star_coronal_matches_closed_form(n, center_sign):
     assert center_mark == (1 if signs.count("-") % 2 == 0 else -1)
     # raw signature route: the center mark shows up in the numerator
     raw = signed_coronal(adjacency_matrix(mg.graph), list(mg.marking))
-    assert raw.rational_fn == star_coronal_closed_form(n, center_mark)
+    assert raw == star_coronal_closed_form(n, center_mark)
     # mu-graph route: marks cancel, the form always looks all-positive
     via_mu = signed_coronal(adjacency_matrix(mu_signed_graph(mg)),
                             list(mg.marking))
-    assert via_mu.rational_fn == star_coronal_closed_form(n, 1)
+    assert via_mu == star_coronal_closed_form(n, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("center_mark", [1, -1])
+def test_star_closed_form_charpoly_is_the_stars(n, center_mark):
+    # den * shared of the closed form is the charpoly of the star's adjacency
+    signs = ("+" if center_mark == 1 else "-") + "+" * (n - 1)
+    closed = star_coronal_closed_form(n, center_mark)
+    assert closed.charpoly == charpoly(adjacency_matrix(star(n + 1, signs)))
 
 
 def test_regular_balanced_coronal():
-    assert regular_balanced_coronal(2, 5).num == Poly.constant(5)
-    assert regular_balanced_coronal(2, 5).den == Poly.linear(-2)
+    assert regular_balanced_coronal(2, 5) == (Poly.constant(5), Poly.linear(-2))
     with pytest.raises(ValueError):
         regular_balanced_coronal(5, 5)
     with pytest.raises(TypeError):
@@ -76,7 +124,7 @@ def test_regular_balanced_coronal():
 def test_regular_graph_coronal_matches_closed_form(builder, n, r):
     mg = MarkedSignedGraph.with_canonical_marking(builder(n))
     triple = signed_coronal(adjacency_matrix(mg.graph), [1] * n)
-    assert triple.rational_fn == regular_balanced_coronal(r, n)
+    assert (triple.num, triple.den) == regular_balanced_coronal(r, n)
 
 
 @given(rng=rngs(), x0=st.integers(min_value=7, max_value=20))
@@ -113,12 +161,12 @@ def test_signature_changes_raw_coronal_but_not_mu_route():
     minus = MarkedSignedGraph.with_canonical_marking(complete(4, "-"))
     raw_plus = signed_coronal(adjacency_matrix(plus.graph), [1] * 4)
     raw_minus = signed_coronal(adjacency_matrix(minus.graph), [1] * 4)
-    assert raw_plus.rational_fn != raw_minus.rational_fn
+    assert (raw_plus.num, raw_plus.den) != (raw_minus.num, raw_minus.den)
     via_mu_plus = signed_coronal(adjacency_matrix(mu_signed_graph(plus)),
                                  list(plus.marking))
     via_mu_minus = signed_coronal(adjacency_matrix(mu_signed_graph(minus)),
                                   list(minus.marking))
-    assert via_mu_plus.rational_fn == via_mu_minus.rational_fn
+    assert via_mu_plus == via_mu_minus
 
 
 def test_mu_route_always_equals_all_ones_coronal_of_underlying():
@@ -127,7 +175,7 @@ def test_mu_route_always_equals_all_ones_coronal_of_underlying():
     mg = MarkedSignedGraph(g, canonical_marking(g))
     lhs = signed_coronal(adjacency_matrix(mu_signed_graph(mg)), list(mg.marking))
     rhs = signed_coronal(adjacency_matrix(g.underlying_positive()), [1] * 5)
-    assert lhs.rational_fn == rhs.rational_fn
+    assert lhs == rhs
 
 
 def test_signed_coronal_validates_marks():

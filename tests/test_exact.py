@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from sigspec import exact
-from sigspec.exact import (Matrix, Poly, RationalFn, _charpoly_residues,
+from sigspec.exact import (Matrix, Poly, _charpoly_residues,
                            _coefficient_bound, _crt_lift, _primes_past,
                            _square_free_parts, charpoly, charpoly_with_adjugate_form,
                            charpolys, compose_with_rational, integer_roots, poly_gcd)
@@ -154,22 +154,6 @@ def test_exact_division_never_makes_floats():
         divmod(x ** 2, Poly([1, 2]))
     with pytest.raises(ArithmeticError):
         (x ** 2).divexact(Poly([1, 2]))
-    f = RationalFn(Poly([1]), Poly([-1, 1]))
-    assert f.eval(3) == Fraction(1, 2) and type(f.eval(3)) is Fraction
-    g = RationalFn(Poly([4]), Poly([0, 1]))
-    assert g.eval(2) == 2 and type(g.eval(2)) is int
-    assert type(g.eval(Fraction(1, 2))) is int
-
-
-def test_rational_fn_reduces():
-    x = Poly.x()
-    f = RationalFn((x + 1) * Poly.constant(2), (x + 1) * (x - 1) * Poly.constant(2))
-    assert f.num == Poly.constant(1)
-    assert f.den == x - 1
-    # the content cancels as well; a denominator left non-monic is refused
-    assert RationalFn(Poly([2]), Poly([0, 2])) == RationalFn(Poly([1]), x)
-    with pytest.raises(ValueError):
-        RationalFn(Poly([1]), Poly([1, 2]))
 
 
 def test_poly_gcd():
@@ -826,6 +810,25 @@ def test_multimodular_kernel_refuses_primes_not_above_the_order(monkeypatch):
         _charpoly_residues([[[0] * 12 for _ in range(12)]], 100)
 
 
+def test_primes_past_raises_when_the_primes_below_the_ceiling_run_out(monkeypatch):
+    # below 2^3 there are only 7, 5 and 3, whose product 105 cannot pass
+    # 1000; the candidate must stop at 3, not step down past it for ever, so
+    # a budget on the primality test turns a hang into a failure
+    is_prime, calls = exact._is_prime, []
+
+    def budgeted(q):
+        calls.append(q)
+        assert len(calls) < 100, "_primes_past kept testing candidates below 3"
+        return is_prime(q)
+
+    monkeypatch.setattr(exact, "_is_prime", budgeted)
+    monkeypatch.setattr(exact, "_prime_bits", lambda n: 3)
+    monkeypatch.setattr(exact, "_PRIMES", {})
+    with pytest.raises(ValueError, match="order 5"):
+        _primes_past(1000, 5)
+    assert exact._PRIMES == {3: [7, 5, 3]}
+
+
 def _faddeev_leverrier_mod(a: np.ndarray, q: int) -> list[int]:
     # the Faddeev-LeVerrier recursion of _faddeev_leverrier on int64 residues
     # modulo the prime q > n, lowest degree first; every int64 sum has n
@@ -966,17 +969,17 @@ def test_adjugate_form_k2_all_ones():
     assert adjugate_quadratic_form(Matrix([[0, 1], [1, 0]]), [1, 1]) == Poly([2, 2])
 
 
-def test_fraction_appears_only_in_rational_fn_eval():
+def test_fraction_appears_only_in_coronal_eval():
     # int is the one scalar of the package: the name Fraction may appear only
-    # inside RationalFn.eval, whose value at a point need not be an integer,
-    # and in the one import of it in exact.py
+    # inside CoronalTriple.eval, whose value at a point need not be an integer,
+    # and in the one import of it in coronal.py
     offenders = []
     for path in sorted(Path(exact.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
-        if path.name == "exact.py":
+        if path.name == "coronal.py":
             for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef) and node.name == "RationalFn":
+                if isinstance(node, ast.ClassDef) and node.name == "CoronalTriple":
                     allowed |= {id(n) for f in node.body if getattr(f, "name", "") == "eval"
                                 for n in ast.walk(f)}
                 if (isinstance(node, ast.ImportFrom) and node.module == "fractions"
@@ -1013,15 +1016,16 @@ def test_only_output_and_oracle_modules_import_the_product():
 
 
 def test_all_lists_each_public_name_once_and_no_cross_check():
-    # the cross-check routes live in tests/reference.py: no sigspec module
-    # defines them, and the package exports each of its names once
+    # the cross-check routes live in tests/reference.py and RationalFn is
+    # folded into CoronalTriple: no sigspec module defines any of them, and
+    # the package exports each of its names once
     import importlib
     import sigspec
     assert len(set(sigspec.__all__)) == len(sigspec.__all__)
     assert all(hasattr(sigspec, name) for name in sigspec.__all__)
     moved = {"corona", "run_corona_verification", "random_single_vertex", "star_bracket_cubic",
              "star_bracket_cubic_expanded", "regular_balanced_coronal",
-             "adjugate_quadratic_form", "coronal_of_mu_graph"}
+             "adjugate_quadratic_form", "coronal_of_mu_graph", "RationalFn"}
     assert moved.isdisjoint(sigspec.__all__)
     for path in sorted(Path(exact.__file__).parent.glob("*.py")):
         name = "sigspec" if path.stem == "__init__" else f"sigspec.{path.stem}"

@@ -114,3 +114,19 @@ def test_integral_quotient_reporting():
     # x^3 - 2x = x * (x^2 - 2): one integer root, irrational quotient
     assert r.roots == (0,)
     assert r.quotient.degree == 2
+
+
+def test_graph_functions_take_signed_or_marked_graphs_only():
+    g = cycle(4, "+-++")
+    assert energy(g) == energy(mk(g))
+    assert cospectral(g, mk(g))
+    assert is_integral(g) == is_integral(mk(g))
+    for bad in (None, [[0, 1], [1, 0]], g.edges):
+        with pytest.raises(TypeError):
+            energy(bad)
+        with pytest.raises(TypeError):
+            cospectral(g, bad)
+        with pytest.raises(TypeError):
+            cospectral(bad, g, "L")
+        with pytest.raises(TypeError):
+            is_integral(bad)
