@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .exact import Matrix, Poly, _exact_ints, charpoly_with_adjugate_form, poly_gcd
+from .exact import Matrix, Poly, _exact_ints, _gcd_cofactors, charpoly_with_adjugate_form
 from .graphs import _signs
 
 
@@ -66,9 +66,9 @@ def signed_coronal(n_matrix: Matrix, mu: Sequence[int]) -> CoronalTriple:
 
 def reduced_coronal(f: Poly, p: Poly) -> CoronalTriple:
     """(num, den, shared) = (p/g, f/g, g) with g = gcd(p, f), for f = charpoly(N)
-    and p = mu^T adj(xI - N) mu."""
-    g = poly_gcd(p, f)
-    return CoronalTriple(num=p.divexact(g), den=f.divexact(g), shared=g)
+    and p = mu^T adj(xI - N) mu; the quotients are the gcd's cofactors."""
+    g, num, den = _gcd_cofactors(p, f)
+    return CoronalTriple(num=num, den=den, shared=g)
 
 
 def star_coronal_closed_form(n: int, center_mark: int) -> CoronalTriple:

@@ -24,13 +24,15 @@ calls per product, not per product and matrix. One entry first folds each
 matrix by its twin rows, which splits off a linear factor (x - lam) per
 folded row exactly, then groups the folded matrices by order into such
 batches; a matrix given with a vector u also puts its rank-one update in
-the batch, and u^T adj(xI - a) u is lifted from the difference of the two
-residues.
+the batch, as the pair of vectors (u', w) that the kernel forms the
+updated matrix from, and u^T adj(xI - a) u is lifted from the difference
+of the two residues. Each folded matrix and each update is keyed once per
+batch, and every result is read back by position.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
+from itertools import chain, count
 from math import comb, isqrt, prod
 from math import gcd as _int_gcd
 from numbers import Rational
@@ -144,7 +146,8 @@ class Poly:
     def __mul__(self, other: "Poly | int") -> "Poly":
         if not isinstance(other, Poly):
             (s,) = _exact_ints((other,))
-            return Poly([s * x for x in self._c])
+            # a Poly is immutable, so a product by 1 can be the Poly itself
+            return self if s == 1 else Poly([s * x for x in self._c])
         a, b = self._c, other._c
         if not a or not b:
             return Poly()
@@ -161,7 +164,11 @@ class Poly:
         return _power({1: self}, k) if k else Poly.constant(1)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Division over Z: ArithmeticError where a quotient coefficient is not an integer."""
+        """Division over Z: ArithmeticError where a quotient coefficient is not an integer.
+
+        A monic divisor, as every den, charpoly and gcd here is, makes each
+        quotient coefficient the leading remainder coefficient itself.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self._c)
@@ -172,9 +179,11 @@ class Poly:
         d = other._c
         lead = d[-1]
         for k in range(dq, -1, -1):
-            c, r = divmod(rem[k + len(d) - 1], lead)
-            if r:
-                raise ArithmeticError("polynomial quotient is not integral")
+            c = rem[k + len(d) - 1]
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    raise ArithmeticError("polynomial quotient is not integral")
             quot[k] = c
             if c:
                 for j, y in enumerate(d):
@@ -299,11 +308,22 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     and B1. Once xi/2 exceeds that resultant times |G|_inf, the digits of h
     are those of s*G.
     """
+    return _gcd_cofactors(a, b)[0]
+
+
+def _gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) with g = poly_gcd(a, b), from one GCDHEU run (see poly_gcd).
+
+    The cofactors are the quotients of the acceptance test, with the content
+    and sign of each input put back, so no caller divides by g again. A zero
+    input has the zero cofactor, and the other input's cofactor is +-1.
+    """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         p = a or b
-        return p if p.leading > 0 else -p
+        sign = 1 if p.leading > 0 else -1
+        return sign * p, a and Poly.constant(sign), b and Poly.constant(sign)
     (ca, pa), (cb, pb) = _primitive(a), _primitive(b)
     xi = 2 * min(max(map(abs, pa.coeffs)), max(map(abs, pb.coeffs))) + 2
     while True:
@@ -314,11 +334,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             h = (h - digits[-1]) // xi
         g = _primitive(Poly(digits))[1]
         try:
-            pa.divexact(g)
-            pb.divexact(g)
-            return _int_gcd(ca, cb) * g
+            qa, qb = pa.divexact(g), pb.divexact(g)
         except ArithmeticError:
             xi = xi * 73794 // 27011  # the growth factor of Char, Geddes & Gonnet
+            continue
+        c = _int_gcd(ca, cb)
+        # a = +-ca * pa with the sign of a's leading coefficient, and so for b
+        return (c * g, qa * (ca // c if a.leading > 0 else -ca // c),
+                qb * (cb // c if b.leading > 0 else -cb // c))
 
 
 def compose_with_rational(g: Poly, num: Poly, den: Poly) -> Poly:
@@ -391,19 +414,16 @@ def _square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     d = c - b', s_j = gcd(b, d), then b <- b/s_j and c <- d/s_j (Yun,
     "On square-free decomposition algorithms", SYMSAC 1976). Every divisor
     is a gcd with a positive leading coefficient of primitive polynomials,
-    so it is primitive, and by Gauss's lemma each division is exact over Z.
+    so it is primitive, and by Gauss's lemma each division is exact over Z;
+    the quotients are the gcd's cofactors (see _gcd_cofactors).
     """
     parts = []
-    dp = _derivative(p)
-    a = poly_gcd(p, dp)
-    b, c = p.divexact(a), dp.divexact(a)
+    _, b, c = _gcd_cofactors(p, _derivative(p))
     j = 1
     while b.degree > 0:
-        d = c - _derivative(b)
-        s = poly_gcd(b, d)
+        s, b, c = _gcd_cofactors(b, c - _derivative(b))
         if s.degree > 0:
             parts.append((s, j))
-        b, c = b.divexact(s), d.divexact(s)
         j += 1
     return parts
 
@@ -650,6 +670,19 @@ def _inverses(q: int, n: int) -> list[int]:
     return inv
 
 
+# per prime q, the int64 array [q - k^-1 mod q] for k = 0, 1, ... (entry 0
+# is q) that Newton's identities multiply by; rebuilt longer when a larger
+# order needs more entries, so every caller reads one table per prime
+_NEG_INVERSES: dict[int, np.ndarray] = {}
+
+
+def _neg_inverses(q: int, n: int) -> np.ndarray:
+    table = _NEG_INVERSES.get(q)
+    if table is None or len(table) <= n:
+        table = _NEG_INVERSES[q] = q - np.array(_inverses(q, n), dtype=np.int64)
+    return table[:n + 1]
+
+
 def _reduce(x: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
     # x <- x - rint(x * inv) * p in place: symmetric float residues modulo p,
     # with inv = 1/p, both broadcast against x
@@ -689,8 +722,8 @@ def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     with p and the difference are exact integers. Each trace sums n reduced
     entries, far below 2^53. Newton's identities run in int64 on residues in
     [0, p): each step sums at most n products below p^2, below 2^63 by the
-    same bound, and divides by k through a table of inverses built once per
-    distinct prime, which needs p > n.
+    same bound, and divides by k through a table of inverses kept per prime
+    across calls (_NEG_INVERSES), which needs p > n.
     """
     count, n, _ = h.shape
     s = isqrt(n) + 1
@@ -719,8 +752,8 @@ def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     _reduce(traces, pf[:, :1, :1], inv[:, :1, :1])
     # rev[m] = p_(n-m) in [0, p), one row per power, one column per matrix
     rev = traces.transpose(2, 1, 0).reshape(-1, count)[n::-1].astype(np.int64) % p
-    table = {q: [q - x for x in _inverses(q, n)] for q in set(p.tolist())}
-    neg_inv = np.array([table[q] for q in p.tolist()], dtype=np.int64).T
+    table = {q: _neg_inverses(q, n) for q in set(p.tolist())}
+    neg_inv = np.stack([table[q] for q in p.tolist()], axis=1)
     # c[k] = -(p_k c_0 + p_(k-1) c_1 + ... + p_1 c_(k-1)) / k, the coefficient of x^(n-k)
     c = np.zeros((n + 1, count), dtype=np.int64)
     c[0] = 1
@@ -762,21 +795,26 @@ def _ceil_sqrt(t: int) -> int:
     return s + (s * s < t)
 
 
-def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
-                       bound: int) -> tuple[list[int], np.ndarray]:
-    """Charpolys of T same-order integer matrices modulo one list of P primes.
+def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]], bound: int,
+                       updates: Sequence[tuple[int, Sequence[int], Sequence[int]]] = ()
+                       ) -> tuple[list[int], np.ndarray]:
+    """Charpolys of T same-order integer matrices and U rank-one updates of
+    them, modulo one list of P primes.
 
-    The primes are the fewest of the largest below the order's ceiling
-    2^_prime_bits(n) whose product exceeds 2 * bound, so every integer of
-    absolute value at most bound is fixed by its residues (see _crt_lift),
-    and the lifted integers do not depend on which primes were used. Every
-    matrix is reduced modulo every prime and the T*P residue matrices go
-    through _power_sum_charpoly_mod as one batch, cut into chunks that hold
-    at most _BATCH_ENTRIES array entries. Entries past int64 are reduced as
-    Python ints. Returns the primes and a (T, P, n + 1) int64 array of
-    coefficient residues, lowest degree first. Every prime above n works:
-    Newton's identities hold over any field whose characteristic exceeds n,
-    so there is no unlucky prime to detect or retry.
+    Update (i, u, w) is the matrix mats[i] + u w^T. It is formed here, from
+    the array of entries the mats are read into, in int64 where no entry
+    of mats or updates can pass it and in Python ints otherwise, so no
+    caller builds its rows. The primes are the fewest of the largest below
+    the order's ceiling 2^_prime_bits(n) whose product exceeds 2 * bound, so
+    every integer of absolute value at most bound is fixed by its residues
+    (see _crt_lift), and the lifted integers do not depend on which primes
+    were used. Every matrix is reduced modulo every prime and the (T + U)*P
+    residue matrices go through _power_sum_charpoly_mod as one batch, cut
+    into chunks that hold at most _BATCH_ENTRIES array entries. Returns the
+    primes and a (T + U, P, n + 1) int64 array of coefficient residues,
+    lowest degree first: the mats', then the updates'. Every prime above n
+    works: Newton's identities hold over any field whose characteristic
+    exceeds n, so there is no unlucky prime to detect or retry.
     """
     n = len(mats[0])
     primes = _primes_past(2 * bound, n)
@@ -786,12 +824,21 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
         raise OverflowError(f"order {n} with primes near {primes[0]} would leave exact float64")
     if primes[-1] <= n:
         raise ValueError(f"order {n} needs primes above it, got {primes[-1]}")
+    base, us, ws = zip(*updates) if updates else ((), (), ())
     try:
         entries = np.array(mats, dtype=np.int64)
+        if updates:
+            # |a_jk + u_j w_k| <= max|a| + max|u| max|w| must stay in int64
+            room = (1 << 63) - 1 - max(map(abs, chain(*us))) * max(map(abs, chain(*ws)))
+            if int(entries.max()) > room or int(entries.min()) < -room:
+                raise OverflowError("rank-one updates past int64")
     except OverflowError:
         entries = np.array(mats, dtype=object)
+    if updates:
+        u, w = np.array(us, dtype=entries.dtype), np.array(ws, dtype=entries.dtype)
+        entries = np.concatenate([entries, entries[list(base)] + u[:, :, None] * w[:, None, :]])
     ps = np.array(primes, dtype=np.int64)
-    count = len(mats) * len(primes)
+    count = len(entries) * len(primes)
     # per residue matrix the kernel holds s = isqrt(n) + 1 baby and at most s
     # giant powers, and at most seven more arrays of (n + 1)^2 entries: the
     # residues, p, 1/p, and the row-by-column terms of the traces and their
@@ -803,7 +850,7 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
         p = ps[q]
         h = entries[t] % p.astype(entries.dtype)[:, None, None]
         parts.append(_power_sum_charpoly_mod(h.astype(np.int64, copy=False), p))
-    return primes, np.concatenate(parts).reshape(len(mats), len(primes), n + 1)
+    return primes, np.concatenate(parts).reshape(len(entries), len(primes), n + 1)
 
 
 def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
@@ -823,8 +870,8 @@ def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
 
 
 def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
-                ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...] | None,
-                           Counter]:
+                ) -> tuple[tuple[tuple[int, ...], ...],
+                           tuple[tuple[int, ...], tuple[int, ...]] | None, Counter]:
     """Fold the twin rows of a square integer matrix a, and of a + u u^T where u is given.
 
     Rows i and j are twins when a_ii = a_jj = lam, a_ij = a_ji = 0, the two
@@ -844,9 +891,10 @@ def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
     lam, so the same classes fold it to a' + u' w^T, with u' the
     representatives' entries of u and w its class sums (|w|_1 = |u|_1).
 
-    Returns the rows of a', of a' + u' w^T (None without u) and the
+    Returns the rows of a', the pair (u', w) (None without u) and the
     multiplicity of each split-off linear factor (x - lam); with no twins,
-    a itself and no factor.
+    a itself, (u, u) and no factor. The rows of a' + u' w^T are formed only
+    in the kernel's entry array (see _charpoly_residues).
     """
     classes: dict = {}
     for i, r in enumerate(rows):
@@ -871,10 +919,8 @@ def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
                 linear[lam] += len(c) - 1
     if u is None:
         return rows, None, linear
-    reps = [u[c[0]] for c in members]
-    w = [ui * len(c) for ui, c in zip(reps, members)]
-    return rows, tuple(tuple(x + ui * wj for x, wj in zip(r, w))
-                       for r, ui in zip(rows, reps)), linear
+    reps = tuple(u[c[0]] for c in members)
+    return rows, (reps, tuple(ui * len(c) for ui, c in zip(reps, members))), linear
 
 
 def _times_linear(p: Poly, linear: dict[int, int]) -> Poly:
@@ -917,8 +963,15 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
     counts once, while in a row bound the factor m would enter every row
     that meets the class (163 against 82 bits for A of the order-72
     K2 x L^2(K3,3)). For a symmetric a with no twins the two are equal.
+
+    Each distinct plain matrix, and each distinct update up to the sign of
+    (u', w), goes to the kernel once per batch: (-u')(-w)^T = u' w^T, so the
+    sign is fixed by making the first nonzero entry of u' positive. An
+    update goes as (batch index of a', u', w), and the kernel forms its
+    matrix (see _charpoly_residues). Each folded matrix and each update is
+    keyed once, and the results are read back by position.
     """
-    keys = []  # per item: rows of a', rows of a' + u' w^T (None without u), |u|_1^2, factors
+    folds = []  # per item: rows of a', (u', w) or None, split-off factors, |u|_1^2
     for a, u in items:
         if not a.is_square:
             raise ValueError("characteristic polynomial of a non-square matrix")
@@ -926,26 +979,37 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
             if len(u) != a.nrows:
                 raise ValueError("vector length differs from matrix size")
             u = _exact_ints(u)
-        folded, update, linear = _fold_twins(a.rows(), u)
-        keys.append((folded, update, None if u is None else sum(map(abs, u)) ** 2, linear))
-    chis, forms = {}, {}
-    for n in dict.fromkeys(len(a) for a, _, _, _ in keys):
-        group = [k for k in keys if len(k[0]) == n]
-        # each distinct matrix, plain or updated, is in the batch once
-        bases = list(dict.fromkeys(a for a, _, _, _ in group))
-        pairs = list(dict.fromkeys((a, b) for a, b, _, _ in group if b is not None))
-        slot = {r: j for j, r in enumerate(dict.fromkeys(bases + [b for _, b in pairs]))}
-        weight = max((w for _, _, w, _ in group if w is not None), default=0)
-        bound = max(1, weight) * max(_coefficient_bound(tuple(zip(*a))) for a in bases)
-        primes, res = _charpoly_residues(list(slot), bound)
-        diff = ((res[[slot[a] for a, _ in pairs]] - res[[slot[b] for _, b in pairs]])
+        folds.append((*_fold_twins(a.rows(), u), 0 if u is None else sum(map(abs, u)) ** 2))
+    by_order: dict[int, list[int]] = {}
+    for k, (rows, _, _, _) in enumerate(folds):
+        by_order.setdefault(len(rows), []).append(k)
+    out: list = [None] * len(folds)
+    for group in by_order.values():
+        mats: dict = {}  # rows of a' -> batch index
+        updates: dict = {}  # (batch index, u', w) -> update index
+        slots = []  # per item of the group: batch index, update index or None
+        for k in group:
+            rows, uw, _, _ = folds[k]
+            i = mats.setdefault(rows, len(mats))
+            j = None
+            if uw is not None:
+                u, w = uw
+                if next((x for x in u if x), 0) < 0:
+                    u, w = tuple(-x for x in u), tuple(-x for x in w)
+                j = updates.setdefault((i, u, w), len(updates))
+            slots.append((i, j))
+        weight = max(folds[k][3] for k in group)
+        bound = max(1, weight) * max(_coefficient_bound(tuple(zip(*a))) for a in mats)
+        primes, res = _charpoly_residues(list(mats), bound, list(updates))
+        # w^T adj(xI - a') u' = chi_a' - chi_(a' + u' w^T), residue by residue
+        diff = ((res[[i for i, _, _ in updates]] - res[len(mats):])
                 % np.array(primes, dtype=np.int64)[:, None])
-        lifted = _crt_lift(primes, np.concatenate([res[:len(bases)], diff]))
-        chis.update(zip(bases, lifted))
-        forms.update(zip(pairs, lifted[len(bases):]))
-    return [(_times_linear(chis[a], linear),
-             None if b is None else _times_linear(forms[a, b], linear))
-            for a, b, _, linear in keys]
+        lifted = _crt_lift(primes, np.concatenate([res[:len(mats)], diff]))
+        for k, (i, j) in zip(group, slots):
+            linear = folds[k][2]
+            out[k] = (_times_linear(lifted[i], linear),
+                      None if j is None else _times_linear(lifted[len(mats) + j], linear))
+    return out
 
 
 def charpolys(mats: Sequence[Matrix]) -> list[Poly]:

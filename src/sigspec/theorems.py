@@ -163,34 +163,39 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     Every copy block, with its marking, and every bracket matrix goes through
     one exact call, so the matrices of each order are one kernel batch. The
     copy block does not depend on d, so the forms of one pair share its
-    coronal, and each distinct copy block's coronal is reduced once.
+    coronal, and each distinct copy block's coronal is reduced once. The
+    results are read back by position: copy blocks first, then bracket
+    matrices.
     """
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    # the copy block depends on the second factor only and the bracket matrix
-    # on the first only, so each distinct factor's is built once
-    dss, blocks, brackets = [], {}, {}
+    # the copy block depends on the second factor's mu-graph and marking only,
+    # and the bracket matrix on the first factor only, so each is built once;
+    # per factor, the position of its copy block or bracket matrix
+    dss, block_of, blocks, bracket_of, brackets = [], {}, {}, {}, []
     for mg1, mg2 in pairs:
         n2 = mg2.graph.n
         r1 = 0 if kind == "A" else require_regular(mg1.graph, "first factor")
         dss.append([0 if kind == "A" else _a_degree(r1, n2, mode) for mode in degree_modes])
-        if mg2 not in blocks:
-            mu_graph2 = mu_signed_graph(mg2)
-            blocks[mg2] = (adjacency_matrix(mu_graph2) if kind == "A" else
-                           graph_matrix(mu_graph2, kind) + Matrix.diagonal([n2] * n2),
-                           mg2.marking.signs)
-        if mg1 not in brackets:
+        if mg2 not in block_of:
+            block_of[mg2] = blocks.setdefault((mu_signed_graph(mg2), mg2.marking.signs),
+                                              len(blocks))
+        if mg1 not in bracket_of:
+            bracket_of[mg1] = len(brackets)
             # the clone block of L carries -A(Sigma1^mu) (x) J
             a1 = adjacency_matrix(mu_signed_graph(mg1))
-            brackets[mg1] = -a1 if kind == "L" else a1
-    items = list(blocks.values()) + [(m, None) for m in brackets.values()]
-    solved = dict(zip(items, _charpolys_with_forms(items)))
-    coronals = {item: reduced_coronal(f, p) for item, (f, p) in solved.items()
-                if p is not None}
+            brackets.append(-a1 if kind == "L" else a1)
+    items = [(adjacency_matrix(mu2) if kind == "A" else
+              graph_matrix(mu2, kind) + Matrix.diagonal([mu2.n] * mu2.n), signs)
+             for mu2, signs in blocks]
+    solved = _charpolys_with_forms(items + [(m, None) for m in brackets])
+    coronals = [reduced_coronal(f, p) for f, p in solved[:len(items)]]
     return [[FactoredCharPoly(matrix_kind=kind, linear_factor=Poly.linear(-d),
-                              coronal=coronals[blocks[mg2]], bracket_matrix=brackets[mg1],
-                              bracket_charpoly=solved[brackets[mg1], None][0],
-                              copy_block=blocks[mg2][0], copy_marking=blocks[mg2][1])
+                              coronal=coronals[block_of[mg2]],
+                              bracket_matrix=brackets[bracket_of[mg1]],
+                              bracket_charpoly=solved[len(items) + bracket_of[mg1]][0],
+                              copy_block=items[block_of[mg2]][0],
+                              copy_marking=items[block_of[mg2]][1])
              for d in ds] for (mg1, mg2), ds in zip(pairs, dss)]
 
 

@@ -120,6 +120,11 @@ def test_star_integral_checks_report_once_per_key(monkeypatch):
         assert general == integral_product_check(mg1, star_mg)
 
 
+def _rank_one_update(rows, u, w):
+    # the rows of a + u w^T, the matrix the kernel forms for an update (i, u, w)
+    return tuple(tuple(x + ui * wj for x, wj in zip(r, w)) for r, ui in zip(rows, u))
+
+
 def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsys):
     # 336 instances, but only 12 star copy blocks with their markings and 28
     # first factors: each distinct matrix, folded by its twin rows, and each
@@ -130,9 +135,10 @@ def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsy
     seen = Counter()
     kernel = exact._charpoly_residues
 
-    def recorded(mats, bound):
+    def recorded(mats, bound, updates=()):
         seen.update(tuple(map(tuple, rows)) for rows in mats)
-        return kernel(mats, bound)
+        seen.update(_rank_one_update(mats[i], u, w) for i, u, w in updates)
+        return kernel(mats, bound, updates)
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
@@ -140,8 +146,9 @@ def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsy
     firsts = [exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(mg)).rows(), None)[0]
               for _, mg in _search_first_factors(4)]
     stars = [mk(star(n + 1, c + "+" * (n - 1))) for n in range(1, 7) for c in "+-"]
-    blocks = {exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(s)).rows(),
-                                s.marking.signs)[:2] for s in stars}
+    blocks = {(rows, _rank_one_update(rows, *uw)) for rows, uw, _ in
+              (exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(s)).rows(),
+                                 s.marking.signs) for s in stars)}
     assert len(firsts) == 28 and len(blocks) == 11
     assert set(firsts) | {rows for block in blocks for rows in block} <= set(seen)
     assert set(seen.values()) == {1}
@@ -242,9 +249,10 @@ def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
     orders = []
     kernel = exact._charpoly_residues
 
-    def recorded(mats, bound):
+    def recorded(mats, bound, updates=()):
         orders.extend(len(rows) for rows in mats)
-        return kernel(mats, bound)
+        orders.extend(len(u) for _, u, _ in updates)
+        return kernel(mats, bound, updates)
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     assert equienergetic_demo().valid
@@ -306,7 +314,7 @@ def test_star_check_scans_each_factor_once(monkeypatch, center_mark, calls):
 
 
 def test_star_check_rejects_bad_input_before_any_charpoly(monkeypatch):
-    def no_charpoly(mats, bound):
+    def no_charpoly(*args):
         raise AssertionError("a charpoly was taken before the input check")
 
     # every exact charpoly of the package goes through the one kernel

@@ -199,6 +199,39 @@ def test_poly_gcd_matches_sympy(gc, ac, bc):
     assert poly_gcd(a, b).coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
 
 
+@given(gc=st.lists(gcd_coeffs, min_size=1, max_size=6).filter(any),
+       ac=st.lists(gcd_coeffs, max_size=6),
+       bc=st.lists(gcd_coeffs, max_size=6))
+# a zero input; negative leading coefficients with contents 6 and 4 over a
+# common content 2; a zero input beside one with a negative leading coefficient
+@example(gc=[3, -6], ac=[], bc=[1, 1])
+@example(gc=[2, 2], ac=[-3, 0, -3], bc=[2, -2])
+@example(gc=[-1, -1], ac=[1, 1], bc=[])
+@settings(max_examples=200, deadline=None)
+def test_gcd_cofactors_multiply_back(gc, ac, bc):
+    # the cofactors are the quotients of GCDHEU's acceptance test with the
+    # content and sign of each input put back, so g * (a/g) is a exactly
+    g = Poly(gc)
+    a, b = g * Poly(ac), g * Poly(bc)
+    if a.is_zero and b.is_zero:
+        with pytest.raises(ValueError):
+            exact._gcd_cofactors(a, b)
+        return
+    d, qa, qb = exact._gcd_cofactors(a, b)
+    assert d == poly_gcd(a, b)
+    assert d * qa == a and d * qb == b
+
+
+@given(pc=st.lists(gcd_coeffs, max_size=8), dc=st.lists(gcd_coeffs, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_division_by_a_monic_divisor(pc, dc):
+    # a monic divisor reads each quotient coefficient off the remainder; the
+    # quotient and remainder are the unique ones with deg r < deg d
+    p, d = Poly(pc), Poly(dc + [1])
+    q, r = divmod(p, d)
+    assert q * d + r == p and r.degree < d.degree
+
+
 # oracle: den^deg(g) * g(num/den) agrees with plain rational evaluation
 @given(gc=st.lists(entries, min_size=1, max_size=5),
        nc=st.lists(entries, min_size=1, max_size=4),
@@ -632,8 +665,11 @@ def test_twin_fold_is_exact(blowup):
     # the prime count is chosen from the folded matrix's column norms
     chi = _faddeev_leverrier(Matrix(folded), None)[0]
     assert max(map(abs, chi.coeffs)) <= _coefficient_bound(tuple(zip(*folded)))
-    folded_u, update_u, _ = exact._fold_twins(m.rows(), tuple(u))
-    assert len(folded_u) == len(update_u) == len(set(zip(classes, u)))
+    # u' holds the representatives' entries of u and w its class sums
+    folded_u, (u_reps, w), _ = exact._fold_twins(m.rows(), tuple(u))
+    assert len(folded_u) == len(u_reps) == len(w) == len(set(zip(classes, u)))
+    assert sorted(zip(u_reps, w)) == sorted((ui, ui * Counter(zip(classes, u))[c, ui])
+                                            for c, ui in set(zip(classes, u)))
 
 
 def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
@@ -644,9 +680,10 @@ def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
     calls = []
     kernel = exact._charpoly_residues
 
-    def recorded(mats, bound):
-        calls.append((len(mats), len(mats[0]), len(_primes_past(2 * bound, len(mats[0])))))
-        return kernel(mats, bound)
+    def recorded(mats, bound, updates=()):
+        calls.append((len(mats) + len(updates), len(mats[0]),
+                      len(_primes_past(2 * bound, len(mats[0])))))
+        return kernel(mats, bound, updates)
 
     k2 = MarkedSignedGraph.with_canonical_marking(complete(2))
     l2 = MarkedSignedGraph.with_canonical_marking(line_graph(line_graph(complete_bipartite(3, 3))))
@@ -714,9 +751,9 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     calls = []
     kernel = exact._charpoly_residues
 
-    def recorded(mats, bound):
-        calls.append((len(mats), bound))
-        return kernel(mats, bound)
+    def recorded(mats, bound, updates=()):
+        calls.append((len(mats) + len(updates), bound))
+        return kernel(mats, bound, updates)
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     n = 26
@@ -731,6 +768,74 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     assert (2 * len(_primes_past(2 * bound, n))
             < len(_primes_past(2 * _coefficient_bound(cycle.rows()), n))
             + len(_primes_past(2 * _coefficient_bound(shifted), n)))
+
+
+NEAR_2_62 = (1 << 62) - 1
+THIRD = ((1 << 63) - 1) // 3
+
+
+def _int64(x):
+    return -(1 << 63) <= x < 1 << 63
+
+
+@pytest.mark.parametrize("rows, u", [
+    # rows 0 and 1 are twins: their class's column sums to 2^63 - 2, which
+    # fits, and w = (2, 1) adds 2 to it
+    ([[3, 0, NEAR_2_62], [0, 3, NEAR_2_62], [NEAR_2_62, NEAR_2_62, -5]], (1, 1, 1)),
+    ([[3, 0, NEAR_2_62], [0, 3, NEAR_2_62], [NEAR_2_62, NEAR_2_62, -5]], (-1, -1, -1)),
+    # three twins whose column sums to -2^63 + 2, and w = (3, -1) takes 3 from it
+    ([[3, 0, 0, -THIRD], [0, 3, 0, -THIRD], [0, 0, 3, -THIRD], [-THIRD, -THIRD, -THIRD, 7]],
+     (1, 1, 1, -1)),
+    # no twins: int64's largest value, plus one
+    ([[0, (1 << 63) - 1, 1], [(1 << 63) - 1, 0, -1], [1, 2, 0]], (1, 1, -1)),
+], ids=["twins", "twins, u negated", "twins, negative entries", "no twins"])
+def test_updates_past_int64_are_formed_in_python_ints(rows, u):
+    # the folded matrix fits in int64 and its rank-one update does not, so the
+    # update must be formed in Python ints: an int64 one would wrap
+    m = Matrix(rows)
+    folded, (u_reps, w), _ = exact._fold_twins(m.rows(), u)
+    assert all(_int64(x) for r in folded for x in r)
+    assert not all(_int64(x + ui * wj) for r, ui in zip(folded, u_reps) for x, wj in zip(r, w))
+    assert charpoly_with_adjugate_form(m, u) == _faddeev_leverrier(m, u)
+
+
+def _update_counts(monkeypatch):
+    # (plain matrices, updates) of each kernel batch
+    calls = []
+    kernel = exact._charpoly_residues
+
+    def recorded(mats, bound, updates=()):
+        calls.append((len(mats), len(updates)))
+        return kernel(mats, bound, updates)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, -1, 0], [0, 3, 1, 2], [4, -2, 0, 1], [1, 1, 1, -3]],
+    # rows 0 and 1 are twins (diagonal 2) and fold into one
+    [[2, 0, 1, -1], [0, 2, 1, -1], [3, 3, 0, 1], [-2, -2, 1, 4]],
+], ids=["no twins", "twins"])
+def test_opposite_vectors_share_one_update(monkeypatch, rows):
+    # (-u')(-w)^T = u' w^T, so u and -u on one matrix are one kernel update
+    calls = _update_counts(monkeypatch)
+    m, u = Matrix(rows), (1, 1, -2, 1)
+    got = exact._charpolys_with_forms([(m, u), (m, tuple(-x for x in u))])
+    assert calls == [(1, 1)]
+    assert got == [_faddeev_leverrier(m, u)] * 2
+
+
+@pytest.mark.parametrize("u", [(0, 1, -1, 2), (0, -1, 1, -2), (0, 0, 0, -3), (0, 0, 0, 0)])
+def test_vectors_with_a_leading_zero_lift_exactly(monkeypatch, u):
+    # the sign of an update is fixed by the first nonzero entry of u', not
+    # the first entry, so u and -u still share one; the zero vector has no
+    # sign to fix and a zero form
+    calls = _update_counts(monkeypatch)
+    m = Matrix([[1, 2, -1, 0], [0, 3, 1, 2], [4, -2, 0, 1], [1, 1, 1, -3]])
+    got = exact._charpolys_with_forms([(m, u), (m, tuple(-x for x in u))])
+    assert got == [_faddeev_leverrier(m, u)] * 2
+    assert calls == [(1, 1)]
 
 
 def test_kernel_primes_are_prime_and_cover_the_bound():
@@ -859,6 +964,23 @@ def test_power_sums_exact_at_the_prime_ceiling(n):
         mats = signs * half % p
         got = exact._power_sum_charpoly_mod(mats.copy(), np.full(len(mats), p, dtype=np.int64))
         assert [row.tolist() for row in got] == [_faddeev_leverrier_mod(m, p) for m in mats]
+
+
+def test_inverse_tables_are_kept_per_prime_and_grow(monkeypatch):
+    # one table per prime across calls: it is extended when a larger order
+    # needs more entries, read as it is by a smaller one, and every entry k
+    # is -k^-1 mod q as Newton's identities use it
+    monkeypatch.setattr(exact, "_NEG_INVERSES", {})
+    q = _primes_past(1, 38)[0]
+    rng = np.random.default_rng(38)
+    tables = []
+    for n in (8, 38, 8):
+        mats = rng.integers(0, q, size=(2, n, n))
+        got = exact._power_sum_charpoly_mod(mats.copy(), np.full(2, q, dtype=np.int64))
+        assert [row.tolist() for row in got] == [_faddeev_leverrier_mod(m, q) for m in mats]
+        tables.append(exact._NEG_INVERSES[q])
+    assert [len(t) for t in tables] == [9, 39, 39] and tables[2] is tables[1]
+    assert tables[1].tolist()[1:] == [q - pow(k, -1, q) for k in range(1, 39)]
 
 
 def test_kernel_chunks_give_the_same_residues(monkeypatch):

@@ -164,9 +164,9 @@ def test_factored_charpoly_is_one_kernel_call(monkeypatch):
     calls = []
     kernel = exact._charpoly_residues
 
-    def recorded(mats, bound):
-        calls.append(len(mats))
-        return kernel(mats, bound)
+    def recorded(mats, bound, updates=()):
+        calls.append(len(mats) + len(updates))
+        return kernel(mats, bound, updates)
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     fc = factored_charpoly(mk(cycle(8)), mk(cycle(8)), "L")
@@ -462,9 +462,9 @@ def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
     calls, entries = [], []
     kernel, entry = exact._charpoly_residues, theorems._charpolys_with_forms
 
-    def recorded(mats, bound):
-        calls.append(len(mats))
-        return kernel(mats, bound)
+    def recorded(mats, bound, updates=()):
+        calls.append(len(mats) + len(updates))
+        return kernel(mats, bound, updates)
 
     def exact_call(items):
         entries.append(len(items))

@@ -24,9 +24,9 @@ def test_verification_batches_each_product_order_once_per_block(monkeypatch):
     calls, batches = Counter(), []
     kernel, entry = exact._charpoly_residues, exact._charpolys_with_forms
 
-    def recorded(mats, bound):
+    def recorded(mats, bound, updates=()):
         calls[len(mats[0])] += 1
-        return kernel(mats, bound)
+        return kernel(mats, bound, updates)
 
     def exact_call(items):
         batches.append(len({len(exact._fold_twins(a.rows(), None if u is None else tuple(u))[0])

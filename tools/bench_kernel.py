@@ -71,7 +71,8 @@ def load_baseline(src: Path, name: str = "sigspec_parent"):
 
 
 class KernelRecorder:
-    """Records the (mats, bound) of each _charpoly_residues call while active."""
+    """Records the whole argument tuple of each _charpoly_residues call while
+    active, so a replay passes whatever arguments that module's kernel takes."""
 
     def __init__(self, exact):
         self.exact = exact
@@ -80,10 +81,11 @@ class KernelRecorder:
         self._inner = exact._charpoly_residues
 
     def __enter__(self):
-        def recorded(mats, bound):
-            primes, res = self._inner(mats, bound)
-            self.calls.append((mats, bound))
-            self.batches.append((len(mats), len(mats[0]), len(primes)))
+        def recorded(*args):
+            primes, res = self._inner(*args)
+            self.calls.append(args)
+            # one result row per matrix of the batch, rank-one updates included
+            self.batches.append((len(res), len(args[0][0]), len(primes)))
             return primes, res
 
         self.exact._charpoly_residues = recorded
@@ -164,7 +166,7 @@ def bench(modules: dict, repeats: int) -> dict:
             runs[label, "call"] = call
             if has_kernel:
                 runs[label, "kernel"] = (lambda calls=rec.calls, f=exact._charpoly_residues:
-                                         [f(m, b) for m, b in calls])
+                                         [f(*args) for args in calls])
         kinds = [kind for kind in ("call", "kernel") if ("change", kind) in runs]
         number = {}
         for kind in kinds:
