@@ -138,13 +138,16 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     of mg1 * star for each case (mg1, n, center_mark).
 
     star is K_{1,n} with canonical marking and its first edge signed
-    center_mark, so that its center mark is center_mark. One
-    factored_charpolys batch gives every general check, so each distinct
-    star copy block's coronal and each first factor's mu-adjacency charpoly
-    are computed once. Both checks decide per eigenvalue of that same
-    charpoly g, and a case enters them only through (n, center_mark, g): the
-    star fixes the closed forms, copy block, u, v and n2, and g fixes n1 and
-    the eigenvalue verdicts. So the pair of reports is made once per distinct
+    center_mark, so that its center mark is center_mark. The product's
+    spectrum does not see signs or markings (see the theorems module), so
+    the general check is that of mg1 * K_{1,n} all positive, and the center
+    mark enters the closed forms only. One factored_charpolys batch over the
+    unsigned stars gives every general check, so each star's copy block
+    coronal and each underlying first factor's adjacency charpoly are
+    computed once. Both checks decide per eigenvalue of that same charpoly
+    g, and a case enters them only through (n, center_mark, g): the star
+    fixes the closed forms, copy block, u, v and n2, and g fixes n1 and the
+    eigenvalue verdicts. So the pair of reports is made once per distinct
     key and shared by every case with it, and every distinct polynomial's
     integer roots, over all keys, are taken once.
     """
@@ -152,9 +155,8 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     _exact_ints(x for _, n, center_mark in cases for x in (n, center_mark))
     closed = {(n, m): tuple(star_coronal_closed_form(n, k) for k in (1, m))
               for n, m in dict.fromkeys((n, m) for _, n, m in cases)}
-    stars = {(n, m): MarkedSignedGraph.with_canonical_marking(
-                 star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1))) for n, m in closed}
-    fcs = factored_charpolys([(mg1, stars[n, m]) for mg1, n, m in cases], "A", ["constructed"])
+    stars = {n: MarkedSignedGraph.with_canonical_marking(star(n + 1)) for n, _ in closed}
+    fcs = factored_charpolys([(mg1, stars[n]) for mg1, n, _ in cases], "A", ["constructed"])
     of = cache(IntegralityResult.of)
     by_key, reports = {}, []
     for (_, n, m), (fc,) in zip(cases, fcs):
@@ -168,7 +170,7 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
 
 def _star_report(n: int, center_mark: int, effective: CoronalTriple, stated: CoronalTriple,
                  g: Poly, of: Callable[[Poly], IntegralityResult]) -> StarProductReport:
-    # the closed-form verdicts from g, the first factor's mu-adjacency
+    # the closed-form verdicts from g, the first factor's adjacency
     # charpoly, decided per eigenvalue; of as in _integrality_report
     n2 = n + 1
     eigen = of(g)
@@ -223,16 +225,19 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
                          tol: float = 1e-9) -> EquienergeticCertificate:
     """Certify that mg*mg1 and mg*mg2 are equienergetic but not cospectral.
 
-    Hypotheses on the mu-graphs of mg1 and mg2: not cospectral (exact),
-    equienergetic within tol, equal reduced coronals. On failure no product
-    quantity is computed and the certificate names the failed clauses.
+    Hypotheses on the inputs' underlying graphs, which fix the products'
+    spectra (see the theorems module): not cospectral (exact),
+    equienergetic within tol, equal reduced coronals with the all-ones
+    vector. On failure no product quantity is computed and the certificate
+    names the failed clauses.
 
     Everything comes from the factors alone; no product is built. One
     factored_charpolys call gives the factored A forms of mg * mg1 and
-    mg * mg2. Each form's copy block is its input's mu-adjacency matrix, so
-    its coronal and energy are the input's; each product's charpoly is the
-    assembled form, and its energy is factored_energy_estimate of the form:
-    eigenvalues of n1 bordered matrices of order n2 + 1.
+    mg * mg2. Each form's copy block is its input's underlying adjacency
+    matrix A(|Sigma|), so its coronal and energy are the input's; each
+    product's charpoly is the assembled form, and its energy is
+    factored_energy_estimate of the form: eigenvalues of n1 bordered
+    matrices of order n2 + 1.
     """
     (f1,), (f2,) = factored_charpolys([(mg, mg1), (mg, mg2)], "A", ["constructed"])
     c1, c2 = f1.coronal, f2.coronal
@@ -303,8 +308,8 @@ def factored_energy_estimate(fc: FactoredCharPoly) -> float:
     """Energy read off a factored charpoly: sum of |root| over all factors.
 
     For each eigenvalue lam of fc.bracket_matrix, the bordered matrix
-    B = [[d + lam*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]], with N the copy
-    block, mu2 its marking and d the root of the linear factor, has
+    B = [[d + lam*n2, sqrt(n2)*1^T], [sqrt(n2)*1, N]], with N the copy
+    block, 1 the all-ones vector and d the root of the linear factor, has
     det(xI - B) = shared * (u - lam*v) (see FactoredCharPoly). The eigenvalues
     of these n1 symmetric matrices of order n2 + 1 are therefore the roots of
     shared^n1 * bracket, and the energy is n1(n2 - 1)*|d| plus the sum of
@@ -319,7 +324,7 @@ def factored_energy_estimate(fc: FactoredCharPoly) -> float:
     n2 = fc.copy_block.nrows
     b = np.zeros((n2 + 1, n2 + 1))
     b[1:, 1:] = fc.copy_block.rows()
-    b[0, 1:] = b[1:, 0] = math.sqrt(n2) * np.array(fc.copy_marking)
+    b[0, 1:] = b[1:, 0] = math.sqrt(n2)
     total = fc.linear_exponent * abs(float(d))
     lams = symmetric_eigenvalues(fc.bracket_matrix).values
     step = max(1, _BATCH_ENTRIES // (n2 + 1) ** 2)

@@ -401,6 +401,15 @@ def _synthetic_div(c: list[int], root: int) -> list[int]:
     return out
 
 
+def _shifted(p: Poly, s: int) -> Poly:
+    """p(x + s), by repeated synthetic division (a Taylor shift)."""
+    c = list(p.coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return Poly(c)
+
+
 def _derivative(p: Poly) -> Poly:
     return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
 

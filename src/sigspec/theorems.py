@@ -1,28 +1,36 @@
 """Factored characteristic polynomials of the marked product.
 
 The product of (Sigma1, mu1) on n1 vertices with (Sigma2, mu2) on n2
-vertices has two blocks. Each matrix M of A, L and Q has, on the clone
-block, a scalar diagonal d plus s*A(Sigma1^mu) (x) J_n2, and on the copy
-block one copy N of a matrix of Sigma2 per first-factor vertex; the
-coupling between them is +-diag(mu1) (x) 1 mu2^T:
+vertices signs every edge mu(u)mu(v), and its own marking is mu1 on the
+clones and mu2 on the copies. So each of its matrices A, L and Q is
+D*M*D, with D the diagonal of that marking and M the same matrix of the
+product of the underlying all-positive graphs |Sigma1| and |Sigma2|
+(switching; Zaslavsky, "Signed graphs", Discrete Appl. Math. 1982). Its
+charpoly, and every factor below, is a function of |Sigma1| and |Sigma2|
+alone. M has two blocks. On the clone block it has a scalar diagonal d
+plus s*A(|Sigma1|) (x) J_n2, and on the copy block one copy N of a matrix
+of |Sigma2| per first-factor vertex; the coupling between them is
++-I (x) J_n2:
 
-    A:  d = 0,             s = +1,  N = A(Sigma2^mu)
-    L:  d = n2*(r1 + 1),   s = -1,  N = L(Sigma2^mu) + n2*I
-    Q:  d = n2*(r1 + 1),   s = +1,  N = Q(Sigma2^mu) + n2*I
+    A:  d = 0,             s = +1,  N = A(|Sigma2|)
+    L:  d = n2*(r1 + 1),   s = -1,  N = L(|Sigma2|) + n2*I
+    Q:  d = n2*(r1 + 1),   s = +1,  N = Q(|Sigma2|) + n2*I
 
 where d is the clone degree of an r1-regular first factor;
 degree_mode="paper" puts the published constant r1 + 2*n2 there instead.
 
 Eliminating the copy blocks (a Schur complement) leaves
-(x - d)I - (s*A(Sigma1^mu) + c(x) I) (x) J_n2, where c = num/den =
-mu2^T (xI - N)^-1 mu2 is the reduced coronal of N and shared = charpoly(N)
-/ den. J_n2 has eigenvalue n2 once and 0 otherwise, so
+(x - d)I - (s*A(|Sigma1|) + c(x) I) (x) J_n2, where c = num/den =
+1^T (xI - N)^-1 1 is the reduced coronal of N with the all-ones vector,
+and shared = charpoly(N) / den. For L, N 1 = n2 1, so c = n2/(x - n2) and
+the adjugate form is n2 * charpoly(N)/(x - n2). J_n2 has eigenvalue n2
+once and 0 otherwise, so
 
     det(xI - M) = (x - d)^(n1(n2-1)) * shared^n1 * prod_i (u - lam_i*v)
 
 with u = (x - d)*den - n2*num, v = n2*den and lam_i the eigenvalues of
-s*A(Sigma1^mu). The bracket prod_i (u - lam_i*v) is assembled without
-computing eigenvalues by composing the charpoly of s*A(Sigma1^mu) with u/v,
+s*A(|Sigma1|). The bracket prod_i (u - lam_i*v) is assembled without
+computing eigenvalues by composing the charpoly of s*A(|Sigma1|) with u/v,
 one square-free part at a time, and only when it is read: integrality and
 energy need the factors alone. Every factor is monic: den is, and
 deg num < deg den.
@@ -38,9 +46,9 @@ from math import prod
 from typing import Literal, Sequence
 
 from .coronal import CoronalTriple, reduced_coronal
-from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _square_free_parts,
-                    _times_linear, compose_with_rational)
-from .graphs import (MarkedSignedGraph, adjacency_matrix, graph_matrix, mu_signed_graph,
+from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _shifted,
+                    _square_free_parts, _times_linear, compose_with_rational)
+from .graphs import (MarkedSignedGraph, SignedGraph, adjacency_matrix, graph_matrix,
                      regular_degree, require_regular)
 
 DegreeMode = Literal["constructed", "paper"]
@@ -52,21 +60,24 @@ class FactoredCharPoly:
     """det(xI - M) = linear^linear_exponent * shared^shared_exponent * bracket.
 
     linear is x - d for the clone-block diagonal d, and coronal is the
-    reduced coronal num/den of the copy block N with its marking mu2. The
-    rest is derived from these: shared is coronal.shared, the cofactor of den
-    in charpoly(N); the exponents are n1(n2 - 1) and n1; and the bracket is
-    prod_i (u - lam_i * v), with u = bracket_u and v = bracket_v as in the
-    module docstring, over the eigenvalues lam_i of the integer matrix
-    bracket_matrix, whose charpoly bracket_charpoly is composed with u/v.
-    For each lam_i the symmetric bordered matrix
+    reduced coronal num/den of the copy block N, a matrix of |Sigma2|, with
+    the all-ones vector. The rest is derived from these: shared is
+    coronal.shared, the cofactor of den in charpoly(N); the exponents are
+    n1(n2 - 1) and n1; and the bracket is prod_i (u - lam_i * v), with
+    u = bracket_u and v = bracket_v as in the module docstring, over the
+    eigenvalues lam_i of the integer matrix bracket_matrix, +-A(|Sigma1|),
+    whose charpoly bracket_charpoly is composed with u/v. For each lam_i the
+    symmetric bordered matrix
 
-        B = [[d + lam_i*n2, sqrt(n2)*mu2^T], [sqrt(n2)*mu2, N]]
+        B = [[d + lam_i*n2, sqrt(n2)*1^T], [sqrt(n2)*1, N]]
 
     of order n2 + 1 has det(xI - B) = shared * (u - lam_i * v) by its Schur
     complement, so the roots of shared^n1 * bracket are the eigenvalues of
     n1 such matrices. All three factors are monic. The bracket and the
     expansion are built on first access only, because integrality and
-    energy need the factors alone. factored_charpolys builds every instance.
+    energy need the factors alone. factored_charpolys builds every instance,
+    one per pair of underlying graphs and clone diagonal, so pairs that
+    differ only in signs and markings share its bracket and expansion.
     """
 
     matrix_kind: MatrixKind
@@ -75,7 +86,6 @@ class FactoredCharPoly:
     bracket_matrix: Matrix
     bracket_charpoly: Poly
     copy_block: Matrix
-    copy_marking: tuple[int, ...]
 
     @property
     def shared_factor(self) -> Poly:
@@ -160,43 +170,77 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
                        ) -> list[list[FactoredCharPoly]]:
     """factored_charpoly of each pair in each degree mode, one list per pair.
 
-    Every copy block, with its marking, and every bracket matrix goes through
-    one exact call, so the matrices of each order are one kernel batch. The
-    copy block does not depend on d, so the forms of one pair share its
-    coronal, and each distinct copy block's coronal is reduced once. The
-    results are read back by position: copy blocks first, then bracket
-    matrices.
+    Every factor depends on the underlying graphs alone (see the module
+    docstring), so the work is keyed by them: (n, edge pairs) of the second
+    factor keys its copy block, and of the first factor its bracket matrix.
+    Each key's all-positive graph is built once, and pairs with equal keys
+    and equal d get one shared FactoredCharPoly. Every copy block, with the
+    all-ones vector, and every bracket matrix goes through one exact call,
+    so the matrices of each order are one kernel batch, and each copy
+    block's coronal is reduced once. An L copy block sends no vector: its
+    adjugate form is n2 * charpoly(N)/(x - n2). A Q copy block goes to the
+    kernel as Q(|Sigma2|), without the n2*I, and both its polynomials are
+    shifted back by n2. The results are read back by position: copy blocks
+    first, then bracket matrices.
     """
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
-    # the copy block depends on the second factor's mu-graph and marking only,
-    # and the bracket matrix on the first factor only, so each is built once;
-    # per factor, the position of its copy block or bracket matrix
-    dss, block_of, blocks, bracket_of, brackets = [], {}, {}, {}, []
+    # per underlying key: the position of its copy block; the position of
+    # its bracket matrix and the first factor's regular degree (0 for A)
+    blocks, brackets, keys = {}, {}, []
     for mg1, mg2 in pairs:
-        n2 = mg2.graph.n
-        r1 = 0 if kind == "A" else require_regular(mg1.graph, "first factor")
-        dss.append([0 if kind == "A" else _a_degree(r1, n2, mode) for mode in degree_modes])
-        if mg2 not in block_of:
-            block_of[mg2] = blocks.setdefault((mu_signed_graph(mg2), mg2.marking.signs),
-                                              len(blocks))
-        if mg1 not in bracket_of:
-            bracket_of[mg1] = len(brackets)
-            # the clone block of L carries -A(Sigma1^mu) (x) J
-            a1 = adjacency_matrix(mu_signed_graph(mg1))
-            brackets.append(-a1 if kind == "L" else a1)
-    items = [(adjacency_matrix(mu2) if kind == "A" else
-              graph_matrix(mu2, kind) + Matrix.diagonal([mu2.n] * mu2.n), signs)
-             for mu2, signs in blocks]
-    solved = _charpolys_with_forms(items + [(m, None) for m in brackets])
-    coronals = [reduced_coronal(f, p) for f, p in solved[:len(items)]]
-    return [[FactoredCharPoly(matrix_kind=kind, linear_factor=Poly.linear(-d),
-                              coronal=coronals[block_of[mg2]],
-                              bracket_matrix=brackets[bracket_of[mg1]],
-                              bracket_charpoly=solved[len(items) + bracket_of[mg1]][0],
-                              copy_block=items[block_of[mg2]][0],
-                              copy_marking=items[block_of[mg2]][1])
-             for d in ds] for (mg1, mg2), ds in zip(pairs, dss)]
+        g1, g2 = mg1.graph, mg2.graph
+        k1 = (g1.n, tuple((i, j) for i, j, _ in g1.edges))
+        k2 = (g2.n, tuple((i, j) for i, j, _ in g2.edges))
+        if k1 not in brackets:
+            brackets[k1] = (len(brackets),
+                            0 if kind == "A" else require_regular(g1, "first factor"))
+        blocks.setdefault(k2, len(blocks))
+        keys.append((k1, k2))
+    copies, items = [], []
+    for n, edges in blocks:
+        g = SignedGraph(n, [(i, j, 1) for i, j in edges])
+        if kind == "A":
+            copies.append(adjacency_matrix(g))
+            items.append((copies[-1], (1,) * n))
+        else:
+            m = graph_matrix(g, kind)
+            copies.append(m + Matrix.diagonal([n] * n))
+            items.append((copies[-1], None) if kind == "L" else (m, (1,) * n))
+    # the clone block of L carries -A(|Sigma1|) (x) J: the all-negative graph's
+    sign = -1 if kind == "L" else 1
+    mats = [adjacency_matrix(SignedGraph(n, [(i, j, sign) for i, j in edges]))
+            for n, edges in brackets]
+    solved = _charpolys_with_forms(items + [(m, None) for m in mats])
+    coronals = []
+    for (n, _), (f, p) in zip(blocks, solved):
+        if kind == "L":
+            # L(|Sigma2|) 1 = 0, so N 1 = n2 1 and 1^T adj(xI - N) 1 = n2 f/(x - n2)
+            p = n * f.divexact(Poly.linear(-n))
+        elif kind == "Q":
+            # the kernel took N - n2 I = Q(|Sigma2|), whose smaller diagonal
+            # needs fewer primes; chi_N(x) = chi_(N - n2 I)(x - n2), and so
+            # for the adjugate form
+            f, p = _shifted(f, -n), _shifted(p, -n)
+        coronals.append(reduced_coronal(f, p))
+    forms = {}
+    out = []
+    for k1, k2 in keys:
+        b, r1 = brackets[k1]
+        n2 = k2[0]
+        row = []
+        for mode in degree_modes:
+            d = 0 if kind == "A" else _a_degree(r1, n2, mode)
+            key = (k2, k1, d)
+            if key not in forms:
+                forms[key] = FactoredCharPoly(
+                    matrix_kind=kind, linear_factor=Poly.linear(-d),
+                    coronal=coronals[blocks[k2]], bracket_matrix=mats[b],
+                    bracket_charpoly=solved[len(items) + b][0],
+                    copy_block=copies[blocks[k2]])
+            row.append(forms[key])
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,9 +274,9 @@ def cospectral_family_check(mg_a: MarkedSignedGraph, mg_b: MarkedSignedGraph,
                             side: Literal["left", "right"]) -> CospectralFamilyReport:
     """Do cospectral factors give cospectral products on the given side?
 
-    side="left" compares mg_a * mg and mg_b * mg (cospectral mu-graphs
-    suffice); side="right" compares mg * mg_a and mg * mg_b (equal reduced
-    coronals are hypothesised as well). Hypotheses and matches are read off
+    side="left" compares mg_a * mg and mg_b * mg (cospectral underlying
+    graphs suffice); side="right" compares mg * mg_a and mg * mg_b (equal
+    reduced coronals are hypothesised as well). Hypotheses and matches are read off
     the products' factored forms, one factored_charpolys call per kind, and
     no product is built. A match compares the assembled forms, the products'
     charpolys, not the factors: a factorization is not unique. L and Q are

@@ -126,11 +126,10 @@ def _rank_one_update(rows, u, w):
 
 
 def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsys):
-    # 336 instances, but only 12 star copy blocks with their markings and 28
-    # first factors: each distinct matrix, folded by its twin rows, and each
-    # folded rank-one update is in one batch once. The two K_{1,1} blocks,
-    # marked (1, 1) and (-1, -1), have one update u u^T, so the 12 blocks
-    # fold to 11 distinct pairs
+    # 336 instances, but the factored batch sees only the 9 underlying first
+    # factors and the 6 unsigned stars, each with the all-ones vector: each
+    # distinct matrix, folded by its twin rows, and each folded rank-one
+    # update is in one batch once
     from sigspec.cli import _search_first_factors, main
     seen = Counter()
     kernel = exact._charpoly_residues
@@ -143,14 +142,13 @@ def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsy
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
     assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
-    firsts = [exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(mg)).rows(), None)[0]
-              for _, mg in _search_first_factors(4)]
-    stars = [mk(star(n + 1, c + "+" * (n - 1))) for n in range(1, 7) for c in "+-"]
+    underlying = {mg.graph.underlying_positive() for _, mg in _search_first_factors(4)}
+    firsts = {exact._fold_twins(adjacency_matrix(g).rows(), None)[0] for g in underlying}
     blocks = {(rows, _rank_one_update(rows, *uw)) for rows, uw, _ in
-              (exact._fold_twins(adjacency_matrix(graphs.mu_signed_graph(s)).rows(),
-                                 s.marking.signs) for s in stars)}
-    assert len(firsts) == 28 and len(blocks) == 11
-    assert set(firsts) | {rows for block in blocks for rows in block} <= set(seen)
+              (exact._fold_twins(adjacency_matrix(star(n + 1)).rows(), (1,) * (n + 1))
+               for n in range(1, 7))}
+    assert len(underlying) == 9 and len(blocks) == 6
+    assert firsts | {rows for block in blocks for rows in block} == set(seen)
     assert set(seen.values()) == {1}
 
 
@@ -371,14 +369,14 @@ def built_product(mg1, mg2, kind):
 
 
 def bordered_spectrum(fc):
-    """d repeated, then eigvalsh of [[d + lam*n2, sqrt(n2) mu2^T], [sqrt(n2) mu2, N]]."""
+    """d repeated, then eigvalsh of [[d + lam*n2, sqrt(n2) 1^T], [sqrt(n2) 1, N]]."""
     d = -fc.linear_factor.coeff(0)
     n2 = fc.copy_block.nrows
     values = [float(d)] * fc.linear_exponent
     for lam in np.linalg.eigvalsh(np.array(fc.bracket_matrix.rows(), dtype=float)):
         b = np.zeros((n2 + 1, n2 + 1))
         b[0, 0] = d + lam * n2
-        b[0, 1:] = b[1:, 0] = np.sqrt(n2) * np.array(fc.copy_marking)
+        b[0, 1:] = b[1:, 0] = np.sqrt(n2)
         b[1:, 1:] = fc.copy_block.rows()
         values.extend(np.linalg.eigvalsh(b))
     return np.sort(values)
@@ -506,7 +504,7 @@ def _energy_one_matrix_at_a_time(fc):
     n2 = fc.copy_block.nrows
     b = np.zeros((n2 + 1, n2 + 1))
     b[1:, 1:] = fc.copy_block.rows()
-    b[0, 1:] = b[1:, 0] = math.sqrt(n2) * np.array(fc.copy_marking)
+    b[0, 1:] = b[1:, 0] = math.sqrt(n2)
     total = fc.linear_exponent * abs(float(d))
     for lam in spectra.symmetric_eigenvalues(fc.bracket_matrix).values:
         b[0, 0] = d + lam * n2

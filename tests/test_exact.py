@@ -17,7 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from sigspec import exact
 from sigspec.exact import (Matrix, Poly, _charpoly_residues,
-                           _coefficient_bound, _crt_lift, _primes_past,
+                           _coefficient_bound, _crt_lift, _primes_past, _shifted,
                            _square_free_parts, charpoly, charpoly_with_adjugate_form,
                            charpolys, compose_with_rational, integer_roots, poly_gcd)
 from sigspec.graphs import (MarkedSignedGraph, adjacency_matrix, complete, complete_bipartite,
@@ -246,6 +246,13 @@ def test_compose_with_rational_matches_point_evaluation(gc, nc, dc, x0):
     rhs = Fraction(den.eval(x0)) ** max(g.degree, 0) * g.eval(
         Fraction(num.eval(x0), den.eval(x0)))
     assert lhs == rhs
+
+
+@given(pc=st.lists(entries, max_size=12), shift=st.integers(min_value=-40, max_value=40))
+def test_shifted_is_composition_with_x_plus_s(pc, shift):
+    # the Taylor shift p(x + s) that maps a shifted matrix's charpoly back
+    p = Poly(pc)
+    assert _shifted(p, shift) == compose_with_rational(p, Poly([shift, 1]), Poly.constant(1))
 
 
 def _chunk_boundaries():

@@ -1,5 +1,9 @@
+import ast
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -159,8 +163,9 @@ def test_factored_charpolys_match_one_pair_at_a_time(kind):
 
 
 def test_factored_charpoly_is_one_kernel_call(monkeypatch):
-    # the copy block, its rank-one update and the bracket matrix have one
-    # order here, so they share one batch and one list of primes
+    # the copy block and the bracket matrix have one order here, so they
+    # share one batch and one list of primes; an L copy block sends no
+    # rank-one update, since its adjugate form is n2 * chi_N/(x - n2)
     calls = []
     kernel = exact._charpoly_residues
 
@@ -170,9 +175,75 @@ def test_factored_charpoly_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     fc = factored_charpoly(mk(cycle(8)), mk(cycle(8)), "L")
-    assert calls == [3]
+    assert calls == [2]
     monkeypatch.undo()
     assert fc.assembled == charpoly(matrices(product(mk(cycle(8)), mk(cycle(8))).graph).L)
+
+
+def _resigned(rng, g):
+    """g with random edge signs and a random marking."""
+    edges = [(i, j, rng.choice((1, -1))) for i, j, _ in g.edges]
+    return MarkedSignedGraph(SignedGraph(g.n, edges),
+                             Marking([rng.choice((1, -1)) for _ in range(g.n)]))
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kind):
+    # switching: A, L and Q of the product are D M D, with D the product's
+    # marking and M the matrix of the product of |Sigma1| and |Sigma2|. So
+    # three random signings and markings of both factors of each underlying
+    # pair give one shared form, and the kernel sees each underlying copy
+    # block and bracket matrix, folded by its twin rows, once
+    rng = random.Random(26)
+    underlying = [(cycle(4), path(4)), (complete(3), star(4)), (cycle(5), cycle(4)),
+                  (complete(2), complete(4)), (complete_bipartite(2, 3), cycle(3))]
+    if kind != "A":  # L and Q need a regular first factor
+        underlying = [(g1, g2) for g1, g2 in underlying if graphs.regular_degree(g1) is not None]
+    variants = [[(_resigned(rng, g1), _resigned(rng, g2)) for _ in range(3)]
+                for g1, g2 in underlying]
+    modes = ["constructed"] if kind == "A" else ["constructed", "paper"]
+    mats, updates = Counter(), []
+    kernel = exact._charpoly_residues
+
+    def recorded(batch, bound, ups=()):
+        mats.update(tuple(map(tuple, rows)) for rows in batch)
+        updates.extend(ups)
+        return kernel(batch, bound, ups)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    got = factored_charpolys([pair for pairs in variants for pair in pairs], kind, modes)
+    monkeypatch.undo()
+    # one form per underlying pair and clone diagonal, equal field by field to
+    # the all-positive factors' form and to the built signed product's charpoly
+    plain = factored_charpolys([(mk(g1), mk(g2)) for g1, g2 in underlying], kind, modes)
+    for k, pairs in enumerate(variants):
+        for forms in got[3 * k + 1:3 * k + 3]:
+            assert all(fc is other for fc, other in zip(got[3 * k], forms))
+        for fc, other in zip(got[3 * k], plain[k]):
+            assert (fc.linear_factor, fc.coronal, fc.bracket_charpoly, fc.assembled) == (
+                other.linear_factor, other.coronal, other.bracket_charpoly, other.assembled)
+        assert got[3 * k][0].assembled == charpoly(graph_matrix(product(*pairs[1]).graph, kind))
+    # the copy blocks as the kernel takes them: L's with its n2*I, Q's without
+    copies = {graph_matrix(g, kind) for _, g in underlying}
+    if kind == "L":
+        copies = {m + Matrix.diagonal([m.nrows] * m.nrows) for m in copies}
+    brackets = {-adjacency_matrix(g) if kind == "L" else adjacency_matrix(g)
+                for g, _ in underlying}
+    assert set(mats) == {exact._fold_twins(m.rows(), None)[0] for m in copies | brackets}
+    assert set(mats.values()) == {1}
+    # A and Q send each copy block's rank-one update; L's form needs none
+    assert len(updates) == (0 if kind == "L" else len(copies))
+
+
+def test_theorems_never_names_mu_signed_graph():
+    # the factored route reads underlying graphs; the mu-graph is the
+    # direct side's business
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "mu_signed_graph" not in names
 
 
 def _check_stated_factorization(fc):
