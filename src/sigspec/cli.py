@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -30,6 +31,8 @@ from .theorems import cospectral_family_check
 from .verify import run_theorem_verification
 
 _GEN_FAMILIES = (*FAMILIES, "complete-bipartite", "prism", "line-graph")
+
+_json_str = json.encoder.encode_basestring_ascii
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +63,40 @@ def _emit_text(args, text: str) -> None:
     sys.stdout.write(text)
 
 
+def _json(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2), byte for byte, with nested lines at indent.
+
+    With indent set, the json module encodes through its pure-Python
+    encoder; here strings go to its C string encoder, and the rest is
+    written directly.
+    Every payload key is a str; a key of any other type, like a value of a
+    type json does not write, raises TypeError.
+    """
+    if isinstance(x, str):
+        return _json_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        # json writes a finite float as its repr, and NaN and Infinity as is
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        items = [_json(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(x, dict):
+        items = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in x.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict) -> None:
-    _emit_text(args, json.dumps(payload, indent=2) + "\n")
+    _emit_text(args, _json(payload) + "\n")
 
 
 def _cmd_product(args) -> int:

@@ -509,8 +509,8 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
     are among the Hensel-lifted candidates (see _root_candidates) of the
     rest f, lifted from the first of _SIMPLE_ROOT_PRIMES modulo which every
     root of f is simple. When none is, f may have a repeated root, and the
-    candidates come from its square-free part, the product of the Yun
-    factors of f (see _square_free_parts). Each candidate that divides the
+    candidates come from its square-free part f/gcd(f, f'), the cofactor
+    of one _gcd_cofactors call. Each candidate that divides the
     constant term is divided out by synthetic division for as long as the
     division is exact; no interval of integers is scanned.
     """
@@ -522,9 +522,9 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
         f = Poly(ints)
         candidates = _root_candidates(f, _SIMPLE_ROOT_PRIMES)
         if candidates is None:
-            square_free = prod((s for s, _ in _square_free_parts(_primitive(f)[1])),
-                               start=Poly.constant(1))
-            candidates = _root_candidates(square_free, _odd_primes())
+            pf = _primitive(f)[1]
+            candidates = _root_candidates(_gcd_cofactors(pf, _derivative(pf))[1],
+                                          _odd_primes())
         for r in candidates:
             while r and ints[0] % r == 0 and len(ints) > 1:
                 try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exact import Matrix, _exact_ints
@@ -50,20 +51,39 @@ def _signs(signs: str | Iterable[int], m: int | None = None,
 
 
 def _normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-    """The sorted (i, j, sign) edges of a graph on n vertices; checks n too."""
+    """The sorted (i, j, sign) edges of a graph on n vertices; checks n too.
+
+    Input already in normal form (every i < j, the (i, j) pairs strictly
+    increasing, all in range) is recognised by a few C-level passes and kept
+    as it is; any other list goes through _sorted_edges, which names the
+    first offending edge.
+    """
     edges = list(edges)
     if not {3}.issuperset(map(len, edges)):
         k = next(k for k, e in enumerate(edges) if len(e) != 3)
         raise EdgeError(k, f"edge must be (i, j, sign), got {edges[k]!r}")
     # flat is n, then i, j, sign per edge: types and signs are checked over all
-    # edges at once; the checks below name the edge, which parse_graph turns
-    # into a line number
+    # edges at once
     flat = _exact_ints(chain((n,), *edges))
     if n < 1:
         raise ValueError("graph needs at least one vertex")
-    ss = _signs(flat[3::3], what="edge signs")
+    ii, jj, ss = flat[1::3], flat[2::3], _signs(flat[3::3], what="edge signs")
+    pairs = list(zip(ii, jj))
+    # i < j on every edge and increasing pairs make the i nondecreasing, so
+    # the first i is the least endpoint and max(jj) the greatest
+    if (all(map(lt, ii, jj)) and all(map(lt, pairs, pairs[1:]))
+            and (not ii or ii[0] >= 0 and max(jj) < n)):
+        return tuple(zip(ii, jj, ss))
+    return _sorted_edges(n, ii, jj, ss)
+
+
+def _sorted_edges(n: int, ii: Sequence[int], jj: Sequence[int],
+                  ss: Sequence[int]) -> tuple[Edge, ...]:
+    """The edges (ii[k], jj[k], ss[k]) checked one by one, each put as i < j,
+    and sorted; the checks name the edge, which parse_graph turns into a
+    line number."""
     seen: dict[tuple[int, int], int] = {}
-    for k, (i, j, s) in enumerate(zip(flat[1::3], flat[2::3], ss)):
+    for k, (i, j, s) in enumerate(zip(ii, jj, ss)):
         if i == j:
             raise EdgeError(k, f"self-loop at vertex {i} is not allowed")
         if not (0 <= i < n and 0 <= j < n):

@@ -61,23 +61,27 @@ def product(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> ProductGraph:
     def b_idx(i: int, q: int) -> int:
         return block + i * n2 + q
 
-    edges: list[tuple[int, int, int]] = []
-    # clones of every first-factor edge: all n2 x n2 pairs
+    # the edges in normal form (sorted, i < j), so SignedGraph keeps them as
+    # they are: every edge at a clone runs to a higher clone or to a copy,
+    # and every copy vertex comes after every clone
+    higher: list[list[int]] = [[] for _ in range(n1)]
     for i, j, _ in g1.edges:
-        s = mu1[i] * mu1[j]
-        for k in range(n2):
-            for l in range(n2):
-                edges.append((a_idx(i, k), a_idx(j, l), s))
-    # one full copy of the second factor per first-factor vertex
-    for r in range(n1):
-        for p, q, _ in g2.edges:
-            edges.append((b_idx(r, p), b_idx(r, q), mu2[p] * mu2[q]))
-    # join fiber i of clones to copy i completely
+        higher[i].append(j)
+    edges: list[tuple[int, int, int]] = []
     for i in range(n1):
         si = mu1[i]
-        for p in range(n2):
-            for q in range(n2):
-                edges.append((a_idx(i, p), b_idx(i, q), si * mu2[q]))
+        # the clones of i's higher neighbours, all n2 x n2 pairs, then the
+        # complete join of fiber i of clones to copy i
+        ends = [(a_idx(j, l), si * mu1[j]) for j in higher[i] for l in range(n2)]
+        ends += [(b_idx(i, q), si * mu2[q]) for q in range(n2)]
+        for k in range(n2):
+            a = a_idx(i, k)
+            edges += [(a, v, s) for v, s in ends]
+    # one full copy of the second factor per first-factor vertex
+    copy = [(p, q, mu2[p] * mu2[q]) for p, q, _ in g2.edges]
+    for r in range(n1):
+        base = b_idx(r, 0)
+        edges += [(base + p, base + q, s) for p, q, s in copy]
 
     marks = [0] * (2 * block)
     for i in range(n1):

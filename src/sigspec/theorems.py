@@ -177,11 +177,11 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     and equal d get one shared FactoredCharPoly. Every copy block, with the
     all-ones vector, and every bracket matrix goes through one exact call,
     so the matrices of each order are one kernel batch, and each copy
-    block's coronal is reduced once. An L copy block sends no vector: its
-    adjugate form is n2 * charpoly(N)/(x - n2). A Q copy block goes to the
-    kernel as Q(|Sigma2|), without the n2*I, and both its polynomials are
-    shifted back by n2. The results are read back by position: copy blocks
-    first, then bracket matrices.
+    block's coronal is reduced once. L and Q copy blocks go to the kernel
+    as L or Q(|Sigma2|), without the n2*I, and their polynomials are
+    shifted back by n2. An L copy block sends no vector: its adjugate form
+    is n2 * charpoly(N)/(x - n2). The results are read back by position:
+    copy blocks first, then bracket matrices.
     """
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
@@ -206,7 +206,7 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
         else:
             m = graph_matrix(g, kind)
             copies.append(m + Matrix.diagonal([n] * n))
-            items.append((copies[-1], None) if kind == "L" else (m, (1,) * n))
+            items.append((m, None if kind == "L" else (1,) * n))
     # the clone block of L carries -A(|Sigma1|) (x) J: the all-negative graph's
     sign = -1 if kind == "L" else 1
     mats = [adjacency_matrix(SignedGraph(n, [(i, j, sign) for i, j in edges]))
@@ -214,14 +214,16 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     solved = _charpolys_with_forms(items + [(m, None) for m in mats])
     coronals = []
     for (n, _), (f, p) in zip(blocks, solved):
+        if kind != "A":
+            # the kernel took N - n2 I = L or Q(|Sigma2|), whose smaller
+            # diagonal needs fewer primes; chi_N(x) = chi_(N - n2 I)(x - n2)
+            f = _shifted(f, -n)
         if kind == "L":
             # L(|Sigma2|) 1 = 0, so N 1 = n2 1 and 1^T adj(xI - N) 1 = n2 f/(x - n2)
             p = n * f.divexact(Poly.linear(-n))
         elif kind == "Q":
-            # the kernel took N - n2 I = Q(|Sigma2|), whose smaller diagonal
-            # needs fewer primes; chi_N(x) = chi_(N - n2 I)(x - n2), and so
-            # for the adjugate form
-            f, p = _shifted(f, -n), _shifted(p, -n)
+            # and the adjugate form shifts the same way
+            p = _shifted(p, -n)
         coronals.append(reduced_coronal(f, p))
     forms = {}
     out = []

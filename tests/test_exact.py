@@ -3,7 +3,7 @@ import itertools
 import random
 import time
 from collections import Counter
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -405,16 +405,21 @@ def test_integer_roots_of_huge_squares_lift_past_the_bound():
 
 
 def test_integer_roots_take_square_free_parts_only_for_repeated_roots():
+    # the square-free part is f/gcd(f, f'), the cofactor of one gcd call
     x = Poly.x()
-    for p, roots, needs_yun in [
+    for p, roots, needs_gcd in [
             (x ** 3 - Poly.constant(3) * x - Poly.constant(2), (-1, -1, 2), True),
+            ((x - Poly.constant(1)) ** 5 * (x + Poly.constant(2)) ** 3
+             * (x ** 2 - Poly.constant(3)) * x ** 2, (-2, -2, -2, 0, 0, 1, 1, 1, 1, 1), True),
             # simple roots mod 5 and no root of x^2 + 1 mod 3: f itself will do
             (x ** 4 - Poly.constant(5) * x ** 2 + Poly.constant(4), (-2, -1, 1, 2), False),
             ((x - Poly.constant(2)) * (x ** 2 + Poly.constant(1)) ** 2, (2,), False)]:
-        with mock.patch.object(exact, "_square_free_parts",
-                               wraps=exact._square_free_parts) as yun:
-            assert integer_roots(p)[0] == roots
-        assert yun.called == needs_yun
+        with mock.patch.object(exact, "_gcd_cofactors",
+                               wraps=exact._gcd_cofactors) as gcd:
+            got, rest = integer_roots(p)
+        assert got == roots
+        assert rest * prod((x - Poly.constant(r) for r in roots), start=Poly.constant(1)) == p
+        assert gcd.call_count == needs_gcd
 
 
 def test_integer_roots_search_odd_primes_past_the_fixed_ones():
@@ -450,8 +455,7 @@ def test_integer_roots_match_sympy(parts, scale):
     p = Poly.constant(scale)
     for f, j in parts:
         p = p * f ** j
-    with mock.patch.object(exact, "_square_free_parts",
-                           wraps=exact._square_free_parts) as yun:
+    with mock.patch.object(exact, "_gcd_cofactors", wraps=exact._gcd_cofactors) as gcd:
         roots, rest = integer_roots(p)
     _, sym = sympy_poly(p).factor_list()
     integer_factors = [(-int(f.all_coeffs()[1]) // int(f.all_coeffs()[0]), j) for f, j in sym
@@ -459,9 +463,9 @@ def test_integer_roots_match_sympy(parts, scale):
     want = sorted(r for r, j in integer_factors for _ in range(j))
     assert list(roots) == want
     # a repeated nonzero integer root is a repeated root modulo every prime,
-    # so only the square-free part's candidates can find it
+    # so only the square-free part's candidates, from one gcd, can find it
     if any(r and j > 1 for r, j in integer_factors):
-        assert yun.called
+        assert gcd.call_count == 1
     product = rest
     for r in roots:
         product = product * Poly([-r, 1])

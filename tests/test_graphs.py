@@ -1,15 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigspec import graphs, sampling
 from sigspec.exact import charpoly
-from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph,
+from sigspec.graphs import (FAMILIES, EdgeError, MarkedSignedGraph, Marking, SignedGraph,
                             adjacency_matrix, balance_marking,
                             canonical_marking, complete, complete_bipartite,
                             cycle, is_balanced, line_graph, matrices,
                             mu_signed_graph, path, prism, regular_degree,
                             star)
-from sigspec.sampling import random_marked_graph
+from sigspec.io import parse_graph, serialize_graph
+from sigspec.product import product
+from sigspec.sampling import random_marked_graph, random_regular_marked_graph
+from sigspec.theorems import factored_charpolys
 
 
 def rngs():
@@ -44,6 +50,95 @@ def test_signed_graph_validation():
     with pytest.raises(ValueError):
         cycle(3, "+x+")
     assert cycle(3, [1, -1, 1]) == cycle(3, "+-+")
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): a normal-form edge list, then up to three faults: shuffled,
+    endpoints swapped, a duplicate, a self-loop, an endpoint out of range or
+    a bool entry."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    edges = [[i, j, draw(st.sampled_from((1, -1)))] for i, j in chosen]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        fault = draw(st.sampled_from(("shuffle", "swap", "duplicate", "loop", "range", "bool")))
+        if fault == "shuffle":
+            edges = draw(st.permutations(edges))
+            continue
+        if fault == "duplicate":
+            i, j = draw(st.sampled_from(pairs)) if pairs else (0, 0)
+            edges.insert(draw(st.integers(min_value=0, max_value=len(edges))),
+                         [j, i, draw(st.sampled_from((1, -1)))])
+            edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), [i, j, 1])
+            continue
+        if not edges:
+            continue
+        e = edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))]
+        if fault == "swap":
+            e[0], e[1] = e[1], e[0]
+        elif fault == "loop":
+            e[1] = e[0]
+        elif fault == "range":
+            e[draw(st.integers(min_value=0, max_value=1))] = draw(st.sampled_from((-1, n, n + 1)))
+        else:
+            e[draw(st.integers(min_value=0, max_value=2))] = draw(st.booleans())
+    return n, [tuple(e) for e in edges]
+
+
+@given(case=edge_lists())
+@settings(max_examples=400, deadline=None)
+def test_edge_lists_match_the_edge_by_edge_pass(case):
+    # normal-form input skips the edge-by-edge pass; every list must still
+    # give its sorted edges, or the error that pass gives, index and message
+    n, edges = case
+    try:
+        got = SignedGraph(n, edges).edges
+    except (TypeError, ValueError) as exc:
+        got = exc
+    if any(type(v) is bool for e in edges for v in e):
+        assert isinstance(got, TypeError)
+        return
+    ii, jj, ss = (tuple(col) for col in zip(*edges)) if edges else ((), (), ())
+    try:
+        want = graphs._sorted_edges(n, ii, jj, ss)
+    except EdgeError as exc:
+        assert type(got) is EdgeError
+        assert (got.index, str(got)) == (exc.index, str(exc))
+        return
+    assert got == want == tuple(sorted((min(i, j), max(i, j), s) for i, j, s in edges))
+
+
+def test_normal_form_producers_never_reach_the_edge_by_edge_pass(monkeypatch):
+    rng = random.Random(5)
+    for family, (_, least) in FAMILIES.items():
+        for n in range(least, 7):
+            sampling._skeleton_pairs(family, n)  # built once, through the builder
+    factors = [random_marked_graph(rng, 6) for _ in range(30)]
+    regular = [random_regular_marked_graph(rng, 5) for _ in range(10)]
+    files = [serialize_graph(product(a, b).graph) for a, b in zip(factors, factors[1:])]
+
+    def refuse(*args):
+        raise AssertionError("edge-by-edge pass reached")
+
+    monkeypatch.setattr(graphs, "_sorted_edges", refuse)
+    with pytest.raises(AssertionError):
+        SignedGraph(2, [(1, 0, 1)])
+    for a, b, text in zip(factors, factors[1:], files):
+        product(a, b)
+        parse_graph(text)
+    for _ in range(100):
+        random_marked_graph(rng, 6)
+        random_regular_marked_graph(rng, 6, signed=False)
+    for mg in factors + regular:
+        mu_signed_graph(mg)
+        if mg.graph.num_edges:
+            line_graph(mg.graph)
+    factored_charpolys(list(zip(factors, factors[1:])), "A", ["constructed"])
+    for kind in ("L", "Q"):
+        factored_charpolys(list(zip(regular, factors)), kind, ["constructed", "paper"])
+    for g in (path(6, "+-+-+"), star(6, "-"), complete(6), complete_bipartite(3, 4)):
+        assert g.num_edges
 
 
 def test_degrees_and_neighbors():

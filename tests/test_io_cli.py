@@ -310,3 +310,57 @@ def test_main_reuses_one_parser_and_matches_fresh_processes(tmp_path, monkeypatc
     assert verify_outputs[0] != verify_outputs[1]
     assert json.loads(verify_outputs[0])["seed"] == 5
     assert real_build() is not real_build()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+@given(x=json_values)
+@settings(max_examples=300, deadline=None)
+def test_json_emitter_matches_json_dumps(x):
+    # text with non-ASCII and control characters, NaN and +-inf, empty and
+    # nested containers: byte for byte what json.dumps(x, indent=2) writes
+    assert cli._json(x) == json.dumps(x, indent=2)
+
+
+def test_json_emitter_refuses_what_json_refuses():
+    for bad in ({"a": [1j]}, {"a": {1, 2}}, {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(bad)
+    # json writes an int key as a string; no payload has one, and the
+    # emitter refuses it rather than guess
+    with pytest.raises(TypeError):
+        cli._json({1: 2})
+
+
+def test_every_json_command_emits_json_dumps_bytes(tmp_path, monkeypatch, capsys):
+    k2, star5, c4k1 = (str(tmp_path / f) for f in ("k2.txt", "star5.txt", "c4k1.txt"))
+    assert main(["gen", "--family", "complete", "--n", "2", "--out", k2]) == 0
+    assert main(["gen", "--family", "star", "--n", "5", "--marking=+-+-+",
+                 "--out", star5]) == 0
+    (tmp_path / "c4k1.txt").write_text("5 4\n0 1 +\n1 2 +\n2 3 +\n0 3 +\nmarking + - + + -\n")
+    p1 = str(tmp_path / "p1.txt")
+    assert main(["product", star5, k2, "--out", p1]) == 0
+    capsys.readouterr()
+    payloads = []
+    emit = cli._emit
+
+    def recorded(args, payload):
+        payloads.append(payload)
+        emit(args, payload)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    for argv in (["charpoly", p1, "--matrix", "L"], ["coronal", p1, "--mu-graph"],
+                 ["spectrum", p1], ["energy", p1],
+                 ["verify-theorem", "--which", "Q", "--trials", "5", "--seed", "3"],
+                 ["cospectral-family", star5, c4k1, k2, "--side", "left"],
+                 ["equienergetic-demo"], ["integral-search", "--max-n1", "2", "--max-n", "3"]):
+        assert main(argv) == 0
+    assert len(payloads) == 8
+    assert capsys.readouterr().out == "".join(json.dumps(p, indent=2) + "\n" for p in payloads)

@@ -223,10 +223,8 @@ def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kind):
             assert (fc.linear_factor, fc.coronal, fc.bracket_charpoly, fc.assembled) == (
                 other.linear_factor, other.coronal, other.bracket_charpoly, other.assembled)
         assert got[3 * k][0].assembled == charpoly(graph_matrix(product(*pairs[1]).graph, kind))
-    # the copy blocks as the kernel takes them: L's with its n2*I, Q's without
+    # the copy blocks as the kernel takes them: L's and Q's without their n2*I
     copies = {graph_matrix(g, kind) for _, g in underlying}
-    if kind == "L":
-        copies = {m + Matrix.diagonal([m.nrows] * m.nrows) for m in copies}
     brackets = {-adjacency_matrix(g) if kind == "L" else adjacency_matrix(g)
                 for g, _ in underlying}
     assert set(mats) == {exact._fold_twins(m.rows(), None)[0] for m in copies | brackets}
