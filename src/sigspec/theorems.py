@@ -23,8 +23,8 @@ Eliminating the copy blocks (a Schur complement) leaves
 (x - d)I - (s*A(|Sigma1|) + c(x) I) (x) J_n2, where c = num/den =
 1^T (xI - N)^-1 1 is the reduced coronal of N with the all-ones vector,
 and shared = charpoly(N) / den. For L, N 1 = n2 1, so c = n2/(x - n2) and
-the adjugate form is n2 * charpoly(N)/(x - n2). J_n2 has eigenvalue n2
-once and 0 otherwise, so
+shared = charpoly(N)/(x - n2). J_n2 has eigenvalue n2 once and 0
+otherwise, so
 
     det(xI - M) = (x - d)^(n1(n2-1)) * shared^n1 * prod_i (u - lam_i*v)
 
@@ -179,9 +179,10 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     so the matrices of each order are one kernel batch, and each copy
     block's coronal is reduced once. L and Q copy blocks go to the kernel
     as L or Q(|Sigma2|), without the n2*I, and their polynomials are
-    shifted back by n2. An L copy block sends no vector: its adjugate form
-    is n2 * charpoly(N)/(x - n2). The results are read back by position:
-    copy blocks first, then bracket matrices.
+    shifted back by n2. An L copy block sends no vector: its coronal is
+    n2/(x - n2), with shared = charpoly(N)/(x - n2), and takes no gcd. The
+    results are read back by position: copy blocks first, then bracket
+    matrices.
     """
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
@@ -219,12 +220,14 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
             # diagonal needs fewer primes; chi_N(x) = chi_(N - n2 I)(x - n2)
             f = _shifted(f, -n)
         if kind == "L":
-            # L(|Sigma2|) 1 = 0, so N 1 = n2 1 and 1^T adj(xI - N) 1 = n2 f/(x - n2)
-            p = n * f.divexact(Poly.linear(-n))
-        elif kind == "Q":
-            # and the adjugate form shifts the same way
-            p = _shifted(p, -n)
-        coronals.append(reduced_coronal(f, p))
+            # L(|Sigma2|) 1 = 0, so N 1 = n2 1 and the coronal is n2/(x - n2),
+            # already reduced: n2 is not 0, so no gcd is taken
+            den = Poly.linear(-n)
+            coronals.append(CoronalTriple(num=Poly.constant(n), den=den,
+                                          shared=f.divexact(den)))
+        else:
+            # Q's adjugate form shifts back as its charpoly does
+            coronals.append(reduced_coronal(f, p if kind == "A" else _shifted(p, -n)))
     forms = {}
     out = []
     for k1, k2 in keys:

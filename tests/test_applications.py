@@ -125,22 +125,17 @@ def _rank_one_update(rows, u, w):
     return tuple(tuple(x + ui * wj for x, wj in zip(r, w)) for r, ui in zip(rows, u))
 
 
-def test_integral_search_sends_each_matrix_to_the_kernel_once(monkeypatch, capsys):
+def test_integral_search_sends_each_matrix_to_the_kernel_once(kernel_calls, capsys):
     # 336 instances, but the factored batch sees only the 9 underlying first
     # factors and the 6 unsigned stars, each with the all-ones vector: each
     # distinct matrix, folded by its twin rows, and each folded rank-one
     # update is in one batch once
     from sigspec.cli import _search_first_factors, main
+    assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
     seen = Counter()
-    kernel = exact._charpoly_residues
-
-    def recorded(mats, bound, updates=()):
+    for mats, _, updates, _ in kernel_calls:
         seen.update(tuple(map(tuple, rows)) for rows in mats)
         seen.update(_rank_one_update(mats[i], u, w) for i, u, w in updates)
-        return kernel(mats, bound, updates)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
-    assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
     assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
     underlying = {mg.graph.underlying_positive() for _, mg in _search_first_factors(4)}
     firsts = {exact._fold_twins(adjacency_matrix(g).rows(), None)[0] for g in underlying}
@@ -239,21 +234,14 @@ def test_equienergetic_product_charpolys_match_direct(base):
         assert abs(pe - direct) <= 1e-12 * direct
 
 
-def test_equienergetic_demo_computes_no_product_charpoly(monkeypatch):
+def test_equienergetic_demo_computes_no_product_charpoly(kernel_calls):
     # every exact charpoly goes through the one kernel; the demo's largest
     # should be the order-18 inputs, never the order-72 products. Every
     # matrix of a batch is recorded, so the rank-one update a coronal puts in
     # its batch counts too
-    orders = []
-    kernel = exact._charpoly_residues
-
-    def recorded(mats, bound, updates=()):
-        orders.extend(len(rows) for rows in mats)
-        orders.extend(len(u) for _, u, _ in updates)
-        return kernel(mats, bound, updates)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     assert equienergetic_demo().valid
+    orders = [len(rows) for mats, _, updates, _ in kernel_calls
+              for rows in [*mats, *(u for _, u, _ in updates)]]
     assert orders and max(orders) <= 18
 
 

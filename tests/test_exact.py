@@ -683,25 +683,17 @@ def test_twin_fold_is_exact(blowup):
                                             for c, ui in set(zip(classes, u)))
 
 
-def test_order_72_product_charpoly_is_one_order_38_batch(monkeypatch):
+def test_order_72_product_charpoly_is_one_order_38_batch(kernel_calls):
     # K2 x L^2(K3,3) clones each of K2's two vertices 18 times; the clones
     # of one vertex are twins, so A reaches the kernel at order
     # n1 (n2 + 1) = 38 with x^34 split off, modulo 4 primes below 2^24
     # (an 82-bit bound) where the unfolded order-72 matrix needs 9
-    calls = []
-    kernel = exact._charpoly_residues
-
-    def recorded(mats, bound, updates=()):
-        calls.append((len(mats) + len(updates), len(mats[0]),
-                      len(_primes_past(2 * bound, len(mats[0])))))
-        return kernel(mats, bound, updates)
-
     k2 = MarkedSignedGraph.with_canonical_marking(complete(2))
     l2 = MarkedSignedGraph.with_canonical_marking(line_graph(line_graph(complete_bipartite(3, 3))))
     a = adjacency_matrix(product(k2, l2).graph.graph)
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     f = charpoly(a)
-    assert calls == [(1, 38, 4)]
+    assert [(len(mats) + len(updates), len(mats[0]), len(primes))
+            for mats, _, updates, primes in kernel_calls] == [(1, 38, 4)]
     assert len(_primes_past(2 * _coefficient_bound(a.rows()), 72)) == 9
     assert f.degree == 72 and f.coeffs[:34] == (0,) * 34
 
@@ -754,19 +746,11 @@ def test_coefficient_bound_dominates_charpolys_and_forms(sm, data):
         assert abs(form.coeff(n - 1 - k)) <= weight * e[k] <= weight * bound
 
 
-def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
+def test_adjugate_form_shares_one_batch_of_primes(kernel_calls):
     # a and a + u u^T are one kernel batch, modulo primes for the larger of the
     # charpoly and form bounds of a; a + u u^T alone would need more (at order
     # 26, 4 residue matrices against 2 + 3 with its 25-bit primes; at order 27
     # the one batch needs 3 primes, 6 against 2 + 3)
-    calls = []
-    kernel = exact._charpoly_residues
-
-    def recorded(mats, bound, updates=()):
-        calls.append((len(mats) + len(updates), bound))
-        return kernel(mats, bound, updates)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     n = 26
     cycle = Matrix([[1 if abs(i - j) in (1, n - 1) else 0 for j in range(n)] for i in range(n)])
     u = [1, -1, -1] * (n // 3) + [1] * (n % 3)
@@ -774,7 +758,7 @@ def test_adjugate_form_shares_one_batch_of_primes(monkeypatch):
     # every row of the cycle has norm sqrt(2), rounded up to 2
     assert _coefficient_bound(cycle.rows()) == max(comb(n, k) * 2 ** k for k in range(n + 1))
     bound = n * n * _coefficient_bound(cycle.rows())
-    assert calls == [(2, bound)]
+    assert [(len(mats) + len(updates), b) for mats, b, updates, _ in kernel_calls] == [(2, bound)]
     shifted = [[x + ui * uj for x, uj in zip(r, u)] for r, ui in zip(cycle.rows(), u)]
     assert (2 * len(_primes_past(2 * bound, n))
             < len(_primes_past(2 * _coefficient_bound(cycle.rows()), n))
@@ -810,17 +794,9 @@ def test_updates_past_int64_are_formed_in_python_ints(rows, u):
     assert charpoly_with_adjugate_form(m, u) == _faddeev_leverrier(m, u)
 
 
-def _update_counts(monkeypatch):
+def _update_counts(calls):
     # (plain matrices, updates) of each kernel batch
-    calls = []
-    kernel = exact._charpoly_residues
-
-    def recorded(mats, bound, updates=()):
-        calls.append((len(mats), len(updates)))
-        return kernel(mats, bound, updates)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
-    return calls
+    return [(len(mats), len(updates)) for mats, _, updates, _ in calls]
 
 
 @pytest.mark.parametrize("rows", [
@@ -828,25 +804,23 @@ def _update_counts(monkeypatch):
     # rows 0 and 1 are twins (diagonal 2) and fold into one
     [[2, 0, 1, -1], [0, 2, 1, -1], [3, 3, 0, 1], [-2, -2, 1, 4]],
 ], ids=["no twins", "twins"])
-def test_opposite_vectors_share_one_update(monkeypatch, rows):
+def test_opposite_vectors_share_one_update(kernel_calls, rows):
     # (-u')(-w)^T = u' w^T, so u and -u on one matrix are one kernel update
-    calls = _update_counts(monkeypatch)
     m, u = Matrix(rows), (1, 1, -2, 1)
     got = exact._charpolys_with_forms([(m, u), (m, tuple(-x for x in u))])
-    assert calls == [(1, 1)]
+    assert _update_counts(kernel_calls) == [(1, 1)]
     assert got == [_faddeev_leverrier(m, u)] * 2
 
 
 @pytest.mark.parametrize("u", [(0, 1, -1, 2), (0, -1, 1, -2), (0, 0, 0, -3), (0, 0, 0, 0)])
-def test_vectors_with_a_leading_zero_lift_exactly(monkeypatch, u):
+def test_vectors_with_a_leading_zero_lift_exactly(kernel_calls, u):
     # the sign of an update is fixed by the first nonzero entry of u', not
     # the first entry, so u and -u still share one; the zero vector has no
     # sign to fix and a zero form
-    calls = _update_counts(monkeypatch)
     m = Matrix([[1, 2, -1, 0], [0, 3, 1, 2], [4, -2, 0, 1], [1, 1, 1, -3]])
     got = exact._charpolys_with_forms([(m, u), (m, tuple(-x for x in u))])
     assert got == [_faddeev_leverrier(m, u)] * 2
-    assert calls == [(1, 1)]
+    assert _update_counts(kernel_calls) == [(1, 1)]
 
 
 def test_kernel_primes_are_prime_and_cover_the_bound():

@@ -108,16 +108,32 @@ def _paper_diagonal(m, n1, n2, r1):
     (path(4), [1, -1, 1, 1]),
     (star(3), [-1, 1, 1]),
     (star(5, signs=[1, -1, -1, 1]), [1, 1, -1, 1, -1]),
-], ids=["P4", "K1,2", "signed K1,4"])
-def test_laplacian_and_signless_take_a_non_regular_second_factor(kind, g1, r1, g2, marks2):
-    # the copy block L/Q(Sigma2^mu) + n2*I is exact for any second factor
+    # disconnected: n2 is a repeated eigenvalue of L's copy block N
+    (SignedGraph(5, cycle(4, "+-++").edges), [1, -1, 1, 1, -1]),
+], ids=["P4", "K1,2", "signed K1,4", "C4+K1"])
+def test_laplacian_and_signless_take_a_non_regular_second_factor(monkeypatch, kind, g1, r1,
+                                                                 g2, marks2):
+    # the copy block L/Q(Sigma2^mu) + n2*I is exact for any second factor;
+    # L's coronal is the closed form n2/(x - n2), so no gcd reduces it
+    reduced = []
+    reduce = theorems.reduced_coronal
+
+    def recorded(f, p):
+        reduced.append(f)
+        return reduce(f, p)
+
+    monkeypatch.setattr(theorems, "reduced_coronal", recorded)
     mg1 = MarkedSignedGraph(g1, Marking([1, -1] + [1] * (g1.n - 2)))
     mg2 = MarkedSignedGraph(g2, Marking(marks2))
     n1, n2 = g1.n, g2.n
     direct = getattr(matrices(product(mg1, mg2).graph), kind)
-    assert factored_charpoly(mg1, mg2, kind).assembled == charpoly(direct)
+    fc = factored_charpoly(mg1, mg2, kind)
+    assert fc.assembled == charpoly(direct)
     paper = factored_charpoly(mg1, mg2, kind, degree_mode="paper")
     assert paper.assembled == charpoly(_paper_diagonal(direct, n1, n2, r1))
+    assert (len(reduced) == 0) == (kind == "L")
+    # against the gcd route on the copy block with the all-ones vector
+    assert fc.coronal == reduce(*exact.charpoly_with_adjugate_form(fc.copy_block, [1] * n2))
 
 
 def test_degree_mode_changes_laplacian_result():
@@ -162,21 +178,12 @@ def test_factored_charpolys_match_one_pair_at_a_time(kind):
     assert factored_charpolys([], kind, modes) == []
 
 
-def test_factored_charpoly_is_one_kernel_call(monkeypatch):
+def test_factored_charpoly_is_one_kernel_call(kernel_calls):
     # the copy block and the bracket matrix have one order here, so they
     # share one batch and one list of primes; an L copy block sends no
-    # rank-one update, since its adjugate form is n2 * chi_N/(x - n2)
-    calls = []
-    kernel = exact._charpoly_residues
-
-    def recorded(mats, bound, updates=()):
-        calls.append(len(mats) + len(updates))
-        return kernel(mats, bound, updates)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
+    # rank-one update, since its coronal is n2/(x - n2)
     fc = factored_charpoly(mk(cycle(8)), mk(cycle(8)), "L")
-    assert calls == [2]
-    monkeypatch.undo()
+    assert [len(mats) + len(updates) for mats, _, updates, _ in kernel_calls] == [2]
     assert fc.assembled == charpoly(matrices(product(mk(cycle(8)), mk(cycle(8))).graph).L)
 
 
@@ -188,7 +195,7 @@ def _resigned(rng, g):
 
 
 @pytest.mark.parametrize("kind", ["A", "L", "Q"])
-def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kind):
+def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kernel_calls, kind):
     # switching: A, L and Q of the product are D M D, with D the product's
     # marking and M the matrix of the product of |Sigma1| and |Sigma2|. So
     # three random signings and markings of both factors of each underlying
@@ -202,17 +209,10 @@ def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kind):
     variants = [[(_resigned(rng, g1), _resigned(rng, g2)) for _ in range(3)]
                 for g1, g2 in underlying]
     modes = ["constructed"] if kind == "A" else ["constructed", "paper"]
-    mats, updates = Counter(), []
-    kernel = exact._charpoly_residues
-
-    def recorded(batch, bound, ups=()):
-        mats.update(tuple(map(tuple, rows)) for rows in batch)
-        updates.extend(ups)
-        return kernel(batch, bound, ups)
-
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     got = factored_charpolys([pair for pairs in variants for pair in pairs], kind, modes)
     monkeypatch.undo()
+    mats = Counter(tuple(map(tuple, rows)) for batch, _, _, _ in kernel_calls for rows in batch)
+    updates = [u for _, _, ups, _ in kernel_calls for u in ups]
     # one form per underlying pair and clone diagonal, equal field by field to
     # the all-positive factors' form and to the built signed product's charpoly
     plain = factored_charpolys([(mk(g1), mk(g2)) for g1, g2 in underlying], kind, modes)
@@ -520,7 +520,7 @@ def test_lazy_bracket_splits_repeated_eigenvalues(g1, g2, multiplicity):
     assert fc.bracket is fc.bracket
 
 
-def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
+def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch, kernel_calls):
     # the two copy blocks with their markings and the base's bracket matrix
     # go through one exact call, one batch per folded order, and no product
     # is built: S5's four leaves fold to one row and C4's two twin pairs to
@@ -528,22 +528,17 @@ def test_cospectral_family_right_side_is_one_kernel_batch(monkeypatch):
     # rank-one update, and K2 joins the order-2 batch
     s = mk(star(5))
     c4_iso = MarkedSignedGraph.with_canonical_marking(SignedGraph(5, cycle(4).edges))
-    calls, entries = [], []
-    kernel, entry = exact._charpoly_residues, theorems._charpolys_with_forms
-
-    def recorded(mats, bound, updates=()):
-        calls.append(len(mats) + len(updates))
-        return kernel(mats, bound, updates)
+    entries = []
+    entry = theorems._charpolys_with_forms
 
     def exact_call(items):
         entries.append(len(items))
         return entry(items)
 
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     monkeypatch.setattr(theorems, "_charpolys_with_forms", exact_call)
     report = cospectral_family_check(s, c4_iso, mk(complete(2)), "right")
     assert entries == [3]
-    assert calls == [3, 2]
+    assert [len(mats) + len(updates) for mats, _, updates, _ in kernel_calls] == [3, 2]
     monkeypatch.undo()
     ca, cb = coronal_of_mu_graph(s), coronal_of_mu_graph(c4_iso)
     assert report.hypothesis_coronal_equal == ((ca.num, ca.den) == (cb.num, cb.den))

@@ -12,7 +12,7 @@ from sigspec.verify import run_theorem_verification
 from reference import run_corona_verification
 
 
-def test_verification_batches_each_product_order_once_per_block(monkeypatch):
+def test_verification_batches_each_product_order_once_per_block(monkeypatch, kernel_calls):
     # a block's direct charpolys are one charpolys call and its factored forms
     # one factored_charpolys call, so each product order is one kernel batch
     # per block and each factor order (at most 4 here) at most two, where
@@ -21,24 +21,20 @@ def test_verification_batches_each_product_order_once_per_block(monkeypatch):
     # matrices folded by their twin rows: a product of order 2 n1 n2 reaches
     # the kernel at order n1 (n2 + 1) or less, so each exact call makes one
     # batch per distinct folded order among its items and no more
-    calls, batches = Counter(), []
-    kernel, entry = exact._charpoly_residues, exact._charpolys_with_forms
-
-    def recorded(mats, bound, updates=()):
-        calls[len(mats[0])] += 1
-        return kernel(mats, bound, updates)
+    batches = []
+    entry = exact._charpolys_with_forms
 
     def exact_call(items):
         batches.append(len({len(exact._fold_twins(a.rows(), None if u is None else tuple(u))[0])
                             for a, u in items}))
         return entry(items)
 
-    monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     monkeypatch.setattr(exact, "_charpolys_with_forms", exact_call)
     monkeypatch.setattr(theorems, "_charpolys_with_forms", exact_call)
     trials = 150
     report = run_theorem_verification(matrix_kind="A", trials=trials, seed=3)
     assert report["all_match"]
+    calls = Counter(len(mats[0]) for mats, _, _, _ in kernel_calls)
     blocks = -(-trials // verify._block_trials(4, 4))
     assert len(batches) == 2 * blocks
     assert calls and all(count <= (2 if order <= 4 else 1) * blocks

@@ -1,4 +1,4 @@
-"""Time the exact charpoly kernel and its heaviest callers against another checkout's.
+"""Time sigspec's exact kernel, its callers and its CLI against another checkout's.
 
 Loads the sigspec on the import path as "change" and the one under
 --baseline as "parent", a second package in the same process, and times
@@ -26,25 +26,42 @@ workloads and the largest factored product:
 
 For these, "kernel" times _charpoly_residues alone on the batches the call
 hands it, each module choosing its own primes, and "call" times the whole
-call. The campaign entries (verify_A: run_theorem_verification("A", 150
-trials); verify_L: "L", 50 trials; integral_search: star_integral_checks
-over the 336 cases of integral-search --max-n1 4 --max-n 6) have calls only.
+call. The other entries have calls only:
+
+- verify_A, verify_L: run_theorem_verification("A", 150 trials; "L", 50);
+- integral_search: star_integral_checks over the 336 cases of
+  integral-search --max-n1 4 --max-n 6;
+- bracket_A_C64xP64: the first .bracket access of A of C64 x P64, on a
+  fresh copy of its factored form each call;
+- assembled_L_C32xC32: .assembled of L of C32 x C32 with the bracket built;
+- integral_C128xP128, energy_C128xP128: integral_product_check and
+  factored_energy_estimate of C128 x P128, each from scratch;
+- build_parser: the CLI's argument parser, built afresh;
+- cli_<command>: each command of perfbench's direct_files workload through
+  cli.main with stdout captured, warm (its parser already built), on
+  graph files written once to a temporary directory.
+
 Every entry records each module's kernel batches as (matrices, order,
-primes) and the residue matrices reduced (matrices times primes, summed).
-The result, with the best raw and the median scaled time of --repeats per
-entry and module, goes to --out.
+primes), the residue matrices reduced (matrices times primes, summed), and
+outputs_equal: whether the two modules' results have equal reprs (a CLI
+entry's result is its stdout). The result, with the best raw and the
+median scaled time of --repeats per entry and module, goes to --out.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,6 +72,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from calibrate import Calibrator  # noqa: E402
 
 import sigspec  # noqa: E402
+import sigspec.cli  # noqa: E402
 
 # a measurement repeats a call until it takes about this long
 MIN_MEASURE_S = 0.1
@@ -99,8 +117,47 @@ def marked(S, g, rng: random.Random):
     return S.MarkedSignedGraph(g, S.Marking([rng.choice((1, -1)) for _ in range(g.n)]))
 
 
-def entries(S) -> dict:
-    """Each entry's call, built with the package S; (call, has kernel entry)."""
+def write_inputs(cli, d: Path) -> None:
+    """The direct_files graph files: K2, L^2(K3,3), their product, the star
+    K_{1,4} and C4 + K1 (cospectral with it)."""
+    for argv in (
+            ["gen", "--family", "complete", "--n", "2", "--out", str(d / "k2.txt")],
+            ["gen", "--family", "complete-bipartite", "--n", "3", "--b", "3",
+             "--out", str(d / "k33.txt")],
+            ["gen", "--family", "line-graph", "--of", str(d / "k33.txt"), "--iterations", "2",
+             "--marking=+-++-+--+-+++-+-+-", "--out", str(d / "l2k33.txt")],
+            ["product", str(d / "k2.txt"), str(d / "l2k33.txt"), "--out", str(d / "p1.txt")],
+            ["gen", "--family", "star", "--n", "5", "--marking=+-+-+",
+             "--out", str(d / "star5.txt")]):
+        cli_call(cli, argv)()
+    (d / "c4k1.txt").write_text("5 4\n0 1 +\n1 2 +\n2 3 +\n0 3 +\nmarking + - + + -\n")
+
+
+def cli_call(cli, argv: list[str]):
+    """cli.main(argv) with stdout captured; the call returns the stdout."""
+    def call() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0:
+            raise AssertionError(f"sigspec {' '.join(argv)} exited {code}")
+        return out.getvalue()
+    return call
+
+
+def first_access(fc, name: str, built: tuple[str, ...] = ()):
+    """Reads fc.name afresh each call, on a copy of fc that shares the cached
+    properties built so far: those in built are built on fc at the first call."""
+    def call():
+        for attr in built:
+            getattr(fc, attr)
+        return getattr(copy.copy(fc), name)
+    return call
+
+
+def entries(S, d: Path) -> dict:
+    """Each entry's call, built with the package S on the graph files in d;
+    (call, has kernel entry)."""
     exact = importlib.import_module(S.__name__ + ".exact")
     verify = importlib.import_module(S.__name__ + ".verify")
     cli = importlib.import_module(S.__name__ + ".cli")
@@ -115,11 +172,13 @@ def entries(S) -> dict:
     c16, d16 = marked(S, S.cycle(16), rng), marked(S, S.cycle(16), rng)
     c256, p256 = marked(S, S.cycle(256), rng), marked(S, S.path(256), rng)
     c128, p128 = marked(S, S.cycle(128), rng), marked(S, S.path(128), rng)
+    c64, p64 = marked(S, S.cycle(64), rng), marked(S, S.path(64), rng)
+    d32 = marked(S, S.cycle(32), rng)
     demo1, demo2 = S.demo_equienergetic_pair()
     search = [(mg1, n, center_mark) for _, mg1 in cli._search_first_factors(4)
               for n in range(1, 7) for center_mark in (1, -1)]
     factored = S.factored_charpoly
-    return {
+    table = {
         "A_C32xP32": (lambda: factored(c32, p32, "A"), True),
         "L_C16xC16": (lambda: factored(c16, d16, "L"), True),
         "charpoly_A_72": (lambda: exact.charpoly(a72), True),
@@ -131,7 +190,28 @@ def entries(S) -> dict:
         "verify_A": (lambda: verify.run_theorem_verification("A", trials=150, seed=1), False),
         "verify_L": (lambda: verify.run_theorem_verification("L", trials=50, seed=1), False),
         "integral_search": (lambda: applications.star_integral_checks(search), False),
+        "bracket_A_C64xP64": (first_access(factored(c64, p64, "A"), "bracket"), False),
+        "assembled_L_C32xC32": (first_access(factored(c32, d32, "L"), "assembled",
+                                             ("bracket",)), False),
+        "integral_C128xP128": (lambda: S.integral_product_check(c128, p128), False),
+        "energy_C128xP128": (lambda: S.factored_energy_estimate(factored(c128, p128, "A")),
+                             False),
+        "build_parser": (cli.build_parser, False),
     }
+    p1 = str(d / "p1.txt")
+    for command, argv in {
+            "gen": ["--family", "line-graph", "--of", str(d / "k33.txt"),
+                    "--iterations", "2", "--out", str(d / "gen.txt")],
+            "product": [str(d / "k2.txt"), str(d / "l2k33.txt"), "--out", str(d / "product.txt")],
+            "charpoly": [p1, "--matrix", "A"],
+            "coronal": [p1],
+            "spectrum": [p1],
+            "energy": [p1],
+            "cospectral-family": [str(d / "star5.txt"), str(d / "c4k1.txt"), str(d / "k2.txt"),
+                                  "--side", "left"],
+            "equienergetic-demo": []}.items():
+        table[f"cli_{command}"] = (cli_call(cli, [command, *argv]), False)
+    return table
 
 
 def timed(fn, number: int):
@@ -141,32 +221,33 @@ def timed(fn, number: int):
     return run
 
 
-def bench(modules: dict, repeats: int) -> dict:
+def bench(modules: dict, repeats: int, d: Path) -> dict:
     """Per entry and module: batches, the best raw and the median scaled
-    seconds per call; per entry and kind: the median over repeats of the
-    change/parent ratio of scaled times taken back to back, and the repeats
-    in which change was faster.
+    seconds per call; per entry: whether the outputs are equal, and per kind
+    the median over repeats of the change/parent ratio of scaled times taken
+    back to back, and the repeats in which change was faster.
 
     A scaled time is divided by a Calibrator sample, so one outlying sample
     sets a minimum of scaled times; the median is not moved by it.
     """
     calib = Calibrator()
-    built = {label: entries(S) for label, S in modules.items()}
+    built = {label: entries(S, d) for label, S in modules.items()}
     labels = list(modules)
     out = {}
     for name in built["change"]:
-        runs, record = {}, {}
+        runs, record, outputs = {}, {}, {}
         for label, S in modules.items():
             exact = importlib.import_module(S.__name__ + ".exact")
             call, has_kernel = built[label][name]
             with KernelRecorder(exact) as rec:
-                call()  # warm: primes, caches
+                outputs[label] = repr(call())  # warm: primes, caches, the parser
             record[label] = {"batches": rec.batches,
                              "residue_matrices": sum(t * p for t, _, p in rec.batches)}
             runs[label, "call"] = call
             if has_kernel:
                 runs[label, "kernel"] = (lambda calls=rec.calls, f=exact._charpoly_residues:
                                          [f(*args) for args in calls])
+        record["outputs_equal"] = outputs["parent"] == outputs["change"]
         kinds = [kind for kind in ("call", "kernel") if ("change", kind) in runs]
         number = {}
         for kind in kinds:
@@ -191,7 +272,7 @@ def bench(modules: dict, repeats: int) -> dict:
                                    for kind, rs in ratios.items()}
         out[name] = record
         print(name, json.dumps(record["ratio"]), json.dumps(record["change_faster"]),
-              file=sys.stderr)
+              "outputs_equal" if record["outputs_equal"] else "OUTPUTS DIFFER", file=sys.stderr)
     return out
 
 
@@ -205,6 +286,9 @@ def main(argv=None) -> None:
     if args.repeats < 3:
         parser.error("--repeats must be at least 3")
     modules = {"parent": load_baseline(args.baseline.resolve()), "change": sigspec}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(sigspec.cli, Path(tmp))
+        measured = bench(modules, args.repeats, Path(tmp))
     result = {
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "processor": platform.processor()},
@@ -212,7 +296,7 @@ def main(argv=None) -> None:
                       "the repeats at perfbench's reference host speed; ratio: median over "
                       "the repeats of change over parent, scaled, measured back to back"),
         "repeats": args.repeats,
-        "entries": bench(modules, args.repeats),
+        "entries": measured,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
