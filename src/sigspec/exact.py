@@ -711,10 +711,11 @@ def _fill_powers(stack: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
 def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Charpoly coefficients, lowest first, of each h[i] modulo p[i].
 
-    h is a (B, n, n) int64 batch of residues in [0, p), and p a (B,) array of
-    primes above n in which a prime repeats once per matrix reduced modulo
-    it. The charpoly x^n + c_1 x^(n-1) + ... + c_n follows from the power
-    sums p_k = tr(a^k) by Newton's identities, k c_k = -sum_{i=1..k} p_i c_(k-i)
+    h is a (B, n, n) int64 batch of integer matrices whose entries are below
+    2^52 in absolute value, and p a (B,) array of primes above n in which a
+    prime repeats once per matrix reduced modulo it. The charpoly
+    x^n + c_1 x^(n-1) + ... + c_n follows from the power sums p_k = tr(a^k)
+    by Newton's identities, k c_k = -sum_{i=1..k} p_i c_(k-i)
     (Csanky, SIAM J. Comput. 1976), and all n power sums from about 2 sqrt(n)
     matrix products (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
     s = isqrt(n) + 1 and t = n // s, the baby powers a^0 ... a^(s-1) and the
@@ -722,8 +723,10 @@ def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     over r of row r of a^j times column r of g^i, which covers k <= n.
 
     The products run in float64 on symmetric residues r = x - rint(x/p) p,
-    so BLAS does them. Each is exact: its entries sum n products of residues
-    with |r| <= p/2 + 2, and _prime_bits keeps n (p/2 + 2)^2 < 2^53, so every
+    so BLAS does them. The entries of h are exact in float64, and the first
+    reduction takes them to such residues by the argument below. Each
+    product is exact: its entries sum n products of residues with
+    |r| <= p/2 + 2, and _prime_bits keeps n (p/2 + 2)^2 < 2^53, so every
     partial sum is an integer below 2^53, whatever order BLAS adds in, with
     or without fused multiply-adds. The reduction keeps that bound: for
     |x| < 2^53 the float x * (1/p) is within about 2/p of x/p, so rint(x/p)
@@ -774,6 +777,10 @@ def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 # hold at most this many array entries per chunk of a batch, so memory stays bounded
 _BATCH_ENTRIES = 1 << 21
 
+# integers of absolute value below this are exact in float64 with room to
+# spare, so _power_sum_charpoly_mod reduces them itself
+_FLOAT_EXACT = 1 << 52
+
 
 def _coefficient_bound(vectors: Iterable[Sequence[int]]) -> int:
     """max_k e_k(r_1, ..., r_n), with r_i = ceil(|v_i|_2) and e_k the k-th
@@ -817,9 +824,12 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]], bound: int,
     the order's ceiling 2^_prime_bits(n) whose product exceeds 2 * bound, so
     every integer of absolute value at most bound is fixed by its residues
     (see _crt_lift), and the lifted integers do not depend on which primes
-    were used. Every matrix is reduced modulo every prime and the (T + U)*P
-    residue matrices go through _power_sum_charpoly_mod as one batch, cut
-    into chunks that hold at most _BATCH_ENTRIES array entries. Returns the
+    were used. Every matrix goes to every prime, and the (T + U)*P matrices
+    go through _power_sum_charpoly_mod as one batch, cut into chunks that
+    hold at most _BATCH_ENTRIES array entries. When every entry, updates
+    included, is below 2^52 in absolute value the matrices go as they are,
+    since the kernel's float reduction is exact on them; otherwise each is
+    first reduced into [0, p), in int64 or in Python ints. Returns the
     primes and a (T + U, P, n + 1) int64 array of coefficient residues,
     lowest degree first: the mats', then the updates'. Every prime above n
     works: Newton's identities hold over any field whose characteristic
@@ -847,6 +857,8 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]], bound: int,
         u, w = np.array(us, dtype=entries.dtype), np.array(ws, dtype=entries.dtype)
         entries = np.concatenate([entries, entries[list(base)] + u[:, :, None] * w[:, None, :]])
     ps = np.array(primes, dtype=np.int64)
+    small = (entries.dtype != object
+             and -_FLOAT_EXACT < entries.min() and entries.max() < _FLOAT_EXACT)
     count = len(entries) * len(primes)
     # per residue matrix the kernel holds s = isqrt(n) + 1 baby and at most s
     # giant powers, and at most seven more arrays of (n + 1)^2 entries: the
@@ -857,7 +869,7 @@ def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]], bound: int,
     for lo in range(0, count, step):
         t, q = np.divmod(np.arange(lo, min(count, lo + step)), len(primes))
         p = ps[q]
-        h = entries[t] % p.astype(entries.dtype)[:, None, None]
+        h = entries[t] if small else entries[t] % p.astype(entries.dtype)[:, None, None]
         parts.append(_power_sum_charpoly_mod(h.astype(np.int64, copy=False), p))
     return primes, np.concatenate(parts).reshape(len(entries), len(primes), n + 1)
 

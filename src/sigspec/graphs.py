@@ -12,7 +12,7 @@ from itertools import chain
 from operator import lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import Matrix, _exact_ints
+from .exact import _INT_ONLY, Matrix, _exact_ints
 
 Edge = tuple[int, int, int]  # (i, j, sign) with i < j
 
@@ -53,21 +53,34 @@ def _signs(signs: str | Iterable[int], m: int | None = None,
 def _normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     """The sorted (i, j, sign) edges of a graph on n vertices; checks n too.
 
-    Input already in normal form (every i < j, the (i, j) pairs strictly
-    increasing, all in range) is recognised by a few C-level passes and kept
-    as it is; any other list goes through _sorted_edges, which names the
-    first offending edge.
+    The int rule is one type pass per column; only when it fails does the
+    scan of the flat (n, i0, j0, s0, i1, ...) order run, to name the first
+    entry that is not an int.
     """
     edges = list(edges)
     if not {3}.issuperset(map(len, edges)):
         k = next(k for k, e in enumerate(edges) if len(e) != 3)
         raise EdgeError(k, f"edge must be (i, j, sign), got {edges[k]!r}")
-    # flat is n, then i, j, sign per edge: types and signs are checked over all
-    # edges at once
-    flat = _exact_ints(chain((n,), *edges))
+    ii, jj, ss = zip(*edges) if edges else ((), (), ())
+    if not all(_INT_ONLY.issuperset(map(type, col)) for col in ((n,), ii, jj, ss)):
+        _exact_ints(chain((n,), *edges))
+    return _column_edges(n, ii, jj, ss)
+
+
+def _column_edges(n: int, ii: Sequence[int], jj: Sequence[int],
+                  ss: Sequence[int]) -> tuple[Edge, ...]:
+    """The sorted edges (ii[k], jj[k], ss[k]) of a graph on n vertices, from
+    columns of ints.
+
+    Columns in normal form (every i < j, the (i, j) pairs strictly
+    increasing, all in range) are recognised by a few C-level passes and
+    kept as they are; any others go through _sorted_edges, which names the
+    first offending edge.
+    """
     if n < 1:
         raise ValueError("graph needs at least one vertex")
-    ii, jj, ss = flat[1::3], flat[2::3], _signs(flat[3::3], what="edge signs")
+    if not _SIGN_VALUES.issuperset(ss):
+        _signs(ss, what="edge signs")
     pairs = list(zip(ii, jj))
     # i < j on every edge and increasing pairs make the i nondecreasing, so
     # the first i is the least endpoint and max(jj) the greatest
@@ -104,6 +117,16 @@ class SignedGraph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         self.edges = _normalize_edges(n, edges)
         self.n = n
+
+    @classmethod
+    def _from_columns(cls, n: int, ii: Sequence[int], jj: Sequence[int],
+                      ss: Sequence[int]) -> "SignedGraph":
+        """The graph of edges (ii[k], jj[k], ss[k]), from columns known to
+        hold only ints: the type pass of __init__ is skipped."""
+        g = cls.__new__(cls)
+        g.edges = _column_edges(n, ii, jj, ss)
+        g.n = n
+        return g
 
     @property
     def num_edges(self) -> int:

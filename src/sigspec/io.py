@@ -3,12 +3,29 @@
 First significant line "n m", then m lines "i j s" with s one of + or -,
 then optionally "marking s s ... s" (n signs). '#' starts a comment,
 whitespace separates tokens, and a missing marking means canonical.
+
+Text in the layout serialize_graph writes, optionally after full-line
+comments, has its edge block read in whole-block passes; any other text is
+read line by line, with the same results. Every error is raised by the
+line-by-line pass.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+import numpy as np
+
 from .graphs import EdgeError, MarkedSignedGraph, Marking, SignedGraph, canonical_marking
+
+# the layout serialize_graph writes: full-line comments, a header "n m", one
+# "i j s" line per edge, and an optional marking line; a comment ends at the
+# first of the line breaks str.splitlines knows, and at most 18 digits keep
+# every integer inside int64
+_COMMENTS = re.compile(r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*")
+_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")
+_EDGE_BLOCK = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18} [+-]\n)*")
+_MARKING = re.compile(r"(?:marking((?: [+-])+)\n?)?")
 
 
 class GraphFormatError(ValueError):
@@ -38,6 +55,40 @@ def _parse_sign(token: str, lineno: int) -> int:
 
 def parse_graph(text: str) -> MarkedSignedGraph:
     """Parse graph text; errors carry the offending line number."""
+    mg = _parse_block(text)
+    return mg if mg is not None else _parse_lines(text)
+
+
+def _parse_block(text: str) -> MarkedSignedGraph | None:
+    """The graph of text in the layout serialize_graph writes, read in
+    whole-block passes, or None for any other text or an invalid graph.
+
+    One regular expression checks the edge block, one numpy pass converts
+    its integers, and SignedGraph checks its three columns at once.
+    """
+    header = _HEADER.match(text, _COMMENTS.match(text).end())
+    if header is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    block = _EDGE_BLOCK.match(text, header.end())
+    marking = _MARKING.fullmatch(text, block.end())
+    edges = block.group()
+    if (edges.count("\n") != m or marking is None
+            or marking[1] is not None and len(marking[1]) != 2 * n):
+        return None
+    flat = np.fromstring(edges.replace("+", "1").replace("-", "-1"), dtype=np.int64, sep=" ")
+    cols = flat.reshape(m, 3).T.tolist()
+    try:
+        graph = SignedGraph._from_columns(n, *cols)
+    except ValueError:
+        return None
+    if marking[1] is None:
+        return MarkedSignedGraph(graph, canonical_marking(graph))
+    return MarkedSignedGraph(graph, Marking(marking[1][1::2]))
+
+
+def _parse_lines(text: str) -> MarkedSignedGraph:
+    """Graph text read line by line; errors carry the offending line number."""
     lines = _significant_lines(text)
     if not lines:
         raise GraphFormatError(1, "empty graph file")

@@ -794,6 +794,31 @@ def test_updates_past_int64_are_formed_in_python_ints(rows, u):
     assert charpoly_with_adjugate_form(m, u) == _faddeev_leverrier(m, u)
 
 
+@pytest.mark.parametrize("big, as_they_are", [
+    ((1 << 52) - 1, True), ((1 << 52) + 1, False), ((1 << 64) + 3, False),
+], ids=["below 2^52", "past 2^52", "past int64"])
+def test_entries_near_the_float_ceiling_lift_exactly(monkeypatch, big, as_they_are):
+    # entries below 2^52 in absolute value reach the power-sum kernel as
+    # they are, and its float reduction is exact on them; larger ones are
+    # reduced into [0, p) first, in int64 or, past it, in Python ints
+    seen = []
+    kernel = exact._power_sum_charpoly_mod
+
+    def spy(h, p):
+        seen.append(bool((np.abs(h) >= p[:, None, None]).any()))
+        return kernel(h, p)
+
+    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", spy)
+    m = Matrix([[big, 1 - big, 2], [-big, 0, big], [3, big - 1, -big]])
+    assert charpoly(m) == _faddeev_leverrier(m, None)[0]
+    assert seen == [as_they_are]
+    # the update a + u u^T takes the diagonal entry big to big + 1, so below
+    # 2^52 too the update puts the batch past the ceiling: it is reduced first
+    u = (1, -1, 1)
+    assert charpoly_with_adjugate_form(m, u) == _faddeev_leverrier(m, u)
+    assert seen[1:] == [False]
+
+
 def _update_counts(calls):
     # (plain matrices, updates) of each kernel batch
     return [(len(mats), len(updates)) for mats, _, updates, _ in calls]

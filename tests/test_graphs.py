@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspec import graphs, sampling
+from sigspec import cli, graphs, io, sampling
 from sigspec.exact import charpoly
 from sigspec.graphs import (FAMILIES, EdgeError, MarkedSignedGraph, Marking, SignedGraph,
                             adjacency_matrix, balance_marking,
@@ -12,7 +12,7 @@ from sigspec.graphs import (FAMILIES, EdgeError, MarkedSignedGraph, Marking, Sig
                             cycle, is_balanced, line_graph, matrices,
                             mu_signed_graph, path, prism, regular_degree,
                             star)
-from sigspec.io import parse_graph, serialize_graph
+from sigspec.io import parse_graph, save_graph, serialize_graph
 from sigspec.product import product
 from sigspec.sampling import random_marked_graph, random_regular_marked_graph
 from sigspec.theorems import factored_charpolys
@@ -55,14 +55,15 @@ def test_signed_graph_validation():
 @st.composite
 def edge_lists(draw):
     """(n, edges): a normal-form edge list, then up to three faults: shuffled,
-    endpoints swapped, a duplicate, a self-loop, an endpoint out of range or
-    a bool entry."""
+    endpoints swapped, a duplicate, a self-loop, an endpoint out of range, or
+    a bool or float entry."""
     n = draw(st.integers(min_value=1, max_value=7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
     edges = [[i, j, draw(st.sampled_from((1, -1)))] for i, j in chosen]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        fault = draw(st.sampled_from(("shuffle", "swap", "duplicate", "loop", "range", "bool")))
+        fault = draw(st.sampled_from(("shuffle", "swap", "duplicate", "loop", "range",
+                                      "bool", "float")))
         if fault == "shuffle":
             edges = draw(st.permutations(edges))
             continue
@@ -82,7 +83,8 @@ def edge_lists(draw):
         elif fault == "range":
             e[draw(st.integers(min_value=0, max_value=1))] = draw(st.sampled_from((-1, n, n + 1)))
         else:
-            e[draw(st.integers(min_value=0, max_value=2))] = draw(st.booleans())
+            e[draw(st.integers(min_value=0, max_value=2))] = draw(
+                st.booleans() if fault == "bool" else st.sampled_from((1.0, 0.5)))
     return n, [tuple(e) for e in edges]
 
 
@@ -96,8 +98,12 @@ def test_edge_lists_match_the_edge_by_edge_pass(case):
         got = SignedGraph(n, edges).edges
     except (TypeError, ValueError) as exc:
         got = exc
-    if any(type(v) is bool for e in edges for v in e):
-        assert isinstance(got, TypeError)
+    # the int rule names the first entry that is not an int in the flat
+    # order n, i0, j0, s0, i1, ..., whichever column it sits in
+    bad = [v for e in edges for v in e if type(v) is not int]
+    if bad:
+        assert type(got) is TypeError
+        assert str(got) == f"int expected, got {type(bad[0]).__name__} {bad[0]!r}"
         return
     ii, jj, ss = (tuple(col) for col in zip(*edges)) if edges else ((), (), ())
     try:
@@ -109,7 +115,7 @@ def test_edge_lists_match_the_edge_by_edge_pass(case):
     assert got == want == tuple(sorted((min(i, j), max(i, j), s) for i, j, s in edges))
 
 
-def test_normal_form_producers_never_reach_the_edge_by_edge_pass(monkeypatch):
+def test_normal_form_producers_never_reach_the_edge_by_edge_pass(monkeypatch, tmp_path):
     rng = random.Random(5)
     for family, (_, least) in FAMILIES.items():
         for n in range(least, 7):
@@ -121,12 +127,25 @@ def test_normal_form_producers_never_reach_the_edge_by_edge_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("edge-by-edge pass reached")
 
+    first, second = tmp_path / "k2.txt", tmp_path / "l2k33.txt"
+    save_graph(MarkedSignedGraph.with_canonical_marking(complete(2)), first)
+    save_graph(MarkedSignedGraph(line_graph(line_graph(complete_bipartite(3, 3))),
+                                 Marking("+-++-+--+-+++-+-+-")), second)
+
     monkeypatch.setattr(graphs, "_sorted_edges", refuse)
+    # files in the written layout are read in whole-block passes, not line by line
+    monkeypatch.setattr(io, "_parse_lines", refuse)
     with pytest.raises(AssertionError):
         SignedGraph(2, [(1, 0, 1)])
+    with pytest.raises(AssertionError):
+        parse_graph("2 1\n0 1 +  # a note\n")
     for a, b, text in zip(factors, factors[1:], files):
         product(a, b)
         parse_graph(text)
+    # a product file as `product --out` writes it, vertex map comments first
+    out = tmp_path / "product.txt"
+    assert cli.main(["product", str(first), str(second), "--out", str(out)]) == 0
+    assert parse_graph(out.read_text()).n == 72
     for _ in range(100):
         random_marked_graph(rng, 6)
         random_regular_marked_graph(rng, 6, signed=False)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigspec import cli
+from sigspec import io as graph_io
 from sigspec.cli import main
 from sigspec.graphs import MarkedSignedGraph, Marking, SignedGraph, cycle
 from sigspec.io import (GraphFormatError, parse_graph, serialize_graph)
@@ -76,6 +77,132 @@ def test_parse_errors_carry_line_numbers(text, fragment):
 def test_serialize_round_trip(rng):
     mg = random_marked_graph(rng, max_n=7)
     assert parse_graph(serialize_graph(mg)) == mg
+
+
+def _spell(draw, v: int, loose: bool) -> str:
+    # an integer token as int() reads it: padded with zeros, past 18 digits
+    # (the most the block pass converts), or with a plus sign
+    if not loose:
+        return str(v)
+    return draw(st.sampled_from((str(v), f"{v:03d}", "0" * 20 + str(v), f"+{v}")))
+
+
+# one fault per malformed variant: (edge fault?, fault, expected message fragment)
+FAULTS = [(True, "tokens", "edge line must be 'i j s'"),
+          (True, "integer", "edge endpoints must be integers"),
+          (True, "sign", "sign must be + or -"),
+          (True, "loop", "self-loop"),
+          (True, "range", "out of range"),
+          (True, "past int64", "out of range"),
+          (True, "duplicate", "duplicate edge"),
+          (False, "marking", "marking needs")]
+
+
+@st.composite
+def graph_texts(draw, malformed: bool):
+    """(graph, text, expected error): a random marked graph and a text of it.
+
+    The text is either in the written layout or a variant of it: tabs and
+    extra spaces, CRLF endings, full-line, blank and end-of-line comment
+    lines inside the edge block, tokens spelled 007, +3 or past 18 digits,
+    edge lines shuffled or with their endpoints swapped. A malformed text
+    carries one fault on one line, and the expected error is its line number
+    and a fragment of its message; else it is None.
+    """
+    mg = random_marked_graph(draw(rngs()), max_n=7)
+    g = mg.graph
+    loose = draw(st.booleans())
+    edges = [list(e) for e in g.edges]
+    if loose and draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    if loose:
+        edges = [[j, i, s] if draw(st.booleans()) else [i, j, s] for i, j, s in edges]
+    rows = [[_spell(draw, i, loose), _spell(draw, j, loose), "+" if s > 0 else "-"]
+            for i, j, s in edges]
+    marking = ["marking"] + ["+" if s > 0 else "-" for s in mg.marking]
+    expected = None
+    if malformed:
+        is_edge, fault, fragment = draw(st.sampled_from(FAULTS if rows else FAULTS[-1:]))
+        if is_edge:
+            k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            row = rows[k]
+            if fault == "tokens":
+                rows[k] = draw(st.sampled_from((row[:2], row + ["+"])))
+            elif fault == "integer":
+                row[draw(st.integers(0, 1))] = draw(st.sampled_from(("x", "1.0", "0x1")))
+            elif fault == "sign":
+                row[2] = draw(st.sampled_from(("*", "1", "+1", "+-")))
+            elif fault == "loop":
+                row[1] = row[0]
+            elif fault == "range":
+                row[1] = str(g.n + draw(st.integers(0, 3)))
+            elif fault == "past int64":
+                row[1] = str((1 << 64) + draw(st.integers(0, 3)))
+            else:
+                rows.insert(k + 1, [row[1], row[0], draw(st.sampled_from("+-"))])
+                k += 1
+        else:
+            marking = marking[:-1] if draw(st.booleans()) else marking + ["+"]
+    lines = [[_spell(draw, g.n, loose), _spell(draw, len(rows), loose)], *rows, marking]
+    text, lineno, fault_line = "", 0, None
+    for index, tokens in enumerate(lines):
+        if loose:
+            for _ in range(draw(st.integers(0, 2) if index else st.just(0))):
+                text += draw(st.sampled_from(("# note", "  # note", "", "  \t"))) + "\n"
+                lineno += 1
+            sep = draw(st.sampled_from((" ", "\t", "  ", " \t ")))
+            lead = draw(st.sampled_from(("", " ", "\t")))
+            tail = draw(st.sampled_from(("", " ", "\t", "  # note", "# note")))
+            end = draw(st.sampled_from(("\n", "\r\n")))
+            text += lead + sep.join(tokens) + tail + end
+        else:
+            text += " ".join(tokens) + "\n"
+        lineno += 1
+        if malformed and (tokens is marking if not is_edge else index == k + 1):
+            fault_line = lineno
+    if malformed:
+        expected = (fault_line, fragment)
+    return mg, text, expected
+
+
+@given(case=graph_texts(malformed=False))
+@settings(max_examples=150, deadline=None)
+def test_layout_variants_parse_to_the_written_graph(case):
+    mg, text, _ = case
+    assert parse_graph(text) == parse_graph(serialize_graph(mg)) == mg
+    assert graph_io._parse_lines(text) == mg
+    # the block pass reads the written layout, and any text it reads it
+    # reads as the line-by-line pass does
+    assert graph_io._parse_block(serialize_graph(mg)) == mg
+    assert graph_io._parse_block(text) in (None, mg)
+
+
+@given(case=graph_texts(malformed=True))
+@settings(max_examples=200, deadline=None)
+def test_malformed_variants_raise_the_line_by_line_error(case):
+    # one fault, in the written layout, which the block pass recognises, or
+    # in a variant of it: the same message and line either way
+    _, text, (line, fragment) = case
+    assert graph_io._parse_block(text) is None
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    with pytest.raises(GraphFormatError) as by_line:
+        graph_io._parse_lines(text)
+    assert (err.value.line, str(err.value)) == (by_line.value.line, str(by_line.value))
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
+def test_comments_end_at_every_line_break(brk):
+    # str.splitlines ends a line at each of these, so what follows one
+    # inside a comment is a line of its own, in the block pass too: here the
+    # header, which leaves the next line over
+    want = MarkedSignedGraph(SignedGraph(2, [(0, 1, -1)]), Marking("--"))
+    assert parse_graph(f"# note{brk}2 1\n0 1 -\n") == want
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(f"# note{brk}1 0\n1 0\n")
+    assert str(err.value) == "line 3: unexpected line after edges: '1 0'"
 
 
 def test_gen_writes_expected_cycle(tmp_path):

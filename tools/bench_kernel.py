@@ -7,7 +7,9 @@ perfbench's Calibrator (perfbench/calibrate.py) sampled around every
 measurement. A scaled time is the wall time at the calibrator's reference
 host speed. Each repeat gives one change/parent ratio of scaled times
 taken back to back, so a change of host speed between repeats cancels out
-of it; the entry's ratio is their median. Run from the root of a checkout:
+of it; the entry's ratio is their median, recorded with their lower and
+upper quartiles, whose spread shows how far a ratio can be read. Run from
+the root of a checkout:
 
     PYTHONPATH=src python tools/bench_kernel.py --baseline /path/to/parent/src
 
@@ -37,6 +39,8 @@ call. The other entries have calls only:
 - integral_C128xP128, energy_C128xP128: integral_product_check and
   factored_energy_estimate of C128 x P128, each from scratch;
 - build_parser: the CLI's argument parser, built afresh;
+- parse_72: parse_graph of the order-72 product's file text, as product
+  --out writes it, in memory;
 - cli_<command>: each command of perfbench's direct_files workload through
   cli.main with stdout captured, warm (its parser already built), on
   graph files written once to a temporary directory.
@@ -175,6 +179,7 @@ def entries(S, d: Path) -> dict:
     c64, p64 = marked(S, S.cycle(64), rng), marked(S, S.path(64), rng)
     d32 = marked(S, S.cycle(32), rng)
     demo1, demo2 = S.demo_equienergetic_pair()
+    p1_text = (d / "p1.txt").read_text()
     search = [(mg1, n, center_mark) for _, mg1 in cli._search_first_factors(4)
               for n in range(1, 7) for center_mark in (1, -1)]
     factored = S.factored_charpoly
@@ -197,6 +202,7 @@ def entries(S, d: Path) -> dict:
         "energy_C128xP128": (lambda: S.factored_energy_estimate(factored(c128, p128, "A")),
                              False),
         "build_parser": (cli.build_parser, False),
+        "parse_72": (lambda: S.parse_graph(p1_text), False),
     }
     p1 = str(d / "p1.txt")
     for command, argv in {
@@ -224,8 +230,9 @@ def timed(fn, number: int):
 def bench(modules: dict, repeats: int, d: Path) -> dict:
     """Per entry and module: batches, the best raw and the median scaled
     seconds per call; per entry: whether the outputs are equal, and per kind
-    the median over repeats of the change/parent ratio of scaled times taken
-    back to back, and the repeats in which change was faster.
+    the median and the lower and upper quartiles over repeats of the
+    change/parent ratio of scaled times taken back to back, and the repeats
+    in which change was faster.
 
     A scaled time is divided by a Calibrator sample, so one outlying sample
     sets a minimum of scaled times; the median is not moved by it.
@@ -268,10 +275,13 @@ def bench(modules: dict, repeats: int, d: Path) -> dict:
             record[label][f"{kind}_s"] = min(s for s, _ in ts)
             record[label][f"{kind}_scaled_s"] = statistics.median(s for _, s in ts)
         record["ratio"] = {kind: statistics.median(rs) for kind, rs in ratios.items()}
+        record["ratio_quartiles"] = {kind: statistics.quantiles(rs, n=4)[::2]
+                                     for kind, rs in ratios.items()}
         record["change_faster"] = {kind: f"{sum(x < 1 for x in rs)}/{len(rs)}"
                                    for kind, rs in ratios.items()}
         out[name] = record
-        print(name, json.dumps(record["ratio"]), json.dumps(record["change_faster"]),
+        print(name, json.dumps(record["ratio"]), json.dumps(record["ratio_quartiles"]),
+              json.dumps(record["change_faster"]),
               "outputs_equal" if record["outputs_equal"] else "OUTPUTS DIFFER", file=sys.stderr)
     return out
 
@@ -294,7 +304,8 @@ def main(argv=None) -> None:
                  "machine": platform.machine(), "processor": platform.processor()},
         "statistic": ("*_s: best (minimum) of the repeats, per call; *_scaled_s: median of "
                       "the repeats at perfbench's reference host speed; ratio: median over "
-                      "the repeats of change over parent, scaled, measured back to back"),
+                      "the repeats of change over parent, scaled, measured back to back; "
+                      "ratio_quartiles: the lower and upper quartiles of those ratios"),
         "repeats": args.repeats,
         "entries": measured,
     }
