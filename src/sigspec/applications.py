@@ -11,9 +11,9 @@ from typing import Callable
 import numpy as np
 
 from .coronal import CoronalTriple, star_coronal_closed_form
-from .exact import _BATCH_ENTRIES, Poly, _exact_ints
-from .graphs import (MarkedSignedGraph, complete, complete_bipartite, line_graph, prism,
-                     regular_degree, star)
+from .exact import _BATCH_ENTRIES, Poly, _exact_ints, charpoly
+from .graphs import (MarkedSignedGraph, adjacency_matrix, complete, complete_bipartite,
+                     line_graph, prism, regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
 from .theorems import (FactoredCharPoly, _composed_bracket, factored_charpoly,
                        factored_charpolys)
@@ -127,9 +127,13 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     effective coronal is the all-positive star's (center mark +1) no matter
     how the star is signed. The cubic for the passed center_mark is also
     extracted so the two verdicts can be compared. This is the first report
-    of star_integral_checks for the one case.
+    of star_integral_checks for the one case, built alone: g is the charpoly
+    of A(|Sigma1|), and no general report is made.
     """
-    return star_integral_checks([(mg1, n, center_mark)])[0][0]
+    # the closed forms check n and center_mark before any charpoly is taken
+    closed = tuple(star_coronal_closed_form(n, k) for k in (1, center_mark))
+    g = charpoly(adjacency_matrix(mg1.graph.underlying_positive()))
+    return _star_report(n, center_mark, *closed, g, cache(IntegralityResult.of))
 
 
 def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]

@@ -71,6 +71,20 @@ def reduced_coronal(f: Poly, p: Poly) -> CoronalTriple:
     return CoronalTriple(num=num, den=den, shared=g)
 
 
+def _row_sum_coronal(chi: Poly, n: int, sigma: int) -> CoronalTriple:
+    """Coronal, with the all-ones vector, of an order-n integer matrix N with
+    charpoly chi whose rows all sum to sigma.
+
+    N 1 = sigma 1, so (xI - N)^-1 1 = 1/(x - sigma) 1 and the coronal is
+    n/(x - sigma), in lowest terms because n is not 0. sigma is an
+    eigenvalue of N, so x - sigma divides chi and shared = chi/(x - sigma).
+    No adjugate form and no gcd is needed; the triple equals
+    reduced_coronal(*charpoly_with_adjugate_form(N, (1,) * n)).
+    """
+    den = Poly.linear(-sigma)
+    return CoronalTriple(num=Poly.constant(n), den=den, shared=chi.divexact(den))
+
+
 def star_coronal_closed_form(n: int, center_mark: int) -> CoronalTriple:
     """Coronal of a signed star on n+1 vertices with canonical marking.
 

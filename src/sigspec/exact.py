@@ -10,6 +10,13 @@ coronal's ``CoronalTriple.eval`` (coronal.py) returns where it is not
 integral. Coefficient vectors are stored lowest degree first with no
 trailing zeros.
 
+Ints are checked once, where they enter: ``Poly(...)`` and ``Matrix(...)``
+check every entry's type. What the package computes from ints it already
+holds (sums, products, quotients, gcds, derivatives and CRT lifts here, and
+the graph matrices of graphs.py) is built by ``Poly._from_ints`` and
+``Matrix._from_rows``, which skip that second pass; ``Poly._from_ints``
+still trims trailing zeros.
+
 Every characteristic polynomial, at every order, comes from one exact
 kernel modulo word-size primes, lifted back to integers by CRT: the power
 sums tr(a^k), k <= n, from about 2 sqrt(n) float64 matrix products
@@ -58,17 +65,30 @@ def _exact_ints(xs: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
+def _trimmed(c: Sequence[int]) -> tuple[int, ...]:
+    # c as a tuple without its trailing zeros
+    k = len(c)
+    while k and c[k - 1] == 0:
+        k -= 1
+    return tuple(c[:k])
+
+
 class Poly:
     """Univariate polynomial with integer coefficients."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = _exact_ints(coeffs)
-        k = len(c)
-        while k and c[k - 1] == 0:
-            k -= 1
-        self._c = c[:k]
+        self._c = _trimmed(_exact_ints(coeffs))
+
+    @classmethod
+    def _from_ints(cls, coeffs: Sequence[int]) -> "Poly":
+        """The polynomial with these coefficients, lowest degree first, from
+        ints the package computed: only trailing zeros are trimmed, and the
+        type pass of __init__ is skipped."""
+        p = cls.__new__(cls)
+        p._c = _trimmed(coeffs)
+        return p
 
     @classmethod
     def constant(cls, value: int) -> "Poly":
@@ -129,12 +149,12 @@ class Poly:
         out = list(a)
         for i, x in enumerate(b):
             out[i] += x
-        return Poly(out)
+        return Poly._from_ints(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-x for x in self._c])
+        return Poly._from_ints([-x for x in self._c])
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         o = other if isinstance(other, Poly) else Poly.constant(other)
@@ -145,15 +165,15 @@ class Poly:
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         if not isinstance(other, Poly):
-            (s,) = _exact_ints((other,))
+            s = other if type(other) is int else _exact_ints((other,))[0]
             # a Poly is immutable, so a product by 1 can be the Poly itself
-            return self if s == 1 else Poly([s * x for x in self._c])
+            return self if s == 1 else Poly._from_ints([s * x for x in self._c])
         a, b = self._c, other._c
         if not a or not b:
             return Poly()
         if min(len(a), len(b)) > _SCHOOLBOOK_MAX:
-            return Poly(_kronecker_mul(a, b))
-        return Poly(_schoolbook(a, b))
+            return Poly._from_ints(_kronecker_mul(a, b))
+        return Poly._from_ints(_schoolbook(a, b))
 
     __rmul__ = __mul__
 
@@ -188,7 +208,7 @@ class Poly:
             if c:
                 for j, y in enumerate(d):
                     rem[k + j] -= c * y
-        return Poly(quot), Poly(rem)
+        return Poly._from_ints(quot), Poly._from_ints(rem)
 
     def divexact(self, other: "Poly") -> "Poly":
         """Division that must leave no remainder."""
@@ -286,7 +306,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _primitive(p: Poly) -> tuple[int, Poly]:
     # content and primitive part of a nonzero p, the part with a positive leading coefficient
     c = _int_gcd(*p.coeffs)
-    return c, Poly([x // (c if p.leading > 0 else -c) for x in p.coeffs])
+    return c, Poly._from_ints([x // (c if p.leading > 0 else -c) for x in p.coeffs])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -332,7 +352,7 @@ def _gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         while h:
             digits.append((h + xi // 2) % xi - xi // 2)
             h = (h - digits[-1]) // xi
-        g = _primitive(Poly(digits))[1]
+        g = _primitive(Poly._from_ints(digits))[1]
         try:
             qa, qb = pa.divexact(g), pb.divexact(g)
         except ArithmeticError:
@@ -407,11 +427,11 @@ def _shifted(p: Poly, s: int) -> Poly:
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += s * c[j + 1]
-    return Poly(c)
+    return Poly._from_ints(c)
 
 
 def _derivative(p: Poly) -> Poly:
-    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+    return Poly._from_ints([k * c for k, c in enumerate(p.coeffs)][1:])
 
 
 def _square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
@@ -519,7 +539,7 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
     zero_mult, ints = _strip_low_zeros(list(p.coeffs))
     roots = [0] * zero_mult
     if len(ints) > 1:
-        f = Poly(ints)
+        f = Poly._from_ints(ints)
         candidates = _root_candidates(f, _SIMPLE_ROOT_PRIMES)
         if candidates is None:
             pf = _primitive(f)[1]
@@ -532,7 +552,7 @@ def integer_roots(p: Poly) -> tuple[tuple[int, ...], Poly]:
                 except ArithmeticError:
                     break
                 roots.append(r)
-    return tuple(sorted(roots)), Poly(ints)
+    return tuple(sorted(roots)), Poly._from_ints(ints)
 
 
 class Matrix:
@@ -555,9 +575,22 @@ class Matrix:
         self.ncols = width
 
     @classmethod
+    def _from_rows(cls, rows: Iterable[Iterable[int]]) -> "Matrix":
+        """The matrix with these rows, of ints the package holds, at least one
+        and all of one nonzero length: the checks of __init__ are skipped."""
+        m = cls.__new__(cls)
+        m._rows = tuple(map(tuple, rows))
+        m.nrows = len(m._rows)
+        m.ncols = len(m._rows[0])
+        return m
+
+    @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "Matrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        d = _exact_ints(entries)
+        if not d:
+            raise ValueError("matrix must have at least one row and one column")
+        n = len(d)
+        return cls._from_rows([d[i] if i == j else 0 for j in range(n)] for i in range(n))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -589,17 +622,17 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("matrix shapes differ")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._rows, other._rows)])
+        return Matrix._from_rows([a + b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self._rows, other._rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("matrix shapes differ")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._rows, other._rows)])
+        return Matrix._from_rows([a - b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self._rows, other._rows))
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self._rows])
+        return Matrix._from_rows([-x for x in r] for r in self._rows)
 
 
 def _prime_bits(n: int) -> int:
@@ -886,7 +919,8 @@ def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
     weights = np.array([(modulus // q) * pow(modulus // q, -1, q) for q in primes],
                        dtype=object)
     half = modulus // 2
-    return [Poly([c if c <= half else c - modulus for c in (int(x) % modulus for x in row)])
+    return [Poly._from_ints([c if c <= half else c - modulus
+                             for c in (int(x) % modulus for x in row)])
             for row in residues.transpose(0, 2, 1).astype(object) @ weights]
 
 
@@ -950,9 +984,9 @@ def _times_linear(p: Poly, linear: dict[int, int]) -> Poly:
     # product by sum_k C(e, k) (-lam)^(e-k) x^k
     for lam, e in linear.items():
         if lam:
-            p = p * Poly([comb(e, k) * (-lam) ** (e - k) for k in range(e + 1)])
+            p = p * Poly._from_ints([comb(e, k) * (-lam) ** (e - k) for k in range(e + 1)])
         else:
-            p = Poly((0,) * e + p.coeffs)
+            p = Poly._from_ints((0,) * e + p.coeffs)
     return p
 
 

@@ -157,11 +157,17 @@ class SignedGraph:
                 return s
         raise KeyError(f"no edge ({i}, {j})")
 
+    def _columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        # the edges as three columns: endpoints i, endpoints j and signs
+        return tuple(zip(*self.edges)) if self.edges else ((), (), ())
+
     def underlying_positive(self) -> "SignedGraph":
-        return SignedGraph(self.n, [(i, j, 1) for i, j, _ in self.edges])
+        ii, jj, _ = self._columns()
+        return SignedGraph._from_columns(self.n, ii, jj, (1,) * len(ii))
 
     def negated(self) -> "SignedGraph":
-        return SignedGraph(self.n, [(i, j, -s) for i, j, s in self.edges])
+        ii, jj, ss = self._columns()
+        return SignedGraph._from_columns(self.n, ii, jj, [-s for s in ss])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SignedGraph):
@@ -184,6 +190,14 @@ class Marking:
         self.signs = _signs(signs, what="marking entries")
         if not self.signs:
             raise ValueError("marking must cover at least one vertex")
+
+    @classmethod
+    def _from_signs(cls, signs: Iterable[int]) -> "Marking":
+        """The marking with these signs, +-1 ints the package holds, at least
+        one: the checks of __init__ are skipped."""
+        m = cls.__new__(cls)
+        m.signs = tuple(signs)
+        return m
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -234,14 +248,14 @@ def canonical_marking(g: SignedGraph) -> Marking:
     for i, j, s in g.edges:
         marks[i] *= s
         marks[j] *= s
-    return Marking(marks)
+    return Marking._from_signs(marks)
 
 
 def mu_signed_graph(mg: MarkedSignedGraph) -> SignedGraph:
     """Same underlying graph, each edge re-signed to mark(u)*mark(v)."""
     mu = mg.marking
-    return SignedGraph(mg.graph.n,
-                       [(i, j, mu[i] * mu[j]) for i, j, _ in mg.graph.edges])
+    ii, jj, _ = mg.graph._columns()
+    return SignedGraph._from_columns(mg.graph.n, ii, jj, [mu[i] * mu[j] for i, j in zip(ii, jj)])
 
 
 def balance_marking(g: SignedGraph) -> Marking | None:
@@ -269,7 +283,7 @@ def balance_marking(g: SignedGraph) -> Marking | None:
                     queue.append(w)
                 elif marks[w] != expected:
                     return None
-    return Marking(marks)
+    return Marking._from_signs(marks)
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -322,7 +336,7 @@ def graph_matrix(mg: MarkedSignedGraph | SignedGraph, kind: str) -> Matrix:
     if kind != "A":
         for v, d in enumerate(g.degrees()):
             rows[v][v] = d
-    return Matrix(rows)
+    return Matrix._from_rows(rows)
 
 
 def matrices(mg: MarkedSignedGraph | SignedGraph) -> GraphMatrices:

@@ -55,43 +55,43 @@ def product(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph) -> ProductGraph:
     n1, n2 = g1.n, g2.n
     block = n1 * n2
 
-    def a_idx(i: int, k: int) -> int:
-        return i * n2 + k
-
-    def b_idx(i: int, q: int) -> int:
-        return block + i * n2 + q
-
-    # the edges in normal form (sorted, i < j), so SignedGraph keeps them as
-    # they are: every edge at a clone runs to a higher clone or to a copy,
-    # and every copy vertex comes after every clone
+    # the edges in normal form (sorted, i < j) as three columns, so the one
+    # normal-form pass of SignedGraph._from_columns keeps them as they are:
+    # every edge at a clone runs to a higher clone or to a copy, and every
+    # copy vertex comes after every clone
     higher: list[list[int]] = [[] for _ in range(n1)]
     for i, j, _ in g1.edges:
         higher[i].append(j)
-    edges: list[tuple[int, int, int]] = []
+    ii: list[int] = []
+    jj: list[int] = []
+    ss: list[int] = []
     for i in range(n1):
         si = mu1[i]
         # the clones of i's higher neighbours, all n2 x n2 pairs, then the
         # complete join of fiber i of clones to copy i
-        ends = [(a_idx(j, l), si * mu1[j]) for j in higher[i] for l in range(n2)]
-        ends += [(b_idx(i, q), si * mu2[q]) for q in range(n2)]
-        for k in range(n2):
-            a = a_idx(i, k)
-            edges += [(a, v, s) for v, s in ends]
+        ends = [j * n2 + l for j in higher[i] for l in range(n2)]
+        ends += range(block + i * n2, block + (i + 1) * n2)
+        signs = [si * mu1[j] for j in higher[i] for _ in range(n2)]
+        signs += [si * m for m in mu2]
+        for a in range(i * n2, (i + 1) * n2):
+            ii += [a] * len(ends)
+            jj += ends
+            ss += signs
     # one full copy of the second factor per first-factor vertex
-    copy = [(p, q, mu2[p] * mu2[q]) for p, q, _ in g2.edges]
-    for r in range(n1):
-        base = b_idx(r, 0)
-        edges += [(base + p, base + q, s) for p, q, s in copy]
+    pp, qq, _ = g2._columns()
+    copy_signs = [mu2[p] * mu2[q] for p, q in zip(pp, qq)]
+    for base in range(block, 2 * block, n2):
+        ii += [base + p for p in pp]
+        jj += [base + q for q in qq]
+        ss += copy_signs
 
-    marks = [0] * (2 * block)
-    for i in range(n1):
-        for k in range(n2):
-            marks[a_idx(i, k)] = mu1[i]
-            marks[b_idx(i, k)] = mu2[k]
+    # clone a[i][k] carries mu1[i], copy vertex b[i][q] carries mu2[q]: the
+    # factors' checked signs, so the marking takes no second pass
+    marks = [m for m in mu1 for _ in range(n2)] + list(mu2.signs) * n1
 
-    graph = SignedGraph(2 * block, edges)
+    graph = SignedGraph._from_columns(2 * block, ii, jj, ss)
     expected_edges = n2 * n2 * (n1 + g1.num_edges) + n1 * g2.num_edges
     if graph.num_edges != expected_edges:
         raise AssertionError("product edge count diverged from the closed form")
-    return ProductGraph(graph=MarkedSignedGraph(graph, Marking(marks)),
+    return ProductGraph(graph=MarkedSignedGraph(graph, Marking._from_signs(marks)),
                         n1=n1, n2=n2)

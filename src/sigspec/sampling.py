@@ -16,9 +16,11 @@ def _random_signs(rng: random.Random, count: int, signed: bool) -> list[int]:
 
 
 @cache
-def _skeleton_pairs(family: str, n: int) -> tuple[tuple[int, int], ...]:
-    """The sorted (i, j) edges of the family's member on n vertices, built once."""
-    return tuple((i, j) for i, j, _ in FAMILIES[family][0](n).edges)
+def _skeleton_columns(family: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The endpoint columns i and j of the sorted edges of the family's member
+    on n vertices, built once."""
+    ii, jj, _ = FAMILIES[family][0](n)._columns()
+    return ii, jj
 
 
 def random_marked_graph(rng: random.Random, max_n: int, signed: bool = True,
@@ -32,10 +34,10 @@ def random_marked_graph(rng: random.Random, max_n: int, signed: bool = True,
         raise ValueError(f"no family fits within {max_n} vertices")
     family = rng.choice(feasible)
     n = rng.randint(FAMILIES[family][1], max_n)
-    pairs = _skeleton_pairs(family, n)
-    g = SignedGraph(n, [(i, j, s) for (i, j), s in
-                        zip(pairs, _random_signs(rng, len(pairs), signed))])
-    marking = Marking(_random_signs(rng, n, signed))
+    ii, jj = _skeleton_columns(family, n)
+    # the member's normal-form edges and random +-1 ints: no type pass
+    g = SignedGraph._from_columns(n, ii, jj, _random_signs(rng, len(ii), signed))
+    marking = Marking._from_signs(_random_signs(rng, n, signed))
     return MarkedSignedGraph(g, marking)
 
 

@@ -45,7 +45,7 @@ from functools import cached_property
 from math import prod
 from typing import Literal, Sequence
 
-from .coronal import CoronalTriple, reduced_coronal
+from .coronal import CoronalTriple, _row_sum_coronal, reduced_coronal
 from .exact import (_SCHOOLBOOK_MAX, Matrix, Poly, _charpolys_with_forms, _shifted,
                     _square_free_parts, _times_linear, compose_with_rational)
 from .graphs import (MarkedSignedGraph, SignedGraph, adjacency_matrix, graph_matrix,
@@ -171,16 +171,19 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     """factored_charpoly of each pair in each degree mode, one list per pair.
 
     Every factor depends on the underlying graphs alone (see the module
-    docstring), so the work is keyed by them: (n, edge pairs) of the second
-    factor keys its copy block, and of the first factor its bracket matrix.
+    docstring), so the work is keyed by them: (n, endpoint columns) of the
+    second factor keys its copy block, and of the first its bracket matrix.
     Each key's all-positive graph is built once, and pairs with equal keys
     and equal d get one shared FactoredCharPoly. Every copy block, with the
     all-ones vector, and every bracket matrix goes through one exact call,
     so the matrices of each order are one kernel batch, and each copy
     block's coronal is reduced once. L and Q copy blocks go to the kernel
     as L or Q(|Sigma2|), without the n2*I, and their polynomials are
-    shifted back by n2. An L copy block sends no vector: its coronal is
-    n2/(x - n2), with shared = charpoly(N)/(x - n2), and takes no gcd. The
+    shifted back by n2. A copy block whose rows all sum to one sigma sends
+    no vector and takes no gcd: its coronal is n2/(x - sigma), with
+    shared = charpoly(N)/(x - sigma) (see _row_sum_coronal). That is A and Q
+    of a regular |Sigma2|, and L of every |Sigma2|. The key graphs are built
+    from the factors' checked edge columns (SignedGraph._from_columns). The
     results are read back by position: copy blocks first, then bracket
     matrices.
     """
@@ -191,43 +194,37 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     blocks, brackets, keys = {}, {}, []
     for mg1, mg2 in pairs:
         g1, g2 = mg1.graph, mg2.graph
-        k1 = (g1.n, tuple((i, j) for i, j, _ in g1.edges))
-        k2 = (g2.n, tuple((i, j) for i, j, _ in g2.edges))
+        k1 = (g1.n, *g1._columns()[:2])
+        k2 = (g2.n, *g2._columns()[:2])
         if k1 not in brackets:
             brackets[k1] = (len(brackets),
                             0 if kind == "A" else require_regular(g1, "first factor"))
         blocks.setdefault(k2, len(blocks))
         keys.append((k1, k2))
     copies, items = [], []
-    for n, edges in blocks:
-        g = SignedGraph(n, [(i, j, 1) for i, j in edges])
-        if kind == "A":
-            copies.append(adjacency_matrix(g))
-            items.append((copies[-1], (1,) * n))
-        else:
-            m = graph_matrix(g, kind)
-            copies.append(m + Matrix.diagonal([n] * n))
-            items.append((m, None if kind == "L" else (1,) * n))
+    for n, ii, jj in blocks:
+        m = graph_matrix(SignedGraph._from_columns(n, ii, jj, (1,) * len(ii)), kind)
+        copies.append(m if kind == "A" else m + Matrix.diagonal([n] * n))
+        # a block whose rows all sum to one sigma needs no adjugate form
+        uniform = len(set(map(sum, m.rows()))) == 1
+        items.append((m, None if uniform else (1,) * n))
     # the clone block of L carries -A(|Sigma1|) (x) J: the all-negative graph's
     sign = -1 if kind == "L" else 1
-    mats = [adjacency_matrix(SignedGraph(n, [(i, j, sign) for i, j in edges]))
-            for n, edges in brackets]
+    mats = [adjacency_matrix(SignedGraph._from_columns(n, ii, jj, (sign,) * len(ii)))
+            for n, ii, jj in brackets]
     solved = _charpolys_with_forms(items + [(m, None) for m in mats])
     coronals = []
-    for (n, _), (f, p) in zip(blocks, solved):
-        if kind != "A":
-            # the kernel took N - n2 I = L or Q(|Sigma2|), whose smaller
-            # diagonal needs fewer primes; chi_N(x) = chi_(N - n2 I)(x - n2)
-            f = _shifted(f, -n)
-        if kind == "L":
-            # L(|Sigma2|) 1 = 0, so N 1 = n2 1 and the coronal is n2/(x - n2),
-            # already reduced: n2 is not 0, so no gcd is taken
-            den = Poly.linear(-n)
-            coronals.append(CoronalTriple(num=Poly.constant(n), den=den,
-                                          shared=f.divexact(den)))
+    for (n, _, _), (m, u), (f, p) in zip(blocks, items, solved):
+        # the kernel took N - n2 I = L or Q(|Sigma2|), whose smaller diagonal
+        # needs fewer primes; chi_N(x) = chi_(N - n2 I)(x - n2), and Q's
+        # adjugate form shifts back as its charpoly does
+        shift = 0 if kind == "A" else n
+        if shift:
+            f = _shifted(f, -shift)
+        if u is None:
+            coronals.append(_row_sum_coronal(f, n, sum(m.rows()[0]) + shift))
         else:
-            # Q's adjugate form shifts back as its charpoly does
-            coronals.append(reduced_coronal(f, p if kind == "A" else _shifted(p, -n)))
+            coronals.append(reduced_coronal(f, _shifted(p, -shift) if shift else p))
     forms = {}
     out = []
     for k1, k2 in keys:

@@ -1,6 +1,6 @@
 import pytest
 
-from sigspec import exact
+from sigspec import exact, graphs
 
 
 @pytest.fixture
@@ -17,3 +17,25 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     return calls
+
+
+@pytest.fixture
+def graph_sizes(monkeypatch):
+    """The vertex count of every SignedGraph built from here until
+    monkeypatch.undo(), through the constructor or through
+    SignedGraph._from_columns, in build order."""
+    sizes = []
+    init = graphs.SignedGraph.__init__
+    from_columns = graphs.SignedGraph._from_columns.__func__
+
+    def recorded(self, n, edges=()):
+        sizes.append(n)
+        init(self, n, edges)
+
+    def recorded_columns(cls, n, ii, jj, ss):
+        sizes.append(n)
+        return from_columns(cls, n, ii, jj, ss)
+
+    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
+    monkeypatch.setattr(graphs.SignedGraph, "_from_columns", classmethod(recorded_columns))
+    return sizes

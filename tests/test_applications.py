@@ -127,9 +127,9 @@ def _rank_one_update(rows, u, w):
 
 def test_integral_search_sends_each_matrix_to_the_kernel_once(kernel_calls, capsys):
     # 336 instances, but the factored batch sees only the 9 underlying first
-    # factors and the 6 unsigned stars, each with the all-ones vector: each
-    # distinct matrix, folded by its twin rows, and each folded rank-one
-    # update is in one batch once
+    # factors and the 6 unsigned stars, each star but the regular K_{1,1}
+    # with the all-ones vector: each distinct matrix, folded by its twin
+    # rows, and each folded rank-one update is in one batch once
     from sigspec.cli import _search_first_factors, main
     assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
     seen = Counter()
@@ -139,11 +139,13 @@ def test_integral_search_sends_each_matrix_to_the_kernel_once(kernel_calls, caps
     assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
     underlying = {mg.graph.underlying_positive() for _, mg in _search_first_factors(4)}
     firsts = {exact._fold_twins(adjacency_matrix(g).rows(), None)[0] for g in underlying}
-    blocks = {(rows, _rank_one_update(rows, *uw)) for rows, uw, _ in
-              (exact._fold_twins(adjacency_matrix(star(n + 1)).rows(), (1,) * (n + 1))
-               for n in range(1, 7))}
-    assert len(underlying) == 9 and len(blocks) == 6
-    assert firsts | {rows for block in blocks for rows in block} == set(seen)
+    stars = [exact._fold_twins(adjacency_matrix(star(n + 1)).rows(), (1,) * (n + 1))
+             for n in range(1, 7)]
+    # K_{1,1} = K2: its rows all sum to 1, so it goes without an update
+    blocks = {(rows, _rank_one_update(rows, *uw)) for rows, uw, _ in stars[1:]}
+    assert len(underlying) == 9 and len(blocks) == 5
+    assert (firsts | {stars[0][0]} | {rows for block in blocks for rows in block}
+            == set(seen))
     assert set(seen.values()) == {1}
 
 
@@ -245,19 +247,11 @@ def test_equienergetic_demo_computes_no_product_charpoly(kernel_calls):
     assert orders and max(orders) <= 18
 
 
-def test_equienergetic_demo_builds_no_product(monkeypatch):
+def test_equienergetic_demo_builds_no_product(graph_sizes):
     # order, energies and charpolys all come from the factors, so no graph
     # beyond the order-18 inputs is ever constructed
-    sizes = []
-    init = graphs.SignedGraph.__init__
-
-    def recorded(self, n, edges=()):
-        sizes.append(n)
-        init(self, n, edges)
-
-    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
     assert equienergetic_demo().valid
-    assert sizes and max(sizes) <= 18
+    assert graph_sizes and max(graph_sizes) <= 18
 
 
 @pytest.mark.parametrize("mg1, mg2, base, valid", [
@@ -265,19 +259,11 @@ def test_equienergetic_demo_builds_no_product(monkeypatch):
     (mk(cycle(4)), mk(path(4)), mk(complete(2)), False),
     (mk(cycle(4)), mk(cycle(4)), mk(cycle(5)), False),
 ], ids=["demo", "C4/P4", "C4/C4"])
-def test_equienergetic_family_builds_no_product(monkeypatch, mg1, mg2, base, valid):
+def test_equienergetic_family_builds_no_product(graph_sizes, mg1, mg2, base, valid):
     # on the valid and the failure path alike, no graph larger than an input
     largest = max(x.graph.n for x in (mg1, mg2, base))
-    sizes = []
-    init = graphs.SignedGraph.__init__
-
-    def recorded(self, n, edges=()):
-        sizes.append(n)
-        init(self, n, edges)
-
-    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
     assert equienergetic_family(mg1, mg2, base).valid == valid
-    assert sizes and max(sizes) <= largest
+    assert graph_sizes and max(graph_sizes) <= largest
 
 
 @pytest.mark.parametrize("center_mark, calls", [(1, 5), (-1, 8)])

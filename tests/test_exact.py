@@ -232,6 +232,47 @@ def test_division_by_a_monic_divisor(pc, dc):
     assert q * d + r == p and r.degree < d.degree
 
 
+def _built_from_checked_ints(p):
+    # what a Poly the package builds without the type pass must still be:
+    # ints only, no trailing zero, and equal to the checked constructor's Poly
+    assert all(type(c) is int for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p == Poly(list(p.coeffs))
+
+
+@given(ac=st.lists(gcd_coeffs, max_size=10), bc=st.lists(gcd_coeffs, max_size=10),
+       s=gcd_coeffs, lam=st.integers(min_value=-3, max_value=3),
+       e=st.integers(min_value=0, max_value=4), zeros=st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_internal_polys_hold_checked_ints(ac, bc, s, lam, e, zeros):
+    a, b = Poly(ac + [0] * zeros), Poly(bc)
+    monic = b + Poly.x() ** (b.degree + 1)
+    made = [a + b, a - b, -a, a * b, a * a, a * s, s * a, a + s, s - a, a ** 3,
+            *divmod(a, monic), exact._derivative(a), _shifted(a, lam),
+            exact._times_linear(a, {lam: e, 0: zeros}), compose_with_rational(a, b, monic)]
+    if a or b:
+        made += exact._gcd_cofactors(a, b)
+    if a:
+        made += [exact._primitive(a)[1], integer_roots(a)[1]]
+    for p in made:
+        _built_from_checked_ints(p)
+
+
+@given(cs=st.lists(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=6),
+                   min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_crt_lift_polys_hold_checked_ints(cs):
+    # residues of small integer polynomials, with trailing zeros, lift back to them
+    primes = [1000003, 1000033]
+    width = max(map(len, cs))
+    rows = [c + [0] * (width - len(c)) for c in cs]
+    residues = np.array([[[x % q for x in c] for q in primes] for c in rows], dtype=np.int64)
+    lifted = _crt_lift(primes, residues)
+    assert lifted == [Poly(c) for c in cs]
+    for p in lifted:
+        _built_from_checked_ints(p)
+
+
 # oracle: den^deg(g) * g(num/den) agrees with plain rational evaluation
 @given(gc=st.lists(entries, min_size=1, max_size=5),
        nc=st.lists(entries, min_size=1, max_size=4),

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigspec import cli, graphs, io, sampling
-from sigspec.exact import charpoly
+from sigspec.exact import Matrix, charpoly
 from sigspec.graphs import (FAMILIES, EdgeError, MarkedSignedGraph, Marking, SignedGraph,
                             adjacency_matrix, balance_marking,
                             canonical_marking, complete, complete_bipartite,
-                            cycle, is_balanced, line_graph, matrices,
+                            cycle, graph_matrix, is_balanced, line_graph, matrices,
                             mu_signed_graph, path, prism, regular_degree,
                             star)
 from sigspec.io import parse_graph, save_graph, serialize_graph
@@ -119,7 +119,7 @@ def test_normal_form_producers_never_reach_the_edge_by_edge_pass(monkeypatch, tm
     rng = random.Random(5)
     for family, (_, least) in FAMILIES.items():
         for n in range(least, 7):
-            sampling._skeleton_pairs(family, n)  # built once, through the builder
+            sampling._skeleton_columns(family, n)  # built once, through the builder
     factors = [random_marked_graph(rng, 6) for _ in range(30)]
     regular = [random_regular_marked_graph(rng, 5) for _ in range(10)]
     files = [serialize_graph(product(a, b).graph) for a, b in zip(factors, factors[1:])]
@@ -280,3 +280,34 @@ def test_marking_validation():
     assert Marking("+-") == Marking([1, -1])
     with pytest.raises(ValueError):
         MarkedSignedGraph(cycle(3), Marking([1, 1]))
+
+
+@st.composite
+def signed_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(chosen), max_size=len(chosen)))
+    return SignedGraph(n, [(i, j, s) for (i, j), s in zip(chosen, signs)])
+
+
+@given(g=signed_graphs(), kind=st.sampled_from(["A", "L", "Q"]))
+@settings(max_examples=80, deadline=None)
+def test_graph_matrix_equals_the_entrywise_matrix(g, kind):
+    # graph_matrix skips Matrix's type pass; the checked constructor, given
+    # the same entries one by one, makes an equal matrix of ints
+    degrees = g.degrees()
+    sign = -1 if kind == "L" else 1
+    adjacent = {(i, j): s for i, j, s in g.edges}
+    adjacent.update({(j, i): s for i, j, s in g.edges})
+
+    def entry(i, j):
+        if i == j:
+            return 0 if kind == "A" else degrees[i]
+        return sign * adjacent.get((i, j), 0)
+
+    want = Matrix([[entry(i, j) for j in range(g.n)] for i in range(g.n)])
+    got = graph_matrix(g, kind)
+    assert got == want and got.shape == want.shape == (g.n, g.n)
+    assert all(type(row) is tuple for row in got.rows())
+    assert all(type(x) is int for row in got.rows() for x in row)

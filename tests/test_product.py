@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sigspec.coronal import signed_coronal
 from sigspec.exact import charpoly
-from sigspec.graphs import (MarkedSignedGraph, SignedGraph, adjacency_matrix,
+from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             complete, cycle, matrices, mu_signed_graph, path,
                             star)
 from sigspec.product import product
@@ -77,6 +77,28 @@ def test_block_adjacency_matches_construction(rng):
     pg = product(mg1, mg2)
     assert np.array_equal(block_reference(mg1, mg2),
                           adjacency_matrix(pg.graph.graph).rows())
+
+
+@given(rng=rngs())
+@settings(max_examples=40, deadline=None)
+def test_product_equals_the_checked_block_reference(rng):
+    # product builds its graph and marking from the factors' checked ints,
+    # with no type pass; the checked constructors, given the block
+    # reference's entries and the factors' marks, make the same objects
+    mg1 = random_marked_graph(rng, max_n=5)
+    mg2 = random_marked_graph(rng, max_n=4)
+    n1, n2 = mg1.graph.n, mg2.graph.n
+    pg = product(mg1, mg2).graph
+    a = block_reference(mg1, mg2)
+    n = len(a)
+    graph = SignedGraph(n, [(i, j, int(a[i, j])) for i in range(n) for j in range(i + 1, n)
+                            if a[i, j]])
+    marking = Marking([int(x) for x in np.concatenate([
+        np.kron(list(mg1.marking), np.ones(n2, dtype=int)),
+        np.kron(np.ones(n1, dtype=int), list(mg2.marking))])])
+    assert pg.graph == graph and pg.marking == marking
+    assert all(type(x) is int for e in pg.graph.edges for x in e)
+    assert all(type(x) is int for x in pg.marking) and type(pg.graph.n) is int
 
 
 @given(rng=rngs())

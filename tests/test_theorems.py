@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigspec import exact, graphs, theorems
-from sigspec.coronal import signed_coronal
-from sigspec.exact import Matrix, Poly, charpoly
+from sigspec.coronal import _row_sum_coronal, reduced_coronal, signed_coronal
+from sigspec.exact import Matrix, Poly, charpoly, charpoly_with_adjugate_form
 from sigspec.graphs import (FAMILIES, MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             complete, complete_bipartite, cycle, graph_matrix, line_graph,
-                            matrices, mu_signed_graph, path, star)
+                            matrices, mu_signed_graph, path, prism, star)
 from sigspec.product import product
 from sigspec.sampling import (REGULAR_FAMILIES, random_marked_graph,
                               random_regular_marked_graph)
@@ -229,8 +229,50 @@ def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kernel_cal
                 for g, _ in underlying}
     assert set(mats) == {exact._fold_twins(m.rows(), None)[0] for m in copies | brackets}
     assert set(mats.values()) == {1}
-    # A and Q send each copy block's rank-one update; L's form needs none
-    assert len(updates) == (0 if kind == "L" else len(copies))
+    # a copy block whose rows all sum to one value sends no rank-one update:
+    # L's always, A's and Q's when the second factor is regular
+    irregular = {g for _, g in underlying if graphs.regular_degree(g) is None}
+    assert len(updates) == (0 if kind == "L" else len(irregular))
+
+
+def _disjoint_union(g, h):
+    return SignedGraph(g.n + h.n, list(g.edges) + [(g.n + i, g.n + j, s) for i, j, s in h.edges])
+
+
+# regular graphs: every row of A, L + nI and Q + nI sums to one value
+_REGULAR_GRAPHS = (
+    [cycle(n) for n in range(3, 9)] + [complete(n) for n in range(1, 7)]
+    + [prism(n) for n in range(3, 6)] + [complete_bipartite(a, a) for a in range(1, 5)]
+    + [line_graph(line_graph(complete_bipartite(3, 3))), line_graph(line_graph(prism(3)))]
+    + [_disjoint_union(cycle(3), cycle(5)), _disjoint_union(complete(4), prism(3)),
+       _disjoint_union(complete(2), complete(2)), _disjoint_union(complete(1), complete(1))])
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+def test_row_sum_coronal_is_the_reduced_coronal(kind):
+    # a copy block N with N 1 = sigma 1 has the coronal n/(x - sigma): A and
+    # Q + nI of a regular graph, and L + nI of every graph
+    for g in _REGULAR_GRAPHS:
+        n = g.n
+        m = graph_matrix(g, kind)
+        if kind != "A":
+            m = m + Matrix.diagonal([n] * n)
+        sigma = sum(m.rows()[0])
+        assert {sum(r) for r in m.rows()} == {sigma}
+        assert (_row_sum_coronal(charpoly(m), n, sigma)
+                == reduced_coronal(*charpoly_with_adjugate_form(m, (1,) * n)))
+
+
+def test_uniform_copy_blocks_send_no_update(kernel_calls):
+    seconds = _REGULAR_GRAPHS[:12]
+    for kind in ("A", "L", "Q"):
+        factored_charpolys([(mk(cycle(4)), mk(g)) for g in seconds], kind, ["constructed"])
+    assert kernel_calls and all(not updates for _, _, updates, _ in kernel_calls)
+    # an irregular second factor's A and Q blocks send the all-ones update
+    for kind in ("A", "Q"):
+        start = len(kernel_calls)
+        factored_charpolys([(mk(cycle(4)), mk(path(4)))], kind, ["constructed"])
+        assert sum(len(updates) for _, _, updates, _ in kernel_calls[start:]) == 1
 
 
 def test_theorems_never_names_mu_signed_graph():
@@ -387,19 +429,11 @@ def test_cospectral_family_matches_built_products(side, triple):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("triple", list(_FAMILY_TRIPLES), ids=list(_FAMILY_TRIPLES))
-def test_cospectral_family_builds_no_product(monkeypatch, side, triple):
+def test_cospectral_family_builds_no_product(graph_sizes, side, triple):
     mg_a, mg_b, mg = _FAMILY_TRIPLES[triple]
     largest = max(x.graph.n for x in (mg_a, mg_b, mg))
-    sizes = []
-    init = graphs.SignedGraph.__init__
-
-    def recorded(self, n, edges=()):
-        sizes.append(n)
-        init(self, n, edges)
-
-    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
     cospectral_family_check(mg_a, mg_b, mg, side)
-    assert sizes and max(sizes) <= largest
+    assert graph_sizes and max(graph_sizes) <= largest
 
 
 @pytest.mark.parametrize("kind, g1, marks1, g2, marks2, digest", [

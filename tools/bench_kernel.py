@@ -30,7 +30,12 @@ For these, "kernel" times _charpoly_residues alone on the batches the call
 hands it, each module choosing its own primes, and "call" times the whole
 call. The other entries have calls only:
 
-- verify_A, verify_L: run_theorem_verification("A", 150 trials; "L", 50);
+- verify_A, verify_L, verify_Q: run_theorem_verification("A", 150 trials;
+  "L", 50; "Q", 50), all signed;
+- product_72: product of K2 and the marked L^2(K3,3), the order-72 product
+  of the charpoly_A_72 entry;
+- sample_A: 300 random_marked_graph draws of verify_A's first factors (at
+  most 4 vertices, signed), from a fresh seeded rng each call;
 - integral_search: star_integral_checks over the 336 cases of
   integral-search --max-n1 4 --max-n 6;
 - bracket_A_C64xP64: the first .bracket access of A of C64 x P64, on a
@@ -164,12 +169,14 @@ def entries(S, d: Path) -> dict:
     (call, has kernel entry)."""
     exact = importlib.import_module(S.__name__ + ".exact")
     verify = importlib.import_module(S.__name__ + ".verify")
+    sampling = importlib.import_module(S.__name__ + ".sampling")
     cli = importlib.import_module(S.__name__ + ".cli")
     applications = importlib.import_module(S.__name__ + ".applications")
     rng = random.Random(72)
     k2 = S.MarkedSignedGraph.with_canonical_marking(S.complete(2))
     l2 = S.line_graph(S.line_graph(S.complete_bipartite(3, 3)))
-    pg = S.product(k2, marked(S, l2, rng)).graph
+    l2_marked = marked(S, l2, rng)
+    pg = S.product(k2, l2_marked).graph
     a72 = S.graph_matrix(pg.graph, "A")
     marks = list(pg.marking)
     c32, p32 = marked(S, S.cycle(32), rng), marked(S, S.path(32), rng)
@@ -194,6 +201,10 @@ def entries(S, d: Path) -> dict:
         "A_C256xP256": (lambda: factored(c256, p256, "A"), True),
         "verify_A": (lambda: verify.run_theorem_verification("A", trials=150, seed=1), False),
         "verify_L": (lambda: verify.run_theorem_verification("L", trials=50, seed=1), False),
+        "verify_Q": (lambda: verify.run_theorem_verification("Q", trials=50, seed=1), False),
+        "product_72": (lambda: S.product(k2, l2_marked), False),
+        "sample_A": (lambda: [sampling.random_marked_graph(draws, 4)
+                              for draws in [random.Random(1)] for _ in range(300)], False),
         "integral_search": (lambda: applications.star_integral_checks(search), False),
         "bracket_A_C64xP64": (first_access(factored(c64, p64, "A"), "bracket"), False),
         "assembled_L_C32xC32": (first_access(factored(c32, d32, "L"), "assembled",
