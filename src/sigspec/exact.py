@@ -35,6 +35,17 @@ the batch, as the pair of vectors (u', w) that the kernel forms the
 updated matrix from, and u^T adj(xI - a) u is lifted from the difference
 of the two residues. Each folded matrix and each update is keyed once per
 batch, and every result is read back by position.
+
+Before the batch, a folded matrix with a scalar diagonal s loses it,
+chi_a(x) = chi_(a - sI)(x - s), and a folded matrix of order
+n >= _HALVED_MIN that is then [[0, B], [C, 0]] up to a permutation (a
+bipartite graph, with a smaller side of m rows) goes to the kernel as BC,
+of order m: chi(x) = x^(n-2m) chi_BC(x^2). Its vector goes as three
+rank-one updates of BC, whose forms give u^T adj(xI - a) u through the
+block inverse of xI - a (halving.py). Paths, even cycles, stars and
+trees, the factors of the large products, are bipartite, and the kernel's
+2 sqrt(n) products of n x n matrices per prime cost about 2^3.5 times
+less at half the order.
 """
 from __future__ import annotations
 
@@ -47,6 +58,8 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .halving import _halved, _unhalved
 
 
 _INT_ONLY = frozenset((int,))
@@ -978,6 +991,25 @@ def _fold_twins(rows: tuple[tuple[int, ...], ...], u: tuple[int, ...] | None
     return rows, (reps, tuple(ui * len(c) for ui, c in zip(reps, members))), linear
 
 
+def _diagonal_shifted(rows: tuple[tuple[int, ...], ...]
+                      ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows of a - sI, s) where the diagonal of a is scalar s; (a, 0) where
+    it is not.
+
+    chi_a(x) = chi_(a - sI)(x - s), and the form shifts the same way, so
+    the kernel can take a - sI: its zero diagonal lowers the column norms of
+    the coefficient bound, and leaves the graph of a bipartite where its
+    off-diagonal entries make one (see _halved). A diagonal that is not
+    scalar is left as it is: any shift keeps a nonzero entry, which rules
+    halving out, and on the many small matrices of a verification campaign
+    the shift back costs more than the primes it would save.
+    """
+    s = rows[0][0]
+    if not s or any(r[i] != s for i, r in enumerate(rows)):
+        return rows, 0
+    return tuple(r[:i] + (r[i] - s,) + r[i + 1:] for i, r in enumerate(rows)), s
+
+
 def _times_linear(p: Poly, linear: dict[int, int]) -> Poly:
     # p * prod (x - lam)^e over the split-off factors; p itself when there are
     # none. (x - lam)^e is a shift by e for lam = 0, and otherwise the one
@@ -990,6 +1022,34 @@ def _times_linear(p: Poly, linear: dict[int, int]) -> Poly:
     return p
 
 
+# folded orders below this go to the kernel whole, bipartite or not: there
+# a batch costs about its fixed numpy calls whatever its order, so BC saves
+# nothing, while the colouring, the three updates and the map back cost
+# about 25 us per order-16 item. One A(P_n) with the all-ones vector
+# breaks even near n = 12 and gains 11 % at n = 16 (2-core x86_64, python
+# 3.11, numpy 2.4 with OpenBLAS)
+_HALVED_MIN = 16
+
+
+def _kernel_item(a: Matrix, u: Sequence[int] | None) -> tuple:
+    """What the kernel takes for the item (a, u) of _charpolys_with_forms:
+    (rows sent, updates sent, split-off factors, shift s, and
+    (n - 2m, w_b . u_b) where the item is halved, else None)."""
+    if not a.is_square:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    if u is not None:
+        if len(u) != a.nrows:
+            raise ValueError("vector length differs from matrix size")
+        u = _exact_ints(u)
+    rows, uw, linear = _fold_twins(a.rows(), u)
+    rows, s = _diagonal_shifted(rows)
+    half = _halved(rows, uw) if len(rows) >= _HALVED_MIN else None
+    if half is None:
+        return rows, [] if uw is None else [uw], linear, s, None
+    bc, updates, e, wu_b = half
+    return bc, updates, linear, s, (e, wu_b)
+
+
 def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
                           ) -> list[tuple[Poly, Poly | None]]:
     """det(xI - a) of each square integer matrix a, and u^T adj(xI - a) u where u is given.
@@ -997,73 +1057,91 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
     Each item is first folded by its twin rows (see _fold_twins), which
     splits off det(xI - a) = prod (x - lam)^e * det(xI - a') exactly; the
     factor multiplies the lifted charpoly and form back, and an item with
-    no twins goes through whole. The folded items of each order are one
-    batch of the multimodular kernel, modulo one list of primes. An item
-    with a vector also puts its folded update a' + u' w^T in the batch: by
-    the matrix determinant lemma, det(xI - a' - u' w^T) =
-    chi_a'(x) - w^T adj(xI - a') u', and the folding factor of a + u u^T is
-    that of a, so u^T adj(xI - a) u = prod (x - lam)^e * w^T adj(xI - a') u'
-    is lifted from the difference of the two residues. chi_(a' + u' w^T)
-    itself is never lifted, so its larger entries do not set the prime count.
+    no twins goes through whole. Where the diagonal of a' is scalar s, it
+    is subtracted (see _diagonal_shifted): M = a' - sI, and
+    chi_a'(x) = chi_M(x - s) is an exact Taylor shift back (_shifted), as is
+    the form; otherwise M = a'. Where M, of order n >= _HALVED_MIN, is
+    [[0, B], [C, 0]] up to a permutation, with a smaller side of m >= 1
+    rows (see _halved: a' has a scalar diagonal and a bipartite graph),
+    the kernel takes BC, of order m, in place of M, and
+    chi_M(x) = x^(n-2m) chi_BC(x^2) (see halving.py). Every other M goes
+    as it is; _kernel_item says what is sent.
+
+    The matrices sent of each order are one batch of the multimodular
+    kernel, modulo one list of primes. An item with a vector also sends
+    rank-one updates (z, y) of its matrix: for an M sent as it is, the
+    folded pair (u', w) itself; for a halved one, the three updates of BC
+    that _halved derives from (u', w), whose forms _unhalved combines into
+    w^T adj(xI - M) u' through the block inverse of xI - M. By the matrix
+    determinant lemma,
+    det(xI - b - z y^T) = chi_b(x) - y^T adj(xI - b) z for the matrix b
+    sent, so each form is lifted from the difference of two residues, and
+    u^T adj(xI - a) u = prod (x - lam)^e * w^T adj(xI - a') u', since the
+    folding factor of a + u u^T is that of a. chi_(b + z y^T) itself is
+    never lifted, so its larger entries do not set the prime count.
 
     The primes cover W * E, with E the largest _coefficient_bound of the
-    columns of a folded matrix a' of the batch and W the largest |u|_1^2
-    (1 where no item has a vector). E bounds every chi_a'. The coefficient
-    of x^(n-1-k) in w^T adj(xI - a') u' sums w_i * u'_j times a signed sum
-    of minors of a' of order k, one per column set of size k that avoids i;
-    each is at most the product of its columns' norms (Hadamard), so the sum
-    is at most e_k of the column norms, and the weights |w_i * u'_j| add up
-    to |w|_1 |u'|_1 <= |u|_1^2. Columns, not rows: folding multiplies the
-    column of a class of m twins by m, so in the column bound the class
-    counts once, while in a row bound the factor m would enter every row
-    that meets the class (163 against 82 bits for A of the order-72
-    K2 x L^2(K3,3)). For a symmetric a with no twins the two are equal.
+    columns of a matrix b of the batch and W the largest |y|_1 |z|_1 of
+    an update sent (1 where there is none). E bounds every chi_b. The
+    coefficient of x^(n-1-k) in y^T adj(xI - b) z sums y_i * z_j times a
+    signed sum of minors of b of order k, one per column set of size k
+    that avoids i; each is at most the product of its columns' norms
+    (Hadamard), so the sum is at most e_k of the column norms, and the
+    weights |y_i * z_j| add up to |y|_1 |z|_1. Columns, not rows: folding
+    multiplies the column of a class of m twins by m, so in the column
+    bound the class counts once, while in a row bound the factor m would
+    enter every row that meets the class (163 against 82 bits for A of the
+    order-72 K2 x L^2(K3,3)). For a symmetric a with no twins the two are
+    equal. The bound is taken on what is sent, so a halved batch is sized
+    by the columns of BC and the weights of its three updates, not by |u|_1^2.
+    The mapped-back charpolys and forms need no bound of their own: they are
+    exact integer combinations and shifts of the lifted ones.
 
-    Each distinct plain matrix, and each distinct update up to the sign of
-    (u', w), goes to the kernel once per batch: (-u')(-w)^T = u' w^T, so the
-    sign is fixed by making the first nonzero entry of u' positive. An
-    update goes as (batch index of a', u', w), and the kernel forms its
-    matrix (see _charpoly_residues). Each folded matrix and each update is
-    keyed once, and the results are read back by position.
+    Each distinct matrix sent, and each distinct update up to the sign of
+    (z, y), goes to the kernel once per batch: (-z)(-y)^T = z y^T, so the
+    sign is fixed by making the first nonzero entry of z positive. An
+    update goes as (batch index of b, z, y), and the kernel forms its
+    matrix (see _charpoly_residues). Each matrix and each update is keyed
+    once, and the results are read back by position.
     """
-    folds = []  # per item: rows of a', (u', w) or None, split-off factors, |u|_1^2
-    for a, u in items:
-        if not a.is_square:
-            raise ValueError("characteristic polynomial of a non-square matrix")
-        if u is not None:
-            if len(u) != a.nrows:
-                raise ValueError("vector length differs from matrix size")
-            u = _exact_ints(u)
-        folds.append((*_fold_twins(a.rows(), u), 0 if u is None else sum(map(abs, u)) ** 2))
+    folds = [_kernel_item(a, u) for a, u in items]
     by_order: dict[int, list[int]] = {}
-    for k, (rows, _, _, _) in enumerate(folds):
-        by_order.setdefault(len(rows), []).append(k)
+    for k, fold in enumerate(folds):
+        by_order.setdefault(len(fold[0]), []).append(k)
     out: list = [None] * len(folds)
     for group in by_order.values():
-        mats: dict = {}  # rows of a' -> batch index
-        updates: dict = {}  # (batch index, u', w) -> update index
-        slots = []  # per item of the group: batch index, update index or None
+        mats: dict = {}  # rows sent -> batch index
+        updates: dict = {}  # (batch index, z, y) -> update index
+        slots = []  # per item of the group: batch index, update indices
         for k in group:
-            rows, uw, _, _ = folds[k]
+            rows, sent = folds[k][:2]
             i = mats.setdefault(rows, len(mats))
-            j = None
-            if uw is not None:
-                u, w = uw
-                if next((x for x in u if x), 0) < 0:
-                    u, w = tuple(-x for x in u), tuple(-x for x in w)
-                j = updates.setdefault((i, u, w), len(updates))
-            slots.append((i, j))
-        weight = max(folds[k][3] for k in group)
-        bound = max(1, weight) * max(_coefficient_bound(tuple(zip(*a))) for a in mats)
+            js = []
+            for z, y in sent:
+                if next((x for x in z if x), 0) < 0:
+                    z, y = tuple(-x for x in z), tuple(-x for x in y)
+                js.append(updates.setdefault((i, z, y), len(updates)))
+            slots.append((i, js))
+        weight = max((sum(map(abs, z)) * sum(map(abs, y)) for _, z, y in updates), default=0)
+        bound = max(1, weight) * max(_coefficient_bound(tuple(zip(*b))) for b in mats)
         primes, res = _charpoly_residues(list(mats), bound, list(updates))
-        # w^T adj(xI - a') u' = chi_a' - chi_(a' + u' w^T), residue by residue
+        # y^T adj(xI - b) z = chi_b - chi_(b + z y^T), residue by residue
         diff = ((res[[i for i, _, _ in updates]] - res[len(mats):])
                 % np.array(primes, dtype=np.int64)[:, None])
         lifted = _crt_lift(primes, np.concatenate([res[:len(mats)], diff]))
-        for k, (i, j) in zip(group, slots):
-            linear = folds[k][2]
-            out[k] = (_times_linear(lifted[i], linear),
-                      None if j is None else _times_linear(lifted[len(mats) + j], linear))
+        for k, (i, js) in zip(group, slots):
+            _, _, linear, s, half = folds[k]
+            chi, forms = lifted[i], [lifted[len(mats) + j] for j in js]
+            if half is None:
+                form = forms[0] if forms else None
+            else:
+                up, q = _unhalved(chi.coeffs, [f.coeffs for f in forms], *half)
+                chi, form = Poly._from_ints(up), None if q is None else Poly._from_ints(q)
+            if s:
+                chi = _shifted(chi, -s)
+                form = None if form is None else _shifted(form, -s)
+            out[k] = (_times_linear(chi, linear),
+                      None if form is None else _times_linear(form, linear))
     return out
 
 

@@ -724,6 +724,113 @@ def test_twin_fold_is_exact(blowup):
                                             for c, ui in set(zip(classes, u)))
 
 
+@st.composite
+def bipartite_blowups(draw):
+    """c I + [[0, B], [C, 0]], with rows and columns permuted together, the
+    scalar c and a vector u.
+
+    B is p x q and C q x p for sides of p and q classes, unequal or empty
+    (an edgeless matrix), and C is B^T, -B^T (whose entries cancel in
+    M + M^T) or drawn on its own. Zero entries leave isolated vertices and
+    several components. Each class then gets 1 to 3 twin rows, so K_{a,b}
+    is the one-edge base blown up, and the twins fold before the halving.
+    u is zero, has a leading zero, or is drawn entry by entry.
+    """
+    p = draw(st.integers(min_value=0, max_value=3))
+    q = draw(st.integers(min_value=0 if p else 1, max_value=3))
+    small = st.integers(min_value=-2, max_value=2)
+    b = draw(st.lists(st.lists(small, min_size=q, max_size=q), min_size=p, max_size=p))
+    shape = draw(st.sampled_from(["symmetric", "antisymmetric", "independent"]))
+    if shape == "independent":
+        c = draw(st.lists(st.lists(small, min_size=p, max_size=p), min_size=q, max_size=q))
+    else:
+        sign = 1 if shape == "symmetric" else -1
+        c = [[sign * b[i][j] for i in range(p)] for j in range(q)]
+    base = [[0] * (p + q) for _ in range(p + q)]
+    for i in range(p):
+        for j in range(q):
+            base[i][p + j], base[p + j][i] = b[i][j], c[j][i]
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=p + q,
+                          max_size=p + q))
+    classes = [k for k, m in enumerate(sizes) for _ in range(m)]
+    order = draw(st.permutations(range(len(classes))))
+    classes = [classes[i] for i in order]
+    scalar = draw(st.integers(min_value=-3, max_value=3))
+    n = len(classes)
+    rows = [[scalar if i == j else base[ci][cj] for j, cj in enumerate(classes)]
+            for i, ci in enumerate(classes)]
+    u = draw(st.one_of(st.just([0] * n),
+                       st.lists(small, min_size=n - 1, max_size=n - 1).map(lambda t: [0] + t),
+                       st.lists(small, min_size=n, max_size=n)))
+    return Matrix(rows), scalar, u
+
+
+@given(case=bipartite_blowups())
+# K_{3,2}, whose twins fold it to order 2 first; n = 1; A(P3) + 2I with the zero vector
+@example(case=(Matrix([[0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 1, 0, 0],
+                       [1, 1, 1, 0, 0]]), 0, [1, 1, 1, 1, 1]))
+@example(case=(Matrix([[-2]]), -2, [3]))
+@example(case=(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 2, [0, 0, 0]))
+@settings(max_examples=80, deadline=None)
+def test_bipartite_matrices_halve_exactly(case):
+    # the kernel takes BC for the folded M = a' - cI where M has an edge,
+    # and the charpoly and u^T adj(xI - a) u mapped back are exact; every
+    # order halves here, not only those from exact._HALVED_MIN up
+    m, scalar, u = case
+    chi, form = _faddeev_leverrier(m, u)
+    with mock.patch.object(exact, "_HALVED_MIN", 1):
+        assert charpoly(m) == chi
+        assert charpoly_with_adjugate_form(m, u) == (chi, form)
+        rows, _, _, s, half = exact._kernel_item(m, u)
+    folded = exact._fold_twins(m.rows(), tuple(u))[0]
+    edge = any(x for i, r in enumerate(folded) for j, x in enumerate(r) if i != j)
+    assert (half is not None) == edge
+    if half is not None:
+        assert s == scalar and 2 * len(rows) <= len(folded)
+
+
+def _sympy_charpoly_and_form(m, u):
+    x = sympy.Symbol("x")
+    xm = x * sympy.eye(m.nrows) - sympy.Matrix(m.rows())
+    v = sympy.Matrix(u)
+    return [sympy.Poly(f, x).all_coeffs()[::-1] for f in (xm.det(), (v.T * xm.adjugate() * v)[0])]
+
+
+@pytest.mark.parametrize("rows, u", [
+    # P7, with unequal sides 4 and 3
+    ([[1 if abs(i - j) == 1 else 0 for j in range(7)] for i in range(7)], [1] * 7),
+    # a signed K_{2,3}
+    ([[0, 0, 1, -1, 1], [0, 0, 1, 1, -1], [1, 1, 0, 0, 0], [-1, 1, 0, 0, 0], [1, -1, 0, 0, 0]],
+     [1, -1, 1, 1, -1]),
+    # 2I + A(C6), and a vector with a leading zero
+    ([[2 if i == j else 1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)] for i in range(6)],
+     [0, 1, -1, 2, 0, 1]),
+    # not symmetric: M_02 = -M_20 cancels in M + M^T, so only the pattern sees that edge
+    ([[0, 0, 1, 2], [0, 0, -1, 0], [-1, 1, 0, 0], [3, 0, 0, 0]], [1, 2, -1, 1]),
+    # P3 + K2 + K1: three components, one isolated vertex
+    ([[0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, -1, 0],
+      [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 0, 0]], [1, 1, -1, 2, 1, 1]),
+], ids=["P7", "signed K23", "2I + C6", "not symmetric", "disconnected"])
+def test_halved_charpolys_and_forms_match_sympy(monkeypatch, rows, u):
+    monkeypatch.setattr(exact, "_HALVED_MIN", 1)
+    m = Matrix(rows)
+    assert exact._kernel_item(m, u)[4] is not None
+    chi, form = charpoly_with_adjugate_form(m, u)
+    assert [list(chi.coeffs), list(form.coeffs)] == _sympy_charpoly_and_form(m, u)
+
+
+@pytest.mark.parametrize("n", [exact._HALVED_MIN - 1, exact._HALVED_MIN, 33])
+def test_bipartite_matrices_halve_from_the_minimum_order(kernel_calls, n):
+    # below exact._HALVED_MIN a bipartite matrix goes whole; from it on the
+    # kernel takes BC, of order floor(n/2), with the three updates of u
+    m = Matrix([[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)])
+    u = [1] * n
+    assert charpoly_with_adjugate_form(m, u) == _faddeev_leverrier(m, u)
+    order = n if n < exact._HALVED_MIN else n // 2
+    assert [(len(mats), len(updates), len(mats[0])) for mats, _, updates, _ in kernel_calls] == [
+        (1, 1 if n < exact._HALVED_MIN else 3, order)]
+
+
 def test_order_72_product_charpoly_is_one_order_38_batch(kernel_calls):
     # K2 x L^2(K3,3) clones each of K2's two vertices 18 times; the clones
     # of one vertex are twins, so A reaches the kernel at order
@@ -790,9 +897,10 @@ def test_coefficient_bound_dominates_charpolys_and_forms(sm, data):
 def test_adjugate_form_shares_one_batch_of_primes(kernel_calls):
     # a and a + u u^T are one kernel batch, modulo primes for the larger of the
     # charpoly and form bounds of a; a + u u^T alone would need more (at order
-    # 26, 4 residue matrices against 2 + 3 with its 25-bit primes; at order 27
-    # the one batch needs 3 primes, 6 against 2 + 3)
-    n = 26
+    # 25, 4 residue matrices against 2 + 3 with its 25-bit primes; at order 27
+    # the one batch needs 3 primes, 6 against 2 + 3). The cycle is odd, so it
+    # is not halved
+    n = 25
     cycle = Matrix([[1 if abs(i - j) in (1, n - 1) else 0 for j in range(n)] for i in range(n)])
     u = [1, -1, -1] * (n // 3) + [1] * (n % 3)
     assert charpoly_with_adjugate_form(cycle, u) == _faddeev_leverrier(cycle, u)

@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from sigspec import exact, graphs, theorems
 from sigspec.coronal import _row_sum_coronal, reduced_coronal, signed_coronal
@@ -181,10 +183,34 @@ def test_factored_charpolys_match_one_pair_at_a_time(kind):
 def test_factored_charpoly_is_one_kernel_call(kernel_calls):
     # the copy block and the bracket matrix have one order here, so they
     # share one batch and one list of primes; an L copy block sends no
-    # rank-one update, since its coronal is n2/(x - n2)
-    fc = factored_charpoly(mk(cycle(8)), mk(cycle(8)), "L")
-    assert [len(mats) + len(updates) for mats, _, updates, _ in kernel_calls] == [2]
-    assert fc.assembled == charpoly(matrices(product(mk(cycle(8)), mk(cycle(8))).graph).L)
+    # rank-one update, since its coronal is n2/(x - n2). P5 is not regular,
+    # so L(P5) keeps its diagonal and is not the bracket matrix -A(C5), as
+    # the copy block L(C5) = 2I - A(C5) would be once the kernel side
+    # subtracts its scalar diagonal
+    fc = factored_charpoly(mk(cycle(5)), mk(path(5)), "L")
+    assert [(len(mats), len(updates), len(mats[0])) for mats, _, updates, _ in kernel_calls] == [
+        (2, 0, 5)]
+    assert fc.assembled == charpoly(matrices(product(mk(cycle(5)), mk(path(5))).graph).L)
+
+
+def test_c32_x_p32_is_one_order_16_batch(kernel_calls):
+    # A(P32) and A(C32) are bipartite with sides of 16: the copy block goes
+    # as BC of order 16 with the three updates of its all-ones vector, and
+    # the bracket matrix as its own BC, in one batch modulo 2 primes where
+    # the order-32 matrices took 3
+    fc = factored_charpoly(mk(cycle(32)), mk(path(32)), "A")
+    assert [(len(mats), len(updates), len(mats[0]), len(primes))
+            for mats, _, updates, primes in kernel_calls] == [(2, 3, 16, 2)]
+    # sympy's charpolys, and the adjugate form by the determinant lemma:
+    # 1^T adj(xI - N) 1 = chi_N - chi_(N + J)
+    def sympy_charpoly(rows):
+        return Poly([int(c) for c in DomainMatrix.from_list(rows, sympy.ZZ).charpoly()[::-1]])
+
+    p32 = adjacency_matrix(path(32)).rows()
+    chi = sympy_charpoly(p32)
+    assert fc.bracket_charpoly == sympy_charpoly(adjacency_matrix(cycle(32)).rows())
+    assert fc.coronal == reduced_coronal(chi, chi - sympy_charpoly([[x + 1 for x in r]
+                                                                    for r in p32]))
 
 
 def _resigned(rng, g):
@@ -200,7 +226,7 @@ def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kernel_cal
     # marking and M the matrix of the product of |Sigma1| and |Sigma2|. So
     # three random signings and markings of both factors of each underlying
     # pair give one shared form, and the kernel sees each underlying copy
-    # block and bracket matrix, folded by its twin rows, once
+    # block and bracket matrix, as _kernel_item sends it, once
     rng = random.Random(26)
     underlying = [(cycle(4), path(4)), (complete(3), star(4)), (cycle(5), cycle(4)),
                   (complete(2), complete(4)), (complete_bipartite(2, 3), cycle(3))]
@@ -227,7 +253,7 @@ def test_factored_forms_depend_on_underlying_graphs_only(monkeypatch, kernel_cal
     copies = {graph_matrix(g, kind) for _, g in underlying}
     brackets = {-adjacency_matrix(g) if kind == "L" else adjacency_matrix(g)
                 for g, _ in underlying}
-    assert set(mats) == {exact._fold_twins(m.rows(), None)[0] for m in copies | brackets}
+    assert set(mats) == {exact._kernel_item(m, None)[0] for m in copies | brackets}
     assert set(mats.values()) == {1}
     # a copy block whose rows all sum to one value sends no rank-one update:
     # L's always, A's and Q's when the second factor is regular

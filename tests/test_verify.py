@@ -18,15 +18,15 @@ def test_verification_batches_each_product_order_once_per_block(monkeypatch, ker
     # per block and each factor order (at most 4 here) at most two, where
     # products of order 2 and 4 share an order with factors; one call per
     # product or factor would be hundreds here. Orders are those of the
-    # matrices folded by their twin rows: a product of order 2 n1 n2 reaches
-    # the kernel at order n1 (n2 + 1) or less, so each exact call makes one
-    # batch per distinct folded order among its items and no more
+    # matrices the kernel takes (exact._kernel_item): folded by their twin
+    # rows, so a product of order 2 n1 n2 reaches the kernel at order
+    # n1 (n2 + 1) or less, and halved where bipartite, so each exact call
+    # makes one batch per distinct order among the matrices it sends and no more
     batches = []
     entry = exact._charpolys_with_forms
 
     def exact_call(items):
-        batches.append(len({len(exact._fold_twins(a.rows(), None if u is None else tuple(u))[0])
-                            for a, u in items}))
+        batches.append(len({len(exact._kernel_item(a, u)[0]) for a, u in items}))
         return entry(items)
 
     monkeypatch.setattr(exact, "_charpolys_with_forms", exact_call)
