@@ -78,6 +78,12 @@ class FactoredCharPoly:
     energy need the factors alone. factored_charpolys builds every instance,
     one per pair of underlying graphs and clone diagonal, so pairs that
     differ only in signs and markings share its bracket and expansion.
+
+    _value_at(x) is det(xI - M) at an int x, exact and read off the factors
+    without multiplying any polynomial out; with _degree and _l1_bound it
+    decides p == assembled at one point (see _l1_bound). The same
+    evaluation taken mod a prime would spot-check a form too large to
+    expand.
     """
 
     matrix_kind: MatrixKind
@@ -114,14 +120,53 @@ class FactoredCharPoly:
         """prod_i (u - lam_i * v) = v^n1 * chi(u/v), chi = bracket_charpoly."""
         return _composed_bracket(self.bracket_charpoly, self.bracket_u, self.bracket_v)
 
+    @property
+    def _degree(self) -> int:
+        """deg assembled: the bracket has degree n1*deg u, as u is monic of
+        degree deg den + 1 and deg v = deg den."""
+        return self.linear_exponent + self.shared_exponent * (
+            self.shared_factor.degree + self.bracket_u.degree)
+
+    @cached_property
+    def _l1_bound(self) -> int:
+        """B = (1 + |d|)^e * |shared|_1^n1 * sum_k |c_k| |u|_1^k |v|_1^(n1-k)
+        >= |assembled|_1, for chi = bracket_charpoly = sum_k c_k x^k.
+
+        |f + g|_1 <= |f|_1 + |g|_1, and |fg|_1 <= |f|_1 |g|_1 since every
+        product coefficient is a sum of f_i g_j, each pair used once; applied
+        to assembled = (x - d)^e * shared^n1 * sum_k c_k u^k v^(n1-k) this
+        gives B. So for an integer polynomial p, p == assembled exactly when
+        p(X) == _value_at(X) at one X = 2^b > 2*max(|p|_inf, B): the
+        difference q has |q|_inf <= |p|_inf + B < X, and if q != 0, with
+        q_j its lowest nonzero coefficient, q(X) = X^j (q_j + X*r) for an
+        int r, where 0 < |q_j| < X makes q_j + X*r nonzero. Unequal degrees
+        (_degree) decide a miss before any of this.
+        """
+        u, v, shared = (sum(map(abs, p.coeffs))
+                        for p in (self.bracket_u, self.bracket_v, self.shared_factor))
+        chi = self.bracket_charpoly.coeffs
+        m = len(chi) - 1
+        return ((1 + abs(self.linear_factor.coeff(0))) ** self.linear_exponent
+                * shared ** self.shared_exponent
+                * sum(abs(c) * u ** k * v ** (m - k) for k, c in enumerate(chi)))
+
+    def _value_at(self, x: int) -> int:
+        """det(xI - M) at the int x, from the factors: the bracket
+        sum_k c_k u(x)^k v(x)^(n1-k) by homogeneous Horner."""
+        u, v = self.bracket_u.eval(x), self.bracket_v.eval(x)
+        chi = self.bracket_charpoly.coeffs
+        bracket, vk = chi[-1], 1
+        for c in reversed(chi[:-1]):
+            vk *= v
+            bracket = bracket * u + c * vk
+        return ((x + self.linear_factor.coeff(0)) ** self.linear_exponent
+                * self.shared_factor.eval(x) ** self.shared_exponent * bracket)
+
     @cached_property
     def assembled(self) -> Poly:
         rest = (self.shared_factor ** self.shared_exponent) * self.bracket
         expanded = _times_linear(rest, {-self.linear_factor.coeff(0): self.linear_exponent})
-        total = (self.linear_exponent
-                 + self.shared_exponent * self.shared_factor.degree
-                 + self.bracket.degree)
-        if total != expanded.degree:
+        if self._degree != expanded.degree:
             raise AssertionError("factored degrees do not add up")
         if not expanded.is_monic:
             raise AssertionError("assembled polynomial must be monic")

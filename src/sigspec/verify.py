@@ -1,5 +1,15 @@
 """Randomized oracle campaigns: factored charpolys against direct computation.
 
+Each trial builds the product of two random factors, checks its vertex and
+edge counts, and compares the charpoly of its matrix with the factored
+form. The direct side is an exact charpoly of each built product, taken
+after switching it by its own marking mu: the signs s*mu(i)*mu(j) on the
+same edges give the matrix D*X*D, D = diag(mu), of the built one's X, so
+the charpoly is the same for any +-1 mu (Zaslavsky, "Signed graphs",
+1982). Products that switch to the same signed graph share one charpoly.
+The factored side is compared at one Kronecker point, exactly and without
+expanding the form (FactoredCharPoly._l1_bound).
+
 The corona campaign (one-vertex second factors against the pendant corona)
 checks the product construction only, so it lives in the tests
 (tests/reference.py).
@@ -8,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from operator import itemgetter, mul
 
-from .exact import Matrix, Poly, charpolys
-from .graphs import MarkedSignedGraph, graph_matrix
+from .exact import Poly, charpolys
+from .graphs import MarkedSignedGraph, SignedGraph, graph_matrix
 from .io import serialize_graph
 from .product import product
 from .sampling import random_marked_graph, random_regular_marked_graph
@@ -44,10 +55,30 @@ def _block_trials(max_n1: int, max_n2: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, 2 * max_n1 * max_n2) ** 2)
 
 
-def _build(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph, kind: str) -> tuple[bool, Matrix]:
-    """The product's count checks and the one matrix that is compared."""
-    pg = product(mg1, mg2)
-    return _count_checks(pg, mg1, mg2), graph_matrix(pg.graph, kind)
+def _switched(mg: MarkedSignedGraph) -> tuple[tuple, SignedGraph | None]:
+    """The key (n, ii, jj, signs) of mg's graph switched by mg's own marking,
+    with the graph itself when the switch keeps it as is: a marking with no
+    -1, or no edges.
+
+    The signs s*mu(i)*mu(j) are C-level passes over the edge columns.
+    """
+    g, marks = mg.graph, mg.marking.signs
+    n, ii, jj, ss = g.n, *g._columns()
+    if -1 not in marks or not ii:
+        return (n, ii, jj, ss), g
+    # a trailing index keeps itemgetter's result a tuple for one edge; map
+    # stops at the end of ss, before it
+    mi, mj = itemgetter(*ii, 0)(marks), itemgetter(*jj, 0)(marks)
+    return (n, ii, jj, tuple(map(mul, ss, map(mul, mi, mj)))), None
+
+
+def _matches(fc: FactoredCharPoly, direct: Poly) -> bool:
+    """fc.assembled == direct, decided at one point without expanding fc."""
+    if direct.degree != fc._degree:
+        return False
+    bound = max(max(map(abs, direct.coeffs)), fc._l1_bound)
+    x = 1 << (2 * bound).bit_length()
+    return direct.eval(x) == fc._value_at(x)
 
 
 def _other_mode_match(fc: FactoredCharPoly, other: FactoredCharPoly, match: bool,
@@ -68,11 +99,12 @@ def _other_mode_match(fc: FactoredCharPoly, other: FactoredCharPoly, match: bool
 
 
 def _checked(pair: tuple[MarkedSignedGraph, MarkedSignedGraph], counts_ok: bool,
-             direct: Poly, forms: list[FactoredCharPoly], other_mode: str) -> dict:
-    """A trial's record but its number: the factored forms against direct."""
+             direct: Poly, forms: list[FactoredCharPoly], match: bool,
+             other_mode: str) -> dict:
+    """A trial's record but its number: the factored forms against direct,
+    given match = (forms[0].assembled == direct)."""
     mg1, mg2 = pair
     fc, *other = forms
-    match = fc.assembled == direct
     text1, text2 = serialize_graph(mg1), serialize_graph(mg2)
     record = {
         "n1": mg1.graph.n,
@@ -104,6 +136,14 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
     a block draws from the rng in trial order before any charpoly is taken,
     so the records do not depend on where the blocks end. A pair drawn again
     within a block is built and checked once.
+
+    Each distinct pair's product is built and count-checked, then switched
+    by its own marking (see the module docstring); a block takes one
+    charpolys call over its distinct switched products, each built once.
+    A product that is not balanced just switches to a key of its own. The
+    first mode's verdict is decided once per form and switched product, at
+    one point (_matches); a form is expanded only for the record of a
+    failed trial and for the other mode's verdict when the first misses.
     """
     if matrix_kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {matrix_kind!r}")
@@ -129,12 +169,27 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
         # a pair drawn again in the block is built and checked once; its
         # record is a function of the pair and the trial number
         distinct = list(dict.fromkeys(pairs))
-        built = [_build(mg1, mg2, matrix_kind) for mg1, mg2 in distinct]
-        directs = charpolys([m for _, m in built])
+        # per distinct pair its count checks and the position of its switched
+        # product among the block's distinct ones, each built once
+        counts, slots, positions, mats = [], [], {}, []
+        for mg1, mg2 in distinct:
+            pg = product(mg1, mg2)
+            key, g = _switched(pg.graph)
+            slot = positions.setdefault(key, len(mats))
+            if slot == len(mats):
+                mats.append(graph_matrix(g or SignedGraph._from_columns(*key), matrix_kind))
+            counts.append(_count_checks(pg, mg1, mg2))
+            slots.append(slot)
+        directs = charpolys(mats)
         factored = factored_charpolys(distinct, matrix_kind, modes)
-        checked = {pair: _checked(pair, counts_ok, direct, forms, other_mode)
-                   for pair, (counts_ok, _), direct, forms
-                   in zip(distinct, built, directs, factored)}
+        # forms are shared objects that live through the block, so id keys them
+        verdicts, checked = {}, {}
+        for pair, counts_ok, slot, forms in zip(distinct, counts, slots, factored):
+            seen = (id(forms[0]), slot)
+            if seen not in verdicts:
+                verdicts[seen] = _matches(forms[0], directs[slot])
+            checked[pair] = _checked(pair, counts_ok, directs[slot], forms, verdicts[seen],
+                                     other_mode)
         for t, pair in enumerate(pairs, start):
             record = {"trial": t, **checked[pair]}
             failures += not (record["match"] and record["counts_ok"])

@@ -2,10 +2,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigspec import exact, theorems, verify
-from sigspec.exact import Poly, charpolys
-from sigspec.sampling import random_regular_marked_graph
+from sigspec.exact import Matrix, Poly, charpoly, charpolys
+from sigspec.graphs import MarkedSignedGraph, SignedGraph, graph_matrix
+from sigspec.io import serialize_graph
+from sigspec.product import ProductGraph, product
+from sigspec.sampling import random_marked_graph, random_regular_marked_graph
 from sigspec.theorems import factored_charpolys
 from sigspec.verify import run_theorem_verification
 
@@ -129,7 +134,7 @@ def test_other_mode_shortcut_matches_the_full_comparison(kind, degree_mode):
         signed = seed % 2 == 0
         pairs = [(random_regular_marked_graph(rng, 4, signed),
                   random_regular_marked_graph(rng, 4, signed)) for _ in range(5)]
-        directs = charpolys([verify._build(mg1, mg2, kind)[1] for mg1, mg2 in pairs])
+        directs = charpolys([graph_matrix(product(mg1, mg2).graph, kind) for mg1, mg2 in pairs])
         forms = factored_charpolys(pairs, kind, [degree_mode, other_mode])
         for (fc, other), direct in zip(forms, directs):
             for target in (direct, direct + Poly.constant(1)):
@@ -166,3 +171,136 @@ def test_cached_skeletons_keep_the_seeded_draws(signed):
                 assert (random_marked_graph(cached, max_n, signed, families)
                         == _fresh_marked_graph(fresh, max_n, signed, families))
             assert cached.getstate() == fresh.getstate()
+
+
+def _forms_of(seed, kind, mode):
+    # a fresh form of a random signed pair: nothing on it is expanded yet
+    rng = random.Random(seed)
+    draw = random_marked_graph if kind == "A" else random_regular_marked_graph
+    return factored_charpolys([(draw(rng, 4, True), draw(rng, 4, True))], kind, [mode])[0][0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from("ALQ"), mode=st.sampled_from(["constructed", "paper"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_point_comparison_equals_the_expanded_one(kind, mode, seed, data):
+    # _matches decides fc.assembled == p at one point X = 2^b, without
+    # expanding fc: for p the form itself, the form moved by c*x^k with c up
+    # to past the l1 bound, the form moved by x^k (x - 2^b) for the b that
+    # the form's own bound would pick, and polynomials of another degree
+    fc = _forms_of(seed, kind, mode)
+    assembled = _forms_of(seed, kind, mode).assembled
+    k = data.draw(st.integers(0, assembled.degree), label="k")
+    c = data.draw(st.integers(1, 4 * fc._l1_bound), label="c")
+    x_k = Poly._from_ints([0] * k + [1])
+    b = (2 * max(max(map(abs, assembled.coeffs)), fc._l1_bound)).bit_length()
+    targets = [assembled, assembled + c * x_k, assembled - c * x_k,
+               assembled + x_k * Poly.linear(-(1 << b)),
+               assembled * Poly.linear(data.draw(st.integers(-3, 3), label="root")),
+               Poly._from_ints(assembled.coeffs[:-1] + (0, 1))]
+    for p in targets:
+        assert verify._matches(fc, p) == (assembled == p)
+    assert "assembled" not in vars(fc) and "bracket" not in vars(fc)
+
+
+def _planted(monkeypatch, fault):
+    """verify.product with fault applied to each product's edge list; the
+    faulty graph of each pair, keyed by the factors' texts as the records
+    carry them."""
+    faulty = {}
+
+    def built(mg1, mg2):
+        pg = product(mg1, mg2)
+        g = pg.graph.graph
+        bad = SignedGraph(g.n, fault(list(g.edges)))
+        faulty[serialize_graph(mg1), serialize_graph(mg2)] = (mg1, mg2, bad)
+        return ProductGraph(MarkedSignedGraph(bad, pg.graph.marking), pg.n1, pg.n2)
+
+    monkeypatch.setattr(verify, "product", built)
+    return faulty
+
+
+def _flip_first(edges):
+    i, j, s = edges[0]
+    return [(i, j, -s), *edges[1:]]
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+@pytest.mark.parametrize("degree_mode", ["constructed", "paper"])
+def test_a_flipped_product_sign_fails_the_trials_the_expansion_fails(
+        monkeypatch, kind, degree_mode):
+    # one product edge sign flipped: switching no longer undoes the signs, and
+    # each verdict is the expanded form against the charpoly of the faulty
+    # product, as without switching
+    faulty = _planted(monkeypatch, _flip_first)
+    report = run_theorem_verification(kind, trials=60, degree_mode=degree_mode, seed=4)
+    other_mode = "paper" if degree_mode == "constructed" else "constructed"
+    for r in report["records"]:
+        mg1, mg2, bad = faulty[r["graph1"], r["graph2"]]
+        direct = charpoly(graph_matrix(bad, kind))
+        modes = [degree_mode] if kind == "A" else [degree_mode, other_mode]
+        forms = factored_charpolys([(mg1, mg2)], kind, modes)[0]
+        assert r["counts_ok"]
+        assert r["match"] == (forms[0].assembled == direct)
+        if kind != "A":
+            assert r[f"{other_mode}_mode_match"] == (forms[1].assembled == direct)
+    # the fault shows, and in A some trials still pass: a flipped bridge is a
+    # switching
+    assert report["failures"] > 0
+    if kind == "A":
+        assert report["failures"] < 60
+
+
+@pytest.mark.parametrize("max_n", [4, 1])
+def test_a_dropped_product_edge_fails_the_count_checks(monkeypatch, max_n):
+    # one-edge products (K1 x K1) lose their only edge: an edgeless switch
+    _planted(monkeypatch, lambda edges: edges[1:])
+    report = run_theorem_verification("A", trials=30, max_n1=max_n, max_n2=max_n, seed=2)
+    assert report["failures"] == 30
+    assert not any(r["counts_ok"] for r in report["records"])
+
+
+def test_a_signed_block_charpolys_each_switched_product_once(monkeypatch):
+    # 150 signed A trials build about as many distinct products, but switched
+    # by their own markings they are D*A*D of far fewer all-positive products:
+    # charpolys gets each of those once, and no form is expanded when every
+    # trial matches
+    sent, reads = [], []
+    inner = verify.charpolys
+
+    def recorded(mats):
+        sent.extend(mats)
+        return inner(mats)
+
+    expand = theorems.FactoredCharPoly.assembled
+
+    def read(fc):
+        reads.append(fc)
+        return expand.__get__(fc)
+
+    monkeypatch.setattr(verify, "charpolys", recorded)
+    monkeypatch.setattr(theorems.FactoredCharPoly, "assembled", property(read))
+    report = run_theorem_verification("A", trials=150, seed=1)
+    assert report["all_match"] and reads == []
+    rng = random.Random(1)
+    pairs = {(random_marked_graph(rng, 4, True), random_marked_graph(rng, 4, True))
+             for _ in range(150)}
+    switched = set()
+    for mg1, mg2 in pairs:
+        pg = product(mg1, mg2).graph
+        mu = pg.marking
+        a = graph_matrix(pg, "A").rows()
+        switched.add(Matrix([[mu[i] * x * mu[j] for j, x in enumerate(row)]
+                             for i, row in enumerate(a)]))
+    assert len(sent) == len(set(sent)) and set(sent) == switched
+    assert len(switched) < len(pairs) // 2
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Q"])
+@pytest.mark.parametrize("signed", [True, False])
+def test_one_edge_products_verify(kind, signed):
+    # K1 x K1 is a single edge, whose switch keeps its column a tuple
+    report = run_theorem_verification(kind, signed=signed, trials=20, max_n1=1, max_n2=1,
+                                      seed=5)
+    assert report["all_match"]
+    assert {(r["n1"], r["n2"]) for r in report["records"]} == {(1, 1)}

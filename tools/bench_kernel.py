@@ -31,7 +31,9 @@ hands it, each module choosing its own primes, and "call" times the whole
 call. The other entries have calls only:
 
 - verify_A, verify_L, verify_Q: run_theorem_verification("A", 150 trials;
-  "L", 50; "Q", 50), all signed;
+  "L", 50; "Q", 50), all signed; verify_Q_unsigned: "Q", 50 unsigned
+  trials, the campaigns workload's one verify call whose products are
+  their own switches;
 - product_72: product of K2 and the marked L^2(K3,3), the order-72 product
   of the charpoly_A_72 entry;
 - sample_A: 300 random_marked_graph draws of verify_A's first factors (at
@@ -202,6 +204,8 @@ def entries(S, d: Path) -> dict:
         "verify_A": (lambda: verify.run_theorem_verification("A", trials=150, seed=1), False),
         "verify_L": (lambda: verify.run_theorem_verification("L", trials=50, seed=1), False),
         "verify_Q": (lambda: verify.run_theorem_verification("Q", trials=50, seed=1), False),
+        "verify_Q_unsigned": (lambda: verify.run_theorem_verification(
+            "Q", signed=False, trials=50, seed=1), False),
         "product_72": (lambda: S.product(k2, l2_marked), False),
         "sample_A": (lambda: [sampling.random_marked_graph(draws, 4)
                               for draws in [random.Random(1)] for _ in range(300)], False),
