@@ -131,9 +131,9 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     of A(|Sigma1|), and no general report is made.
     """
     # the closed forms check n and center_mark before any charpoly is taken
-    closed = tuple(star_coronal_closed_form(n, k) for k in (1, center_mark))
+    effective, stated = (star_coronal_closed_form(n, k) for k in (1, center_mark))
     g = charpoly(adjacency_matrix(mg1.graph.underlying_positive()))
-    return _star_report(n, center_mark, *closed, g, cache(IntegralityResult.of))
+    return _star_report(n, center_mark, effective, stated, g, cache(IntegralityResult.of))
 
 
 def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
@@ -146,51 +146,63 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     spectrum does not see signs or markings (see the theorems module), so
     the general check is that of mg1 * K_{1,n} all positive, and the center
     mark enters the closed forms only. One factored_charpolys batch over the
-    unsigned stars gives every general check, so each star's copy block
-    coronal and each underlying first factor's adjacency charpoly are
-    computed once. Both checks decide per eigenvalue of that same charpoly
-    g, and a case enters them only through (n, center_mark, g): the star
-    fixes the closed forms, copy block, u, v and n2, and g fixes n1 and the
-    eigenvalue verdicts. So the pair of reports is made once per distinct
-    key and shared by every case with it, and every distinct polynomial's
-    integer roots, over all keys, are taken once.
+    distinct pairs (mg1, unsigned star) gives every general check, so each
+    star's copy block coronal and each underlying first factor's adjacency
+    charpoly are computed once. Both checks decide per eigenvalue of that
+    same charpoly g. The star fixes the closed forms, copy block, u, v and
+    n2, and g fixes n1 and the eigenvalue verdicts, so each result is made
+    once per what it depends on and shared by every case with it: each
+    closed form once per (n, mark), the general report and the effective
+    (mark +1) bracket once per (n, g), and the closed-form report once per
+    (n, center_mark, g). Every distinct polynomial's integer roots, over
+    all of them, are taken once.
     """
     # ints first: a bool would hide behind an equal int key of the distinct stars
     _exact_ints(x for _, n, center_mark in cases for x in (n, center_mark))
-    closed = {(n, m): tuple(star_coronal_closed_form(n, k) for k in (1, m))
-              for n, m in dict.fromkeys((n, m) for _, n, m in cases)}
+    closed = {key: star_coronal_closed_form(*key)
+              for key in dict.fromkeys(k for _, n, m in cases for k in ((n, 1), (n, m)))}
     stars = {n: MarkedSignedGraph.with_canonical_marking(star(n + 1)) for n, _ in closed}
-    fcs = factored_charpolys([(mg1, stars[n]) for mg1, n, _ in cases], "A", ["constructed"])
+    pairs = dict.fromkeys((mg1, n) for mg1, n, _ in cases)
+    fcs = dict(zip(pairs, factored_charpolys([(mg1, stars[n]) for mg1, n in pairs], "A",
+                                             ["constructed"])))
     of = cache(IntegralityResult.of)
-    by_key, reports = {}, []
-    for (_, n, m), (fc,) in zip(cases, fcs):
+    general, by_key, reports = {}, {}, []
+    for mg1, n, m in cases:
+        (fc,) = fcs[mg1, n]
         g = fc.bracket_charpoly
-        key = (n, m, g)
-        if key not in by_key:
-            by_key[key] = (_star_report(n, m, *closed[n, m], g, of), _integrality_report(fc, of))
-        reports.append(by_key[key])
+        if (n, g) not in general:
+            general[n, g] = (_integrality_report(fc, of),
+                             _star_bracket(n, closed[n, 1], g, of))
+        report, bracket = general[n, g]
+        if (n, m, g) not in by_key:
+            by_key[n, m, g] = (_star_report(n, m, closed[n, 1], closed[n, m], g, of, bracket),
+                               report)
+        reports.append(by_key[n, m, g])
     return reports
 
 
+def _star_bracket(n: int, fn: CoronalTriple, g: Poly,
+                  of: Callable[[Poly], IntegralityResult]) -> IntegralityResult:
+    # the bracket verdict of mg1 * K_{1,n} with the star coronal fn, from g,
+    # the first factor's adjacency charpoly, decided per eigenvalue; of as
+    # in _integrality_report
+    u = Poly.x() * fn.den - (n + 1) * fn.num
+    v = (n + 1) * fn.den
+    return _bracket_integrality(of(g), u, v, lambda: _composed_bracket(g, u, v), of)
+
+
 def _star_report(n: int, center_mark: int, effective: CoronalTriple, stated: CoronalTriple,
-                 g: Poly, of: Callable[[Poly], IntegralityResult]) -> StarProductReport:
-    # the closed-form verdicts from g, the first factor's adjacency
-    # charpoly, decided per eigenvalue; of as in _integrality_report
-    n2 = n + 1
-    eigen = of(g)
-
-    def bracket_for(fn: CoronalTriple) -> IntegralityResult:
-        u = Poly.x() * fn.den - n2 * fn.num
-        v = n2 * fn.den
-        return _bracket_integrality(eigen, u, v, lambda: _composed_bracket(g, u, v), of)
-
-    # the shared factor comes from the effective (mark +1) coronal only
-    shared = of(effective.shared)
-    bracket = bracket_for(effective)
-    as_stated = bracket if center_mark == 1 else bracket_for(stated)
+                 g: Poly, of: Callable[[Poly], IntegralityResult],
+                 bracket: IntegralityResult | None = None) -> StarProductReport:
+    # the closed-form verdicts from g; bracket is the effective (mark +1)
+    # one, _star_bracket(n, effective, g, of), made here where it is not
+    # given. The shared factor comes from the effective coronal only
+    if bracket is None:
+        bracket = _star_bracket(n, effective, g, of)
+    as_stated = bracket if center_mark == 1 else _star_bracket(n, stated, g, of)
     return StarProductReport(n=n, center_mark=center_mark,
                              star_integral=math.isqrt(n) ** 2 == n,
-                             shared=shared, bracket=bracket,
+                             shared=of(effective.shared), bracket=bracket,
                              as_stated_bracket=as_stated)
 
 

@@ -18,23 +18,26 @@ the graph matrices of graphs.py) is built by ``Poly._from_ints`` and
 still trims trailing zeros.
 
 Every characteristic polynomial, at every order, comes from one exact
-kernel modulo word-size primes, lifted back to integers by CRT: the power
-sums tr(a^k), k <= n, from about 2 sqrt(n) float64 matrix products
-(baby-step/giant-step), then the coefficients by Newton's identities. The
-primes are sized to the order n: the largest below 2^b, for the largest b
-with n * (2^(b-1) + 2)^2 < 2^53, so every float sum of the kernel is an
-exact integer (2^26 through order 7, 2^25 through order 31, 2^24 through
-order 127, 2^23 through order 511). The kernel takes a batch of
-same-order matrices, reduces each modulo one shared list of primes and
-runs all of them in one numpy array, so many matrices cost a few numpy
-calls per product, not per product and matrix. One entry first folds each
-matrix by its twin rows, which splits off a linear factor (x - lam) per
-folded row exactly, then groups the folded matrices by order into such
-batches; a matrix given with a vector u also puts its rank-one update in
-the batch, as the pair of vectors (u', w) that the kernel forms the
-updated matrix from, and u^T adj(xI - a) u is lifted from the difference
-of the two residues. Each folded matrix and each update is keyed once per
-batch, and every result is read back by position.
+kernel modulo word-size primes, lifted back to integers by CRT, in two
+halves. The first takes the power sums tr(a^k), k <= n, from about
+2 sqrt(n) float64 matrix products (baby-step/giant-step); its primes are
+sized to the order n: the largest below 2^b, for the largest b with
+n * (2^(b-1) + 2)^2 < 2^53, so every float sum is an exact integer (2^26
+through order 7, 2^25 through order 31, 2^24 through order 127, 2^23
+through order 511). It takes a batch of same-order matrices, reduces each
+modulo one list of primes of the batch and runs all of them in one numpy
+array, so many matrices cost a few numpy calls per product, not per
+product and matrix. The second turns power sums into coefficients by
+Newton's identities in int64, where the same bound keeps every sum of at
+most n products below p^2 from wrapping; it runs once per call over the
+power sums of all its batches, each column with its own prime and order.
+One entry first folds each matrix by its twin rows, which splits off a
+linear factor (x - lam) per folded row exactly, then groups the folded
+matrices by order into such batches; a matrix given with a vector u also
+puts its rank-one update in the batch, as the pair of vectors (u', w) that
+the kernel forms the updated matrix from, and u^T adj(xI - a) u is lifted
+from the difference of the two residues. Each folded matrix and each
+update is keyed once per batch, and every result is read back by position.
 
 Before the batch, a folded matrix with a scalar diagonal s loses it,
 chi_a(x) = chi_(a - sI)(x - s), and a folded matrix of order
@@ -654,7 +657,7 @@ def _prime_bits(n: int) -> int:
     The kernel keeps float64 residues r with |r| <= p/2 + 2, and every sum
     it accumulates at order n has at most n terms, each a product of two
     such residues; with p < 2^b every partial sum is an integer below 2^53,
-    so it is exact in any summation order (see _power_sum_charpoly_mod):
+    so it is exact in any summation order (see _power_sums_mod):
     2^27 at order 1, 2^26 through order 7, 2^25 through order 31, 2^24
     through order 127, 2^23 through order 511, and so on. The same bound
     keeps the int64 sums of Newton's identities, n terms below p^2, from
@@ -754,16 +757,15 @@ def _fill_powers(stack: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
         _reduce(stack[j], p, inv)
 
 
-def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Charpoly coefficients, lowest first, of each h[i] modulo p[i].
+def _power_sums_mod(h: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """The power sums p_k = tr(h[i]^k), k = 0 ... n, of each h[i] modulo p[i],
+    written into out as out[m, i] = p_(n-m) in [0, p[i]).
 
     h is a (B, n, n) int64 batch of integer matrices whose entries are below
-    2^52 in absolute value, and p a (B,) array of primes above n in which a
-    prime repeats once per matrix reduced modulo it. The charpoly
-    x^n + c_1 x^(n-1) + ... + c_n follows from the power sums p_k = tr(a^k)
-    by Newton's identities, k c_k = -sum_{i=1..k} p_i c_(k-i)
-    (Csanky, SIAM J. Comput. 1976), and all n power sums from about 2 sqrt(n)
-    matrix products (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
+    2^52 in absolute value, p a (B,) array of primes in which a prime
+    repeats once per matrix reduced modulo it, and out an (n + 1, B) int64
+    array or view. All n power sums come from about 2 sqrt(n) matrix
+    products (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
     s = isqrt(n) + 1 and t = n // s, the baby powers a^0 ... a^(s-1) and the
     giant powers g^0 ... g^t of g = a^s give p_(is+j) = tr(g^i a^j), the sum
     over r of row r of a^j times column r of g^i, which covers k <= n.
@@ -778,10 +780,7 @@ def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     |x| < 2^53 the float x * (1/p) is within about 2/p of x/p, so rint(x/p)
     misses the nearest integer by less than 1/2 + 2/p, and both its product
     with p and the difference are exact integers. Each trace sums n reduced
-    entries, far below 2^53. Newton's identities run in int64 on residues in
-    [0, p): each step sums at most n products below p^2, below 2^63 by the
-    same bound, and divides by k through a table of inverses kept per prime
-    across calls (_NEG_INVERSES), which needs p > n.
+    entries, far below 2^53.
     """
     count, n, _ = h.shape
     s = isqrt(n) + 1
@@ -808,23 +807,47 @@ def _power_sum_charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     _reduce(terms, pf[:, :1, :1, None], inv[:, :1, :1, None])
     traces = terms.sum(axis=1)
     _reduce(traces, pf[:, :1, :1], inv[:, :1, :1])
-    # rev[m] = p_(n-m) in [0, p), one row per power, one column per matrix
-    rev = traces.transpose(2, 1, 0).reshape(-1, count)[n::-1].astype(np.int64) % p
-    table = {q: _neg_inverses(q, n) for q in set(p.tolist())}
+    # row i * s + j of the reshape is p_(is+j); read from row n down
+    np.remainder(traces.transpose(2, 1, 0).reshape(-1, count)[n::-1].astype(np.int64), p,
+                 out=out)
+
+
+def _newton_mod(rev: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Charpoly coefficients c_0 = 1, c_1, ..., c_N of each column of rev,
+    modulo that column's prime, as an (N + 1, C) int64 array: c[k, i] is
+    the coefficient of x^(n-k) in the charpoly of the order-n matrix whose
+    power sums column i holds.
+
+    rev is (N + 1, C), with rev[m, i] = p_(N-m) in [0, p[i]) for
+    N - m <= n, the column's own order, and 0 above that (for m < N - n),
+    as _power_sums_mod writes them; p is the (C,) array of the columns'
+    primes. Newton's identities, k c_k = -sum_{i=1..k} p_i c_(k-i)
+    (Csanky, SIAM J. Comput. 1976), run once over every column, one
+    vectorised int64 step per k <= N, and give c_k for every k <= n of
+    each column. Each step sums products below p^2 of one column's
+    residues in [0, p); a power sum past the column's order is 0, so at
+    most n of them are nonzero, and _prime_bits keeps n p^2 below 2^63.
+    The step divides by k through a table of inverses kept per prime across
+    calls (_NEG_INVERSES), which needs p > k for every k <= n. What a step
+    writes for k > n is never read, so a column's prime need only exceed
+    its own order.
+    """
+    big_n = len(rev) - 1
+    table = {q: _neg_inverses(q, big_n) for q in set(p.tolist())}
     neg_inv = np.stack([table[q] for q in p.tolist()], axis=1)
-    # c[k] = -(p_k c_0 + p_(k-1) c_1 + ... + p_1 c_(k-1)) / k, the coefficient of x^(n-k)
-    c = np.zeros((n + 1, count), dtype=np.int64)
+    # c[k] = -(p_k c_0 + p_(k-1) c_1 + ... + p_1 c_(k-1)) / k
+    c = np.zeros(rev.shape, dtype=np.int64)
     c[0] = 1
-    for k in range(1, n + 1):
-        c[k] = (c[:k] * rev[n - k:n]).sum(axis=0) % p * neg_inv[k] % p
-    return c[::-1].T
+    for k in range(1, big_n + 1):
+        c[k] = (c[:k] * rev[big_n - k:big_n]).sum(axis=0) % p * neg_inv[k] % p
+    return c
 
 
 # hold at most this many array entries per chunk of a batch, so memory stays bounded
 _BATCH_ENTRIES = 1 << 21
 
 # integers of absolute value below this are exact in float64 with room to
-# spare, so _power_sum_charpoly_mod reduces them itself
+# spare, so _power_sums_mod reduces them itself
 _FLOAT_EXACT = 1 << 52
 
 
@@ -857,67 +880,90 @@ def _ceil_sqrt(t: int) -> int:
     return s + (s * s < t)
 
 
-def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]], bound: int,
-                       updates: Sequence[tuple[int, Sequence[int], Sequence[int]]] = ()
-                       ) -> tuple[list[int], np.ndarray]:
-    """Charpolys of T same-order integer matrices and U rank-one updates of
-    them, modulo one list of P primes.
+def _charpoly_residues(batches: Sequence[tuple[Sequence[Sequence[Sequence[int]]], int,
+                                               Sequence[tuple[int, Sequence[int], Sequence[int]]]]]
+                       ) -> list[tuple[list[int], np.ndarray]]:
+    """Per batch (mats, bound, updates): the charpolys of its T same-order
+    integer matrices and U rank-one updates of them, modulo one list of P
+    primes of its own.
 
     Update (i, u, w) is the matrix mats[i] + u w^T. It is formed here, from
     the array of entries the mats are read into, in int64 where no entry
     of mats or updates can pass it and in Python ints otherwise, so no
-    caller builds its rows. The primes are the fewest of the largest below
-    the order's ceiling 2^_prime_bits(n) whose product exceeds 2 * bound, so
-    every integer of absolute value at most bound is fixed by its residues
-    (see _crt_lift), and the lifted integers do not depend on which primes
-    were used. Every matrix goes to every prime, and the (T + U)*P matrices
-    go through _power_sum_charpoly_mod as one batch, cut into chunks that
-    hold at most _BATCH_ENTRIES array entries. When every entry, updates
-    included, is below 2^52 in absolute value the matrices go as they are,
-    since the kernel's float reduction is exact on them; otherwise each is
-    first reduced into [0, p), in int64 or in Python ints. Returns the
-    primes and a (T + U, P, n + 1) int64 array of coefficient residues,
-    lowest degree first: the mats', then the updates'. Every prime above n
-    works: Newton's identities hold over any field whose characteristic
-    exceeds n, so there is no unlucky prime to detect or retry.
+    caller builds its rows. A batch's primes are the fewest of the largest
+    below its order's ceiling 2^_prime_bits(n) whose product exceeds
+    2 * bound, so every integer of absolute value at most bound is fixed by
+    its residues (see _crt_lift), and the lifted integers do not depend on
+    which primes were used. Every matrix of a batch goes to each of its
+    primes, and its (T + U)*P residue matrices go through _power_sums_mod
+    in chunks that hold at most _BATCH_ENTRIES array entries. When every
+    entry, updates included, is below 2^52 in absolute value the matrices
+    go as they are, since the kernel's float reduction is exact on them;
+    otherwise each is first reduced into [0, p), in int64 or in Python ints.
+
+    Each batch's power sums fill its own columns of one (N + 1)-row array,
+    N the largest order of the call, and _newton_mod turns every column
+    into coefficients at once, so the call takes N sequential Newton steps
+    however many batches it holds; with one batch the array is that
+    batch's own. Returns, per batch in order, the primes and a
+    (T + U, P, n + 1) int64 array of coefficient residues, lowest degree
+    first: the mats', then the updates'. Every prime above n works:
+    Newton's identities hold over any field whose characteristic exceeds n,
+    so there is no unlucky prime to detect or retry.
     """
-    n = len(mats[0])
-    primes = _primes_past(2 * bound, n)
-    # the invariants _prime_bits keeps: n products of residues of size at most
-    # p/2 + 2 sum below 2^53, and every k <= n is invertible modulo every prime
-    if n * (primes[0] + 4) ** 2 >= 1 << 55:
-        raise OverflowError(f"order {n} with primes near {primes[0]} would leave exact float64")
-    if primes[-1] <= n:
-        raise ValueError(f"order {n} needs primes above it, got {primes[-1]}")
-    base, us, ws = zip(*updates) if updates else ((), (), ())
-    try:
-        entries = np.array(mats, dtype=np.int64)
+    plans = []
+    for mats, bound, updates in batches:
+        n = len(mats[0])
+        primes = _primes_past(2 * bound, n)
+        # the invariants _prime_bits keeps: n products of residues of size at
+        # most p/2 + 2 sum below 2^53, and every k <= n is invertible modulo
+        # every prime
+        if n * (primes[0] + 4) ** 2 >= 1 << 55:
+            raise OverflowError(f"order {n} with primes near {primes[0]} "
+                                "would leave exact float64")
+        if primes[-1] <= n:
+            raise ValueError(f"order {n} needs primes above it, got {primes[-1]}")
+        base, us, ws = zip(*updates) if updates else ((), (), ())
+        try:
+            entries = np.array(mats, dtype=np.int64)
+            if updates:
+                # |a_jk + u_j w_k| <= max|a| + max|u| max|w| must stay in int64
+                room = (1 << 63) - 1 - max(map(abs, chain(*us))) * max(map(abs, chain(*ws)))
+                if int(entries.max()) > room or int(entries.min()) < -room:
+                    raise OverflowError("rank-one updates past int64")
+        except OverflowError:
+            entries = np.array(mats, dtype=object)
         if updates:
-            # |a_jk + u_j w_k| <= max|a| + max|u| max|w| must stay in int64
-            room = (1 << 63) - 1 - max(map(abs, chain(*us))) * max(map(abs, chain(*ws)))
-            if int(entries.max()) > room or int(entries.min()) < -room:
-                raise OverflowError("rank-one updates past int64")
-    except OverflowError:
-        entries = np.array(mats, dtype=object)
-    if updates:
-        u, w = np.array(us, dtype=entries.dtype), np.array(ws, dtype=entries.dtype)
-        entries = np.concatenate([entries, entries[list(base)] + u[:, :, None] * w[:, None, :]])
-    ps = np.array(primes, dtype=np.int64)
-    small = (entries.dtype != object
-             and -_FLOAT_EXACT < entries.min() and entries.max() < _FLOAT_EXACT)
-    count = len(entries) * len(primes)
-    # per residue matrix the kernel holds s = isqrt(n) + 1 baby and at most s
-    # giant powers, and at most seven more arrays of (n + 1)^2 entries: the
-    # residues, p, 1/p, and the row-by-column terms of the traces and their
-    # reduction, two each
-    step = max(1, _BATCH_ENTRIES // ((n + 1) ** 2 * (2 * (isqrt(n) + 1) + 7)))
-    parts = []
-    for lo in range(0, count, step):
-        t, q = np.divmod(np.arange(lo, min(count, lo + step)), len(primes))
-        p = ps[q]
-        h = entries[t] if small else entries[t] % p.astype(entries.dtype)[:, None, None]
-        parts.append(_power_sum_charpoly_mod(h.astype(np.int64, copy=False), p))
-    return primes, np.concatenate(parts).reshape(len(entries), len(primes), n + 1)
+            u, w = np.array(us, dtype=entries.dtype), np.array(ws, dtype=entries.dtype)
+            entries = np.concatenate([entries,
+                                      entries[list(base)] + u[:, :, None] * w[:, None, :]])
+        plans.append((n, primes, entries))
+    big_n = max(n for n, _, _ in plans)
+    rev = np.zeros((big_n + 1, sum(len(e) * len(ps) for _, ps, e in plans)), dtype=np.int64)
+    col_primes, blocks, start = [], [], 0
+    for n, primes, entries in plans:
+        # column t * P + j of a batch is its matrix t modulo its prime j
+        t, j = np.divmod(np.arange(len(entries) * len(primes)), len(primes))
+        p = np.array(primes, dtype=np.int64)[j]
+        blocks.append(slice(start, start + len(p)))
+        block = rev[big_n - n:, blocks[-1]]
+        col_primes.append(p)
+        start += len(p)
+        small = (entries.dtype != object
+                 and -_FLOAT_EXACT < entries.min() and entries.max() < _FLOAT_EXACT)
+        # per residue matrix the kernel holds s = isqrt(n) + 1 baby and at
+        # most s giant powers, and at most seven more arrays of (n + 1)^2
+        # entries: the residues, p, 1/p, and the row-by-column terms of the
+        # traces and their reduction, two each
+        step = max(1, _BATCH_ENTRIES // ((n + 1) ** 2 * (2 * (isqrt(n) + 1) + 7)))
+        for lo in range(0, len(p), step):
+            cols = slice(lo, lo + step)
+            h = (entries[t[cols]] if small
+                 else entries[t[cols]] % p[cols].astype(entries.dtype)[:, None, None])
+            _power_sums_mod(h.astype(np.int64, copy=False), p[cols], block[:, cols])
+    c = _newton_mod(rev, np.concatenate(col_primes))
+    return [(primes, c[n::-1, cols].T.reshape(len(entries), len(primes), n + 1))
+            for (n, primes, entries), cols in zip(plans, blocks)]
 
 
 def _crt_lift(primes: list[int], residues: np.ndarray) -> list[Poly]:
@@ -1068,7 +1114,8 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
     as it is; _kernel_item says what is sent.
 
     The matrices sent of each order are one batch of the multimodular
-    kernel, modulo one list of primes. An item with a vector also sends
+    kernel, modulo one list of primes, and all the batches go to the kernel
+    in one call (see _charpoly_residues). An item with a vector also sends
     rank-one updates (z, y) of its matrix: for an M sent as it is, the
     folded pair (u', w) itself; for a halved one, the three updates of BC
     that _halved derives from (u', w), whose forms _unhalved combines into
@@ -1105,14 +1152,16 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
     once, and the results are read back by position.
     """
     folds = [_kernel_item(a, u) for a, u in items]
+    if not folds:
+        return []
     by_order: dict[int, list[int]] = {}
     for k, fold in enumerate(folds):
         by_order.setdefault(len(fold[0]), []).append(k)
-    out: list = [None] * len(folds)
+    batches, slots = [], []
     for group in by_order.values():
         mats: dict = {}  # rows sent -> batch index
         updates: dict = {}  # (batch index, z, y) -> update index
-        slots = []  # per item of the group: batch index, update indices
+        slot = []  # per item of the group: batch index, update indices
         for k in group:
             rows, sent = folds[k][:2]
             i = mats.setdefault(rows, len(mats))
@@ -1121,15 +1170,19 @@ def _charpolys_with_forms(items: Sequence[tuple[Matrix, Sequence[int] | None]]
                 if next((x for x in z if x), 0) < 0:
                     z, y = tuple(-x for x in z), tuple(-x for x in y)
                 js.append(updates.setdefault((i, z, y), len(updates)))
-            slots.append((i, js))
+            slot.append((i, js))
         weight = max((sum(map(abs, z)) * sum(map(abs, y)) for _, z, y in updates), default=0)
         bound = max(1, weight) * max(_coefficient_bound(tuple(zip(*b))) for b in mats)
-        primes, res = _charpoly_residues(list(mats), bound, list(updates))
+        batches.append((list(mats), bound, list(updates)))
+        slots.append(slot)
+    out: list = [None] * len(folds)
+    for group, slot, (mats, _, updates), (primes, res) in zip(
+            by_order.values(), slots, batches, _charpoly_residues(batches)):
         # y^T adj(xI - b) z = chi_b - chi_(b + z y^T), residue by residue
         diff = ((res[[i for i, _, _ in updates]] - res[len(mats):])
                 % np.array(primes, dtype=np.int64)[:, None])
         lifted = _crt_lift(primes, np.concatenate([res[:len(mats)], diff]))
-        for k, (i, js) in zip(group, slots):
+        for k, (i, js) in zip(group, slot):
             _, _, linear, s, half = folds[k]
             chi, forms = lifted[i], [lifted[len(mats) + j] for j in js]
             if half is None:

@@ -5,15 +5,17 @@ from sigspec import exact, graphs
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Every exact._charpoly_residues call from here until monkeypatch.undo(),
-    one (mats, bound, updates, primes) tuple each, in call order."""
+    """Every batch of every exact._charpoly_residues call from here until
+    monkeypatch.undo(), one (mats, bound, updates, primes) tuple each, in
+    call order and, within a call, in batch order."""
     calls = []
     kernel = exact._charpoly_residues
 
-    def recorded(mats, bound, updates=()):
-        primes, res = kernel(mats, bound, updates)
-        calls.append((mats, bound, updates, primes))
-        return primes, res
+    def recorded(batches):
+        out = kernel(batches)
+        calls.extend((mats, bound, updates, primes)
+                     for (mats, bound, updates), (primes, _) in zip(batches, out))
+        return out
 
     monkeypatch.setattr(exact, "_charpoly_residues", recorded)
     return calls

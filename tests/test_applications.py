@@ -120,6 +120,37 @@ def test_star_integral_checks_report_once_per_key(monkeypatch):
         assert general == integral_product_check(mg1, star_mg)
 
 
+def test_integral_search_makes_each_result_once_per_what_it_depends_on(monkeypatch, capsys):
+    # at --max-n1 4 --max-n 6, 336 instances: 28 first factors, 17 of them
+    # distinct signed graphs with 8 distinct g, by 6 star sizes and 2 center
+    # marks. The mark enters the closed forms only, so the factored batch
+    # takes the 17 * 6 distinct (first factor, leaves) pairs; the general
+    # report is one per (leaves, g), and the closed-form report one per
+    # (leaves, mark, g). The brackets decided are the effective one per
+    # (leaves, g), the stated one only for mark -1, and the general one
+    # per (leaves, g); each closed form is one per (leaves, mark)
+    from sigspec.cli import main
+    counts = Counter()
+
+    def counted(name, size=lambda *args: 1):
+        inner = getattr(applications, name)
+
+        def recorded(*args):
+            counts[name] += size(*args)
+            return inner(*args)
+        monkeypatch.setattr(applications, name, recorded)
+
+    counted("factored_charpolys", lambda pairs, *rest: len(pairs))
+    for name in ("_integrality_report", "_bracket_integrality", "star_coronal_closed_form",
+                 "_star_report"):
+        counted(name)
+    assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
+    assert counts == {"factored_charpolys": 102, "_integrality_report": 48,
+                      "_bracket_integrality": 3 * 48, "star_coronal_closed_form": 12,
+                      "_star_report": 96}
+
+
 def _rank_one_update(rows, u, w):
     # the rows of a + u w^T, the matrix the kernel forms for an update (i, u, w)
     return tuple(tuple(x + ui * wj for x, wj in zip(r, w)) for r, ui in zip(rows, u))

@@ -635,7 +635,8 @@ def test_adjugate_form_matches_solve_oracle(sm, signs, x0):
 def test_multimodular_kernel_matches_faddeev_leverrier(sm):
     _, m = sm
     bound = _coefficient_bound(m.rows())
-    assert _crt_lift(*_charpoly_residues([m.rows()], bound)) == [_faddeev_leverrier(m, None)[0]]
+    (residues,) = _charpoly_residues([([m.rows()], bound, ())])
+    assert _crt_lift(*residues) == [_faddeev_leverrier(m, None)[0]]
 
 
 @st.composite
@@ -663,6 +664,64 @@ def test_charpolys_match_charpoly_and_faddeev_leverrier(mats):
     got = charpolys(mats)
     assert got == [charpoly(m) for m in mats]
     assert got == [_faddeev_leverrier(m, None)[0] for m in mats]
+
+
+def _path_rows(n: int, d: int) -> list[list[int]]:
+    # A(P_n) + d I
+    return [[d if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def mixed_order_items(draw):
+    """Items for one _charpolys_with_forms call: one to six matrices of
+    orders 1 to 40, each with or without a vector, so one call holds many
+    order batches.
+
+    A dense item has small entries; a shifted one also has a scalar
+    diagonal, which the call subtracts; a bipartite one is symmetric with a
+    scalar diagonal and no edge within either side, so from order 16 it
+    goes to the kernel halved; a wide one, of order at most 6, has entries
+    up to 2^70, past int64.
+    """
+    small = st.integers(min_value=-2, max_value=2)
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        n = draw(st.integers(min_value=1, max_value=40))
+        kind = draw(st.sampled_from(["dense", "shifted", "bipartite", "wide"]))
+        if kind == "wide":
+            n = min(n, 6)
+            big = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+            rows = [draw(st.lists(big, min_size=n, max_size=n)) for _ in range(n)]
+        else:
+            rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(n)]
+        if kind in ("shifted", "bipartite"):
+            d = draw(st.integers(min_value=-3, max_value=3))
+            side = draw(st.integers(min_value=0, max_value=n))
+            for i in range(n):
+                for j in range(i, n):
+                    if i == j:
+                        rows[i][i] = d
+                    elif kind == "bipartite":
+                        rows[i][j] = rows[j][i] = rows[i][j] if (i < side) != (j < side) else 0
+        u = draw(st.one_of(st.none(), st.lists(small, min_size=n, max_size=n)))
+        items.append((Matrix(rows), u))
+    return items
+
+
+@given(items=mixed_order_items(), chunk=st.sampled_from([1, 1 << 12, exact._BATCH_ENTRIES]))
+# a halved path, a shifted one, entries past int64 and order 1, with and
+# without vectors, in one call
+@example(items=[(Matrix(_path_rows(20, 2)), [1] * 20), (Matrix(_path_rows(9, -1)), None),
+                (Matrix([[1 << 64, 3], [-5, -(1 << 66)]]), [1, -1]), (Matrix([[7]]), [2]),
+                (Matrix(_path_rows(17, 0)), None)], chunk=1)
+@settings(max_examples=25, deadline=None)
+def test_one_call_over_mixed_orders_matches_faddeev_leverrier(items, chunk):
+    # one exact call, however many order batches it holds and however its
+    # batches are cut into chunks, gives each item the charpoly and form it
+    # would get alone
+    with mock.patch.object(exact, "_BATCH_ENTRIES", chunk):
+        got = exact._charpolys_with_forms(items)
+    assert got == [_faddeev_leverrier(m, u) for m, u in items]
 
 
 @st.composite
@@ -951,13 +1010,13 @@ def test_entries_near_the_float_ceiling_lift_exactly(monkeypatch, big, as_they_a
     # they are, and its float reduction is exact on them; larger ones are
     # reduced into [0, p) first, in int64 or, past it, in Python ints
     seen = []
-    kernel = exact._power_sum_charpoly_mod
+    kernel = exact._power_sums_mod
 
-    def spy(h, p):
+    def spy(h, p, out):
         seen.append(bool((np.abs(h) >= p[:, None, None]).any()))
-        return kernel(h, p)
+        kernel(h, p, out)
 
-    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", spy)
+    monkeypatch.setattr(exact, "_power_sums_mod", spy)
     m = Matrix([[big, 1 - big, 2], [-big, 0, big], [3, big - 1, -big]])
     assert charpoly(m) == _faddeev_leverrier(m, None)[0]
     assert seen == [as_they_are]
@@ -1057,7 +1116,8 @@ def test_multimodular_kernel_refuses_primes_that_could_overflow(monkeypatch):
     bits = exact._prime_bits
     monkeypatch.setattr(exact, "_prime_bits", lambda n: bits(n) + 1)
     monkeypatch.setattr(exact, "_PRIMES", {})
-    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", _kernel_not_reached)
+    monkeypatch.setattr(exact, "_power_sums_mod", _kernel_not_reached)
+    monkeypatch.setattr(exact, "_newton_mod", _kernel_not_reached)
     with pytest.raises(OverflowError):
         charpoly(Matrix.diagonal(range(1, 13)))
 
@@ -1068,10 +1128,11 @@ def test_multimodular_kernel_refuses_primes_not_above_the_order(monkeypatch):
     # not above order 12
     monkeypatch.setattr(exact, "_prime_bits", lambda n: 4)
     monkeypatch.setattr(exact, "_PRIMES", {})
-    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", _kernel_not_reached)
+    monkeypatch.setattr(exact, "_power_sums_mod", _kernel_not_reached)
+    monkeypatch.setattr(exact, "_newton_mod", _kernel_not_reached)
     assert _primes_past(200, 12) == [13, 11, 7]
     with pytest.raises(ValueError):
-        _charpoly_residues([[[0] * 12 for _ in range(12)]], 100)
+        _charpoly_residues([([[0] * 12 for _ in range(12)], 100, ())])
 
 
 def test_primes_past_raises_when_the_primes_below_the_ceiling_run_out(monkeypatch):
@@ -1109,6 +1170,14 @@ def _faddeev_leverrier_mod(a: np.ndarray, q: int) -> list[int]:
     return coeffs[::-1]
 
 
+def _kernel_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # the charpoly residues, lowest degree first, of each h[i] modulo p[i]:
+    # _power_sums_mod, then _newton_mod over the columns of one batch
+    rev = np.zeros((h.shape[1] + 1, len(h)), dtype=np.int64)
+    exact._power_sums_mod(h, p, rev)
+    return exact._newton_mod(rev, p)[::-1].T
+
+
 @pytest.mark.parametrize("n", [31, 127])
 def test_power_sums_exact_at_the_prime_ceiling(n):
     # every residue of size (p - 1)/2, the largest a symmetric residue takes,
@@ -1121,7 +1190,7 @@ def test_power_sums_exact_at_the_prime_ceiling(n):
     for signs in (rng.choice([1, -1], size=(2, n, n)), np.stack([np.ones((n, n), dtype=int),
                                                                  -np.ones((n, n), dtype=int)])):
         mats = signs * half % p
-        got = exact._power_sum_charpoly_mod(mats.copy(), np.full(len(mats), p, dtype=np.int64))
+        got = _kernel_mod(mats.copy(), np.full(len(mats), p, dtype=np.int64))
         assert [row.tolist() for row in got] == [_faddeev_leverrier_mod(m, p) for m in mats]
 
 
@@ -1135,7 +1204,7 @@ def test_inverse_tables_are_kept_per_prime_and_grow(monkeypatch):
     tables = []
     for n in (8, 38, 8):
         mats = rng.integers(0, q, size=(2, n, n))
-        got = exact._power_sum_charpoly_mod(mats.copy(), np.full(2, q, dtype=np.int64))
+        got = _kernel_mod(mats.copy(), np.full(2, q, dtype=np.int64))
         assert [row.tolist() for row in got] == [_faddeev_leverrier_mod(m, q) for m in mats]
         tables.append(exact._NEG_INVERSES[q])
     assert [len(t) for t in tables] == [9, 39, 39] and tables[2] is tables[1]
@@ -1149,18 +1218,18 @@ def test_kernel_chunks_give_the_same_residues(monkeypatch):
     mats = [tuple(tuple(rng.randint(-9, 9) for _ in range(10)) for _ in range(10))
             for _ in range(3)]
     bound = max(_coefficient_bound(m) for m in mats)
-    primes, res = _charpoly_residues(mats, bound)
+    ((primes, res),) = _charpoly_residues([(mats, bound, ())])
     assert len(primes) > 1
     monkeypatch.setattr(exact, "_BATCH_ENTRIES", 1)
     chunked = []
-    kernel = exact._power_sum_charpoly_mod
+    kernel = exact._power_sums_mod
 
-    def recorded(h, p):
+    def recorded(h, p, out):
         chunked.append(len(h))
-        return kernel(h, p)
+        kernel(h, p, out)
 
-    monkeypatch.setattr(exact, "_power_sum_charpoly_mod", recorded)
-    again, res1 = _charpoly_residues(mats, bound)
+    monkeypatch.setattr(exact, "_power_sums_mod", recorded)
+    ((again, res1),) = _charpoly_residues([(mats, bound, ())])
     assert chunked == [1] * (len(mats) * len(primes))
     assert again == primes and (res1 == res).all()
     assert _crt_lift(primes, res1) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
@@ -1202,7 +1271,8 @@ KERNEL_BRANCHES = [
 def test_multimodular_kernel_branches_match_faddeev_leverrier(case):
     _, mats = case
     mats = [tuple(map(tuple, rows)) for rows in mats]
-    primes, res = _charpoly_residues(mats, max(_coefficient_bound(m) for m in mats))
+    ((primes, res),) = _charpoly_residues(
+        [(mats, max(_coefficient_bound(m) for m in mats), ())])
     assert _crt_lift(primes, res) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
 
 
@@ -1239,7 +1309,8 @@ def same_order_batches(draw):
 @given(mats=same_order_batches())
 @settings(max_examples=60, deadline=None)
 def test_multimodular_kernel_on_mixed_batches_matches_faddeev_leverrier(mats):
-    primes, res = _charpoly_residues(mats, max(_coefficient_bound(m) for m in mats))
+    ((primes, res),) = _charpoly_residues(
+        [(mats, max(_coefficient_bound(m) for m in mats), ())])
     assert _crt_lift(primes, res) == [_faddeev_leverrier(Matrix(m), None)[0] for m in mats]
 
 

@@ -3,6 +3,7 @@ entry table, its CLI entries and its kernel recorder."""
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,3 +56,20 @@ def test_kernel_recorder_restores_the_kernel(tool):
         with tool.KernelRecorder(exact):
             1 / 0
     assert exact._charpoly_residues is kernel
+
+
+def test_kernel_recorder_reads_both_kernel_shapes(tool):
+    # a per-call kernel takes a list of batches; a per-batch one, as older
+    # checkouts have it, takes (mats, bound[, updates]): the recorder keeps
+    # (result rows, order, prime count) of every batch of either
+    mats2, mats3 = [((0, 1), (1, 0)), ((2, 1), (1, 2))], [((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+    batches = [(mats2, 10, [(0, (1, 1), (1, 1))]), (mats3, 10, ())]
+    per_batch = SimpleNamespace(_charpoly_residues=lambda mats, bound, updates=():
+                                exact._charpoly_residues([(mats, bound, updates)])[0])
+    for kernel, calls in ((exact, [(batches,)]), (per_batch, [batches[0], batches[1][:2]])):
+        with tool.KernelRecorder(kernel) as rec:
+            for args in calls:
+                kernel._charpoly_residues(*args)
+        assert rec.calls == calls
+        assert [(t, n) for t, n, _ in rec.batches] == [(3, 2), (1, 3)]
+        assert all(p >= 1 for _, _, p in rec.batches)

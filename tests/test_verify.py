@@ -47,6 +47,30 @@ def test_verification_batches_each_product_order_once_per_block(monkeypatch, ker
     assert sum(calls.values()) == sum(batches)
 
 
+@pytest.mark.parametrize("kind, signed, trials, batches, orders", [
+    ("A", True, 150, 16, 120), ("L", True, 50, 14, 108), ("Q", False, 50, 15, 115),
+])
+def test_each_exact_call_runs_newton_once_for_its_largest_order(
+        monkeypatch, kernel_calls, kind, signed, trials, batches, orders):
+    # a verification at seed 1 makes two exact calls, the block's products
+    # (largest order sent 20) and its factored forms (largest 4), holding
+    # many order batches between them. Newton's identities run once per
+    # call, over every batch's columns, for the call's largest order: 24
+    # sequential steps in place of one recurrence per batch, the sum of the
+    # batch orders
+    newton, steps = exact._newton_mod, []
+
+    def recorded(rev, p):
+        steps.append(len(rev) - 1)
+        return newton(rev, p)
+
+    monkeypatch.setattr(exact, "_newton_mod", recorded)
+    assert run_theorem_verification(kind, signed=signed, trials=trials, seed=1)["all_match"]
+    assert steps == [20, 4]
+    assert len(kernel_calls) == batches
+    assert sum(len(mats[0]) for mats, _, _, _ in kernel_calls) == orders
+
+
 def test_negative_trial_counts_are_refused():
     with pytest.raises(ValueError):
         run_theorem_verification(trials=-3)

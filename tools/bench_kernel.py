@@ -101,7 +101,11 @@ def load_baseline(src: Path, name: str = "sigspec_parent"):
 
 class KernelRecorder:
     """Records the whole argument tuple of each _charpoly_residues call while
-    active, so a replay passes whatever arguments that module's kernel takes."""
+    active, so a replay passes whatever arguments that module's kernel takes.
+
+    The kernel takes either one batch, (mats, bound[, updates]) returning
+    (primes, residues), or one list of such batches, returning a
+    (primes, residues) pair per batch; every batch of either is recorded."""
 
     def __init__(self, exact):
         self.exact = exact
@@ -111,11 +115,13 @@ class KernelRecorder:
 
     def __enter__(self):
         def recorded(*args):
-            primes, res = self._inner(*args)
+            out = self._inner(*args)
             self.calls.append(args)
-            # one result row per matrix of the batch, rank-one updates included
-            self.batches.append((len(res), len(args[0][0]), len(primes)))
-            return primes, res
+            batches, results = (args[0], out) if len(args) == 1 else ([args], [out])
+            for (mats, *_), (primes, res) in zip(batches, results):
+                # one result row per matrix of the batch, rank-one updates included
+                self.batches.append((len(res), len(mats[0]), len(primes)))
+            return out
 
         self.exact._charpoly_residues = recorded
         return self
