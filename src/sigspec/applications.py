@@ -3,20 +3,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from math import prod
 from typing import Callable
 
 import numpy as np
 
-from .coronal import CoronalTriple, star_coronal_closed_form
-from .exact import _BATCH_ENTRIES, Poly, _exact_ints, charpoly
-from .graphs import (MarkedSignedGraph, adjacency_matrix, complete, complete_bipartite,
-                     line_graph, prism, regular_degree, star)
+from .coronal import star_coronal_closed_form
+from .exact import _BATCH_ENTRIES, Poly, _exact_ints
+from .graphs import (MarkedSignedGraph, complete, complete_bipartite, line_graph, prism,
+                     regular_degree, star)
 from .spectra import EnergyValue, IntegralityResult, symmetric_eigenvalues
-from .theorems import (FactoredCharPoly, _composed_bracket, factored_charpoly,
-                       factored_charpolys)
+from .theorems import FactoredCharPoly, factored_charpoly, factored_charpolys
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,13 @@ def _integrality_report(fc: FactoredCharPoly,
     # of: IntegralityResult.of, or a memo of it shared by a batch
     return IntegralityReport(n1=fc.bracket_matrix.nrows, n2=fc.copy_block.nrows,
                              linear_root=0, linear_exponent=fc.linear_exponent,
-                             shared=of(fc.shared_factor),
-                             bracket=_bracket_integrality(
-                                 of(fc.bracket_charpoly), fc.bracket_u, fc.bracket_v,
-                                 lambda: fc.bracket, of))
+                             shared=of(fc.shared_factor), bracket=_bracket_integrality(fc, of))
 
 
-def _bracket_integrality(eigen: IntegralityResult, u: Poly, v: Poly,
-                         bracket: Callable[[], Poly],
+def _bracket_integrality(fc: FactoredCharPoly,
                          of: Callable[[Poly], IntegralityResult]) -> IntegralityResult:
-    """Integer roots of the bracket prod_i (u - lam_i * v), lam_i the roots of
-    a monic integer chi, decided per eigenvalue from eigen = of(chi).
+    """Integer roots of fc's bracket prod_i (u - lam_i * v), lam_i the roots of
+    the monic integer chi = fc.bracket_charpoly, decided per eigenvalue.
 
     u = (x - d)*den - n2*num and v = n2*den come from a reduced coronal
     num/den. At an integer root x of u - lam*v, v(x) != 0, because num and
@@ -81,10 +76,11 @@ def _bracket_integrality(eigen: IntegralityResult, u: Poly, v: Poly,
     integer chi is an algebraic integer, so lam is an integer. So the
     bracket's integer roots are those of u - lam*v over the integer lam,
     each counted lam's multiplicity times, and the bracket splits over Z
-    exactly when chi does and so does each such u - lam*v. Each u - lam*v
-    goes through of (IntegralityResult.of or a memo of it); bracket builds
-    the expansion, only if the quotient is read.
+    exactly when chi does and so does each such u - lam*v. chi and each
+    u - lam*v go through of (IntegralityResult.of or a memo of it); the
+    bracket is expanded only if the quotient is read.
     """
+    eigen, u, v = of(fc.bracket_charpoly), fc.bracket_u, fc.bracket_v
     integral, roots = eigen.integral, []
     for lam, k in Counter(eigen.roots).items():
         factor = of(u - lam * v)
@@ -92,7 +88,7 @@ def _bracket_integrality(eigen: IntegralityResult, u: Poly, v: Poly,
         roots += factor.roots * k
     roots.sort()
     return IntegralityResult(integral=integral, roots=tuple(roots),
-                             build_quotient=lambda: bracket().divexact(
+                             build_quotient=lambda: fc.bracket.divexact(
                                  prod((Poly([-r, 1]) for r in roots), start=Poly.constant(1))))
 
 
@@ -127,13 +123,9 @@ def star_product_integral_check(mg1: MarkedSignedGraph, n: int,
     effective coronal is the all-positive star's (center mark +1) no matter
     how the star is signed. The cubic for the passed center_mark is also
     extracted so the two verdicts can be compared. This is the first report
-    of star_integral_checks for the one case, built alone: g is the charpoly
-    of A(|Sigma1|), and no general report is made.
+    of star_integral_checks for the one case.
     """
-    # the closed forms check n and center_mark before any charpoly is taken
-    effective, stated = (star_coronal_closed_form(n, k) for k in (1, center_mark))
-    g = charpoly(adjacency_matrix(mg1.graph.underlying_positive()))
-    return _star_report(n, center_mark, effective, stated, g, cache(IntegralityResult.of))
+    return star_integral_checks([(mg1, n, center_mark)])[0][0]
 
 
 def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
@@ -148,14 +140,16 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
     mark enters the closed forms only. One factored_charpolys batch over the
     distinct pairs (mg1, unsigned star) gives every general check, so each
     star's copy block coronal and each underlying first factor's adjacency
-    charpoly are computed once. Both checks decide per eigenvalue of that
-    same charpoly g. The star fixes the closed forms, copy block, u, v and
-    n2, and g fixes n1 and the eigenvalue verdicts, so each result is made
-    once per what it depends on and shared by every case with it: each
-    closed form once per (n, mark), the general report and the effective
-    (mark +1) bracket once per (n, g), and the closed-form report once per
-    (n, center_mark, g). Every distinct polynomial's integer roots, over
-    all of them, are taken once.
+    charpoly g are computed once. A closed-form bracket is that of the same
+    form with the star's closed-form coronal in place of its computed one,
+    so every bracket is _bracket_integrality of a FactoredCharPoly, decided
+    per eigenvalue of g. The star fixes the closed forms, copy block and n2, and
+    g fixes n1 and the eigenvalue verdicts, so each result is made once per
+    what it depends on and shared by every case with it: each closed form
+    once per (n, mark), the general report and the effective (mark +1)
+    bracket once per (n, g), and the stated bracket and the closed-form
+    report once per (n, center_mark, g). Every distinct polynomial's integer
+    roots, over all of them, are taken once.
     """
     # ints first: a bool would hide behind an equal int key of the distinct stars
     _exact_ints(x for _, n, center_mark in cases for x in (n, center_mark))
@@ -171,39 +165,18 @@ def star_integral_checks(cases: list[tuple[MarkedSignedGraph, int, int]]
         (fc,) = fcs[mg1, n]
         g = fc.bracket_charpoly
         if (n, g) not in general:
-            general[n, g] = (_integrality_report(fc, of),
-                             _star_bracket(n, closed[n, 1], g, of))
+            general[n, g] = (_integrality_report(fc, of), _bracket_integrality(
+                replace(fc, coronal=closed[n, 1]), of))
         report, bracket = general[n, g]
         if (n, m, g) not in by_key:
-            by_key[n, m, g] = (_star_report(n, m, closed[n, 1], closed[n, m], g, of, bracket),
-                               report)
+            stated = bracket if m == 1 else _bracket_integrality(
+                replace(fc, coronal=closed[n, m]), of)
+            by_key[n, m, g] = (StarProductReport(
+                n=n, center_mark=m, star_integral=math.isqrt(n) ** 2 == n,
+                shared=of(closed[n, 1].shared), bracket=bracket, as_stated_bracket=stated),
+                report)
         reports.append(by_key[n, m, g])
     return reports
-
-
-def _star_bracket(n: int, fn: CoronalTriple, g: Poly,
-                  of: Callable[[Poly], IntegralityResult]) -> IntegralityResult:
-    # the bracket verdict of mg1 * K_{1,n} with the star coronal fn, from g,
-    # the first factor's adjacency charpoly, decided per eigenvalue; of as
-    # in _integrality_report
-    u = Poly.x() * fn.den - (n + 1) * fn.num
-    v = (n + 1) * fn.den
-    return _bracket_integrality(of(g), u, v, lambda: _composed_bracket(g, u, v), of)
-
-
-def _star_report(n: int, center_mark: int, effective: CoronalTriple, stated: CoronalTriple,
-                 g: Poly, of: Callable[[Poly], IntegralityResult],
-                 bracket: IntegralityResult | None = None) -> StarProductReport:
-    # the closed-form verdicts from g; bracket is the effective (mark +1)
-    # one, _star_bracket(n, effective, g, of), made here where it is not
-    # given. The shared factor comes from the effective coronal only
-    if bracket is None:
-        bracket = _star_bracket(n, effective, g, of)
-    as_stated = bracket if center_mark == 1 else _star_bracket(n, stated, g, of)
-    return StarProductReport(n=n, center_mark=center_mark,
-                             star_integral=math.isqrt(n) ** 2 == n,
-                             shared=of(effective.shared), bracket=bracket,
-                             as_stated_bracket=as_stated)
 
 
 @dataclass(frozen=True)
@@ -264,39 +237,28 @@ def equienergetic_family(mg1: MarkedSignedGraph, mg2: MarkedSignedGraph,
     r1, r2 = regular_degree(mg1.graph), regular_degree(mg2.graph)
     shortcut = (r1 is not None and r1 == r2 and mg1.graph.n == mg2.graph.n)
 
-    failed = []
-    if not non_cospectral:
-        failed.append("inputs are cospectral")
-    if not equienergetic:
-        failed.append("inputs are not equienergetic within tolerance")
-    if not coronal_equal:
-        failed.append("input coronals differ")
-    if failed:
-        return EquienergeticCertificate(
-            valid=False, failed_clauses=tuple(failed),
-            non_cospectral_inputs=non_cospectral,
-            equienergetic_inputs=equienergetic, coronal_equal=coronal_equal,
-            regular_shortcut=shortcut,
-            input_energy_1=e1.value, input_energy_2=e2.value)
-
-    pf1, pf2 = f1.assembled, f2.assembled
-    pe1, pe2 = factored_energy_estimate(f1), factored_energy_estimate(f2)
-    products_non_cospectral = pf1 != pf2
-    energy_close = abs(pe1 - pe2) <= tol
-    if not products_non_cospectral:
-        failed.append("products are cospectral")
-    if not energy_close:
-        failed.append("product energies differ beyond tolerance")
+    failed = [clause for clause, holds in (
+        ("inputs are cospectral", non_cospectral),
+        ("inputs are not equienergetic within tolerance", equienergetic),
+        ("input coronals differ", coronal_equal)) if not holds]
+    products = {}
+    if not failed:
+        pf1, pf2 = f1.assembled, f2.assembled
+        pe1, pe2 = factored_energy_estimate(f1), factored_energy_estimate(f2)
+        products_non_cospectral = pf1 != pf2
+        failed = [clause for clause, holds in (
+            ("products are cospectral", products_non_cospectral),
+            ("product energies differ beyond tolerance", abs(pe1 - pe2) <= tol)) if not holds]
+        products = dict(product_order=2 * mg.graph.n * mg1.graph.n,
+                        product_energy_1=pe1, product_energy_2=pe2,
+                        products_non_cospectral=products_non_cospectral,
+                        product_charpoly_1=pf1, product_charpoly_2=pf2)
     return EquienergeticCertificate(
         valid=not failed, failed_clauses=tuple(failed),
         non_cospectral_inputs=non_cospectral,
         equienergetic_inputs=equienergetic, coronal_equal=coronal_equal,
         regular_shortcut=shortcut,
-        input_energy_1=e1.value, input_energy_2=e2.value,
-        product_order=2 * mg.graph.n * mg1.graph.n,
-        product_energy_1=pe1, product_energy_2=pe2,
-        products_non_cospectral=products_non_cospectral,
-        product_charpoly_1=pf1, product_charpoly_2=pf2)
+        input_energy_1=e1.value, input_energy_2=e2.value, **products)
 
 
 def demo_equienergetic_pair() -> tuple[MarkedSignedGraph, MarkedSignedGraph]:

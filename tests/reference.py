@@ -7,11 +7,14 @@ marked product with a one-vertex second factor, the paper's stated star
 bracket cubic and its expansion, the closed-form coronal of a regular
 balanced graph, the adjugate form and a factor's coronal as one-line
 views, and the star integrality check taken one case at a time by its own
-charpoly call.
+charpoly call, its brackets decided per integer eigenvalue with no
+FactoredCharPoly.
 """
+import math
 import random
+from math import prod
 
-from sigspec.applications import StarProductReport, _star_report
+from sigspec.applications import StarProductReport
 from sigspec.coronal import CoronalTriple, signed_coronal, star_coronal_closed_form
 from sigspec.exact import (Matrix, Poly, _exact_ints, charpoly, charpoly_with_adjugate_form,
                            charpolys)
@@ -131,10 +134,34 @@ def coronal_of_mu_graph(mg: MarkedSignedGraph) -> CoronalTriple:
 
 def star_integral_check_alone(mg1: MarkedSignedGraph, n: int,
                               center_mark: int = 1) -> StarProductReport:
-    """star_product_integral_check for one case, with the first factor's
-    mu-adjacency charpoly g taken by its own charpoly call, outside any
-    factored_charpolys batch."""
+    """star_product_integral_check for one case by a route of its own.
+
+    The first factor's mu-adjacency charpoly g comes from its own charpoly
+    call, outside any factored_charpolys batch, and each closed-form bracket
+    prod_i (u - lam_i*v), u = x*den - (n+1)*num and v = (n+1)*den, is
+    decided by IntegralityResult.of(u - lam*v) for each integer root lam of
+    g, taken with its multiplicity, without any FactoredCharPoly.
+    """
     # the closed forms check n and center_mark before any charpoly is taken
     effective, stated = (star_coronal_closed_form(n, m) for m in (1, center_mark))
     g = charpoly(adjacency_matrix(mu_signed_graph(mg1)))
-    return _star_report(n, center_mark, effective, stated, g, IntegralityResult.of)
+    eigen = IntegralityResult.of(g)
+
+    def bracket(c: CoronalTriple) -> IntegralityResult:
+        u, v = Poly.x() * c.den - (n + 1) * c.num, (n + 1) * c.den
+        factors = [IntegralityResult.of(u - lam * v) for lam in eigen.roots]
+        roots = tuple(sorted(r for f in factors for r in f.roots))
+
+        def quotient() -> Poly:
+            # the bracket v^deg(g) * g(u/v), written out term by term
+            whole = sum((a * u ** k * v ** (g.degree - k) for k, a in enumerate(g.coeffs)),
+                        Poly())
+            return whole.divexact(prod((Poly.linear(-r) for r in roots), start=Poly.constant(1)))
+
+        return IntegralityResult(integral=eigen.integral and all(f.integral for f in factors),
+                                 roots=roots, build_quotient=quotient)
+
+    return StarProductReport(n=n, center_mark=center_mark,
+                             star_integral=math.isqrt(n) ** 2 == n,
+                             shared=IntegralityResult.of(effective.shared),
+                             bracket=bracket(effective), as_stated_bracket=bracket(stated))

@@ -86,7 +86,11 @@ def test_star_integral_checks_match_one_case_at_a_time():
     for (mg1, n, m), (report, general) in zip(cases, star_integral_checks(cases)):
         star_mg = mk(star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1)))
         assert star_mg.marking[0] == m
-        assert report == star_integral_check_alone(mg1, n, m)
+        alone = star_integral_check_alone(mg1, n, m)
+        assert report == alone
+        for mine, theirs in ((report.bracket, alone.bracket),
+                             (report.as_stated_bracket, alone.as_stated_bracket)):
+            assert mine.quotient == theirs.quotient
         assert general == integral_product_check(mg1, star_mg)
     with pytest.raises(ValueError):
         star_integral_checks([(single(), 2, 0)])
@@ -104,16 +108,16 @@ def test_star_integral_checks_report_once_per_key(monkeypatch):
             for mg1, n, m in cases}
     assert len(keys) == 3 * 3 * 2 < len(cases)
     calls = []
-    inner = applications._star_report
+    inner = applications.StarProductReport
 
-    def recorded(*args):
-        calls.append(args[:2])
-        return inner(*args)
+    def recorded(**fields):
+        calls.append((fields["n"], fields["center_mark"]))
+        return inner(**fields)
 
-    monkeypatch.setattr(applications, "_star_report", recorded)
+    monkeypatch.setattr(applications, "StarProductReport", recorded)
     reports = star_integral_checks(cases)
     assert len(calls) == len(keys)
-    monkeypatch.setattr(applications, "_star_report", inner)
+    monkeypatch.setattr(applications, "StarProductReport", inner)
     for (mg1, n, m), (report, general) in zip(cases, reports):
         star_mg = mk(star(n + 1, ("+" if m == 1 else "-") + "+" * (n - 1)))
         assert report == star_product_integral_check(mg1, n, m)
@@ -135,20 +139,20 @@ def test_integral_search_makes_each_result_once_per_what_it_depends_on(monkeypat
     def counted(name, size=lambda *args: 1):
         inner = getattr(applications, name)
 
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             counts[name] += size(*args)
-            return inner(*args)
+            return inner(*args, **kwargs)
         monkeypatch.setattr(applications, name, recorded)
 
     counted("factored_charpolys", lambda pairs, *rest: len(pairs))
     for name in ("_integrality_report", "_bracket_integrality", "star_coronal_closed_form",
-                 "_star_report"):
+                 "StarProductReport"):
         counted(name)
     assert main(["integral-search", "--max-n1", "4", "--max-n", "6"]) == 0
     assert len(json.loads(capsys.readouterr().out)["instances"]) == 336
     assert counts == {"factored_charpolys": 102, "_integrality_report": 48,
                       "_bracket_integrality": 3 * 48, "star_coronal_closed_form": 12,
-                      "_star_report": 96}
+                      "StarProductReport": 96}
 
 
 def _rank_one_update(rows, u, w):

@@ -824,17 +824,41 @@ def bipartite_blowups(draw):
     return Matrix(rows), scalar, u
 
 
+def _two_colourable(rows):
+    # BFS 2-colouring of the graph with an edge i - j wherever M_ij or M_ji
+    # is nonzero, i != j
+    n, colour = len(rows), [None] * len(rows)
+    for root in range(n):
+        if colour[root] is not None:
+            continue
+        colour[root], queue = 0, [root]
+        for i in queue:
+            for j in range(n):
+                if j != i and (rows[i][j] or rows[j][i]):
+                    if colour[j] is None:
+                        colour[j] = 1 - colour[i]
+                        queue.append(j)
+                    elif colour[j] == colour[i]:
+                        return False
+    return True
+
+
 @given(case=bipartite_blowups())
 # K_{3,2}, whose twins fold it to order 2 first; n = 1; A(P3) + 2I with the zero vector
 @example(case=(Matrix([[0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 1, 0, 0],
                        [1, 1, 1, 0, 0]]), 0, [1, 1, 1, 1, 1]))
 @example(case=(Matrix([[-2]]), -2, [3]))
 @example(case=(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 2, [0, 0, 0]))
+# the zero rows 0 and 2, from opposite sides, fold together: a triangle
+@example(case=(Matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 1, 0, 0]]), 0,
+               [0, 0, 0, 0]))
 @settings(max_examples=80, deadline=None)
 def test_bipartite_matrices_halve_exactly(case):
-    # the kernel takes BC for the folded M = a' - cI where M has an edge,
-    # and the charpoly and u^T adj(xI - a) u mapped back are exact; every
-    # order halves here, not only those from exact._HALVED_MIN up
+    # the kernel takes BC for the folded M = a' - cI where M is bipartite
+    # with an edge, and the charpoly and u^T adj(xI - a) u mapped back are
+    # exact; every order halves here, not only those from exact._HALVED_MIN
+    # up. Folding twins can merge zero rows of opposite sides into an odd
+    # cycle, so whether M halves is read off M itself
     m, scalar, u = case
     chi, form = _faddeev_leverrier(m, u)
     with mock.patch.object(exact, "_HALVED_MIN", 1):
@@ -842,8 +866,10 @@ def test_bipartite_matrices_halve_exactly(case):
         assert charpoly_with_adjugate_form(m, u) == (chi, form)
         rows, _, _, s, half = exact._kernel_item(m, u)
     folded = exact._fold_twins(m.rows(), tuple(u))[0]
-    edge = any(x for i, r in enumerate(folded) for j, x in enumerate(r) if i != j)
-    assert (half is not None) == edge
+    shifted = [[x - scalar * (i == j) for j, x in enumerate(r)] for i, r in enumerate(folded)]
+    edge = any(x for i, r in enumerate(shifted) for j, x in enumerate(r) if i != j)
+    zero_diagonal = not any(r[i] for i, r in enumerate(shifted))
+    assert (half is not None) == (zero_diagonal and edge and _two_colourable(shifted))
     if half is not None:
         assert s == scalar and 2 * len(rows) <= len(folded)
 

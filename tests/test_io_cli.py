@@ -350,6 +350,33 @@ def test_cli_equienergetic_demo(capsys):
     assert payload["products_non_cospectral"] is True
 
 
+def test_cli_equienergetic_demo_exits_0_when_a_hypothesis_fails(monkeypatch, capsys):
+    # cospectral inputs fail a hypothesis, so no product clause is decided
+    from sigspec import applications
+    g1, _ = applications.demo_equienergetic_pair()
+    monkeypatch.setattr(applications, "demo_equienergetic_pair", lambda: (g1, g1))
+    assert main(["equienergetic-demo"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert payload["failed_clauses"] == ["inputs are cospectral"]
+    assert payload["product_order"] is None
+
+
+@pytest.mark.parametrize("energies", [(1.0, 2.0), (float("nan"), float("nan"))])
+def test_cli_equienergetic_demo_exits_2_when_a_product_clause_fails(monkeypatch, capsys,
+                                                                    energies):
+    # every hypothesis holds, so the product energies are compared; a NaN
+    # energy is never within tolerance
+    from sigspec import applications
+    estimates = iter(energies)
+    monkeypatch.setattr(applications, "factored_energy_estimate", lambda fc: next(estimates))
+    assert main(["equienergetic-demo"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert payload["failed_clauses"] == ["product energies differ beyond tolerance"]
+    assert payload["product_order"] == 72
+
+
 def test_cli_integral_search(capsys):
     rc = main(["integral-search", "--max-n1", "2", "--max-n", "2"])
     assert rc == 0
