@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations, repeat
 from operator import lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -50,44 +50,20 @@ def _signs(signs: str | Iterable[int], m: int | None = None,
     return vals
 
 
-def _normalize_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-    """The sorted (i, j, sign) edges of a graph on n vertices; checks n too.
+def _normal_form(n: int, ii: Sequence[int], jj: Sequence[int]) -> bool:
+    """True when the endpoint columns of ints are in normal form: every
+    i < j, the (i, j) pairs strictly increasing and all in range.
 
-    The int rule is one type pass per column; only when it fails does the
-    scan of the flat (n, i0, j0, s0, i1, ...) order run, to name the first
-    entry that is not an int.
+    Passes over the columns and their keys i*n + j, with no edge tuples:
+    by induction over the edges, i < j, increasing keys, a first i of at
+    least 0 and every j below n keep every i nondecreasing and at least 0,
+    so the keys order the pairs as tuples would.
     """
-    edges = list(edges)
-    if not {3}.issuperset(map(len, edges)):
-        k = next(k for k, e in enumerate(edges) if len(e) != 3)
-        raise EdgeError(k, f"edge must be (i, j, sign), got {edges[k]!r}")
-    ii, jj, ss = zip(*edges) if edges else ((), (), ())
-    if not all(_INT_ONLY.issuperset(map(type, col)) for col in ((n,), ii, jj, ss)):
-        _exact_ints(chain((n,), *edges))
-    return _column_edges(n, ii, jj, ss)
-
-
-def _column_edges(n: int, ii: Sequence[int], jj: Sequence[int],
-                  ss: Sequence[int]) -> tuple[Edge, ...]:
-    """The sorted edges (ii[k], jj[k], ss[k]) of a graph on n vertices, from
-    columns of ints.
-
-    Columns in normal form (every i < j, the (i, j) pairs strictly
-    increasing, all in range) are recognised by a few C-level passes and
-    kept as they are; any others go through _sorted_edges, which names the
-    first offending edge.
-    """
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
-    if not _SIGN_VALUES.issuperset(ss):
-        _signs(ss, what="edge signs")
-    pairs = list(zip(ii, jj))
-    # i < j on every edge and increasing pairs make the i nondecreasing, so
-    # the first i is the least endpoint and max(jj) the greatest
-    if (all(map(lt, ii, jj)) and all(map(lt, pairs, pairs[1:]))
-            and (not ii or ii[0] >= 0 and max(jj) < n)):
-        return tuple(zip(ii, jj, ss))
-    return _sorted_edges(n, ii, jj, ss)
+    if not ii:
+        return True
+    keys = [i * n + j for i, j in zip(ii, jj)]
+    return (all(map(lt, ii, jj)) and all(map(lt, keys, keys[1:]))
+            and ii[0] >= 0 and max(jj) < n)
 
 
 def _sorted_edges(n: int, ii: Sequence[int], jj: Sequence[int],
@@ -112,11 +88,22 @@ def _sorted_edges(n: int, ii: Sequence[int], jj: Sequence[int],
 class SignedGraph:
     """Simple graph on vertices 0..n-1 with +-1 edge signs."""
 
-    __slots__ = ("n", "edges")
+    # _cols: the edges as three tuple columns (i, j, sign), or None until
+    # _columns() first transposes them
+    __slots__ = ("n", "edges", "_cols")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        self.edges = _normalize_edges(n, edges)
-        self.n = n
+        # the int rule is one type pass per column; only when it fails does
+        # the scan of the flat (n, i0, j0, s0, i1, ...) order run, to name the
+        # first entry that is not an int
+        edges = list(edges)
+        if not {3}.issuperset(map(len, edges)):
+            k = next(k for k, e in enumerate(edges) if len(e) != 3)
+            raise EdgeError(k, f"edge must be (i, j, sign), got {edges[k]!r}")
+        ii, jj, ss = zip(*edges) if edges else ((), (), ())
+        if not all(_INT_ONLY.issuperset(map(type, col)) for col in ((n,), ii, jj, ss)):
+            _exact_ints(chain((n,), *edges))
+        self._fill(n, ii, jj, ss)
 
     @classmethod
     def _from_columns(cls, n: int, ii: Sequence[int], jj: Sequence[int],
@@ -124,9 +111,34 @@ class SignedGraph:
         """The graph of edges (ii[k], jj[k], ss[k]), from columns known to
         hold only ints: the type pass of __init__ is skipped."""
         g = cls.__new__(cls)
-        g.edges = _column_edges(n, ii, jj, ss)
-        g.n = n
+        g._fill(n, ii, jj, ss)
         return g
+
+    @classmethod
+    def _from_normal_columns(cls, n: int, ii: tuple[int, ...], jj: tuple[int, ...],
+                             ss: tuple[int, ...]) -> "SignedGraph":
+        """The graph of edges (ii[k], jj[k], ss[k]), from tuple columns of
+        ints the package holds in normal form (see _normal_form) with +-1
+        signs, n at least 1: no check runs, and the columns are kept."""
+        g = cls.__new__(cls)
+        g.n, g.edges, g._cols = n, tuple(zip(ii, jj, ss)), (ii, jj, ss)
+        return g
+
+    def _fill(self, n: int, ii: Sequence[int], jj: Sequence[int],
+              ss: Sequence[int]) -> None:
+        """Check the columns of ints and set the sorted edges. Columns in
+        normal form are kept as they are; any others go through
+        _sorted_edges, which names the first offending edge."""
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        if not _SIGN_VALUES.issuperset(ss):
+            _signs(ss, what="edge signs")
+        self.n = n
+        if _normal_form(n, ii, jj):
+            self._cols = (tuple(ii), tuple(jj), tuple(ss))
+            self.edges = tuple(zip(*self._cols))
+        else:
+            self.edges, self._cols = _sorted_edges(n, ii, jj, ss), None
 
     @property
     def num_edges(self) -> int:
@@ -157,17 +169,20 @@ class SignedGraph:
                 return s
         raise KeyError(f"no edge ({i}, {j})")
 
-    def _columns(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        # the edges as three columns: endpoints i, endpoints j and signs
-        return tuple(zip(*self.edges)) if self.edges else ((), (), ())
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The edges as three tuple columns: endpoints i, endpoints j and
+        signs, transposed once per graph."""
+        if self._cols is None:
+            self._cols = tuple(zip(*self.edges)) if self.edges else ((), (), ())
+        return self._cols
 
     def underlying_positive(self) -> "SignedGraph":
         ii, jj, _ = self._columns()
-        return SignedGraph._from_columns(self.n, ii, jj, (1,) * len(ii))
+        return SignedGraph._from_normal_columns(self.n, ii, jj, (1,) * len(ii))
 
     def negated(self) -> "SignedGraph":
         ii, jj, ss = self._columns()
-        return SignedGraph._from_columns(self.n, ii, jj, [-s for s in ss])
+        return SignedGraph._from_normal_columns(self.n, ii, jj, tuple(-s for s in ss))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SignedGraph):
@@ -255,7 +270,8 @@ def mu_signed_graph(mg: MarkedSignedGraph) -> SignedGraph:
     """Same underlying graph, each edge re-signed to mark(u)*mark(v)."""
     mu = mg.marking
     ii, jj, _ = mg.graph._columns()
-    return SignedGraph._from_columns(mg.graph.n, ii, jj, [mu[i] * mu[j] for i, j in zip(ii, jj)])
+    return SignedGraph._from_normal_columns(mg.graph.n, ii, jj,
+                                            tuple(mu[i] * mu[j] for i, j in zip(ii, jj)))
 
 
 def balance_marking(g: SignedGraph) -> Marking | None:
@@ -402,13 +418,19 @@ def prism(n: int, signs=None) -> SignedGraph:
 
 
 def line_graph(g: SignedGraph) -> SignedGraph:
-    """All-positive line graph of the underlying graph of g."""
-    base = [(i, j) for i, j, _ in g.edges]
-    if not base:
+    """All-positive line graph of the underlying graph of g.
+
+    The edges at each vertex are listed in edge order and paired within
+    each list; two edges of a simple graph share at most one endpoint, so
+    each line-graph edge comes from one list, once.
+    """
+    ii, jj, _ = g._columns()
+    if not ii:
         raise ValueError("line graph of an edgeless graph is empty")
-    out = []
-    for a in range(len(base)):
-        for b in range(a + 1, len(base)):
-            if set(base[a]) & set(base[b]):
-                out.append((a, b, 1))
-    return SignedGraph(len(base), out)
+    at: list[list[int]] = [[] for _ in range(g.n)]
+    for k, (i, j) in enumerate(zip(ii, jj)):
+        at[i].append(k)
+        at[j].append(k)
+    pairs = sorted(chain.from_iterable(map(combinations, at, repeat(2))))
+    aa, bb = zip(*pairs) if pairs else ((), ())
+    return SignedGraph._from_columns(len(ii), aa, bb, (1,) * len(aa))

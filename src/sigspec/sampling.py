@@ -9,10 +9,10 @@ from .graphs import FAMILIES, MarkedSignedGraph, Marking, SignedGraph
 REGULAR_FAMILIES = ("cycle", "complete")
 
 
-def _random_signs(rng: random.Random, count: int, signed: bool) -> list[int]:
+def _random_signs(rng: random.Random, count: int, signed: bool) -> tuple[int, ...]:
     if not signed:
-        return [1] * count
-    return [rng.choice((1, -1)) for _ in range(count)]
+        return (1,) * count
+    return tuple([rng.choice((1, -1)) for _ in range(count)])
 
 
 @cache
@@ -35,8 +35,8 @@ def random_marked_graph(rng: random.Random, max_n: int, signed: bool = True,
     family = rng.choice(feasible)
     n = rng.randint(FAMILIES[family][1], max_n)
     ii, jj = _skeleton_columns(family, n)
-    # the member's normal-form edges and random +-1 ints: no type pass
-    g = SignedGraph._from_columns(n, ii, jj, _random_signs(rng, len(ii), signed))
+    # the member's normal-form edges and random +-1 ints: no check
+    g = SignedGraph._from_normal_columns(n, ii, jj, _random_signs(rng, len(ii), signed))
     marking = Marking._from_signs(_random_signs(rng, n, signed))
     return MarkedSignedGraph(g, marking)
 

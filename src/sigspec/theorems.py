@@ -228,9 +228,9 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
     no vector and takes no gcd: its coronal is n2/(x - sigma), with
     shared = charpoly(N)/(x - sigma) (see _row_sum_coronal). That is A and Q
     of a regular |Sigma2|, and L of every |Sigma2|. The key graphs are built
-    from the factors' checked edge columns (SignedGraph._from_columns). The
-    results are read back by position: copy blocks first, then bracket
-    matrices.
+    from the factors' own kept edge columns, with no check
+    (SignedGraph._from_normal_columns). The results are read back by
+    position: copy blocks first, then bracket matrices.
     """
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"matrix kind must be A, L or Q, got {kind!r}")
@@ -248,14 +248,14 @@ def factored_charpolys(pairs: Sequence[tuple[MarkedSignedGraph, MarkedSignedGrap
         keys.append((k1, k2))
     copies, items = [], []
     for n, ii, jj in blocks:
-        m = graph_matrix(SignedGraph._from_columns(n, ii, jj, (1,) * len(ii)), kind)
+        m = graph_matrix(SignedGraph._from_normal_columns(n, ii, jj, (1,) * len(ii)), kind)
         copies.append(m if kind == "A" else m + Matrix.diagonal([n] * n))
         # a block whose rows all sum to one sigma needs no adjugate form
         uniform = len(set(map(sum, m.rows()))) == 1
         items.append((m, None if uniform else (1,) * n))
     # the clone block of L carries -A(|Sigma1|) (x) J: the all-negative graph's
     sign = -1 if kind == "L" else 1
-    mats = [adjacency_matrix(SignedGraph._from_columns(n, ii, jj, (sign,) * len(ii)))
+    mats = [adjacency_matrix(SignedGraph._from_normal_columns(n, ii, jj, (sign,) * len(ii)))
             for n, ii, jj in brackets]
     solved = _charpolys_with_forms(items + [(m, None) for m in mats])
     coronals = []

@@ -2,13 +2,15 @@
 
 Each trial builds the product of two random factors, checks its vertex and
 edge counts, and compares the charpoly of its matrix with the factored
-form. The direct side is an exact charpoly of each built product, taken
-after switching it by its own marking mu: the signs s*mu(i)*mu(j) on the
-same edges give the matrix D*X*D, D = diag(mu), of the built one's X, so
-the charpoly is the same for any +-1 mu (Zaslavsky, "Signed graphs",
-1982). Products that switch to the same signed graph share one charpoly.
-The factored side is compared at one Kronecker point, exactly and without
-expanding the form (FactoredCharPoly._l1_bound).
+form. The products of one underlying pair (|Sigma1|, |Sigma2|) in a block
+share one skeleton (product._skeleton), and each signs it by its own
+pair's markings. The direct side is an exact charpoly of each built
+product, taken after switching it by its own marking mu: the signs
+s*mu(i)*mu(j) on the same edges give the matrix D*X*D, D = diag(mu), of
+the built one's X, so the charpoly is the same for any +-1 mu (Zaslavsky,
+"Signed graphs", 1982). Products that switch to the same signed graph
+share one charpoly. The factored side is compared at one Kronecker point,
+exactly and without expanding the form (FactoredCharPoly._l1_bound).
 
 The corona campaign (one-vertex second factors against the pendant corona)
 checks the product construction only, so it lives in the tests
@@ -23,7 +25,7 @@ from operator import itemgetter, mul
 from .exact import Poly, charpolys
 from .graphs import MarkedSignedGraph, SignedGraph, graph_matrix
 from .io import serialize_graph
-from .product import product
+from .product import _marked_product, _skeleton
 from .sampling import random_marked_graph, random_regular_marked_graph
 from .theorems import FactoredCharPoly, factored_charpolys
 
@@ -137,8 +139,10 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
     so the records do not depend on where the blocks end. A pair drawn again
     within a block is built and checked once.
 
-    Each distinct pair's product is built and count-checked, then switched
-    by its own marking (see the module docstring); a block takes one
+    Each distinct pair's product is built on its underlying pair's
+    skeleton, made and checked once per block, and count-checked, then
+    switched by its own marking (see the module docstring), the switched
+    key read from the product's own kept edge columns; a block takes one
     charpolys call over its distinct switched products, each built once.
     A product that is not balanced just switches to a key of its own. The
     first mode's verdict is decided once per form and switched product, at
@@ -171,13 +175,20 @@ def run_theorem_verification(matrix_kind: str = "A", signed: bool = True,
         distinct = list(dict.fromkeys(pairs))
         # per distinct pair its count checks and the position of its switched
         # product among the block's distinct ones, each built once
-        counts, slots, positions, mats = [], [], {}, []
+        counts, slots, positions, mats, skeletons = [], [], {}, [], {}
         for mg1, mg2 in distinct:
-            pg = product(mg1, mg2)
+            g1, g2 = mg1.graph, mg2.graph
+            # the underlying pair, keyed as factored_charpolys keys it
+            under = (g1.n, *g1._columns()[:2]), (g2.n, *g2._columns()[:2])
+            skeleton = skeletons.get(under)
+            if skeleton is None:
+                skeleton = skeletons[under] = _skeleton(g1, g2)
+            pg = _marked_product(skeleton, mg1, mg2)
             key, g = _switched(pg.graph)
             slot = positions.setdefault(key, len(mats))
             if slot == len(mats):
-                mats.append(graph_matrix(g or SignedGraph._from_columns(*key), matrix_kind))
+                mats.append(graph_matrix(g or SignedGraph._from_normal_columns(*key),
+                                         matrix_kind))
             counts.append(_count_checks(pg, mg1, mg2))
             slots.append(slot)
         directs = charpolys(mats)

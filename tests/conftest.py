@@ -24,20 +24,24 @@ def kernel_calls(monkeypatch):
 @pytest.fixture
 def graph_sizes(monkeypatch):
     """The vertex count of every SignedGraph built from here until
-    monkeypatch.undo(), through the constructor or through
-    SignedGraph._from_columns, in build order."""
+    monkeypatch.undo(), through the constructor or through either private
+    one, SignedGraph._from_columns or SignedGraph._from_normal_columns, in
+    build order."""
     sizes = []
-    init = graphs.SignedGraph.__init__
-    from_columns = graphs.SignedGraph._from_columns.__func__
+    cls = graphs.SignedGraph
+    init = cls.__init__
 
     def recorded(self, n, edges=()):
         sizes.append(n)
         init(self, n, edges)
 
-    def recorded_columns(cls, n, ii, jj, ss):
-        sizes.append(n)
-        return from_columns(cls, n, ii, jj, ss)
+    def recorder(build):
+        def recorded_columns(cls, n, ii, jj, ss):
+            sizes.append(n)
+            return build(cls, n, ii, jj, ss)
+        return classmethod(recorded_columns)
 
-    monkeypatch.setattr(graphs.SignedGraph, "__init__", recorded)
-    monkeypatch.setattr(graphs.SignedGraph, "_from_columns", classmethod(recorded_columns))
+    monkeypatch.setattr(cls, "__init__", recorded)
+    for name in ("_from_columns", "_from_normal_columns"):
+        monkeypatch.setattr(cls, name, recorder(getattr(cls, name).__func__))
     return sizes

@@ -6,9 +6,9 @@ of McLeman & McNicholas ("Spectra of coronae", LAA 2011) against the
 marked product with a one-vertex second factor, the paper's stated star
 bracket cubic and its expansion, the closed-form coronal of a regular
 balanced graph, the adjugate form and a factor's coronal as one-line
-views, and the star integrality check taken one case at a time by its own
+views, the star integrality check taken one case at a time by its own
 charpoly call, its brackets decided per integer eigenvalue with no
-FactoredCharPoly.
+FactoredCharPoly, and the line graph from every pair of edges.
 """
 import math
 import random
@@ -165,3 +165,17 @@ def star_integral_check_alone(mg1: MarkedSignedGraph, n: int,
                              star_integral=math.isqrt(n) ** 2 == n,
                              shared=IntegralityResult.of(effective.shared),
                              bracket=bracket(effective), as_stated_bracket=bracket(stated))
+
+
+def line_graph_pairwise(g: SignedGraph) -> SignedGraph:
+    """All-positive line graph of the underlying graph of g, by testing every
+    pair of edges for a shared endpoint."""
+    base = [(i, j) for i, j, _ in g.edges]
+    if not base:
+        raise ValueError("line graph of an edgeless graph is empty")
+    out = []
+    for a in range(len(base)):
+        for b in range(a + 1, len(base)):
+            if set(base[a]) & set(base[b]):
+                out.append((a, b, 1))
+    return SignedGraph(len(base), out)

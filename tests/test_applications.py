@@ -282,6 +282,14 @@ def test_equienergetic_demo_computes_no_product_charpoly(kernel_calls):
     assert orders and max(orders) <= 18
 
 
+def test_the_graph_recorder_sees_a_built_product(graph_sizes):
+    # the positive control of the "builds no product" tests below: a product
+    # built through any constructor is recorded at its order
+    l2 = graphs.line_graph(graphs.line_graph(graphs.complete_bipartite(3, 3)))
+    product(mk(complete(2)), mk(l2))
+    assert max(graph_sizes) == 72
+
+
 def test_equienergetic_demo_builds_no_product(graph_sizes):
     # order, energies and charpolys all come from the factors, so no graph
     # beyond the order-18 inputs is ever constructed

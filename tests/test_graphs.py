@@ -17,6 +17,8 @@ from sigspec.product import product
 from sigspec.sampling import random_marked_graph, random_regular_marked_graph
 from sigspec.theorems import factored_charpolys
 
+from reference import line_graph_pairwise
+
 
 def rngs():
     import random
@@ -259,6 +261,57 @@ def test_line_graph_of_path():
     lg = line_graph(path(4))
     assert lg.n == 3
     assert lg.degrees() == (1, 2, 1)
+
+
+@st.composite
+def simple_graphs(draw, max_n=8):
+    """A signed graph on up to max_n vertices with any edge set."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SignedGraph(n, [(i, j, draw(st.sampled_from((1, -1)))) for i, j in chosen])
+
+
+@given(g=simple_graphs())
+@settings(max_examples=300, deadline=None)
+def test_line_graph_matches_the_pairwise_reference(g):
+    # pairs within each vertex's edge list against every pair of edges tested
+    # for a shared endpoint; the second iterate too, while it stays small
+    if not g.num_edges:
+        with pytest.raises(ValueError):
+            line_graph(g)
+        return
+    lg = line_graph(g)
+    assert lg == line_graph_pairwise(g)
+    if lg.num_edges and lg.num_edges <= 40:
+        assert line_graph(lg) == line_graph_pairwise(lg)
+
+
+@given(g=simple_graphs(), rng=rngs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kept_columns_equal_the_transposed_edges(g, rng, data):
+    # every construction path keeps or transposes its columns, as tuples:
+    # the checked constructors on sorted and on shuffled input, the no-check
+    # one, parsing, products, sampling, line graphs and sign changes
+    edges = data.draw(st.permutations(g.edges), label="order")
+    ii, jj, ss = ([list(col) for col in zip(*edges)] if edges else ([], [], []))
+    mg = MarkedSignedGraph.with_canonical_marking(g)
+    other = random_marked_graph(rng, 4)
+    built = [SignedGraph(g.n, edges), SignedGraph(g.n, [(j, i, s) for i, j, s in edges]),
+             SignedGraph._from_columns(g.n, ii, jj, ss),
+             SignedGraph._from_columns(g.n, *g._columns()),
+             SignedGraph._from_normal_columns(g.n, *g._columns()),
+             parse_graph(serialize_graph(mg)).graph,
+             product(mg, other).graph.graph, product(other, mg).graph.graph,
+             other.graph, random_regular_marked_graph(rng, 5).graph,
+             g.negated(), g.underlying_positive(), mu_signed_graph(mg)]
+    if g.num_edges:
+        built.append(line_graph(g))
+    for h in built:
+        cols = h._columns()
+        assert cols == (tuple(zip(*h.edges)) if h.edges else ((), (), ()))
+        assert all(type(col) is tuple for col in cols) and h._columns() is cols
+    assert built[0] == built[1] == built[2] == built[3] == built[4] == g
 
 
 def test_negated_and_underlying():

@@ -9,7 +9,7 @@ from sigspec.exact import charpoly
 from sigspec.graphs import (MarkedSignedGraph, Marking, SignedGraph, adjacency_matrix,
                             complete, cycle, matrices, mu_signed_graph, path,
                             star)
-from sigspec.product import product
+from sigspec.product import _marked_product, _skeleton, product
 from sigspec.sampling import random_marked_graph
 
 from reference import corona, random_single_vertex
@@ -99,6 +99,29 @@ def test_product_equals_the_checked_block_reference(rng):
     assert pg.graph == graph and pg.marking == marking
     assert all(type(x) is int for e in pg.graph.edges for x in e)
     assert all(type(x) is int for x in pg.marking) and type(pg.graph.n) is int
+
+
+def _resigned(rng, mg):
+    # the same underlying graph with fresh random edge signs and marking
+    g = mg.graph
+    edges = [(i, j, rng.choice((1, -1))) for i, j, _ in g.edges]
+    return MarkedSignedGraph(SignedGraph(g.n, edges),
+                             Marking([rng.choice((1, -1)) for _ in range(g.n)]))
+
+
+@given(rng=rngs())
+@settings(max_examples=40, deadline=None)
+def test_markings_on_one_shared_skeleton_equal_the_block_reference(rng):
+    # one skeleton of the underlying pair, signed under several markings:
+    # each product is the block reference's and public product's
+    mg1 = random_marked_graph(rng, max_n=5)
+    mg2 = random_marked_graph(rng, max_n=4)
+    skeleton = _skeleton(mg1.graph, mg2.graph)
+    for _ in range(4):
+        m1, m2 = _resigned(rng, mg1), _resigned(rng, mg2)
+        pg = _marked_product(skeleton, m1, m2)
+        assert np.array_equal(block_reference(m1, m2), adjacency_matrix(pg.graph.graph).rows())
+        assert pg == product(m1, m2)
 
 
 @given(rng=rngs())

@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -5,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigspec import exact, theorems, verify
+from sigspec import exact, graphs, theorems, verify
 from sigspec.exact import Matrix, Poly, charpoly, charpolys
 from sigspec.graphs import MarkedSignedGraph, SignedGraph, graph_matrix
 from sigspec.io import serialize_graph
-from sigspec.product import ProductGraph, product
+from sigspec.product import ProductGraph, _marked_product, _skeleton, product
 from sigspec.sampling import random_marked_graph, random_regular_marked_graph
 from sigspec.theorems import factored_charpolys
 from sigspec.verify import run_theorem_verification
 
 from reference import run_corona_verification
+
+# the module, which the package's product function shadows as an attribute
+product_module = importlib.import_module("sigspec.product")
 
 
 def test_verification_batches_each_product_order_once_per_block(monkeypatch, kernel_calls):
@@ -126,13 +130,13 @@ def test_repeated_pairs_are_built_once_per_block(monkeypatch):
     # distinct pair of a block is built and checked once, and its repeats
     # carry equal records under their own trial numbers
     built = []
-    inner = verify.product
+    inner = verify._marked_product
 
-    def recorded(mg1, mg2):
+    def recorded(skeleton, mg1, mg2):
         built.append((mg1, mg2))
-        return inner(mg1, mg2)
+        return inner(skeleton, mg1, mg2)
 
-    monkeypatch.setattr(verify, "product", recorded)
+    monkeypatch.setattr(verify, "_marked_product", recorded)
     report = run_theorem_verification(matrix_kind="Q", signed=False, trials=50, seed=1)
     records = report["records"]
     pairs = [(r["graph1"], r["graph2"]) for r in records]
@@ -228,19 +232,19 @@ def test_point_comparison_equals_the_expanded_one(kind, mode, seed, data):
 
 
 def _planted(monkeypatch, fault):
-    """verify.product with fault applied to each product's edge list; the
-    faulty graph of each pair, keyed by the factors' texts as the records
-    carry them."""
+    """verify._marked_product with fault applied to each product's edge
+    list; the faulty graph of each pair, keyed by the factors' texts as the
+    records carry them."""
     faulty = {}
 
-    def built(mg1, mg2):
-        pg = product(mg1, mg2)
+    def built(skeleton, mg1, mg2):
+        pg = _marked_product(skeleton, mg1, mg2)
         g = pg.graph.graph
         bad = SignedGraph(g.n, fault(list(g.edges)))
         faulty[serialize_graph(mg1), serialize_graph(mg2)] = (mg1, mg2, bad)
         return ProductGraph(MarkedSignedGraph(bad, pg.graph.marking), pg.n1, pg.n2)
 
-    monkeypatch.setattr(verify, "product", built)
+    monkeypatch.setattr(verify, "_marked_product", built)
     return faulty
 
 
@@ -328,3 +332,69 @@ def test_one_edge_products_verify(kind, signed):
                                       seed=5)
     assert report["all_match"]
     assert {(r["n1"], r["n2"]) for r in report["records"]} == {(1, 1)}
+
+
+@pytest.mark.parametrize("trials", [150, 300])
+def test_one_skeleton_per_underlying_pair_per_block(monkeypatch, trials):
+    # signed A trials at seed 1 are nearly all distinct pairs, but far fewer
+    # distinct underlying pairs: each of those is built and checked for
+    # normal form once per block, and every product of a block signs one of
+    # them. No other normal-form check runs: sampled factors, products and
+    # the switched and factored key graphs are built from kept columns
+    skeletons, checks = [], []
+    inner, check = verify._skeleton, graphs._normal_form
+
+    def recorded(g1, g2):
+        skeletons.append(((g1.n, *g1._columns()[:2]), (g2.n, *g2._columns()[:2])))
+        return inner(g1, g2)
+
+    def counted(n, ii, jj):
+        checks.append(n)
+        return check(n, ii, jj)
+
+    monkeypatch.setattr(verify, "_skeleton", recorded)
+    monkeypatch.setattr(graphs, "_normal_form", counted)
+    monkeypatch.setattr(product_module, "_normal_form", counted)
+    assert run_theorem_verification("A", trials=trials, seed=1)["all_match"]
+    size = verify._block_trials(4, 4)
+    rng = random.Random(1)
+    pairs = [(random_marked_graph(rng, 4, True), random_marked_graph(rng, 4, True))
+             for _ in range(trials)]
+    under = [{((g1.n, *g1._columns()[:2]), (g2.n, *g2._columns()[:2]))
+              for g1, g2 in ((a.graph, b.graph) for a, b in pairs[start:start + size])}
+             for start in range(0, trials, size)]
+    assert len(skeletons) == len(checks) == sum(map(len, under))
+    assert skeletons[:len(under[0])] and set(skeletons[:len(under[0])]) == under[0]
+    assert len(under[0]) < len(set(pairs[:size])) // 2
+
+
+@pytest.mark.parametrize("kind, trials, group", [("A", 150, 4), ("L", 50, 9), ("Q", 50, 9)])
+def test_a_faulty_skeleton_fails_every_trial_that_shares_it(monkeypatch, kind, trials, group):
+    # one endpoint of the first skeleton with two or more copies moved from
+    # copy 0 to copy 1: a[0][0] - b[0][0] becomes a[0][0] - b[1][0]. The edge
+    # count stays, so the count checks pass, but every trial whose underlying
+    # pair shares that skeleton must miss the match; no other trial fails
+    planted, uses = [], {}
+
+    def faulty(g1, g2):
+        n, ii, jj = _skeleton(g1, g2)
+        if planted or g1.n < 2:
+            return n, ii, jj
+        block = g1.n * g2.n
+        k = list(zip(ii, jj)).index((0, block))
+        planted.append((n, ii, jj[:k] + (block + g2.n,) + jj[k + 1:]))
+        return planted[0]
+
+    def built(skeleton, mg1, mg2):
+        uses[serialize_graph(mg1), serialize_graph(mg2)] = bool(planted) and skeleton is planted[0]
+        return _marked_product(skeleton, mg1, mg2)
+
+    monkeypatch.setattr(verify, "_skeleton", faulty)
+    monkeypatch.setattr(verify, "_marked_product", built)
+    report = run_theorem_verification(kind, trials=trials, seed=1)
+    shared = [uses[r["graph1"], r["graph2"]] for r in report["records"]]
+    assert sum(shared) == group
+    for r, bad in zip(report["records"], shared):
+        assert r["counts_ok"]
+        assert r["match"] != bad
+    assert report["failures"] == group
